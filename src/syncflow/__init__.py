@@ -27,9 +27,7 @@ from .convex_geometry import (
     Point,
     check_drift_alignment,
     check_distance_comparison,
-    distance,
     intersect,
-    project,
     zero_set_hull,
 )
 from .errors import (
@@ -51,10 +49,8 @@ from .graphs import (
     WeightedDigraph,
     certify_ujsc,
     is_strongly_connected,
-    jacobi_eigenvalues,
     joint_graph,
     lambda2,
-    laplacian,
 )
 from .potentials import (
     FlatBottom1D,
@@ -63,10 +59,7 @@ from .potentials import (
     QuarticWell,
     SumPotential,
     common_zero_set,
-    eval_potential,
-    eval_self_dynamics,
     gradient_consistency_check,
-    zero_set,
 )
 from .report import CheckReport
 from .simulator import (

@@ -19,8 +19,6 @@ Finite-horizon proxies: a "tail" quantity is taken over the last
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,12 +88,10 @@ def _tail_indices(times: np.ndarray, tail_fraction: float) -> np.ndarray:
 def diameter_series(traj: Trajectory) -> np.ndarray:
     """max_{i,j} |x_i - x_j| per sample."""
     X = traj.blocks()
-    n = traj.node_count
     diam = np.zeros(len(traj))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.linalg.norm(X[:, i, :] - X[:, j, :], axis=1)
-            diam = np.maximum(diam, d)
+    for i in range(traj.node_count - 1):
+        d = np.linalg.norm(X[:, i + 1 :, :] - X[:, i : i + 1, :], axis=2).max(axis=1)
+        diam = np.maximum(diam, d)
     return diam
 
 
@@ -493,11 +489,12 @@ class SweepResult:
         }
 
 
-def _max_workers(n_jobs: int, max_threads: int | None) -> int:
-    if max_threads is None:
-        env = os.environ.get("SYNCFLOW_THREADS")
-        max_threads = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(n_jobs, max_threads))
+def validate_K_list(K_list) -> list[float]:
+    """The gains as floats; raises InputError unless positive and strictly increasing."""
+    ks = [float(k) for k in K_list]
+    if not ks or any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise InputError(f"K_list must be positive and strictly increasing, got {ks}")
+    return ks
 
 
 def sweep_K(
@@ -510,32 +507,23 @@ def sweep_K(
     t_end: float,
     sample_every: float | None = None,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    max_threads: int | None = None,
 ) -> SweepResult:
     """Run the scenario once per gain and table the disagreement estimates.
 
     Passes iff the estimates are non-increasing in K (5% slack) and the
-    largest gain achieves an estimate below ``epsilon``.  Runs share only
-    immutable data and execute on a thread pool capped by SYNCFLOW_THREADS.
+    largest gain achieves an estimate below ``epsilon``.  Gains run one after
+    another; a gain whose run fails numerically becomes an error row.
     """
-    K_list = [float(k) for k in K_list]
-    if not K_list or any(k <= 0 for k in K_list) or any(
-        b <= a for a, b in zip(K_list, K_list[1:])
-    ):
-        raise InputError("K_list must be positive and strictly increasing")
+    K_list = validate_K_list(K_list)
     if sample_every is None:
         sample_every = 10.0 * dt
-
-    def one(k: float):
+    rows = []
+    for k in K_list:
         try:
             traj = integrate(potentials, signal, k, x0, dt, t_end, sample_every)
-            verdict = sync_verdict(traj, tail_fraction=tail_fraction)
-            return (k, verdict.epsilon_estimate, None)
+            rows.append((k, sync_verdict(traj, tail_fraction=tail_fraction).epsilon_estimate, None))
         except NumericalError as e:
-            return (k, None, str(e))
-
-    with ThreadPoolExecutor(max_workers=_max_workers(len(K_list), max_threads)) as pool:
-        rows = tuple(pool.map(one, K_list))
+            rows.append((k, None, str(e)))
 
     estimates = [e for _, e, err in rows if err is None]
     ok = len(estimates) == len(rows)
@@ -546,7 +534,7 @@ def sweep_K(
                 break
         ok = ok and estimates[-1] < epsilon
     return SweepResult(
-        rows=rows,
+        rows=tuple(rows),
         epsilon=epsilon,
         passed=ok,
         params={"dt": dt, "t_end": t_end, "tail_fraction": tail_fraction},

@@ -11,9 +11,8 @@ Commands
     Coupling-gain sweep; writes ``sweep.csv``.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 input error, 3 numerical
-error.  SYNCFLOW_THREADS caps sweep parallelism.  Identical scenarios (and
-seeds) produce byte-identical CSV output: floats are written with 17
-significant digits so round-trips are lossless.
+error.  Identical scenarios (and seeds) produce byte-identical CSV output:
+floats are written with 17 significant digits so round-trips are lossless.
 """
 
 import argparse
@@ -43,7 +42,7 @@ from .graphs import (
 )
 from .potentials import common_zero_set, potential_from_dict
 from .report import CheckReport
-from .simulator import integrate
+from .simulator import integrate, validate_dt
 
 SCHEMA_VERSION = 1
 
@@ -189,8 +188,6 @@ def load_scenario(path) -> Scenario:
                 _fail(f"segment references unknown graph id {gid!r}")
             segs.append((gid, _positive(s[1], "segment duration")))
         dwell = _positive(_require(sig_raw, "dwell_floor", "periodic signal"), "dwell_floor")
-        if any(d < dwell - 1e-12 for _, d in segs):
-            _fail("every segment duration must be >= the dwell floor")
         signal = SwitchingSignal(graphs, PeriodicSchedule(tuple(segs)), dwell)
     else:
         _fail(f"signal type must be 'fixed' or 'periodic', got {stype!r}")
@@ -205,19 +202,14 @@ def load_scenario(path) -> Scenario:
         if K < 0:
             _fail(f"K must be nonnegative, got {K}")
     else:
-        K_list = [float(k) for k in raw["K_list"]]
-        if not K_list or any(k <= 0 for k in K_list) or any(
-            b <= a for a, b in zip(K_list, K_list[1:])
-        ):
-            _fail("K_list must be a positive, strictly increasing list")
+        K_list = analysis.validate_K_list(raw["K_list"])
 
     dt = _positive(raw["dt"], "dt") if "dt" in raw else signal.dwell_floor / 10.0
     t_end = _positive(_require(raw, "t_end", "scenario"), "t_end")
     sample_every = (
         _positive(raw["sample_every"], "sample_every") if "sample_every" in raw else 10.0 * dt
     )
-    if signal.has_switches() and dt > signal.dwell_floor / 4.0 + 1e-12:
-        _fail(f"dt={dt} violates dt <= dwell_floor/4 = {signal.dwell_floor / 4.0}")
+    validate_dt(signal, dt)
 
     x0 = _parse_x0(raw, n * m)
 

@@ -31,8 +31,6 @@ __all__ = [
     "Interval1D",
     "Box",
     "Hull",
-    "project",
-    "distance",
     "intersect",
     "zero_set_hull",
     "check_drift_alignment",
@@ -231,16 +229,6 @@ class Hull(ConvexBody):
 
     def as_dict(self) -> dict:
         return {"type": "hull", "vertices": self.vertices.tolist()}
-
-
-def project(body: ConvexBody, x) -> np.ndarray:
-    """Nearest point of ``body`` to ``x``."""
-    return body.project(x)
-
-
-def distance(body: ConvexBody, x) -> float:
-    """Euclidean distance from ``x`` to ``body``."""
-    return body.distance(x)
 
 
 # -- hull projection -------------------------------------------------------

@@ -10,7 +10,7 @@ the window start, with breakpoints at switch times shifted by the period).
 
 The algebraic side provides the graph Laplacian D - A, strong connectivity
 via double reachability sweeps, and the second-smallest Laplacian eigenvalue
-of symmetric graphs through an in-package cyclic Jacobi eigensolver.
+of symmetric graphs (``numpy.linalg.eigvalsh``).
 """
 
 import math
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NumericalError, PreconditionError
+from .errors import InputError, PreconditionError
 
 __all__ = [
     "WeightedDigraph",
@@ -28,11 +28,9 @@ __all__ = [
     "SwitchingSignal",
     "JointGraph",
     "UJSCCertificate",
-    "laplacian",
     "is_strongly_connected",
     "joint_graph",
     "certify_ujsc",
-    "jacobi_eigenvalues",
     "lambda2",
 ]
 
@@ -100,11 +98,6 @@ class WeightedDigraph:
         """True iff arcs come in (j, i) / (i, j) pairs with equal weights."""
         weights = {(j, i): w for j, i, w in self.arcs}
         return all(weights.get((i, j)) == w for (j, i), w in weights.items())
-
-
-def laplacian(g: WeightedDigraph) -> np.ndarray:
-    """Graph Laplacian D - A; every row sums to zero."""
-    return g.laplacian_matrix
 
 
 def _reach_all(n: int, out_adj: list[list[int]], start: int) -> bool:
@@ -371,41 +364,6 @@ def certify_ujsc(signal: SwitchingSignal, T: float, horizon: float) -> UJSCCerti
 # -- spectra -----------------------------------------------------------------
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise InputError(f"matrix must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > 1e-12 * scale:
-        raise InputError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    if n == 1:
-        return a.reshape(1).copy()
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2))) * math.sqrt(2.0)
-        if off <= tol * scale * n:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    raise NumericalError(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
-
-
 def lambda2(g: WeightedDigraph) -> float:
     """Second-smallest eigenvalue of the Laplacian of a symmetric connected graph."""
     if g.node_count < 2:
@@ -414,5 +372,5 @@ def lambda2(g: WeightedDigraph) -> float:
         raise PreconditionError("lambda2 requires a symmetric graph (paired equal-weight arcs)")
     if not is_strongly_connected(g):
         raise PreconditionError("lambda2 requires a connected graph")
-    eig = jacobi_eigenvalues(np.array(g.laplacian_matrix))
-    return float(eig[1])
+    # eigvalsh reads one triangle only; the symmetry check above keeps that exact
+    return float(np.linalg.eigvalsh(g.laplacian_matrix)[1])

@@ -29,9 +29,6 @@ __all__ = [
     "QuarticWell",
     "FlatBottom1D",
     "SumPotential",
-    "eval_potential",
-    "eval_self_dynamics",
-    "zero_set",
     "gradient_consistency_check",
     "common_zero_set",
     "potential_from_dict",
@@ -288,21 +285,6 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
 
 
 # -- catalog operations -----------------------------------------------------
-
-
-def eval_potential(spec: Potential, x) -> float:
-    """F(x); finite for every finite state of matching dimension."""
-    return spec.value(x)
-
-
-def eval_self_dynamics(spec: Potential, x) -> np.ndarray:
-    """f(x) = -grad F(x), the node drift."""
-    return spec.self_dynamics(x)
-
-
-def zero_set(spec: Potential) -> cg.ConvexBody:
-    """Exact argmin set of the potential as a convex body."""
-    return spec.zero_set()
 
 
 def common_zero_set(potentials) -> cg.ConvexBody | None:

@@ -101,6 +101,15 @@ def fixed_signal(g: WeightedDigraph, dwell_floor: float = 1.0) -> SwitchingSigna
     return SwitchingSignal(library={"g": g}, schedule=FixedSchedule("g"), dwell_floor=dwell_floor)
 
 
+def validate_dt(signal: SwitchingSignal, dt: float):
+    """A switching run needs dt <= dwell_floor/4: at least four steps per dwell segment."""
+    if signal.has_switches() and dt > signal.dwell_floor / 4.0 + 1e-12:
+        raise ConfigurationError(
+            f"dt={dt} exceeds dwell_floor/4 = {signal.dwell_floor / 4.0}; "
+            "a switching run needs at least four steps per dwell segment"
+        )
+
+
 def _validate_network(potentials, node_count: int) -> int:
     if len(potentials) != node_count:
         raise InputError(
@@ -191,11 +200,7 @@ def integrate(
         raise InputError(f"coupling gain K must be nonnegative, got {K}")
     if dt <= 0 or t_end <= 0 or sample_every <= 0:
         raise InputError("dt, t_end and sample_every must be positive")
-    if signal.has_switches() and dt > signal.dwell_floor / 4.0 + 1e-12:
-        raise ConfigurationError(
-            f"dt={dt} exceeds dwell_floor/4 = {signal.dwell_floor / 4.0}; "
-            "a switching run needs at least four steps per dwell segment"
-        )
+    validate_dt(signal, dt)
     m = _validate_network(potentials, signal.node_count)
     x = np.asarray(x0, dtype=float).ravel().copy()
     if x.shape[0] != m * signal.node_count:

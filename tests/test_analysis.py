@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from syncflow import (
     FlatBottom1D,
@@ -12,6 +15,7 @@ from syncflow import (
     QuarticWell,
     SumPotential,
     SwitchingSignal,
+    Trajectory,
     WeightedDigraph,
     aggregate_potential,
     check_common_limit,
@@ -30,7 +34,7 @@ from syncflow import (
     sweep_K,
     sync_verdict,
 )
-from syncflow.analysis import cube_containment
+from syncflow.analysis import cube_containment, diameter_series
 from syncflow.simulator import NetworkState
 from util import path_graph, ring_graph, undirected
 
@@ -73,6 +77,26 @@ def test_diagnostics_v_nonincreasing_two_node():
     traj = integrate(pots, fixed_signal(two_node()), 1.0, [4.0, -3.0], dt=0.01, t_end=10.0, sample_every=0.1)
     diag = diagnostics(traj, pots)
     assert check_monotone(diag.v, label="V").passed
+
+
+@st.composite
+def trajectories(draw):
+    m = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 8))
+    samples = draw(st.integers(1, 5))
+    states = draw(arrays(np.float64, (samples, n * m), elements=st.floats(-1e3, 1e3)))
+    return Trajectory(np.arange(float(samples)), states, n, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trajectories())
+def test_diameter_series_equals_pairwise_brute_force(traj):
+    X = traj.blocks()
+    expected = np.zeros(len(traj))
+    for i in range(traj.node_count):
+        for j in range(i + 1, traj.node_count):
+            expected = np.maximum(expected, np.linalg.norm(X[:, i, :] - X[:, j, :], axis=1))
+    np.testing.assert_array_equal(diameter_series(traj), expected)
 
 
 def test_diagnostics_auto_zstar_requires_intersection():
@@ -362,11 +386,18 @@ def test_sweep_over_switching_schedule_small_period():
     assert eps[-1] < 0.1 and all(b < a * 1.05 for a, b in zip(eps, eps[1:]))
 
 
-def test_sweep_respects_thread_cap(monkeypatch):
-    monkeypatch.setenv("SYNCFLOW_THREADS", "1")
-    pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
-    table = sweep_K(pots, fixed_signal(two_node()), [1.0, 0.0], [1.0, 2.0], epsilon=0.5, dt=0.02, t_end=10.0)
-    assert table.passed
+def test_sweep_rows_equal_direct_runs():
+    pots = [Quadratic(center=[-0.5]), QuarticWell(center=[0.0]), FlatBottom1D(0.3, 0.8)]
+    sig = alternating_chain_signal(3, seg=0.5)
+    x0, K_list = [2.0, -1.0, 0.5], [0.5, 1.0, 4.0]
+    table = sweep_K(pots, sig, x0, K_list, epsilon=0.5, dt=0.05, t_end=6.0, sample_every=0.25,
+                    tail_fraction=0.3)
+    direct = tuple(
+        (k, sync_verdict(integrate(pots, sig, k, x0, 0.05, 6.0, 0.25), tail_fraction=0.3).epsilon_estimate,
+         None)
+        for k in K_list
+    )
+    assert table.rows == direct
 
 
 def test_sweep_records_divergence_as_error_row():

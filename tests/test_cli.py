@@ -215,6 +215,37 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
 
 
+def test_dt_above_quarter_dwell_fails_at_load(tmp_path, capsys):
+    bad = dict(
+        BASE,
+        graphs={"ga": [[0, 1, 1.0]], "gb": [[1, 0, 1.0]]},
+        signal={"type": "periodic", "segments": [["ga", 0.4], ["gb", 0.4]], "dwell_floor": 0.4},
+        dt=0.2,
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", str(write(tmp_path, bad)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "dwell_floor/4" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k_list", [[], [2.0, 1.0], [0.0, 1.0]])
+def test_bad_K_list_exits_2(tmp_path, capsys, k_list):
+    bad = {k: v for k, v in BASE.items() if k != "K"}
+    bad["K_list"] = k_list
+    assert main(["verify", str(write(tmp_path, bad))]) == 2
+    err = capsys.readouterr().err
+    assert "K_list must be positive and strictly increasing" in err and "Traceback" not in err
+
+
+def test_sweep_k_not_increasing_exits_2(tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert main(["sweep", str(write(tmp_path, BASE)), "--k", "2,1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "K_list must be positive and strictly increasing" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_command_writes_csv(tmp_path):
     obj = dict(BASE)
     del obj["K"]

@@ -14,9 +14,7 @@ from syncflow import (
     QuarticWell,
     check_drift_alignment,
     check_distance_comparison,
-    distance,
     intersect,
-    project,
     zero_set_hull,
 )
 
@@ -42,15 +40,15 @@ def random_member(rng, body):
 
 
 def test_interval_clamp():
-    assert project(Interval1D(0, 1), [2.0])[0] == 1.0
-    assert distance(Interval1D(0, 1), [3.0]) == 2.0
+    assert Interval1D(0, 1).project([2.0])[0] == 1.0
+    assert Interval1D(0, 1).distance([3.0]) == 2.0
 
 
 def test_point_inside_body_is_fixed():
     body = Box([0.0, 0.0], [2.0, 2.0])
     x = np.array([1.0, 0.5])
-    np.testing.assert_array_equal(project(body, x), x)
-    assert distance(body, x) == 0.0
+    np.testing.assert_array_equal(body.project(x), x)
+    assert body.distance(x) == 0.0
 
 
 def test_hull_triangle_projection():
@@ -66,7 +64,7 @@ def test_hull_single_vertex():
 
 def test_projection_dimension_mismatch():
     with pytest.raises(InputError):
-        project(Box([0.0, 0.0], [1.0, 1.0]), [1.0])
+        Box([0.0, 0.0], [1.0, 1.0]).project([1.0])
 
 
 @pytest.mark.parametrize("kind", ["point", "interval", "box", "hull"])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncflow import (
     FixedSchedule,
@@ -10,10 +14,8 @@ from syncflow import (
     WeightedDigraph,
     certify_ujsc,
     is_strongly_connected,
-    jacobi_eigenvalues,
     joint_graph,
     lambda2,
-    laplacian,
 )
 from util import complete_graph, path_graph, ring_graph, undirected
 
@@ -34,16 +36,16 @@ def alternating_chains(n=3, seg=1.0, dwell=None):
 
 def test_laplacian_undirected_pair():
     g = undirected(2, [(0, 1)])
-    np.testing.assert_array_equal(laplacian(g), [[1, -1], [-1, 1]])
+    np.testing.assert_array_equal(g.laplacian_matrix, [[1, -1], [-1, 1]])
 
 
 def test_laplacian_empty():
-    np.testing.assert_array_equal(laplacian(WeightedDigraph(3)), np.zeros((3, 3)))
+    np.testing.assert_array_equal(WeightedDigraph(3).laplacian_matrix, np.zeros((3, 3)))
 
 
 def test_laplacian_directed_single_arc():
     g = WeightedDigraph(2, ((0, 1, 3.0),))
-    np.testing.assert_array_equal(laplacian(g), [[0, 0], [-3, 3]])
+    np.testing.assert_array_equal(g.laplacian_matrix, [[0, 0], [-3, 3]])
 
 
 def test_laplacian_row_sums_vanish():
@@ -57,10 +59,10 @@ def test_laplacian_row_sums_vanish():
             if i != j and rng.random() < 0.4
         )
         g = WeightedDigraph(n, arcs)
-        np.testing.assert_allclose(laplacian(g) @ np.ones(n), 0.0, atol=1e-13)
+        np.testing.assert_allclose(g.laplacian_matrix @ np.ones(n), 0.0, atol=1e-13)
     # integer weights stay exactly zero
     g = undirected(4, [(0, 1), (1, 2), (2, 3)], weight=2.0)
-    assert np.all(laplacian(g) @ np.ones(4) == 0.0)
+    assert np.all(g.laplacian_matrix @ np.ones(4) == 0.0)
 
 
 def test_strong_connectivity():
@@ -188,9 +190,7 @@ def test_lambda2_complete_graph():
     # complete-graph Laplacian spectrum is {0, N, ..., N}
     g = complete_graph(4)
     assert lambda2(g) == pytest.approx(4.0, abs=1e-9)
-    np.testing.assert_allclose(
-        jacobi_eigenvalues(np.array(laplacian(g))), np.linalg.eigvalsh(laplacian(g)), atol=1e-9
-    )
+    np.testing.assert_allclose(np.linalg.eigvalsh(g.laplacian_matrix), [0.0, 4.0, 4.0, 4.0], atol=1e-9)
 
 
 def test_lambda2_path_graph():
@@ -208,37 +208,60 @@ def test_lambda2_preconditions():
 def test_lambda2_positive_iff_connected():
     connected = ring_graph(5)
     assert lambda2(connected) > 0
-    eig = jacobi_eigenvalues(np.array(laplacian(undirected(4, [(0, 1), (2, 3)]))))
+    eig = np.linalg.eigvalsh(undirected(4, [(0, 1), (2, 3)]).laplacian_matrix)
     assert eig[1] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_jacobi_matches_numpy_oracle():
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 5, 8):
-        a = rng.normal(size=(n, n))
-        a = a + a.T
-        np.testing.assert_allclose(jacobi_eigenvalues(a), np.linalg.eigvalsh(a), atol=1e-9)
+CLOSED_FORM_LAMBDA2 = {
+    # path P_n: 2 - 2 cos(pi / n)
+    **{f"path{n}": (path_graph(n), 2.0 - 2.0 * math.cos(math.pi / n)) for n in (2, 5, 60)},
+    # ring C_n: 2 - 2 cos(2 pi / n)
+    **{f"ring{n}": (ring_graph(n), 2.0 - 2.0 * math.cos(2.0 * math.pi / n)) for n in (3, 60, 120)},
+    # complete K_n: n
+    **{f"complete{n}": (complete_graph(n), float(n)) for n in (2, 7, 30)},
+}
 
 
-def test_jacobi_psd_laplacians():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
-        if not pairs:
-            continue
-        g = undirected(n, pairs, weight=float(rng.uniform(0.2, 3.0)))
-        eig = jacobi_eigenvalues(np.array(laplacian(g)))
-        assert eig.min() >= -1e-10
+@pytest.mark.parametrize("name", CLOSED_FORM_LAMBDA2)
+def test_lambda2_closed_form_spectra(name):
+    graph, expected = CLOSED_FORM_LAMBDA2[name]
+    assert lambda2(graph) == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(InputError):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
+@st.composite
+def undirected_weighted_graphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    arcs = []
+    for i, j in edges:
+        w = draw(st.floats(0.1, 10.0))
+        arcs += [(i, j, w), (j, i, w)]
+    return WeightedDigraph(n, tuple(arcs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(undirected_weighted_graphs())
+def test_laplacian_spectrum_psd_and_lambda2_positive_iff_connected(g):
+    eig = np.linalg.eigvalsh(g.laplacian_matrix)
+    assert eig.min() >= -1e-10
+    connected = is_strongly_connected(g)
+    assert (eig[1] > 1e-10) == connected
+    if connected:
+        assert lambda2(g) == eig[1]
+    else:
+        with pytest.raises(PreconditionError):
+            lambda2(g)
+
+
+def test_lambda2_rejects_unequal_pair_weights():
+    # strongly connected, but eigvalsh would read only one triangle of L
+    with pytest.raises(PreconditionError, match="symmetric"):
+        lambda2(WeightedDigraph(2, ((0, 1, 1.0), (1, 0, 2.0))))
 
 
 def test_laplacian_is_read_only():
     g = undirected(3, [(0, 1), (1, 2)])
-    lap = laplacian(g)
+    lap = g.laplacian_matrix
     with pytest.raises(ValueError):
         lap[0, 0] = 99.0

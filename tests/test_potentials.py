@@ -11,10 +11,7 @@ from syncflow import (
     QuarticWell,
     SumPotential,
     common_zero_set,
-    eval_potential,
-    eval_self_dynamics,
     gradient_consistency_check,
-    zero_set,
 )
 from syncflow.potentials import potential_from_dict, potential_to_dict
 
@@ -39,41 +36,41 @@ def central_diff(spec, x, h=1e-6):
 
 
 def test_quadratic_value():
-    assert eval_potential(Quadratic(center=[2.0], weight=1.0), [5.0]) == pytest.approx(4.5)
+    assert Quadratic(center=[2.0], weight=1.0).value([5.0]) == pytest.approx(4.5)
 
 
 def test_quartic_value_at_center():
-    assert eval_potential(QuarticWell(center=[0.0]), [0.0]) == 0.0
+    assert QuarticWell(center=[0.0]).value([0.0]) == 0.0
 
 
 def test_flat_bottom_value_inside():
-    assert eval_potential(FlatBottom1D(0.0, 1.0), [0.5]) == 0.0
+    assert FlatBottom1D(0.0, 1.0).value([0.5]) == 0.0
 
 
 def test_quartic_self_dynamics_is_negative_cube():
     # f(x) = -(x - c)^3 componentwise
     spec = QuarticWell(center=[0.3, -0.2])
     x = np.array([1.3, 0.8])
-    np.testing.assert_allclose(eval_self_dynamics(spec, x), -(x - spec.center) ** 3)
-    assert eval_self_dynamics(QuarticWell(center=[0.0]), [1.0])[0] == pytest.approx(-1.0)
+    np.testing.assert_allclose(spec.self_dynamics(x), -(x - spec.center) ** 3)
+    assert QuarticWell(center=[0.0]).self_dynamics([1.0])[0] == pytest.approx(-1.0)
 
 
 def test_quadratic_self_dynamics():
-    assert eval_self_dynamics(Quadratic(center=[2.0], weight=1.0), [5.0])[0] == pytest.approx(-3.0)
+    assert Quadratic(center=[2.0], weight=1.0).self_dynamics([5.0])[0] == pytest.approx(-3.0)
 
 
 @pytest.mark.parametrize("spec", CATALOG_1D)
 def test_self_dynamics_vanishes_on_zero_set(spec):
     # closed-form argmin sets vanish exactly; bisection-derived ones (sums
     # without a shared minimizer) can only vanish to root-finding precision
-    body = zero_set(spec)
+    body = spec.zero_set()
     exact = not (
         isinstance(spec, SumPotential)
         and common_zero_set(list(spec.terms)) is None
         and any(not isinstance(t, Quadratic) for t in spec.terms)
     )
     for pt in [*body.extreme_points(), body.center()]:
-        f = eval_self_dynamics(spec, np.atleast_1d(pt))
+        f = spec.self_dynamics(np.atleast_1d(pt))
         if exact:
             assert np.all(f == 0.0)
         else:
@@ -81,8 +78,8 @@ def test_self_dynamics_vanishes_on_zero_set(spec):
 
 
 def test_zero_sets():
-    assert zero_set(Quadratic(center=[2.0])).as_dict() == {"type": "point", "p": [2.0]}
-    fb = zero_set(FlatBottom1D(0.0, 1.0))
+    assert Quadratic(center=[2.0]).zero_set().as_dict() == {"type": "point", "p": [2.0]}
+    fb = FlatBottom1D(0.0, 1.0).zero_set()
     assert fb.as_dict() == {"type": "interval", "lo": 0.0, "hi": 1.0}
 
 
@@ -98,13 +95,13 @@ def test_common_zero_set_overlapping_intervals():
 
 def test_sum_zero_set_quadratics_weighted_mean():
     s = SumPotential((Quadratic(center=[0.0], weight=1.0), Quadratic(center=[3.0], weight=2.0)))
-    np.testing.assert_allclose(zero_set(s).center(), [2.0])
+    np.testing.assert_allclose(s.zero_set().center(), [2.0])
 
 
 def test_sum_zero_set_mixed_exact_point():
     # x + (x-2)^3 = 0 has the exact root x = 1
     s = SumPotential((Quadratic(center=[0.0]), QuarticWell(center=[2.0])))
-    body = zero_set(s)
+    body = s.zero_set()
     assert isinstance(body, Point)
     np.testing.assert_allclose(body.center(), [1.0], atol=1e-9)
     assert abs(s.gradient(body.center())[0]) < 1e-9
@@ -112,13 +109,13 @@ def test_sum_zero_set_mixed_exact_point():
 
 def test_sum_zero_set_common_minimizer_is_intersection():
     s = SumPotential((FlatBottom1D(0.0, 2.0), FlatBottom1D(1.0, 3.0)))
-    body = zero_set(s)
+    body = s.zero_set()
     np.testing.assert_allclose(sorted(body.extreme_points().ravel()), [1.0, 2.0])
 
 
 def test_sum_zero_set_multidim_box():
     s = SumPotential((Quadratic(center=[0.0, 1.0]), QuarticWell(center=[2.0, 1.0])))
-    body = zero_set(s)
+    body = s.zero_set()
     # component 0: x + (x-2)^3 = 0 -> 1; component 1: shared minimizer 1
     np.testing.assert_allclose(body.center(), [1.0, 1.0], atol=1e-9)
 
@@ -205,9 +202,9 @@ def test_convexity_multidim_random_pairs():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(InputError):
-        eval_potential(Quadratic(center=[0.0, 0.0]), [1.0])
+        Quadratic(center=[0.0, 0.0]).value([1.0])
     with pytest.raises(InputError):
-        eval_self_dynamics(QuarticWell(center=[0.0]), [1.0, 2.0])
+        QuarticWell(center=[0.0]).self_dynamics([1.0, 2.0])
 
 
 def test_invalid_constructions():
