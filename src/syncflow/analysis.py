@@ -391,7 +391,7 @@ def check_spectral_bound(
         )
     p_ave = P.mean(axis=0)
     lhs = float(np.sum((P - p_ave) ** 2))
-    l0 = float(np.linalg.norm(np.concatenate([pot.gradient(P[i]) for i, pot in enumerate(potentials)])))
+    l0 = float(np.linalg.norm(rhs(potentials, fixed_signal(g), 0.0, NetworkState(0.0, P.ravel()))))
     lam2 = lambda2(g)
     bound = (l0 / (K * lam2)) ** 2
     return CheckReport(
@@ -428,8 +428,6 @@ def check_sync_iff(
     _require_symmetric(g, "check_sync_iff")
     if not is_strongly_connected(g):
         raise PreconditionError("check_sync_iff requires a connected graph")
-    if sample_every is None:
-        sample_every = 10.0 * dt
     body = common_zero_set(potentials)
     sig = fixed_signal(g)
     runs = []
@@ -492,7 +490,7 @@ class SweepResult:
 def validate_K_list(K_list) -> list[float]:
     """The gains as floats; raises InputError unless positive and strictly increasing."""
     ks = [float(k) for k in K_list]
-    if not ks or any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+    if not ks or any(not 0 < k < math.inf for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise InputError(f"K_list must be positive and strictly increasing, got {ks}")
     return ks
 
@@ -515,8 +513,6 @@ def sweep_K(
     another; a gain whose run fails numerically becomes an error row.
     """
     K_list = validate_K_list(K_list)
-    if sample_every is None:
-        sample_every = 10.0 * dt
     rows = []
     for k in K_list:
         try:
@@ -634,7 +630,5 @@ def check_invariant_cube(
     """Simulate from ``x0`` and verify the invariant-cube containment."""
     if isinstance(signal, WeightedDigraph):
         signal = fixed_signal(signal)
-    if sample_every is None:
-        sample_every = 10.0 * dt
     traj = integrate(potentials, signal, K, x0, dt, horizon, sample_every)
     return cube_containment(traj, potentials, eta, slack)

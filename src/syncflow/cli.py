@@ -27,6 +27,7 @@ import numpy as np
 from . import analysis
 from .convex_geometry import check_drift_alignment
 from .errors import (
+    FiniteEscapeError,
     InputError,
     NumericalError,
     PreconditionError,
@@ -41,8 +42,8 @@ from .graphs import (
     is_strongly_connected,
 )
 from .potentials import common_zero_set, potential_from_dict
-from .report import CheckReport
-from .simulator import integrate, validate_dt
+from .report import CheckReport, jsonable
+from .simulator import default_sample_every, integrate, validate_dt
 
 SCHEMA_VERSION = 1
 
@@ -59,6 +60,9 @@ CHECK_NAMES = {
     "spectral_bound",
     "ujsc",
 }
+
+# the numeric parameters a check may carry; each is read at load time
+CHECK_PARAMS = ("tol", "floor", "eta", "T", "rise_tol", "slack", "grad_tol", "tail_fraction")
 
 
 @dataclass
@@ -105,11 +109,33 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _positive(value, key: str) -> float:
-    v = float(value)
-    if not (v > 0 and math.isfinite(v)):
-        _fail(f"field {key!r} must be a positive finite number, got {value}")
+def _number(value, key: str, positive: bool = False) -> float:
+    """Every number in a scenario is read here: a finite float, positive if asked."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(f"field {key!r} must be a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
+    if not math.isfinite(v) or (positive and v <= 0):
+        what = "positive finite" if positive else "finite"
+        _fail(f"field {key!r} must be a {what} number, got {value!r}")
     return v
+
+
+def _numbers(value, key: str, length: int | None = None) -> list[float]:
+    if not isinstance(value, list):
+        _fail(f"field {key!r} must be a list of numbers, got {value!r}")
+    if length is not None and len(value) != length:
+        _fail(f"field {key!r} must hold {length} numbers, got {len(value)}")
+    return [_number(v, key) for v in value]
+
+
+def _integer(value, key: str) -> int:
+    v = _number(value, key)
+    if not v.is_integer():
+        _fail(f"field {key!r} must be an integer, got {value!r}")
+    return int(v)
 
 
 def load_scenario(path) -> Scenario:
@@ -140,10 +166,7 @@ def load_scenario(path) -> Scenario:
     n = len(potentials)
     m = dims.pop()
 
-    wb = raw.get("weight_bounds", [1e-6, 1e6])
-    if not (isinstance(wb, list) and len(wb) == 2):
-        _fail("field 'weight_bounds' must be [a_lo, a_hi]")
-    a_lo, a_hi = float(wb[0]), float(wb[1])
+    a_lo, a_hi = _numbers(raw.get("weight_bounds", [1e-6, 1e6]), "weight_bounds", 2)
     if not (0 < a_lo <= a_hi):
         _fail(f"weight bounds require 0 < a_lo <= a_hi, got [{a_lo}, {a_hi}]")
 
@@ -152,28 +175,32 @@ def load_scenario(path) -> Scenario:
         _fail("field 'graphs' must map graph ids to edge-triple lists")
     graphs = {}
     for gid, edges in graphs_raw.items():
+        if not isinstance(edges, list):
+            _fail(f"graph {gid!r} must be a list of edge triples, got {edges!r}")
         arcs = []
         for e in edges:
             if not (isinstance(e, list) and len(e) == 3):
                 _fail(f"graph {gid!r}: edge must be [source, target, weight], got {e!r}")
-            j, i, w = e
-            w = float(w)
+            j, i = _integer(e[0], "edge source"), _integer(e[1], "edge target")
+            w = _number(e[2], "edge weight")
             if not (a_lo - 1e-15 <= w <= a_hi + 1e-15):
                 _fail(
                     f"graph {gid!r}: weight {w} of arc ({j}, {i}) is outside "
                     f"the declared bounds [{a_lo}, {a_hi}]"
                     + (" (weight below a_lo)" if w < a_lo else "")
                 )
-            arcs.append((int(j), int(i), w))
+            arcs.append((j, i, w))
         graphs[str(gid)] = WeightedDigraph(node_count=n, arcs=tuple(arcs))
 
     sig_raw = _require(raw, "signal", "scenario")
+    if not isinstance(sig_raw, dict):
+        _fail(f"field 'signal' must be an object, got {sig_raw!r}")
     stype = _require(sig_raw, "type", "signal")
     if stype == "fixed":
         gid = str(_require(sig_raw, "graph", "fixed signal"))
         if gid not in graphs:
             _fail(f"signal references unknown graph id {gid!r}")
-        dwell = _positive(sig_raw.get("dwell_floor", 1.0), "dwell_floor")
+        dwell = _number(sig_raw.get("dwell_floor", 1.0), "dwell_floor", positive=True)
         signal = SwitchingSignal(graphs, FixedSchedule(gid), dwell)
     elif stype == "periodic":
         segs_raw = _require(sig_raw, "segments", "periodic signal")
@@ -186,8 +213,10 @@ def load_scenario(path) -> Scenario:
             gid = str(s[0])
             if gid not in graphs:
                 _fail(f"segment references unknown graph id {gid!r}")
-            segs.append((gid, _positive(s[1], "segment duration")))
-        dwell = _positive(_require(sig_raw, "dwell_floor", "periodic signal"), "dwell_floor")
+            segs.append((gid, _number(s[1], "segment duration", positive=True)))
+        dwell = _number(
+            _require(sig_raw, "dwell_floor", "periodic signal"), "dwell_floor", positive=True
+        )
         signal = SwitchingSignal(graphs, PeriodicSchedule(tuple(segs)), dwell)
     else:
         _fail(f"signal type must be 'fixed' or 'periodic', got {stype!r}")
@@ -198,29 +227,35 @@ def load_scenario(path) -> Scenario:
         _fail("scenario must set exactly one of 'K' or 'K_list'")
     K = K_list = None
     if has_k:
-        K = float(raw["K"])
+        K = _number(raw["K"], "K")
         if K < 0:
             _fail(f"K must be nonnegative, got {K}")
     else:
-        K_list = analysis.validate_K_list(raw["K_list"])
+        K_list = analysis.validate_K_list(_numbers(raw["K_list"], "K_list"))
 
-    dt = _positive(raw["dt"], "dt") if "dt" in raw else signal.dwell_floor / 10.0
-    t_end = _positive(_require(raw, "t_end", "scenario"), "t_end")
+    dt = _number(raw["dt"], "dt", positive=True) if "dt" in raw else signal.dwell_floor / 10.0
+    t_end = _number(_require(raw, "t_end", "scenario"), "t_end", positive=True)
     sample_every = (
-        _positive(raw["sample_every"], "sample_every") if "sample_every" in raw else 10.0 * dt
+        _number(raw["sample_every"], "sample_every", positive=True)
+        if "sample_every" in raw
+        else default_sample_every(dt)
     )
     validate_dt(signal, dt)
 
     x0 = _parse_x0(raw, n * m)
 
+    checks_raw = raw.get("checks", [])
+    if not isinstance(checks_raw, list):
+        _fail(f"field 'checks' must be a list of check objects, got {checks_raw!r}")
     checks = []
-    for c in raw.get("checks", []):
+    for c in checks_raw:
         if not isinstance(c, dict) or "name" not in c:
             _fail(f"each check must be an object with a 'name', got {c!r}")
         name = c["name"]
-        if name not in CHECK_NAMES:
+        if not isinstance(name, str) or name not in CHECK_NAMES:
             _fail(f"unknown check {name!r}; expected one of {sorted(CHECK_NAMES)}")
-        checks.append(dict(c))
+        params = {k: _number(c[k], f"{name}.{k}") for k in CHECK_PARAMS if k in c}
+        checks.append({"name": name, **params})
 
     scenario = Scenario(
         name=str(raw.get("name", p.stem)),
@@ -235,9 +270,13 @@ def load_scenario(path) -> Scenario:
         K=K,
         K_list=K_list,
         checks=checks,
-        epsilon=float(raw.get("epsilon", 0.05)),
-        tail_fraction=float(raw.get("tail_fraction", analysis.DEFAULT_TAIL_FRACTION)),
-        divergence_guard=float(raw.get("divergence_guard", 1e8)),
+        epsilon=_number(raw.get("epsilon", 0.05), "epsilon"),
+        tail_fraction=_number(
+            raw.get("tail_fraction", analysis.DEFAULT_TAIL_FRACTION), "tail_fraction"
+        ),
+        divergence_guard=_number(
+            raw.get("divergence_guard", 1e8), "divergence_guard", positive=True
+        ),
     )
     _validate_checks(scenario)
     return scenario
@@ -245,21 +284,18 @@ def load_scenario(path) -> Scenario:
 
 def _parse_x0(raw: dict, length: int) -> np.ndarray:
     spec = _require(raw, "x0", "scenario")
-    lo, hi = raw.get("x0_range", [-5.0, 5.0])
+    lo, hi = _numbers(raw.get("x0_range", [-5.0, 5.0]), "x0_range", 2)
     if isinstance(spec, list):
-        x0 = np.asarray(spec, dtype=float)
-        if x0.shape != (length,):
-            _fail(f"explicit x0 must hold {length} numbers, got {x0.shape[0]}")
-        return x0
+        return np.asarray(_numbers(spec, "x0", length))
     if spec == "grid":
-        return np.linspace(float(lo), float(hi), length)
+        return np.linspace(lo, hi, length)
     if isinstance(spec, str) and spec.startswith("random:"):
         try:
             seed = int(spec.split(":", 1)[1])
         except ValueError:
             _fail(f"x0 generator {spec!r} needs an integer seed, e.g. 'random:42'")
         rng = np.random.default_rng(seed)
-        return rng.uniform(float(lo), float(hi), size=length)
+        return rng.uniform(lo, hi, size=length)
     _fail(f"x0 must be a list of numbers, 'grid', or 'random:<seed>', got {spec!r}")
 
 
@@ -294,9 +330,9 @@ def _run_checks(sc: Scenario, traj, diag) -> list[CheckReport]:
     reports = []
     for c in sc.checks:
         name = c["name"]
-        tf = float(c.get("tail_fraction", sc.tail_fraction))
+        tf = c.get("tail_fraction", sc.tail_fraction)
         if name == "sync":
-            v = analysis.sync_verdict(traj, tol=float(c.get("tol", 1e-6)), tail_fraction=tf)
+            v = analysis.sync_verdict(traj, tol=c.get("tol", 1e-6), tail_fraction=tf)
             reports.append(
                 CheckReport(
                     check="sync",
@@ -304,13 +340,13 @@ def _run_checks(sc: Scenario, traj, diag) -> list[CheckReport]:
                     worst_value=v.epsilon_estimate,
                     location=None,
                     params={
-                        "tol": float(c.get("tol", 1e-6)),
+                        "tol": c.get("tol", 1e-6),
                         "limit_point": None if v.limit_point is None else v.limit_point.tolist(),
                     },
                 )
             )
         elif name == "no_sync":
-            floor = float(c.get("floor", 1e-3))
+            floor = c.get("floor", 1e-3)
             tail = analysis._tail_indices(traj.times, tf)
             observed = float(diag.diameter[tail].min())
             reports.append(
@@ -330,19 +366,18 @@ def _run_checks(sc: Scenario, traj, diag) -> list[CheckReport]:
             reports.append(rep)
         elif name == "common_limit":
             reports.append(
-                analysis.check_common_limit(diag, tail_fraction=tf, tol=float(c.get("tol", 1e-6)))
+                analysis.check_common_limit(diag, tail_fraction=tf, tol=c.get("tol", 1e-6))
             )
         elif name == "node_optimum":
             reports.append(
                 analysis.check_node_optimum(
-                    diag, sc.potentials, tail_fraction=tf, tol=float(c.get("tol", 1e-6))
+                    diag, sc.potentials, tail_fraction=tf, tol=c.get("tol", 1e-6)
                 )
             )
         elif name == "invariant_cube":
             reports.append(
                 analysis.cube_containment(
-                    traj, sc.potentials, eta=float(c.get("eta", 0.5)),
-                    slack=float(c.get("slack", 1e-8)),
+                    traj, sc.potentials, eta=c.get("eta", 0.5), slack=c.get("slack", 1e-8)
                 )
             )
         elif name == "drift_alignment":
@@ -350,21 +385,21 @@ def _run_checks(sc: Scenario, traj, diag) -> list[CheckReport]:
             if samples.shape[0] > 512:
                 stride = samples.shape[0] // 512 + 1
                 samples = samples[::stride]
-            reports.append(check_drift_alignment(sc.potentials, samples, tol=float(c.get("tol", 1e-10))))
+            reports.append(check_drift_alignment(sc.potentials, samples, tol=c.get("tol", 1e-10)))
         elif name == "feasibility":
             reports.append(analysis.check_feasibility(sc.potentials))
         elif name == "spectral_bound":
             g = sc.signal.graph_at(0.0)
             p = analysis.minimize_aggregate(
-                sc.potentials, g, sc.primary_K, sc.x0, tol=float(c.get("grad_tol", 1e-10))
+                sc.potentials, g, sc.primary_K, sc.x0, tol=c.get("grad_tol", 1e-10)
             )
             reports.append(
                 analysis.check_spectral_bound(
-                    p, sc.potentials, g, sc.primary_K, tol=float(c.get("tol", 1e-8))
+                    p, sc.potentials, g, sc.primary_K, tol=c.get("tol", 1e-8)
                 )
             )
         elif name == "ujsc":
-            T = float(c["T"])
+            T = c["T"]
             cert = certify_ujsc(sc.signal, T, horizon=sc.signal.period + T)
             reports.append(
                 CheckReport(
@@ -467,7 +502,7 @@ def _report_json(sc: Scenario, reports, error=None) -> str:
     payload = {
         "scenario": sc.name,
         "pass": bool(reports) and all(r.passed for r in reports) if error is None else False,
-        "error": error,
+        "error": jsonable(error),
         "checks": [r.as_dict() for r in reports],
     }
     if not reports and error is None:
@@ -482,13 +517,10 @@ def run(scenario: Scenario, out_dir) -> int:
     try:
         traj, diag, reports, sweep = _execute(scenario)
     except NumericalError as e:
-        (out / "report.json").write_text(
-            _report_json(
-                scenario,
-                [],
-                error={"type": "finite-escape suspected", "message": str(e)},
-            )
-        )
+        error = {"type": type(e).__name__, "message": str(e)}
+        if isinstance(e, FiniteEscapeError):
+            error.update(time=e.time, sup_norm=e.sup_norm, bound=e.bound)
+        (out / "report.json").write_text(_report_json(scenario, [], error=error))
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
     _write_trajectory_csv(out / "trajectory.csv", scenario, traj, diag)
@@ -503,11 +535,7 @@ def run(scenario: Scenario, out_dir) -> int:
 
 def verify(scenario: Scenario) -> int:
     """Run checks only (no files); prints one line per check."""
-    try:
-        _, _, reports, _ = _execute(scenario)
-    except NumericalError as e:
-        print(f"numerical error: {e}", file=sys.stderr)
-        return 3
+    _, _, reports, _ = _execute(scenario)
     for r in reports:
         worst = "" if r.worst_value is None else f" (worst={r.worst_value:.3e})"
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.check}{worst}")
@@ -524,21 +552,17 @@ def sweep_command(scenario: Scenario, k_arg: str | None, out_dir) -> int:
         k_list = scenario.K_list
     else:
         raise InputError("sweep needs --k or a scenario K_list")
-    try:
-        sweep = analysis.sweep_K(
-            scenario.potentials,
-            scenario.signal,
-            scenario.x0,
-            k_list,
-            epsilon=scenario.epsilon,
-            dt=scenario.dt,
-            t_end=scenario.t_end,
-            sample_every=scenario.sample_every,
-            tail_fraction=scenario.tail_fraction,
-        )
-    except NumericalError as e:
-        print(f"numerical error: {e}", file=sys.stderr)
-        return 3
+    sweep = analysis.sweep_K(
+        scenario.potentials,
+        scenario.signal,
+        scenario.x0,
+        k_list,
+        epsilon=scenario.epsilon,
+        dt=scenario.dt,
+        t_end=scenario.t_end,
+        sample_every=scenario.sample_every,
+        tail_fraction=scenario.tail_fraction,
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(out / "sweep.csv", sweep)

@@ -47,6 +47,11 @@ def _vector(x, dim: int | None = None, what: str = "x") -> np.ndarray:
     return v
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis; 1x1 matmuls, so one point gets the bits of ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -386,17 +391,15 @@ def check_drift_alignment(potentials, samples, tol: float = 1e-10) -> CheckRepor
     proof; the report records the checked sample count.
     """
     body = zero_set_hull(potentials)
-    worst = -np.inf
-    where = None
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    for si, x in enumerate(pts):
-        px = body.project(x)
-        gap = x - px
-        for ni, p in enumerate(potentials):
-            val = float(np.dot(gap, p.self_dynamics(x)))
-            if val > worst:
-                worst = val
-                where = {"node": ni, "sample_index": si, "sample": x.tolist()}
+    if pts.shape[0] == 0:
+        raise InputError("drift alignment needs at least one sample")
+    gaps = pts - np.array([body.project(x) for x in pts])
+    # (samples, nodes); the first maximum in sample-major order is the location
+    vals = np.stack([row_dot(gaps, p.self_dynamics(pts)) for p in potentials], axis=1)
+    si, ni = np.unravel_index(np.argmax(vals), vals.shape)
+    worst = float(vals[si, ni])
+    where = {"node": int(ni), "sample_index": int(si), "sample": pts[si].tolist()}
     return CheckReport(
         check="drift_alignment",
         passed=worst <= tol,

@@ -37,13 +37,14 @@ __all__ = [
 
 
 class Potential:
-    """Base class: immutable, pure, safe to share across threads."""
+    """Immutable, pure base class.  Methods take a point (m,), a stack (..., m) or, in 1-D, a
+    bare number; ``value`` returns shape ``x.shape[:-1]``, the others ``x.shape``."""
 
     @property
     def dimension(self) -> int:
         raise NotImplementedError
 
-    def value(self, x) -> float:
+    def value(self, x):
         raise NotImplementedError
 
     def gradient(self, x) -> np.ndarray:
@@ -58,10 +59,12 @@ class Potential:
         raise NotImplementedError
 
     def _check(self, x) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
-        if v.shape != (self.dimension,):
+        v = np.asarray(x, dtype=float)
+        if v.ndim == 0:
+            v = v.reshape(1)
+        if v.shape[-1] != self.dimension:
             raise InputError(
-                f"state has shape {v.shape}, expected ({self.dimension},) for {type(self).__name__}"
+                f"state has shape {v.shape}, expected (..., {self.dimension}) for {type(self).__name__}"
             )
         return v
 
@@ -85,9 +88,9 @@ class Quadratic(Potential):
     def dimension(self) -> int:
         return self.center.shape[0]
 
-    def value(self, x) -> float:
+    def value(self, x):
         d = self._check(x) - self.center
-        return 0.5 * self.weight * float(d @ d)
+        return 0.5 * self.weight * cg.row_dot(d, d)
 
     def gradient(self, x) -> np.ndarray:
         return self.weight * (self._check(x) - self.center)
@@ -111,9 +114,9 @@ class QuarticWell(Potential):
     def dimension(self) -> int:
         return self.center.shape[0]
 
-    def value(self, x) -> float:
+    def value(self, x):
         d = self._check(x) - self.center
-        return 0.25 * float(np.sum(d**4))
+        return 0.25 * np.sum(d**4, axis=-1)
 
     def gradient(self, x) -> np.ndarray:
         d = self._check(x) - self.center
@@ -146,21 +149,13 @@ class FlatBottom1D(Potential):
     def dimension(self) -> int:
         return 1
 
-    def value(self, x) -> float:
-        s = float(self._check(x)[0])
-        if s > self.right:
-            return 0.5 * (s - self.right) ** 2
-        if s < self.left:
-            return 0.5 * (self.left - s) ** 2
-        return 0.0
+    def value(self, x):
+        # libm pow, as Python's float ``**``; a multiply can differ in the last bit
+        return 0.5 * np.float_power(self.gradient(x)[..., 0], 2)
 
     def gradient(self, x) -> np.ndarray:
-        s = float(self._check(x)[0])
-        if s > self.right:
-            return np.array([s - self.right])
-        if s < self.left:
-            return np.array([s - self.left])
-        return np.zeros(1)
+        x = self._check(x)
+        return x - np.minimum(np.maximum(x, self.left), self.right)
 
     def zero_set(self) -> cg.ConvexBody:
         if self.left == self.right:
@@ -187,16 +182,13 @@ class SumPotential(Potential):
     def dimension(self) -> int:
         return self.terms[0].dimension
 
-    def value(self, x) -> float:
+    def value(self, x):
         x = self._check(x)
         return sum(t.value(x) for t in self.terms)
 
     def gradient(self, x) -> np.ndarray:
         x = self._check(x)
-        g = np.zeros(self.dimension)
-        for t in self.terms:
-            g += t.gradient(x)
-        return g
+        return sum(t.gradient(x) for t in self.terms)
 
     def zero_set(self) -> cg.ConvexBody:
         flat = _flatten_terms(self)
@@ -334,7 +326,7 @@ def potential_from_dict(d: dict) -> Potential:
     if not isinstance(d, dict) or "kind" not in d:
         raise InputError(f"potential entry must be an object with a 'kind' field, got {d!r}")
     kind = d["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise InputError(f"unknown potential kind {kind!r}; expected one of {sorted(_KINDS)}")
     try:
         if kind == "quadratic":
@@ -346,6 +338,8 @@ def potential_from_dict(d: dict) -> Potential:
         return SumPotential(tuple(potential_from_dict(t) for t in d["terms"]))
     except KeyError as e:
         raise InputError(f"potential kind {kind!r} is missing field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise InputError(f"potential kind {kind!r} has a malformed field: {e}") from None
 
 
 def potential_to_dict(spec: Potential) -> dict:

@@ -8,7 +8,7 @@ from typing import Any
 import numpy as np
 
 
-def _jsonable(value):
+def jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
@@ -16,9 +16,9 @@ def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     return value
 
 
@@ -41,9 +41,9 @@ class CheckReport:
         return {
             "check": self.check,
             "pass": bool(self.passed),
-            "worst_value": _jsonable(self.worst_value),
-            "location": _jsonable(self.location),
-            "params": _jsonable(self.params),
+            "worst_value": jsonable(self.worst_value),
+            "location": jsonable(self.location),
+            "params": jsonable(self.params),
         }
 
     def to_json(self, **kwargs) -> str:

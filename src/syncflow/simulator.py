@@ -121,18 +121,14 @@ def _validate_network(potentials, node_count: int) -> int:
     return dims.pop()
 
 
-def _drift(potentials, X: np.ndarray) -> np.ndarray:
-    out = np.empty_like(X)
-    for i, p in enumerate(potentials):
-        out[i] = p.self_dynamics(X[i])
-    return out
-
-
-def _rhs_frozen(potentials, lap: np.ndarray, K: float, x: np.ndarray, m: int) -> np.ndarray:
+def _field(potentials, lap: np.ndarray, K: float, x: np.ndarray, m: int) -> np.ndarray:
+    """The network drift f(X) - K L X on (N, m) blocks of the flat state ``x``."""
     X = x.reshape(-1, m)
-    dX = _drift(potentials, X)
+    dX = np.empty_like(X)
+    for i, p in enumerate(potentials):
+        dX[i] = p.self_dynamics(X[i])
     if K != 0.0:
-        dX = dX - K * (lap @ X)
+        dX -= K * (lap @ X)
     return dX.ravel()
 
 
@@ -150,15 +146,20 @@ def rhs(potentials, signal: SwitchingSignal, K: float, s: NetworkState) -> np.nd
             f"state length {s.x.shape[0]} != node_count*dim = {m * signal.node_count}"
         )
     g = signal.graph_at(s.t)
-    return _rhs_frozen(potentials, g.laplacian_matrix, K, s.x, m)
+    return _field(potentials, g.laplacian_matrix, K, s.x, m)
 
 
 def _rk4_step(potentials, lap, K, x, h, m):
-    k1 = _rhs_frozen(potentials, lap, K, x, m)
-    k2 = _rhs_frozen(potentials, lap, K, x + (0.5 * h) * k1, m)
-    k3 = _rhs_frozen(potentials, lap, K, x + (0.5 * h) * k2, m)
-    k4 = _rhs_frozen(potentials, lap, K, x + h * k3, m)
+    k1 = _field(potentials, lap, K, x, m)
+    k2 = _field(potentials, lap, K, x + (0.5 * h) * k1, m)
+    k3 = _field(potentials, lap, K, x + (0.5 * h) * k2, m)
+    k4 = _field(potentials, lap, K, x + h * k3, m)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def default_sample_every(dt: float) -> float:
+    """The sampling interval when none is given: one sample every ten steps."""
+    return 10.0 * dt
 
 
 def _event_grid(signal: SwitchingSignal, t_end: float, sample_every: float):
@@ -185,7 +186,7 @@ def integrate(
     x0,
     dt: float,
     t_end: float,
-    sample_every: float,
+    sample_every: float | None = None,
     divergence_guard: float = DEFAULT_GUARD,
     scenario_id: str | None = None,
 ) -> Trajectory:
@@ -194,10 +195,11 @@ def integrate(
     Fixed-step RK4 whose steps never straddle a switching instant: the step
     is shortened to land exactly on each switch time and each sample time,
     then resumes.  Samples are recorded at every multiple of ``sample_every``
-    and at every switch instant.
+    and at every switch instant (by default every ten steps).
     """
     if K < 0:
         raise InputError(f"coupling gain K must be nonnegative, got {K}")
+    sample_every = default_sample_every(dt) if sample_every is None else sample_every
     if dt <= 0 or t_end <= 0 or sample_every <= 0:
         raise InputError("dt, t_end and sample_every must be positive")
     validate_dt(signal, dt)

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from syncflow import InputError
+from syncflow import InputError, NumericalError, analysis
 from syncflow.cli import load_scenario, main, run, verify
 
 BASE = {
@@ -204,7 +209,46 @@ def test_exit_code_finite_escape(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(sc, out) == 3
     report = json.loads((out / "report.json").read_text())
-    assert report["error"]["type"] == "finite-escape suspected"
+    error = report["error"]
+    assert error["type"] == "FiniteEscapeError"
+    assert error["time"] == pytest.approx(0.05)
+    assert error["sup_norm"] > error["bound"] == 1e8
+    assert "finite-escape suspected" in error["message"]
+
+
+def test_escape_to_overflow_keeps_report_strict_json(tmp_path):
+    # one RK4 step from 5e7 overflows the quartic drift to inf
+    obj = dict(
+        BASE,
+        nodes=[{"kind": "quartic", "center": [0.0]}, {"kind": "quartic", "center": [0.0]}],
+        x0=[5e7, -5e7],
+        dt=0.05,
+        checks=[],
+    )
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(load_scenario(write(tmp_path, obj)), out) == 3
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["error"]["type"] == "FiniteEscapeError"
+    assert report["error"]["sup_norm"] == "inf"
+
+
+def test_report_names_a_plain_numerical_error(tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise NumericalError("minimizer did not converge")
+
+    monkeypatch.setattr(analysis, "minimize_aggregate", no_convergence)
+    p = write(tmp_path, dict(BASE, checks=[{"name": "spectral_bound"}]))
+    out = tmp_path / "out"
+    assert run(load_scenario(p), out) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] == {"type": "NumericalError", "message": "minimizer did not converge"}
+    assert main(["verify", str(p)]) == 3
+    assert "numerical error: minimizer did not converge" in capsys.readouterr().err
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -313,3 +357,72 @@ def test_ujsc_check_through_cli(tmp_path):
     )
     sc = load_scenario(write(tmp_path, obj))
     assert verify(sc) == 0
+
+
+def _set(path, value):
+    """A mutation of BASE that sets the leaf at ``path`` to ``value``."""
+
+    def mutate(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return mutate
+
+
+MALFORMED = {
+    "K_string": _set(["K"], "abc"),
+    "dt_null": _set(["dt"], None),
+    "x0_range_3": _set(["x0_range"], [-1.0, 0.0, 1.0]),
+    "center_string": _set(["nodes", 0, "center"], "x"),
+    "edge_source_string": _set(["graphs", "g0", 0, 0], "a"),
+    "edge_weight_string": _set(["graphs", "g0", 0, 2], "w"),
+    "epsilon_string": _set(["epsilon"], "x"),
+    "check_tol_string": _set(["checks", 0, "tol"], "x"),
+    "divergence_guard_string": _set(["divergence_guard"], "x"),
+    "K_nan": _set(["K"], math.nan),
+    "t_end_beyond_float_range": _set(["t_end"], 10**400),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_number_exits_2(tmp_path, capsys, mutate):
+    obj = copy.deepcopy(BASE)
+    mutate(obj)
+    assert main(["verify", str(write(tmp_path, obj))]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+def _scalar_leaves(obj, path=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [list(path)]
+    return [leaf for key, value in items for leaf in _scalar_leaves(value, path + (key,))]
+
+
+# a shorter run of BASE keeps each example cheap
+MUTATION_BASE = dict(BASE, t_end=3.0)
+NON_NUMBERS = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.just(math.nan),
+    st.lists(st.floats(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.floats(-2, 2), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_scalar_leaves(MUTATION_BASE)), NON_NUMBERS)
+def test_mutated_scalar_leaf_never_escapes(tmp_path_factory, path, value):
+    obj = copy.deepcopy(MUTATION_BASE)
+    _set(path, value)(obj)
+    scen = write(tmp_path_factory.mktemp("mut"), obj)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", str(scen)])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()

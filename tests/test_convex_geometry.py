@@ -12,6 +12,7 @@ from syncflow import (
     Point,
     Quadratic,
     QuarticWell,
+    SumPotential,
     check_drift_alignment,
     check_distance_comparison,
     intersect,
@@ -218,3 +219,58 @@ def test_report_json_schema():
     d = rep.as_dict()
     assert set(d) == {"check", "pass", "worst_value", "location", "params"}
     assert '"check"' in rep.to_json()
+
+
+def drift_alignment_reference(potentials, samples):
+    """(worst, location) by the sample x node scan, first maximum kept."""
+    body = zero_set_hull(potentials)
+    worst, where = -np.inf, None
+    for si, x in enumerate(samples):
+        gap = x - body.project(x)
+        for ni, p in enumerate(potentials):
+            val = float(np.dot(gap, p.self_dynamics(x)))
+            if val > worst:
+                worst, where = val, {"node": ni, "sample_index": si, "sample": x.tolist()}
+    return worst, where
+
+
+def random_catalog(rng, m, n):
+    out = []
+    for _ in range(n):
+        kind = int(rng.integers(0, 4 if m == 1 else 3))
+        c = rng.uniform(-3, 3, m)
+        if kind == 0:
+            out.append(Quadratic(center=c, weight=float(rng.uniform(0.5, 3))))
+        elif kind == 1:
+            out.append(QuarticWell(center=c))
+        elif kind == 2:
+            out.append(SumPotential((Quadratic(center=c), QuarticWell(center=-c))))
+        else:
+            out.append(FlatBottom1D(*sorted(rng.uniform(-3, 3, 2))))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_check_drift_alignment_matches_sample_node_scan(m, seed):
+    rng = np.random.default_rng([seed, m])
+    pots = random_catalog(rng, m, int(rng.integers(2, 7)))
+    body = zero_set_hull(pots)
+    inside = [random_member(rng, body) for _ in range(5)]
+    samples = np.vstack([rng.uniform(-6, 6, (40, m)), inside])
+    rep = check_drift_alignment(pots, samples)
+    worst, where = drift_alignment_reference(pots, samples)
+    assert rep.location == where
+    if m == 1:
+        assert rep.worst_value == worst
+    else:
+        assert rep.worst_value == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
+def test_check_drift_alignment_reports_first_maximum_in_sample_major_order():
+    # mirror-image nodes and samples tie the maximum -4 at (sample 0, node 1)
+    # and (sample 1, node 0); the scan over samples meets the first one first
+    pots = [Quadratic(center=[-1.0]), Quadratic(center=[1.0])]
+    rep = check_drift_alignment(pots, [[3.0], [-3.0]])
+    assert rep.worst_value == -4.0
+    assert rep.location == {"node": 1, "sample_index": 0, "sample": [3.0]}

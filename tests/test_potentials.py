@@ -231,3 +231,81 @@ def test_from_dict_errors():
         potential_from_dict({"kind": "pentagon"})
     with pytest.raises(InputError):
         potential_from_dict({"kind": "quadratic"})
+
+
+# -- one shape rule: a point (m,) or a stack (..., m) ------------------------
+
+coords = st.floats(-10, 10, allow_nan=False)
+
+
+@st.composite
+def potential_and_stack(draw):
+    kind = draw(st.sampled_from(["quadratic", "quartic", "flat_bottom", "sum"]))
+    m = 1 if kind == "flat_bottom" else draw(st.integers(1, 3))
+    center = st.lists(coords, min_size=m, max_size=m)
+    if kind == "quadratic":
+        spec = Quadratic(center=draw(center), weight=draw(st.floats(0.1, 5)))
+    elif kind == "quartic":
+        spec = QuarticWell(center=draw(center))
+    elif kind == "flat_bottom":
+        spec = FlatBottom1D(*sorted(draw(st.lists(coords, min_size=2, max_size=2))))
+    else:
+        spec = SumPotential((Quadratic(center=draw(center)), QuarticWell(center=draw(center))))
+    rows = draw(st.integers(1, 8))
+    stack = np.array(draw(st.lists(st.lists(coords, min_size=m, max_size=m),
+                                   min_size=rows, max_size=rows)))
+    return spec, stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(potential_and_stack())
+def test_stack_rows_equal_single_point_results(case):
+    spec, stack = case
+    values, grads = spec.value(stack), spec.gradient(stack)
+    assert values.shape == stack.shape[:-1] and grads.shape == stack.shape
+    for j, x in enumerate(stack):
+        assert np.array_equal(values[j], spec.value(x))
+        assert np.array_equal(grads[j], spec.gradient(x))
+        assert np.array_equal(spec.self_dynamics(stack)[j], spec.self_dynamics(x))
+
+
+def test_stack_of_stacks_keeps_leading_axes():
+    spec = Quadratic(center=[1.0, -1.0], weight=2.0)
+    pts = np.arange(24.0).reshape(3, 4, 2)
+    assert spec.value(pts).shape == (3, 4)
+    assert spec.gradient(pts).shape == (3, 4, 2)
+    assert spec.value(pts)[2, 1] == spec.value(pts[2, 1])
+
+
+def test_bare_number_is_a_one_dimensional_point():
+    spec = FlatBottom1D(0.0, 1.0)
+    np.testing.assert_array_equal(spec.gradient(3.0), [2.0])
+    assert spec.value(3.0) == 2.0
+    with pytest.raises(InputError):
+        Quadratic(center=[0.0, 0.0]).gradient(1.0)
+
+
+def flat_bottom_reference(left, right, s):
+    """(value, derivative) of the flat bottom, branch by branch."""
+    if s > right:
+        return 0.5 * (s - right) ** 2, s - right
+    if s < left:
+        return 0.5 * (left - s) ** 2, s - left
+    return 0.0, 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(coords, min_size=2, max_size=2), st.lists(coords, min_size=1, max_size=8),
+       st.booleans())
+def test_flat_bottom_equals_piecewise_reference(ends, pts, degenerate):
+    left, right = sorted(ends)
+    if degenerate:
+        right = left
+    spec = FlatBottom1D(left, right)
+    xs = np.array(pts + [left, right, 0.5 * (left + right)])
+    values, grads = spec.value(xs[:, None]), spec.gradient(xs[:, None])
+    for j, s in enumerate(xs):
+        ref_value, ref_grad = flat_bottom_reference(left, right, float(s))
+        assert np.array_equal(values[j], ref_value)
+        assert np.array_equal(grads[j], [ref_grad])
+        assert np.array_equal(spec.value([s]), ref_value)

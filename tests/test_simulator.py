@@ -215,3 +215,11 @@ def test_trajectory_meta():
     assert traj.meta["K"] == 0.5
     assert traj.meta["dt"] == 0.02
     assert traj.meta["scenario"] == "meta-check"
+
+
+def test_sample_every_defaults_to_ten_steps():
+    pots = [Quadratic(center=[0.0]), QuarticWell(center=[1.0])]
+    dt = 0.03
+    traj = integrate(pots, fixed_signal(two_node_graph()), 1.0, [2.0, -1.0], dt=dt, t_end=1.5)
+    np.testing.assert_array_equal(traj.times, np.arange(6) * (10 * dt))
+    assert traj.meta["sample_every"] == 10 * dt
