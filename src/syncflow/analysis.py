@@ -26,9 +26,9 @@ import numpy as np
 from . import convex_geometry as cg
 from .errors import InputError, NumericalError, PreconditionError
 from .graphs import SwitchingSignal, WeightedDigraph, is_strongly_connected, lambda2
-from .potentials import common_zero_set
+from .potentials import NetworkPotential, common_zero_set
 from .report import CheckReport
-from .simulator import NetworkState, Trajectory, fixed_signal, integrate, rhs
+from .simulator import Trajectory, compile_network, fixed_signal, integrate, network_field
 
 __all__ = [
     "DiagnosticsSeries",
@@ -77,9 +77,16 @@ class SyncVerdict:
     limit_point: np.ndarray | None
 
 
-def _tail_indices(times: np.ndarray, tail_fraction: float) -> np.ndarray:
-    if not 0 < tail_fraction <= 1:
+def validate_tail_fraction(tail_fraction) -> float:
+    """The tail window as a float; raises InputError unless it lies in (0, 1]."""
+    tf = float(tail_fraction)
+    if not 0 < tf <= 1:
         raise InputError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    return tf
+
+
+def _tail_indices(times: np.ndarray, tail_fraction: float) -> np.ndarray:
+    validate_tail_fraction(tail_fraction)
     horizon = times[-1]
     idx = np.nonzero(times >= horizon * (1.0 - tail_fraction) - 1e-12)[0]
     return idx
@@ -251,10 +258,12 @@ def _require_symmetric(g: WeightedDigraph, op: str):
 def aggregate_potential(potentials, g: WeightedDigraph, K: float, x) -> float:
     """sum_i F_i(x_i) + (K/2) sum_{edges} a_ij |x_j - x_i|^2 (undirected g)."""
     _require_symmetric(g, "aggregate_potential")
-    m = potentials[0].dimension
-    X = np.asarray(x, dtype=float).reshape(g.node_count, m)
-    val = sum(p.value(X[i]) for i, p in enumerate(potentials))
-    lap = g.laplacian_matrix
+    return _aggregate(compile_network(potentials, g.node_count), g.laplacian_matrix, K, x)
+
+
+def _aggregate(net: NetworkPotential, lap: np.ndarray, K: float, x) -> float:
+    X = np.asarray(x, dtype=float).reshape(net.node_count, net.dimension)
+    val = sum(net.value(X))  # one node after another; np.sum would add pairwise
     # for symmetric weights, x'(L kron I)x equals the unordered-edge sum
     val += 0.5 * K * float(np.sum(X * (lap @ X)))
     return val
@@ -284,13 +293,17 @@ def minimize_aggregate(
     _require_symmetric(g, "minimize_aggregate")
     if K < 0:
         raise InputError(f"K must be nonnegative, got {K}")
-    sig = fixed_signal(g)
+    net = compile_network(potentials, g.node_count)
+    lap = g.laplacian_matrix
 
     def grad_at(y: np.ndarray) -> np.ndarray:
-        return -rhs(potentials, sig, K, NetworkState(0.0, y))
+        # an overflowed iterate stops here instead of spending the budget on NaNs
+        if not np.all(np.isfinite(y)):
+            raise InputError("state entries must be finite")
+        return -network_field(net, lap, K, y)
 
     x = np.asarray(x_init, dtype=float).ravel().copy()
-    fval = aggregate_potential(potentials, g, K, x)
+    fval = _aggregate(net, lap, K, x)
     noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(fval))
     step = 1.0
     budget = max_iter
@@ -305,7 +318,7 @@ def minimize_aggregate(
         stalled = False
         while True:
             x_new = x - step * grad
-            f_new = aggregate_potential(potentials, g, K, x_new)
+            f_new = _aggregate(net, lap, K, x_new)
             need = 1e-4 * step * gnorm * gnorm
             if f_new <= fval - need:
                 break
@@ -381,9 +394,10 @@ def check_spectral_bound(
     _require_symmetric(g, "check_spectral_bound")
     if not is_strongly_connected(g):
         raise PreconditionError("check_spectral_bound requires a connected graph")
-    m = potentials[0].dimension
-    P = np.asarray(p, dtype=float).reshape(g.node_count, m)
-    grad = -rhs(potentials, fixed_signal(g), K, NetworkState(0.0, P.ravel()))
+    net = compile_network(potentials, g.node_count)
+    lap = g.laplacian_matrix
+    P = np.asarray(p, dtype=float).reshape(g.node_count, net.dimension)
+    grad = -network_field(net, lap, K, P.ravel())
     gnorm = float(np.linalg.norm(grad))
     if gnorm > grad_tol:
         raise PreconditionError(
@@ -391,7 +405,7 @@ def check_spectral_bound(
         )
     p_ave = P.mean(axis=0)
     lhs = float(np.sum((P - p_ave) ** 2))
-    l0 = float(np.linalg.norm(rhs(potentials, fixed_signal(g), 0.0, NetworkState(0.0, P.ravel()))))
+    l0 = float(np.linalg.norm(network_field(net, lap, 0.0, P.ravel())))
     lam2 = lambda2(g)
     bound = (l0 / (K * lam2)) ** 2
     return CheckReport(

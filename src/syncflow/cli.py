@@ -43,7 +43,7 @@ from .graphs import (
 )
 from .potentials import common_zero_set, potential_from_dict
 from .report import CheckReport, jsonable
-from .simulator import default_sample_every, integrate, validate_dt
+from .simulator import default_sample_every, integrate, validate_dt, validate_event_count
 
 SCHEMA_VERSION = 1
 
@@ -241,6 +241,7 @@ def load_scenario(path) -> Scenario:
         else default_sample_every(dt)
     )
     validate_dt(signal, dt)
+    validate_event_count(signal, t_end, sample_every)
 
     x0 = _parse_x0(raw, n * m)
 
@@ -255,6 +256,8 @@ def load_scenario(path) -> Scenario:
         if not isinstance(name, str) or name not in CHECK_NAMES:
             _fail(f"unknown check {name!r}; expected one of {sorted(CHECK_NAMES)}")
         params = {k: _number(c[k], f"{name}.{k}") for k in CHECK_PARAMS if k in c}
+        if "tail_fraction" in params:
+            analysis.validate_tail_fraction(params["tail_fraction"])
         checks.append({"name": name, **params})
 
     scenario = Scenario(
@@ -271,8 +274,8 @@ def load_scenario(path) -> Scenario:
         K_list=K_list,
         checks=checks,
         epsilon=_number(raw.get("epsilon", 0.05), "epsilon"),
-        tail_fraction=_number(
-            raw.get("tail_fraction", analysis.DEFAULT_TAIL_FRACTION), "tail_fraction"
+        tail_fraction=analysis.validate_tail_fraction(
+            _number(raw.get("tail_fraction", analysis.DEFAULT_TAIL_FRACTION), "tail_fraction")
         ),
         divergence_guard=_number(
             raw.get("divergence_guard", 1e8), "divergence_guard", positive=True

@@ -390,13 +390,19 @@ def check_drift_alignment(potentials, samples, tol: float = 1e-10) -> CheckRepor
     passes iff no value exceeds ``tol``.  A sampled pass is evidence, not a
     proof; the report records the checked sample count.
     """
+    from .potentials import NetworkPotential  # potentials imports this module
+
     body = zero_set_hull(potentials)
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if pts.shape[0] == 0:
         raise InputError("drift alignment needs at least one sample")
     gaps = pts - np.array([body.project(x) for x in pts])
+    # every node's drift at every sample: (samples, nodes, m)
+    drift = -NetworkPotential(potentials).gradient(
+        np.broadcast_to(pts[:, None, :], (pts.shape[0], len(potentials), pts.shape[1]))
+    )
     # (samples, nodes); the first maximum in sample-major order is the location
-    vals = np.stack([row_dot(gaps, p.self_dynamics(pts)) for p in potentials], axis=1)
+    vals = row_dot(gaps[:, None, :], drift)
     si, ni = np.unravel_index(np.argmax(vals), vals.shape)
     worst = float(vals[si, ni])
     where = {"node": int(ni), "sample_index": int(si), "sample": pts[si].tolist()}

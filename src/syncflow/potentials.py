@@ -10,6 +10,9 @@ the synchronization analysis stay machine-checkable:
 * ``FlatBottom1D``   zero on [left, right], quadratic halves outside (1-D)
 * ``SumPotential``   pointwise sum of catalog terms sharing one dimension
 
+``NetworkPotential`` compiles the potentials of a whole network into arrays,
+so one call evaluates every node; the classes above stay its specification.
+
 The quartic well is deliberately non-Lipschitz; it is evaluated in double
 precision with no clamping, and boundedness along trajectories is the
 simulator's responsibility (divergence guard), not the potential's.
@@ -29,6 +32,7 @@ __all__ = [
     "QuarticWell",
     "FlatBottom1D",
     "SumPotential",
+    "NetworkPotential",
     "gradient_consistency_check",
     "common_zero_set",
     "potential_from_dict",
@@ -55,7 +59,14 @@ class Potential:
         return -self.gradient(x)
 
     def zero_set(self) -> cg.ConvexBody:
-        """Exact argmin set {z : f(z) = 0} as a convex body."""
+        """Exact argmin set {z : f(z) = 0} as a convex body, computed on the first call."""
+        body = self.__dict__.get("_zero_set")
+        if body is None:
+            body = self._argmin_set()
+            object.__setattr__(self, "_zero_set", body)  # potentials are immutable
+        return body
+
+    def _argmin_set(self) -> cg.ConvexBody:
         raise NotImplementedError
 
     def _check(self, x) -> np.ndarray:
@@ -95,7 +106,7 @@ class Quadratic(Potential):
     def gradient(self, x) -> np.ndarray:
         return self.weight * (self._check(x) - self.center)
 
-    def zero_set(self) -> cg.ConvexBody:
+    def _argmin_set(self) -> cg.ConvexBody:
         return cg.Point(self.center)
 
 
@@ -122,7 +133,7 @@ class QuarticWell(Potential):
         d = self._check(x) - self.center
         return d**3
 
-    def zero_set(self) -> cg.ConvexBody:
+    def _argmin_set(self) -> cg.ConvexBody:
         return cg.Point(self.center)
 
 
@@ -157,7 +168,7 @@ class FlatBottom1D(Potential):
         x = self._check(x)
         return x - np.minimum(np.maximum(x, self.left), self.right)
 
-    def zero_set(self) -> cg.ConvexBody:
+    def _argmin_set(self) -> cg.ConvexBody:
         if self.left == self.right:
             return cg.Point(np.array([self.left]))
         return cg.Interval1D(self.left, self.right)
@@ -190,7 +201,7 @@ class SumPotential(Potential):
         x = self._check(x)
         return sum(t.gradient(x) for t in self.terms)
 
-    def zero_set(self) -> cg.ConvexBody:
+    def _argmin_set(self) -> cg.ConvexBody:
         flat = _flatten_terms(self)
         # shared minimizer: the argmin of the sum is exactly the intersection
         common = cg.intersect([t.zero_set() for t in flat], tol=0.0)
@@ -274,6 +285,104 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
         mid = 0.5 * (left_edge + right_edge)
         return mid, mid
     return left_edge, right_edge
+
+
+# -- the network's potentials compiled into arrays ---------------------------
+
+
+def _quadratic_terms(terms):
+    c = np.array([t.center for t in terms])
+    w = np.array([[t.weight] for t in terms])
+    half_w = 0.5 * w[:, 0]
+    return (lambda x: w * (x - c)), (lambda x: half_w * cg.row_dot(x - c, x - c))
+
+
+def _quartic_terms(terms):
+    c = np.array([t.center for t in terms])
+    return (lambda x: (x - c) ** 3), (lambda x: 0.25 * np.sum((x - c) ** 4, axis=-1))
+
+
+def _flat_bottom_terms(terms):
+    left = np.array([[t.left] for t in terms])
+    right = np.array([[t.right] for t in terms])
+
+    def gradient(x):
+        return x - np.minimum(np.maximum(x, left), right)
+
+    return gradient, (lambda x: 0.5 * np.float_power(gradient(x)[..., 0], 2))
+
+
+_TERM_KERNELS = {
+    Quadratic: _quadratic_terms,
+    QuarticWell: _quartic_terms,
+    FlatBottom1D: _flat_bottom_terms,
+}
+
+
+class NetworkPotential:
+    """The node potentials F_1..F_N of a network, compiled into per-kind arrays.
+
+    Every ``SumPotential`` is flattened into its terms.  Slot k holds the k-th
+    term of every node that has one, split into one group per kind: the node
+    indices plus the stacked centers, weights or flat-bottom bounds.  So the
+    network gradient is a few numpy calls per group, not one Python call per
+    node.  ``gradient`` and ``value`` take node states (..., N, m) and add the
+    slots in term order, which gives the bits of the per-node methods for
+    single terms and flat or left-nested sums; a right-nested sum associates
+    its additions differently.  The per-node classes stay the specification.
+    """
+
+    def __init__(self, potentials):
+        potentials = list(potentials)
+        if not potentials:
+            raise InputError("a network needs at least one potential")
+        dims = {p.dimension for p in potentials}
+        if len(dims) != 1:
+            raise InputError(f"potentials must share one dimension, got {sorted(dims)}")
+        self.node_count = len(potentials)
+        self.dimension = dims.pop()
+        # a sum starts from 0 as ``sum()`` does, which turns a first -0.0
+        # into +0.0; a single term keeps its sign (-0.0 + g is g)
+        self._start = np.array([[0.0 if isinstance(p, SumPotential) else -0.0] for p in potentials])
+        flat = [_flatten_terms(p) for p in potentials]
+        self._groups = []  # (node indices, gradient, value) in slot order
+        for slot in range(max(len(terms) for terms in flat)):
+            by_kind: dict = {}
+            for i, terms in enumerate(flat):
+                if slot < len(terms):
+                    by_kind.setdefault(type(terms[slot]), []).append(i)
+            for kind, nodes in by_kind.items():
+                if kind not in _TERM_KERNELS:
+                    raise RepresentationError(f"cannot compile a {kind.__name__} term")
+                grad, value = _TERM_KERNELS[kind]([flat[i][slot] for i in nodes])
+                self._groups.append((np.array(nodes), grad, value))
+
+    def _check(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.shape[-2:] != (self.node_count, self.dimension):
+            raise InputError(
+                f"node states have shape {X.shape}, "
+                f"expected (..., {self.node_count}, {self.dimension})"
+            )
+        return X
+
+    def gradient(self, X) -> np.ndarray:
+        """grad F_i(x_i) for every node, shape ``X.shape``."""
+        X = self._check(X)
+        G = np.empty(X.shape)
+        G[...] = self._start
+        for nodes, grad, _ in self._groups:
+            G[..., nodes, :] += grad(X[..., nodes, :])
+        return G
+
+    def value(self, X) -> np.ndarray:
+        """F_i(x_i) for every node, shape ``X.shape[:-1]``."""
+        X = self._check(X)
+        V = np.empty(X.shape[:-1])
+        V[...] = self._start[:, 0]
+        for nodes, _, value in self._groups:
+            V[..., nodes] += value(X[..., nodes, :])
+        return V
 
 
 # -- catalog operations -----------------------------------------------------

@@ -22,18 +22,23 @@ import numpy as np
 
 from .errors import ConfigurationError, FiniteEscapeError, InputError, NumericalError, PreconditionError
 from .graphs import FixedSchedule, SwitchingSignal, WeightedDigraph
-from .potentials import Quadratic
+from .potentials import NetworkPotential, Quadratic
 
 __all__ = [
     "NetworkState",
     "Trajectory",
     "fixed_signal",
     "rhs",
+    "compile_network",
+    "network_field",
     "integrate",
     "equilibrium_oracle_quadratic",
 ]
 
 DEFAULT_GUARD = 1e8
+
+# sample instants plus switch instants one integration may hold in memory
+MAX_EVENTS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,23 +115,18 @@ def validate_dt(signal: SwitchingSignal, dt: float):
         )
 
 
-def _validate_network(potentials, node_count: int) -> int:
-    if len(potentials) != node_count:
-        raise InputError(
-            f"{len(potentials)} potentials for {node_count} graph nodes"
-        )
-    dims = {p.dimension for p in potentials}
-    if len(dims) != 1:
-        raise InputError(f"potentials must share one dimension, got {sorted(dims)}")
-    return dims.pop()
+def compile_network(potentials, node_count: int) -> NetworkPotential:
+    """The potentials of a graph's ``node_count`` nodes, compiled once for many field calls."""
+    net = NetworkPotential(potentials)
+    if net.node_count != node_count:
+        raise InputError(f"{net.node_count} potentials for {node_count} graph nodes")
+    return net
 
 
-def _field(potentials, lap: np.ndarray, K: float, x: np.ndarray, m: int) -> np.ndarray:
-    """The network drift f(X) - K L X on (N, m) blocks of the flat state ``x``."""
-    X = x.reshape(-1, m)
-    dX = np.empty_like(X)
-    for i, p in enumerate(potentials):
-        dX[i] = p.self_dynamics(X[i])
+def network_field(net: NetworkPotential, lap: np.ndarray, K: float, x: np.ndarray) -> np.ndarray:
+    """The network drift -grad F(X) - K L X on (N, m) blocks of the flat state ``x``."""
+    X = x.reshape(net.node_count, net.dimension)
+    dX = -net.gradient(X)
     if K != 0.0:
         dX -= K * (lap @ X)
     return dX.ravel()
@@ -140,20 +140,20 @@ def rhs(potentials, signal: SwitchingSignal, K: float, s: NetworkState) -> np.nd
     """
     if K < 0:
         raise InputError(f"coupling gain K must be nonnegative, got {K}")
-    m = _validate_network(potentials, signal.node_count)
-    if s.x.shape[0] != m * signal.node_count:
+    net = compile_network(potentials, signal.node_count)
+    if s.x.shape[0] != net.dimension * net.node_count:
         raise InputError(
-            f"state length {s.x.shape[0]} != node_count*dim = {m * signal.node_count}"
+            f"state length {s.x.shape[0]} != node_count*dim = {net.dimension * net.node_count}"
         )
     g = signal.graph_at(s.t)
-    return _field(potentials, g.laplacian_matrix, K, s.x, m)
+    return network_field(net, g.laplacian_matrix, K, s.x)
 
 
-def _rk4_step(potentials, lap, K, x, h, m):
-    k1 = _field(potentials, lap, K, x, m)
-    k2 = _field(potentials, lap, K, x + (0.5 * h) * k1, m)
-    k3 = _field(potentials, lap, K, x + (0.5 * h) * k2, m)
-    k4 = _field(potentials, lap, K, x + h * k3, m)
+def _rk4_step(net, lap, K, x, h):
+    k1 = network_field(net, lap, K, x)
+    k2 = network_field(net, lap, K, x + (0.5 * h) * k1)
+    k3 = network_field(net, lap, K, x + (0.5 * h) * k2)
+    k4 = network_field(net, lap, K, x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -162,8 +162,21 @@ def default_sample_every(dt: float) -> float:
     return 10.0 * dt
 
 
+def validate_event_count(signal: SwitchingSignal, t_end: float, sample_every: float):
+    """At most MAX_EVENTS sample and switch instants, counted before any is built."""
+    samples = t_end / sample_every + 1.0
+    # every segment lasts at least the dwell floor, which bounds the switches
+    switches = t_end / signal.dwell_floor if signal.has_switches() else 0.0
+    if samples + switches > MAX_EVENTS:
+        raise ConfigurationError(
+            f"t_end={t_end} with sample_every={sample_every} gives about {samples:.3g} samples "
+            f"and up to {switches:.3g} switches; at most {MAX_EVENTS} events are allowed"
+        )
+
+
 def _event_grid(signal: SwitchingSignal, t_end: float, sample_every: float):
     """Merged, deduplicated event times with a record flag per event."""
+    validate_event_count(signal, t_end, sample_every)
     n_samples = int(math.floor(t_end / sample_every + 1e-9))
     events = [(k * sample_every, True) for k in range(n_samples + 1)]
     events += [(t, True) for t in signal.switch_times(0.0, t_end)]
@@ -203,7 +216,8 @@ def integrate(
     if dt <= 0 or t_end <= 0 or sample_every <= 0:
         raise InputError("dt, t_end and sample_every must be positive")
     validate_dt(signal, dt)
-    m = _validate_network(potentials, signal.node_count)
+    net = compile_network(potentials, signal.node_count)
+    m = net.dimension
     x = np.asarray(x0, dtype=float).ravel().copy()
     if x.shape[0] != m * signal.node_count:
         raise InputError(
@@ -218,22 +232,24 @@ def integrate(
     times = [0.0]
     states = [x.copy()]
     t_prev = events[0][0]
-    for t_next, record in events[1:]:
-        span = t_next - t_prev
-        if span <= 0:
-            continue
-        lap = signal.graph_at(t_prev).laplacian_matrix
-        nsteps = max(1, math.ceil(span / dt - 1e-9))
-        h = span / nsteps
-        for k in range(nsteps):
-            x = _rk4_step(potentials, lap, K, x, h, m)
-            sup = float(np.max(np.abs(x))) if np.all(np.isfinite(x)) else math.inf
-            if sup > divergence_guard:
-                raise FiniteEscapeError(t_prev + (k + 1) * h, sup, divergence_guard)
-        t_prev = t_next
-        if record:
-            times.append(t_next)
-            states.append(x.copy())
+    # overflow on the way out is reported by the divergence guard, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t_next, record in events[1:]:
+            span = t_next - t_prev
+            if span <= 0:
+                continue
+            lap = signal.graph_at(t_prev).laplacian_matrix
+            nsteps = max(1, math.ceil(span / dt - 1e-9))
+            h = span / nsteps
+            for k in range(nsteps):
+                x = _rk4_step(net, lap, K, x, h)
+                sup = float(np.max(np.abs(x))) if np.all(np.isfinite(x)) else math.inf
+                if sup > divergence_guard:
+                    raise FiniteEscapeError(t_prev + (k + 1) * h, sup, divergence_guard)
+            t_prev = t_next
+            if record:
+                times.append(t_next)
+                states.append(x.copy())
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
@@ -258,8 +274,7 @@ def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np
     """
     if any(not isinstance(p, Quadratic) for p in potentials):
         raise PreconditionError("equilibrium oracle requires all-quadratic potentials")
-    m = _validate_network(potentials, g.node_count)
-    eye = np.eye(m)
+    eye = np.eye(compile_network(potentials, g.node_count).dimension)
     w_diag = np.kron(np.diag([p.weight for p in potentials]), eye)
     lap = np.kron(np.array(g.laplacian_matrix), eye)
     b = np.concatenate([p.weight * p.center for p in potentials])

@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -216,18 +218,20 @@ def test_exit_code_finite_escape(tmp_path, capsys):
     assert "finite-escape suspected" in error["message"]
 
 
+# one RK4 step from 5e7 overflows the quartic drift to inf
+OVERFLOWING = dict(
+    BASE,
+    nodes=[{"kind": "quartic", "center": [0.0]}, {"kind": "quartic", "center": [0.0]}],
+    x0=[5e7, -5e7],
+    dt=0.05,
+    checks=[],
+)
+
+
 def test_escape_to_overflow_keeps_report_strict_json(tmp_path):
-    # one RK4 step from 5e7 overflows the quartic drift to inf
-    obj = dict(
-        BASE,
-        nodes=[{"kind": "quartic", "center": [0.0]}, {"kind": "quartic", "center": [0.0]}],
-        x0=[5e7, -5e7],
-        dt=0.05,
-        checks=[],
-    )
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
-        assert run(load_scenario(write(tmp_path, obj)), out) == 3
+        assert run(load_scenario(write(tmp_path, OVERFLOWING)), out) == 3
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -235,6 +239,16 @@ def test_escape_to_overflow_keeps_report_strict_json(tmp_path):
     report = json.loads((out / "report.json").read_text(), parse_constant=reject)
     assert report["error"]["type"] == "FiniteEscapeError"
     assert report["error"]["sup_norm"] == "inf"
+
+
+def test_escape_prints_no_overflow_warning(tmp_path, capfd):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as an exception
+        assert main(["simulate", str(write(tmp_path, OVERFLOWING)), "--out", str(out)]) == 3
+    assert json.loads((out / "report.json").read_text())["error"]["type"] == "FiniteEscapeError"
+    err = capfd.readouterr().err
+    assert "numerical error: finite-escape suspected" in err and "RuntimeWarning" not in err
 
 
 def test_report_names_a_plain_numerical_error(tmp_path, monkeypatch, capsys):
@@ -270,6 +284,28 @@ def test_dt_above_quarter_dwell_fails_at_load(tmp_path, capsys):
     assert main(["simulate", str(write(tmp_path, bad)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "dwell_floor/4" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, 1.5])
+@pytest.mark.parametrize("where", ["scenario", "check"])
+def test_tail_fraction_outside_unit_interval_fails_at_load(tmp_path, capsys, where, value):
+    bad = copy.deepcopy(BASE)
+    (bad if where == "scenario" else bad["checks"][0])["tail_fraction"] = value
+    out = tmp_path / "out"
+    assert main(["simulate", str(write(tmp_path, bad)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "tail_fraction must be in (0, 1]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_event_count_cap_fails_at_load(tmp_path, capsys):
+    start = time.perf_counter()
+    out = tmp_path / "out"
+    huge = dict(BASE, sample_every=1e-9, t_end=1e6)
+    assert main(["simulate", str(write(tmp_path, huge)), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "events are allowed" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -12,8 +12,9 @@ from syncflow import (
     SumPotential,
     common_zero_set,
     gradient_consistency_check,
+    potentials,
 )
-from syncflow.potentials import potential_from_dict, potential_to_dict
+from syncflow.potentials import NetworkPotential, potential_from_dict, potential_to_dict
 
 CATALOG_1D = [
     Quadratic(center=[0.0], weight=1.0),
@@ -111,6 +112,18 @@ def test_sum_zero_set_common_minimizer_is_intersection():
     s = SumPotential((FlatBottom1D(0.0, 2.0), FlatBottom1D(1.0, 3.0)))
     body = s.zero_set()
     np.testing.assert_allclose(sorted(body.extreme_points().ravel()), [1.0, 2.0])
+
+
+def test_zero_set_is_computed_once(monkeypatch):
+    calls = []
+    bisect = potentials._component_zero_interval
+    monkeypatch.setattr(
+        potentials, "_component_zero_interval", lambda terms, k: calls.append(k) or bisect(terms, k)
+    )
+    s = SumPotential((Quadratic(center=[0.0, 1.0]), QuarticWell(center=[2.0, -1.0])))
+    body = s.zero_set()
+    assert s.zero_set() is body
+    assert calls == [0, 1]
 
 
 def test_sum_zero_set_multidim_box():
@@ -309,3 +322,73 @@ def test_flat_bottom_equals_piecewise_reference(ends, pts, degenerate):
         assert np.array_equal(values[j], ref_value)
         assert np.array_equal(grads[j], [ref_grad])
         assert np.array_equal(spec.value([s]), ref_value)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values and equal zero signs."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def network_case(draw):
+    """Random catalog networks, their nesting (flat, left or right) and a state stack."""
+    m = draw(st.integers(1, 3))
+    point = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), coords), min_size=m, max_size=m)
+
+    def term():
+        kinds = ["quadratic", "quartic"] + (["flat_bottom"] if m == 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "quadratic":
+            return Quadratic(center=draw(point), weight=draw(st.floats(0.1, 5)))
+        if kind == "quartic":
+            return QuarticWell(center=draw(point))
+        return FlatBottom1D(*sorted(draw(st.lists(coords, min_size=2, max_size=2))))
+
+    nesting = draw(st.sampled_from(["flat", "left", "right"]))
+    nodes = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, 3))
+        terms = [term() for _ in range(size)]
+        if size == 1:
+            nodes.append(terms[0])
+        elif nesting == "flat" or size == 2:
+            nodes.append(SumPotential(tuple(terms)))
+        elif nesting == "left":
+            nodes.append(SumPotential((SumPotential(tuple(terms[:2])), terms[2])))
+        else:
+            nodes.append(SumPotential((terms[0], SumPotential(tuple(terms[1:])))))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    X = np.array(draw(st.lists(point, min_size=len(nodes) * int(np.prod(lead)),
+                               max_size=len(nodes) * int(np.prod(lead)))))
+    return nodes, nesting, X.reshape(*lead, len(nodes), m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_case())
+def test_network_potential_equals_per_node_methods(case):
+    nodes, nesting, X = case
+    net = NetworkPotential(nodes)
+    grads, values = net.gradient(X), net.value(X)
+    assert grads.shape == X.shape and values.shape == X.shape[:-1]
+    for i, spec in enumerate(nodes):
+        x = X[..., i, :]
+        terms = potentials._flatten_terms(spec)
+        if nesting == "right" and len(terms) == 3:
+            # (g1 + (g2 + g3)) against ((g1 + g2) + g3): a few ulps of the terms' size
+            g_scale = sum(np.abs(t.gradient(x)) for t in terms)
+            v_scale = sum(np.abs(t.value(x)) for t in terms)
+            assert np.all(np.abs(grads[..., i, :] - spec.gradient(x)) <= 1e-15 * g_scale)
+            assert np.all(np.abs(values[..., i] - spec.value(x)) <= 1e-15 * v_scale)
+        else:
+            assert same_bits(grads[..., i, :], spec.gradient(x))
+            assert same_bits(values[..., i], spec.value(x))
+
+
+def test_network_potential_rejects_mismatched_states():
+    net = NetworkPotential([Quadratic(center=[0.0, 0.0]), QuarticWell(center=[1.0, 1.0])])
+    with pytest.raises(InputError):
+        net.gradient(np.zeros((3, 2)))
+    with pytest.raises(InputError):
+        net.value(np.zeros((2, 1)))
+    with pytest.raises(InputError):
+        NetworkPotential([Quadratic(center=[0.0]), Quadratic(center=[0.0, 1.0])])

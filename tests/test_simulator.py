@@ -6,12 +6,14 @@ import pytest
 from syncflow import (
     ConfigurationError,
     FiniteEscapeError,
+    FlatBottom1D,
     InputError,
     NetworkState,
     PeriodicSchedule,
     PreconditionError,
     Quadratic,
     QuarticWell,
+    SumPotential,
     SwitchingSignal,
     WeightedDigraph,
     equilibrium_oracle_quadratic,
@@ -223,3 +225,54 @@ def test_sample_every_defaults_to_ten_steps():
     traj = integrate(pots, fixed_signal(two_node_graph()), 1.0, [2.0, -1.0], dt=dt, t_end=1.5)
     np.testing.assert_array_equal(traj.times, np.arange(6) * (10 * dt))
     assert traj.meta["sample_every"] == 10 * dt
+
+
+def per_node_rk4(pots, signal, K, x0, dt, times):
+    """RK4 over the recorded sample times, one ``self_dynamics`` call per node and stage."""
+
+    def field(lap, x):
+        X = x.reshape(len(pots), -1)
+        return (np.array([p.self_dynamics(xi) for p, xi in zip(pots, X)]) - K * (lap @ X)).ravel()
+
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for t0, t1 in zip(times, times[1:]):
+        lap = signal.graph_at(t0).laplacian_matrix
+        nsteps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+        h = (t1 - t0) / nsteps
+        for _ in range(nsteps):
+            k1 = field(lap, x)
+            k2 = field(lap, x + 0.5 * h * k1)
+            k3 = field(lap, x + 0.5 * h * k2)
+            k4 = field(lap, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
+def test_integrate_matches_per_node_reference_on_switching_mixed_network():
+    n = 6
+    fwd = WeightedDigraph(n, tuple((i, (i + 1) % n, 1.0 + 0.1 * i) for i in range(n)))
+    rev = WeightedDigraph(n, tuple(((i + 1) % n, i, 1.5) for i in range(n)))
+    sig = SwitchingSignal({"f": fwd, "r": rev}, PeriodicSchedule((("f", 0.3), ("r", 0.5))), 0.3)
+    quad, quartic, flat = Quadratic, QuarticWell, FlatBottom1D
+    pots = [
+        quad(center=[0.5], weight=2.0),
+        quartic(center=[-0.5]),
+        flat(-0.25, 0.75),
+        SumPotential((quad(center=[1.0]), quartic(center=[0.0]), flat(0.0, 0.5))),
+        SumPotential((flat(-1.0, 0.0), SumPotential((quad(center=[0.2]), quartic(center=[0.3]))))),
+        SumPotential((SumPotential((quartic(center=[1.0]), quad(center=[-1.0], weight=0.5))),)),
+    ]
+    x0 = np.linspace(-2.0, 2.0, n)
+    traj = integrate(pots, sig, 1.5, x0, dt=0.05, t_end=4.0, sample_every=0.25)
+    ref = per_node_rk4(pots, sig, 1.5, x0, 0.05, traj.times)
+    np.testing.assert_allclose(traj.states, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def test_event_count_is_capped_before_the_grid_is_built():
+    # two million sample instants, twice the cap: small enough to survive a broken cap
+    pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
+    with pytest.raises(ConfigurationError, match="events"):
+        integrate(pots, fixed_signal(two_node_graph()), 1.0, [0.0, 1.0], dt=0.1, t_end=2e3,
+                  sample_every=1e-3)
