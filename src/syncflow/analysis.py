@@ -112,10 +112,8 @@ def diagnostics(traj: Trajectory, potentials, z_star="auto") -> DiagnosticsSerie
     X = traj.blocks()
     diam = diameter_series(traj)
 
-    theta_body = cg.zero_set_hull(potentials)
-    theta = np.zeros(len(traj))
-    for i in range(traj.node_count):
-        theta = np.maximum(theta, theta_body.distance_many(X[:, i, :]) ** 2)
+    # every node at every sample in one projection: (samples, N) distances
+    theta = (cg.zero_set_hull(potentials).distance_many(X) ** 2).max(axis=1)
 
     argmin_dist = np.empty((len(traj), traj.node_count))
     for i, p in enumerate(potentials):
@@ -153,9 +151,14 @@ def sync_verdict(
     traj: Trajectory,
     tol: float = 1e-6,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
+    diameter: np.ndarray | None = None,
 ) -> SyncVerdict:
-    """Exact-synchronization verdict plus the tail-sup disagreement estimate."""
-    diam = diameter_series(traj)
+    """Exact-synchronization verdict plus the tail-sup disagreement estimate.
+
+    ``diameter`` is the trajectory's ``diameter_series`` when the caller
+    already holds it (``diagnostics`` computes one); otherwise it is computed.
+    """
+    diam = diameter_series(traj) if diameter is None else diameter
     tail = _tail_indices(traj.times, tail_fraction)
     eps = float(diam[tail].max())
     exact = eps < tol
@@ -454,9 +457,7 @@ def check_sync_iff(
         entry: dict = {"run": ridx}
         if body is not None:
             tail_sup = float(diam[tail].max())
-            final_dev = float(
-                max(body.distance(traj.blocks()[-1, i]) for i in range(traj.node_count))
-            )
+            final_dev = float(body.distance_many(traj.blocks()[-1]).max())
             ok = tail_sup <= tol and final_dev <= tol
             entry.update({"tail_diameter": tail_sup, "final_deviation": final_dev, "pass": ok})
             worst = max(worst, tail_sup, final_dev)

@@ -335,7 +335,9 @@ def _run_checks(sc: Scenario, traj, diag) -> list[CheckReport]:
         name = c["name"]
         tf = c.get("tail_fraction", sc.tail_fraction)
         if name == "sync":
-            v = analysis.sync_verdict(traj, tol=c.get("tol", 1e-6), tail_fraction=tf)
+            v = analysis.sync_verdict(
+                traj, tol=c.get("tol", 1e-6), tail_fraction=tf, diameter=diag.diameter
+            )
             reports.append(
                 CheckReport(
                     check="sync",

@@ -238,7 +238,9 @@ def integrate(
             span = t_next - t_prev
             if span <= 0:
                 continue
-            lap = signal.graph_at(t_prev).laplacian_matrix
+            # the graph of the span's interior: a switch merged into a sample
+            # up to the merge tolerance earlier still takes effect at that sample
+            lap = signal.graph_at(0.5 * (t_prev + t_next)).laplacian_matrix
             nsteps = max(1, math.ceil(span / dt - 1e-9))
             h = span / nsteps
             for k in range(nsteps):

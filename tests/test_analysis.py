@@ -36,7 +36,8 @@ from syncflow import (
 )
 from syncflow.analysis import cube_containment, diameter_series
 from syncflow.simulator import NetworkState
-from util import path_graph, ring_graph, undirected
+from syncflow.convex_geometry import zero_set_hull
+from util import hull_projection_oracle, path_graph, ring_graph, undirected
 
 
 def two_node():
@@ -114,6 +115,25 @@ def test_sync_verdict_fields():
     v = sync_verdict(traj, tol=1e-6)
     assert v.exact_sync and v.epsilon_estimate < 1e-6
     np.testing.assert_allclose(v.limit_point, [1.0], atol=1e-6)
+    given = sync_verdict(traj, tol=1e-6, diameter=diameter_series(traj))
+    assert given.epsilon_estimate == v.epsilon_estimate
+    np.testing.assert_array_equal(given.limit_point, v.limit_point)
+
+
+def test_diagnostics_theta_is_max_squared_oracle_distance():
+    # 2-D zero sets spanning a hull; the nodes start outside it and enter it
+    centers = [[0.0, 0.0], [3.0, 0.5], [1.0, 2.5], [2.0, 1.0]]
+    pots = [Quadratic(center=c, weight=1.0 + 0.5 * i) for i, c in enumerate(centers)]
+    x0 = [6.0, -2.0, -4.0, 5.0, 1.5, 7.0, -3.0, -3.0]
+    traj = integrate(pots, fixed_signal(ring_graph(4)), 0.7, x0, dt=0.02, t_end=6.0, sample_every=0.1)
+    diag = diagnostics(traj, pots, z_star=None)
+    verts = zero_set_hull(pots).vertices
+    ref = np.array(
+        [max(float(np.sum((x - hull_projection_oracle(verts, x)) ** 2)) for x in blocks)
+         for blocks in traj.blocks()]
+    )
+    assert ref[0] > 10.0 and ref[-1] == 0.0
+    np.testing.assert_allclose(diag.theta, ref, rtol=1e-12, atol=0.0)
 
 
 # -- monotonicity -------------------------------------------------------------

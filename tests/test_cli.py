@@ -132,6 +132,19 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     assert header == "t,x_0_0,x_1_0,diameter,V,theta"
 
 
+def test_sync_check_reuses_the_diagnostics_diameter(tmp_path, monkeypatch):
+    calls = []
+    series = analysis.diameter_series
+
+    def counted(traj):
+        calls.append(traj)
+        return series(traj)
+
+    monkeypatch.setattr(analysis, "diameter_series", counted)
+    assert run(load_scenario(write(tmp_path, BASE)), tmp_path / "out") == 0
+    assert len(calls) == 1
+
+
 def test_csv_row_count_invariant(tmp_path):
     obj = dict(
         BASE,

@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import syncflow.convex_geometry as cg
 from syncflow import (
     Box,
     FlatBottom1D,
     Hull,
     InputError,
     Interval1D,
+    NumericalError,
     Point,
     Quadratic,
     QuarticWell,
@@ -18,6 +22,7 @@ from syncflow import (
     intersect,
     zero_set_hull,
 )
+from util import hull_projection_oracle
 
 
 def random_bodies(rng, kind, m):
@@ -274,3 +279,146 @@ def test_check_drift_alignment_reports_first_maximum_in_sample_major_order():
     rep = check_drift_alignment(pots, [[3.0], [-3.0]])
     assert rep.worst_value == -4.0
     assert rep.location == {"node": 1, "sample_index": 0, "sample": [3.0]}
+
+
+# -- stacked projection ------------------------------------------------------
+
+LEADING_AXES = [(), (1,), (5,), (2, 3)]
+
+
+@st.composite
+def hull_and_queries(draw):
+    """A hull on a small integer grid plus a stack of query rows.
+
+    Grid vertices make duplicate and collinear vertices common.  Each row is a
+    free point, a vertex, a point on the segment between two vertices, or a
+    convex combination of all vertices; all but free points are members.
+    """
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 8))
+    coord = st.integers(-3, 3).map(float)
+    verts = np.array(draw(st.lists(st.lists(coord, min_size=m, max_size=m), min_size=k, max_size=k)))
+    lead = draw(st.sampled_from(LEADING_AXES))
+    unit = st.floats(0.0, 1.0)
+    rows, members = [], []
+    for _ in range(int(np.prod(lead, dtype=int))):
+        kind = draw(st.sampled_from(["free", "vertex", "edge", "interior"]))
+        if kind == "free":
+            rows.append(draw(st.lists(st.floats(-6.0, 6.0), min_size=m, max_size=m)))
+        elif kind == "vertex":
+            rows.append(verts[draw(st.integers(0, k - 1))])
+        elif kind == "edge":
+            a, b, t = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1)), draw(unit)
+            rows.append((1.0 - t) * verts[a] + t * verts[b])
+        else:
+            w = np.array(draw(st.lists(unit, min_size=k, max_size=k))) + 1e-3
+            rows.append(w / w.sum() @ verts)
+        members.append(kind != "free")
+    x = np.array(rows, dtype=float).reshape(lead + (m,))
+    return verts, x, np.array(members).reshape(lead)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_and_queries())
+def test_stacked_hull_projection_rows_are_certified_oracle_solutions(case):
+    verts, x, members = case
+    hull = Hull(verts)
+    got = hull.project(x)
+    assert got.shape == x.shape
+    for idx in np.ndindex(x.shape[:-1]):
+        row, p = x[idx], got[idx]
+        scale = max(1.0, float(np.max(np.abs(verts))), float(np.max(np.abs(row))))
+        # the variational inequality at every vertex, with the solver's own tolerance
+        assert np.all((verts - p) @ (p - row) >= -5e-13 * scale * scale)
+        assert np.linalg.norm(p - hull_projection_oracle(verts, row)) <= 1e-12 * scale
+        if members[idx]:
+            assert np.array_equal(p, row)
+        assert np.array_equal(hull.project(row), p)
+
+
+def test_one_uncertifiable_row_raises(monkeypatch):
+    # segment [0,4] x {0}: rows at a vertex certify at once, (1, 3) needs the solver
+    hull = Hull([[0.0, 0.0], [4.0, 0.0]])
+    x = np.vstack([np.zeros((20, 2)), [[1.0, 3.0]], np.zeros((20, 2))])
+    np.testing.assert_array_equal(hull.project(x)[20], [1.0, 0.0])
+
+    def support_centroid(vertices, rows, support):
+        return support / support.sum(axis=1, keepdims=True)
+
+    # a solver stuck at the segment midpoint (2, 0) stalls that one row
+    monkeypatch.setattr(cg, "_affine_weights", support_centroid)
+    with pytest.raises(NumericalError, match="worst vertex slack -2.000e\\+00"):
+        hull.project(x)
+    np.testing.assert_array_equal(hull.project(x[:20]), x[:20])
+
+
+def test_degenerate_supports_use_the_least_squares_minimizer():
+    # collinear and duplicate supports make singular systems; such a row goes
+    # to lstsq alone while a regular row of the same size takes the batched QR
+    verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [0.0, 3.0]])
+    support = np.zeros((4, 5), dtype=bool)
+    support[0, [0, 1, 2]] = True  # collinear
+    support[1, [2, 3]] = True  # a duplicated vertex
+    support[2, [0, 1, 4]] = True  # a proper triangle
+    support[3, [1, 4]] = True  # a proper edge
+    x = np.array([[3.0, 1.0]] * 4)
+    lam = cg._affine_weights(verts, x, support)
+    for i, s in enumerate(support):
+        ref = cg._affine_weight_minimizer(verts, list(np.flatnonzero(s)), x[i])
+        if i < 2:
+            np.testing.assert_array_equal(lam[i, s], ref)
+        else:
+            np.testing.assert_allclose(lam[i, s], ref, rtol=0.0, atol=1e-14)
+        assert np.all(lam[i, ~s] == 0.0)
+
+
+def test_single_vertex_support_gets_unit_weight():
+    # a restore step may drop all but one vertex; its minimizer is that vertex
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    support = np.array([[False, True, False], [True, True, False]])
+    lam = cg._affine_weights(verts, np.array([[5.0, 5.0], [0.5, 2.0]]), support)
+    np.testing.assert_array_equal(lam, [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
+
+
+BODIES = [
+    Point([0.5, -1.0]),
+    Interval1D(-1.0, 2.0),
+    Box([-1.0, 0.0], [1.0, 2.0]),
+    Hull([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]),
+]
+
+
+@pytest.mark.parametrize("body", BODIES, ids=lambda b: type(b).__name__)
+def test_every_body_projects_stacks_row_by_row(body):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-3.0, 3.0, (2, 3, body.dimension))
+    got = body.project(x)
+    assert got.shape == x.shape
+    dist = body.distance_many(x)
+    assert dist.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(got[idx], body.project(x[idx]))
+        assert dist[idx] == pytest.approx(body.distance(x[idx]), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("body", BODIES, ids=lambda b: type(b).__name__)
+def test_non_finite_query_is_an_input_error_naming_the_row(body):
+    m = body.dimension
+    point = np.full(m, np.nan)
+    stack = np.zeros((4, m))
+    stack[2, -1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (body.project, body.distance, body.distance_many):
+            with pytest.raises(InputError, match="must be finite"):
+                call(point)
+        for call in (body.project, body.distance_many):
+            with pytest.raises(InputError, match="row 2 is not finite"):
+                call(stack)
+        with pytest.raises(InputError, match="row \\(1, 0\\) is not finite"):
+            body.project(stack.reshape(2, 2, m))
+
+
+def test_hull_nan_query_names_the_cause():
+    with pytest.raises(InputError, match=r"x must be finite, got \[nan, 0.5\]"):
+        Hull([[0, 0], [1, 0], [0, 1]]).project([np.nan, 0.5])

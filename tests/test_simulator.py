@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import syncflow.simulator as simulator
 from syncflow import (
     ConfigurationError,
     FiniteEscapeError,
@@ -276,3 +280,62 @@ def test_event_count_is_capped_before_the_grid_is_built():
     with pytest.raises(ConfigurationError, match="events"):
         integrate(pots, fixed_signal(two_node_graph()), 1.0, [0.0, 1.0], dt=0.1, t_end=2e3,
                   sample_every=1e-3)
+
+
+@st.composite
+def switching_runs(draw):
+    """A two-graph periodic schedule, a horizon and a sampling interval.
+
+    Durations and sampling intervals are free floats (non-commensurate) or
+    round numbers (commensurate); some intervals put a sample a hair before
+    the first switch, inside the event-merge tolerance.
+    """
+    duration = st.one_of(st.floats(0.25, 1.5), st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    segments = draw(
+        st.lists(st.tuples(st.sampled_from("ab"), duration), min_size=2, max_size=4)
+    )
+    t_end = draw(st.floats(1.0, 5.0))
+    sample_every = draw(
+        st.one_of(
+            st.floats(0.05, 2.0),
+            st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+            st.floats(0.0, 1e-9 * t_end).map(lambda d: segments[0][1] - d),
+        )
+    )
+    return segments, t_end, sample_every, draw(st.integers(4, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(switching_runs())
+def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
+    segments, t_end, sample_every, steps_per_dwell = run
+    library = {
+        "a": WeightedDigraph(2, ((0, 1, 1.0),)),
+        "b": WeightedDigraph(2, ((1, 0, 2.0),)),
+    }
+    dwell = min(d for _, d in segments)
+    sig = SwitchingSignal(library, PeriodicSchedule(tuple(segments)), dwell)
+    pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
+    steps = []
+    rk4_step = simulator._rk4_step
+
+    def recorded(net, lap, K, x, h):
+        steps.append((lap, h))
+        return rk4_step(net, lap, K, x, h)
+
+    with mock.patch.object(simulator, "_rk4_step", recorded):
+        traj = integrate(pots, sig, 1.0, [1.0, -1.0], dwell / steps_per_dwell, t_end, sample_every)
+
+    # events closer than the merge tolerance are one event; step starts
+    # rebuilt by summing steps get a second tolerance of slack
+    tol = 1e-9 * max(1.0, t_end)
+    switches = sig.switch_times(0.0, t_end)
+    t0 = 0.0
+    for lap, h in steps:
+        assert not any(t0 + 2 * tol < s < t0 + h - 2 * tol for s in switches)
+        # the step runs on the graph active over its interior
+        np.testing.assert_array_equal(lap, sig.graph_at(t0 + 0.5 * h).laplacian_matrix)
+        t0 += h
+    assert t0 == pytest.approx(t_end, abs=tol)
+    for s in switches:
+        assert np.min(np.abs(traj.times - s)) <= tol
