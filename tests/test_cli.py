@@ -94,6 +94,45 @@ def test_monotone_V_requires_common_zero(tmp_path):
         load_scenario(write(tmp_path, bad))
 
 
+PERIODIC = {
+    "graphs": {"ga": [[0, 1, 1.0]], "gb": [[1, 0, 1.0]]},
+    "signal": {"type": "periodic", "segments": [["ga", 0.5], ["gb", 0.5]], "dwell_floor": 0.5},
+}
+PLANAR = {
+    "nodes": [{"kind": "quadratic", "center": [0.0, 0.0]}] * 2,
+    "x0": [1.0, 0.0, -1.0, 0.0],
+}
+APART = {"nodes": [{"kind": "quadratic", "center": [0.0]}, {"kind": "quadratic", "center": [1.0]}]}
+
+# one case per load-time check precondition: (scenario overrides, check, message)
+PRECONDITIONS = {
+    "spectral_periodic": (PERIODIC, {"name": "spectral_bound"},
+                          "check 'spectral_bound' requires a fixed signal"),
+    "spectral_asymmetric": ({"graphs": {"g0": [[0, 1, 1.0]]}}, {"name": "spectral_bound"},
+                            "check 'spectral_bound' requires a symmetric graph"),
+    "spectral_disconnected": ({"graphs": {"g0": []}}, {"name": "spectral_bound"},
+                              "check 'spectral_bound' requires a connected graph"),
+    "spectral_K_zero": ({"K": 0.0}, {"name": "spectral_bound"},
+                        "check 'spectral_bound' requires K > 0"),
+    "cube_planar": (PLANAR, {"name": "invariant_cube"},
+                    "check 'invariant_cube' requires one-dimensional node states"),
+    "common_limit_apart": (APART, {"name": "common_limit"},
+                           "checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets"),
+    "ujsc_without_T": ({}, {"name": "ujsc"}, "check 'ujsc' needs a window length 'T'"),
+}
+
+
+@pytest.mark.parametrize("case", PRECONDITIONS.values(), ids=PRECONDITIONS.keys())
+def test_check_precondition_fails_at_load(tmp_path, capsys, case):
+    overrides, check, message = case
+    p = write(tmp_path, dict(BASE, **overrides, checks=[check]))
+    with pytest.raises(InputError) as err:
+        load_scenario(p)
+    assert str(err.value) == message
+    assert main(["verify", str(p)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_K_and_K_list_mutually_exclusive(tmp_path):
     bad = dict(BASE)
     bad["K_list"] = [1.0, 2.0]
