@@ -28,7 +28,8 @@ from .errors import InputError, NumericalError, PreconditionError
 from .graphs import SwitchingSignal, WeightedDigraph, is_strongly_connected, lambda2
 from .potentials import NetworkPotential, common_zero_set
 from .report import CheckReport
-from .simulator import Trajectory, compile_network, fixed_signal, integrate, network_field
+from .simulator import DEFAULT_GUARD, Trajectory, compile_network, fixed_signal, integrate
+from .simulator import network_field
 
 __all__ = [
     "DiagnosticsSeries",
@@ -37,6 +38,8 @@ __all__ = [
     "diagnostics",
     "diameter_series",
     "sync_verdict",
+    "check_sync",
+    "check_no_sync",
     "check_monotone",
     "check_common_limit",
     "check_node_optimum",
@@ -164,6 +167,36 @@ def sync_verdict(
     exact = eps < tol
     limit = traj.blocks()[-1].mean(axis=0) if exact else None
     return SyncVerdict(exact_sync=exact, epsilon_estimate=eps, limit_point=limit)
+
+
+def check_sync(
+    traj: Trajectory,
+    tol: float = 1e-6,
+    tail_fraction: float = DEFAULT_TAIL_FRACTION,
+    diameter: np.ndarray | None = None,
+) -> CheckReport:
+    """Report form of ``sync_verdict``: passes on exact synchronization."""
+    v = sync_verdict(traj, tol=tol, tail_fraction=tail_fraction, diameter=diameter)
+    limit = None if v.limit_point is None else v.limit_point.tolist()
+    return CheckReport(
+        check="sync",
+        passed=v.exact_sync,
+        worst_value=v.epsilon_estimate,
+        params={"tol": tol, "limit_point": limit},
+    )
+
+
+def check_no_sync(
+    diag: DiagnosticsSeries, floor: float = 1e-3, tail_fraction: float = DEFAULT_TAIL_FRACTION
+) -> CheckReport:
+    """Disagreement persists: the tail minimum of the diameter stays at or above ``floor``."""
+    observed = float(diag.diameter[_tail_indices(diag.times, tail_fraction)].min())
+    return CheckReport(
+        check="no_sync",
+        passed=observed >= floor,
+        worst_value=observed,
+        params={"floor": floor, "observed_floor": observed},
+    )
 
 
 def check_monotone(series, rise_tol: float | None = None, label: str = "series") -> CheckReport:
@@ -491,15 +524,11 @@ class SweepResult:
     passed: bool
     params: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "rows": [
-                {"K": k, "epsilon_estimate": e, "error": err} for (k, e, err) in self.rows
-            ],
-            "epsilon": self.epsilon,
-            "pass": self.passed,
-            "params": self.params,
-        }
+    def report(self) -> CheckReport:
+        """The sweep as the ``sweep_K`` entry of a scenario report."""
+        rows = [{"K": k, "epsilon_estimate": e, "error": err} for (k, e, err) in self.rows]
+        params = {"rows": rows, "epsilon": self.epsilon, "pass": self.passed, "params": self.params}
+        return CheckReport(check="sweep_K", passed=self.passed, params=params)
 
 
 def validate_K_list(K_list) -> list[float]:
@@ -520,18 +549,20 @@ def sweep_K(
     t_end: float,
     sample_every: float | None = None,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
+    divergence_guard: float = DEFAULT_GUARD,
 ) -> SweepResult:
     """Run the scenario once per gain and table the disagreement estimates.
 
     Passes iff the estimates are non-increasing in K (5% slack) and the
     largest gain achieves an estimate below ``epsilon``.  Gains run one after
-    another; a gain whose run fails numerically becomes an error row.
+    another; a gain whose run fails numerically (its state passing
+    ``divergence_guard``, say) becomes an error row.
     """
     K_list = validate_K_list(K_list)
     rows = []
     for k in K_list:
         try:
-            traj = integrate(potentials, signal, k, x0, dt, t_end, sample_every)
+            traj = integrate(potentials, signal, k, x0, dt, t_end, sample_every, divergence_guard)
             rows.append((k, sync_verdict(traj, tail_fraction=tail_fraction).epsilon_estimate, None))
         except NumericalError as e:
             rows.append((k, None, str(e)))

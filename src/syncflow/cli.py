@@ -19,51 +19,21 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import analysis, graphs
 from .convex_geometry import check_drift_alignment
-from .errors import (
-    FiniteEscapeError,
-    InputError,
-    NumericalError,
-    PreconditionError,
-    SyncflowError,
-)
-from .graphs import (
-    FixedSchedule,
-    PeriodicSchedule,
-    SwitchingSignal,
-    WeightedDigraph,
-    certify_ujsc,
-    is_strongly_connected,
-)
+from .errors import FiniteEscapeError, InputError, NumericalError, PreconditionError, SyncflowError
+from .graphs import FixedSchedule, PeriodicSchedule, SwitchingSignal, WeightedDigraph
 from .potentials import common_zero_set, potential_from_dict
-from .report import CheckReport, jsonable
+from .report import jsonable
 from .simulator import default_sample_every, integrate, validate_dt, validate_event_count
 
 SCHEMA_VERSION = 1
-
-CHECK_NAMES = {
-    "sync",
-    "no_sync",
-    "monotone_V",
-    "monotone_theta",
-    "common_limit",
-    "node_optimum",
-    "invariant_cube",
-    "drift_alignment",
-    "feasibility",
-    "spectral_bound",
-    "ujsc",
-}
-
-# the numeric parameters a check may carry; each is read at load time
-CHECK_PARAMS = ("tol", "floor", "eta", "T", "rise_tol", "slack", "grad_tol", "tail_fraction")
-
 
 @dataclass
 class Scenario:
@@ -71,7 +41,6 @@ class Scenario:
 
     name: str
     potentials: list
-    graphs: dict
     signal: SwitchingSignal
     weight_bounds: tuple
     x0: np.ndarray
@@ -80,7 +49,7 @@ class Scenario:
     sample_every: float
     K: float | None = None
     K_list: list | None = None
-    checks: list = field(default_factory=list)
+    checks: list = field(default_factory=list)  # (name, params) pairs, see CHECKS
     epsilon: float = 0.05
     tail_fraction: float = analysis.DEFAULT_TAIL_FRACTION
     divergence_guard: float = 1e8
@@ -173,7 +142,7 @@ def load_scenario(path) -> Scenario:
     graphs_raw = _require(raw, "graphs", "scenario")
     if not isinstance(graphs_raw, dict) or not graphs_raw:
         _fail("field 'graphs' must map graph ids to edge-triple lists")
-    graphs = {}
+    library = {}
     for gid, edges in graphs_raw.items():
         if not isinstance(edges, list):
             _fail(f"graph {gid!r} must be a list of edge triples, got {edges!r}")
@@ -190,7 +159,7 @@ def load_scenario(path) -> Scenario:
                     + (" (weight below a_lo)" if w < a_lo else "")
                 )
             arcs.append((j, i, w))
-        graphs[str(gid)] = WeightedDigraph(node_count=n, arcs=tuple(arcs))
+        library[str(gid)] = WeightedDigraph(node_count=n, arcs=tuple(arcs))
 
     sig_raw = _require(raw, "signal", "scenario")
     if not isinstance(sig_raw, dict):
@@ -198,10 +167,10 @@ def load_scenario(path) -> Scenario:
     stype = _require(sig_raw, "type", "signal")
     if stype == "fixed":
         gid = str(_require(sig_raw, "graph", "fixed signal"))
-        if gid not in graphs:
+        if gid not in library:
             _fail(f"signal references unknown graph id {gid!r}")
         dwell = _number(sig_raw.get("dwell_floor", 1.0), "dwell_floor", positive=True)
-        signal = SwitchingSignal(graphs, FixedSchedule(gid), dwell)
+        signal = SwitchingSignal(library, FixedSchedule(gid), dwell)
     elif stype == "periodic":
         segs_raw = _require(sig_raw, "segments", "periodic signal")
         if not isinstance(segs_raw, list) or not segs_raw:
@@ -211,13 +180,13 @@ def load_scenario(path) -> Scenario:
             if not (isinstance(s, list) and len(s) == 2):
                 _fail(f"segment must be [graph_id, duration], got {s!r}")
             gid = str(s[0])
-            if gid not in graphs:
+            if gid not in library:
                 _fail(f"segment references unknown graph id {gid!r}")
             segs.append((gid, _number(s[1], "segment duration", positive=True)))
         dwell = _number(
             _require(sig_raw, "dwell_floor", "periodic signal"), "dwell_floor", positive=True
         )
-        signal = SwitchingSignal(graphs, PeriodicSchedule(tuple(segs)), dwell)
+        signal = SwitchingSignal(library, PeriodicSchedule(tuple(segs)), dwell)
     else:
         _fail(f"signal type must be 'fixed' or 'periodic', got {stype!r}")
 
@@ -245,25 +214,17 @@ def load_scenario(path) -> Scenario:
 
     x0 = _parse_x0(raw, n * m)
 
+    tail_fraction = analysis.validate_tail_fraction(
+        _number(raw.get("tail_fraction", analysis.DEFAULT_TAIL_FRACTION), "tail_fraction")
+    )
     checks_raw = raw.get("checks", [])
     if not isinstance(checks_raw, list):
         _fail(f"field 'checks' must be a list of check objects, got {checks_raw!r}")
-    checks = []
-    for c in checks_raw:
-        if not isinstance(c, dict) or "name" not in c:
-            _fail(f"each check must be an object with a 'name', got {c!r}")
-        name = c["name"]
-        if not isinstance(name, str) or name not in CHECK_NAMES:
-            _fail(f"unknown check {name!r}; expected one of {sorted(CHECK_NAMES)}")
-        params = {k: _number(c[k], f"{name}.{k}") for k in CHECK_PARAMS if k in c}
-        if "tail_fraction" in params:
-            analysis.validate_tail_fraction(params["tail_fraction"])
-        checks.append({"name": name, **params})
+    checks = [_load_check(c, tail_fraction) for c in checks_raw]
 
     scenario = Scenario(
         name=str(raw.get("name", p.stem)),
         potentials=potentials,
-        graphs=graphs,
         signal=signal,
         weight_bounds=(a_lo, a_hi),
         x0=x0,
@@ -274,14 +235,13 @@ def load_scenario(path) -> Scenario:
         K_list=K_list,
         checks=checks,
         epsilon=_number(raw.get("epsilon", 0.05), "epsilon"),
-        tail_fraction=analysis.validate_tail_fraction(
-            _number(raw.get("tail_fraction", analysis.DEFAULT_TAIL_FRACTION), "tail_fraction")
-        ),
+        tail_fraction=tail_fraction,
         divergence_guard=_number(
             raw.get("divergence_guard", 1e8), "divergence_guard", positive=True
         ),
     )
-    _validate_checks(scenario)
+    for name, _ in checks:
+        CHECKS[name].precondition(scenario)
     return scenario
 
 
@@ -302,120 +262,136 @@ def _parse_x0(raw: dict, length: int) -> np.ndarray:
     _fail(f"x0 must be a list of numbers, 'grid', or 'random:<seed>', got {spec!r}")
 
 
-def _validate_checks(sc: Scenario):
-    names = {c["name"] for c in sc.checks}
-    fixed = isinstance(sc.signal.schedule, FixedSchedule)
-    if "spectral_bound" in names:
-        if not fixed:
-            _fail("check 'spectral_bound' requires a fixed signal")
-        g = sc.signal.graph_at(0.0)
-        if not g.is_symmetric():
-            _fail("check 'spectral_bound' requires a symmetric graph")
-        if not is_strongly_connected(g):
-            _fail("check 'spectral_bound' requires a connected graph")
-        if sc.primary_K <= 0:
-            _fail("check 'spectral_bound' requires K > 0")
-    if "invariant_cube" in names and sc.dim != 1:
+# -- checks -------------------------------------------------------------------
+
+TAIL = object()  # a parameter default read from the scenario's tail_fraction
+
+
+@dataclass(frozen=True)
+class Required:
+    """A check parameter without a default; ``what`` describes it in the load error."""
+
+    what: str
+
+
+@dataclass(frozen=True)
+class Check:
+    """A scenario check: its parameters with their defaults, a load-time
+    precondition ``(scenario)`` that raises InputError, and its run
+    ``(scenario, traj, diag, params) -> CheckReport``, which calls the library
+    through its modules so that a function patched there is the one that runs.
+    """
+
+    params: dict
+    run: Callable
+    precondition: Callable = lambda scenario: None
+
+
+def _fixed_symmetric_connected(sc: Scenario):
+    if not isinstance(sc.signal.schedule, FixedSchedule):
+        _fail("check 'spectral_bound' requires a fixed signal")
+    g = sc.signal.graph_at(0.0)
+    if not g.is_symmetric():
+        _fail("check 'spectral_bound' requires a symmetric graph")
+    if not graphs.is_strongly_connected(g):
+        _fail("check 'spectral_bound' requires a connected graph")
+    if sc.primary_K <= 0:
+        _fail("check 'spectral_bound' requires K > 0")
+
+
+def _one_dimensional(sc: Scenario):
+    if sc.dim != 1:
         _fail("check 'invariant_cube' requires one-dimensional node states")
-    if ("monotone_V" in names or "common_limit" in names) and common_zero_set(sc.potentials) is None:
-        _fail(
-            "checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets"
-        )
-    for c in sc.checks:
-        if c["name"] == "ujsc" and "T" not in c:
-            _fail("check 'ujsc' needs a window length 'T'")
+
+
+def _common_zero(sc: Scenario):
+    if common_zero_set(sc.potentials) is None:
+        _fail("checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets")
+
+
+def _spectral_bound(sc: Scenario, traj, diag, p):
+    g = sc.signal.graph_at(0.0)
+    x = analysis.minimize_aggregate(sc.potentials, g, sc.primary_K, sc.x0, tol=p["grad_tol"])
+    return analysis.check_spectral_bound(x, sc.potentials, g, sc.primary_K, tol=p["tol"])
+
+
+def _drift_alignment(sc: Scenario, traj, diag, p):
+    samples = traj.blocks().reshape(-1, sc.dim)
+    if samples.shape[0] > 512:
+        samples = samples[:: samples.shape[0] // 512 + 1]
+    return check_drift_alignment(sc.potentials, samples, **p)
+
+
+CHECKS = {
+    "sync": Check(
+        {"tol": 1e-6, "tail_fraction": TAIL},
+        lambda sc, traj, diag, p: analysis.check_sync(traj, diameter=diag.diameter, **p),
+    ),
+    "no_sync": Check(
+        {"floor": 1e-3, "tail_fraction": TAIL},
+        lambda sc, traj, diag, p: analysis.check_no_sync(diag, **p),
+    ),
+    "monotone_V": Check(
+        {"rise_tol": None},
+        lambda sc, traj, diag, p: analysis.check_monotone(diag.v, label="V", **p),
+        _common_zero,
+    ),
+    "monotone_theta": Check(
+        {"rise_tol": None},
+        lambda sc, traj, diag, p: analysis.check_monotone(diag.theta, label="theta", **p),
+    ),
+    "common_limit": Check(
+        {"tol": 1e-6, "tail_fraction": TAIL},
+        lambda sc, traj, diag, p: analysis.check_common_limit(diag, **p),
+        _common_zero,
+    ),
+    "node_optimum": Check(
+        {"tol": 1e-6, "tail_fraction": TAIL},
+        lambda sc, traj, diag, p: analysis.check_node_optimum(diag, sc.potentials, **p),
+    ),
+    "invariant_cube": Check(
+        {"eta": 0.5, "slack": 1e-8},
+        lambda sc, traj, diag, p: analysis.cube_containment(traj, sc.potentials, **p),
+        _one_dimensional,
+    ),
+    "drift_alignment": Check({"tol": 1e-10}, _drift_alignment),
+    "feasibility": Check({}, lambda sc, traj, diag, p: analysis.check_feasibility(sc.potentials)),
+    "spectral_bound": Check(
+        {"grad_tol": 1e-10, "tol": 1e-8}, _spectral_bound, _fixed_symmetric_connected
+    ),
+    "ujsc": Check(
+        {"T": Required("a window length")},
+        lambda sc, traj, diag, p: graphs.check_ujsc(sc.signal, **p),
+    ),
+}
+
+
+def _load_check(c, tail_fraction: float) -> tuple[str, dict]:
+    """A check object as ``(name, params)``, every parameter read or defaulted."""
+    if not isinstance(c, dict) or "name" not in c:
+        _fail(f"each check must be an object with a 'name', got {c!r}")
+    name = c["name"]
+    if not isinstance(name, str) or name not in CHECKS:
+        _fail(f"unknown check {name!r}; expected one of {sorted(CHECKS)}")
+    spec = CHECKS[name].params
+    for key in c:
+        if key != "name" and key not in spec:
+            accepted = ", ".join(spec) or "none"
+            _fail(f"check {name!r} has no parameter {key!r}; it accepts: {accepted}")
+    params = {}
+    for key, default in spec.items():
+        if key in c:
+            params[key] = _number(c[key], f"{name}.{key}")
+        elif isinstance(default, Required):
+            _fail(f"check {name!r} needs {default.what} {key!r}")
+        else:
+            params[key] = tail_fraction if default is TAIL else default
+    if "tail_fraction" in c:
+        analysis.validate_tail_fraction(params["tail_fraction"])
+    return name, params
 
 
 # -- execution ----------------------------------------------------------------
-
-
-def _run_checks(sc: Scenario, traj, diag) -> list[CheckReport]:
-    reports = []
-    for c in sc.checks:
-        name = c["name"]
-        tf = c.get("tail_fraction", sc.tail_fraction)
-        if name == "sync":
-            v = analysis.sync_verdict(
-                traj, tol=c.get("tol", 1e-6), tail_fraction=tf, diameter=diag.diameter
-            )
-            reports.append(
-                CheckReport(
-                    check="sync",
-                    passed=v.exact_sync,
-                    worst_value=v.epsilon_estimate,
-                    location=None,
-                    params={
-                        "tol": c.get("tol", 1e-6),
-                        "limit_point": None if v.limit_point is None else v.limit_point.tolist(),
-                    },
-                )
-            )
-        elif name == "no_sync":
-            floor = c.get("floor", 1e-3)
-            tail = analysis._tail_indices(traj.times, tf)
-            observed = float(diag.diameter[tail].min())
-            reports.append(
-                CheckReport(
-                    check="no_sync",
-                    passed=observed >= floor,
-                    worst_value=observed,
-                    location=None,
-                    params={"floor": floor, "observed_floor": observed},
-                )
-            )
-        elif name == "monotone_V":
-            rep = analysis.check_monotone(diag.v, rise_tol=c.get("rise_tol"), label="V")
-            reports.append(rep)
-        elif name == "monotone_theta":
-            rep = analysis.check_monotone(diag.theta, rise_tol=c.get("rise_tol"), label="theta")
-            reports.append(rep)
-        elif name == "common_limit":
-            reports.append(
-                analysis.check_common_limit(diag, tail_fraction=tf, tol=c.get("tol", 1e-6))
-            )
-        elif name == "node_optimum":
-            reports.append(
-                analysis.check_node_optimum(
-                    diag, sc.potentials, tail_fraction=tf, tol=c.get("tol", 1e-6)
-                )
-            )
-        elif name == "invariant_cube":
-            reports.append(
-                analysis.cube_containment(
-                    traj, sc.potentials, eta=c.get("eta", 0.5), slack=c.get("slack", 1e-8)
-                )
-            )
-        elif name == "drift_alignment":
-            samples = traj.blocks().reshape(-1, sc.dim)
-            if samples.shape[0] > 512:
-                stride = samples.shape[0] // 512 + 1
-                samples = samples[::stride]
-            reports.append(check_drift_alignment(sc.potentials, samples, tol=c.get("tol", 1e-10)))
-        elif name == "feasibility":
-            reports.append(analysis.check_feasibility(sc.potentials))
-        elif name == "spectral_bound":
-            g = sc.signal.graph_at(0.0)
-            p = analysis.minimize_aggregate(
-                sc.potentials, g, sc.primary_K, sc.x0, tol=c.get("grad_tol", 1e-10)
-            )
-            reports.append(
-                analysis.check_spectral_bound(
-                    p, sc.potentials, g, sc.primary_K, tol=c.get("tol", 1e-8)
-                )
-            )
-        elif name == "ujsc":
-            T = c["T"]
-            cert = certify_ujsc(sc.signal, T, horizon=sc.signal.period + T)
-            reports.append(
-                CheckReport(
-                    check="ujsc",
-                    passed=cert.ok,
-                    worst_value=None,
-                    location=None if cert.window is None else list(cert.window),
-                    params={"T": T, "detail": cert.detail},
-                )
-            )
-    return reports
 
 
 def _fmt(v: float) -> str:
@@ -477,41 +453,36 @@ def _execute(sc: Scenario):
     )
     z_star = "auto" if common_zero_set(sc.potentials) is not None else None
     diag = analysis.diagnostics(traj, sc.potentials, z_star=z_star)
-    reports = _run_checks(sc, traj, diag)
+    reports = [CHECKS[name].run(sc, traj, diag, params) for name, params in sc.checks]
     sweep = None
     if sc.K_list is not None:
-        sweep = analysis.sweep_K(
-            sc.potentials,
-            sc.signal,
-            sc.x0,
-            sc.K_list,
-            epsilon=sc.epsilon,
-            dt=sc.dt,
-            t_end=sc.t_end,
-            sample_every=sc.sample_every,
-            tail_fraction=sc.tail_fraction,
-        )
-        reports.append(
-            CheckReport(
-                check="sweep_K",
-                passed=sweep.passed,
-                worst_value=None,
-                location=None,
-                params=sweep.as_dict(),
-            )
-        )
+        sweep = _sweep(sc, sc.K_list)
+        reports.append(sweep.report())
     return traj, diag, reports, sweep
+
+
+def _sweep(sc: Scenario, K_list) -> analysis.SweepResult:
+    return analysis.sweep_K(
+        sc.potentials,
+        sc.signal,
+        sc.x0,
+        K_list,
+        epsilon=sc.epsilon,
+        dt=sc.dt,
+        t_end=sc.t_end,
+        sample_every=sc.sample_every,
+        tail_fraction=sc.tail_fraction,
+        divergence_guard=sc.divergence_guard,
+    )
 
 
 def _report_json(sc: Scenario, reports, error=None) -> str:
     payload = {
         "scenario": sc.name,
-        "pass": bool(reports) and all(r.passed for r in reports) if error is None else False,
+        "pass": error is None and all(r.passed for r in reports),
         "error": jsonable(error),
         "checks": [r.as_dict() for r in reports],
     }
-    if not reports and error is None:
-        payload["pass"] = True
     return json.dumps(payload, indent=2)
 
 
@@ -557,17 +528,7 @@ def sweep_command(scenario: Scenario, k_arg: str | None, out_dir) -> int:
         k_list = scenario.K_list
     else:
         raise InputError("sweep needs --k or a scenario K_list")
-    sweep = analysis.sweep_K(
-        scenario.potentials,
-        scenario.signal,
-        scenario.x0,
-        k_list,
-        epsilon=scenario.epsilon,
-        dt=scenario.dt,
-        t_end=scenario.t_end,
-        sample_every=scenario.sample_every,
-        tail_fraction=scenario.tail_fraction,
-    )
+    sweep = _sweep(scenario, k_list)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(out / "sweep.csv", sweep)

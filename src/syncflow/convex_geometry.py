@@ -118,7 +118,10 @@ class Point(ConvexBody):
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _frozen(_vector(self.p, what="p")))
+        p = _vector(self.p, what="p")
+        if not np.all(np.isfinite(p)):
+            raise InputError(f"point must be finite, got {p.tolist()}")
+        object.__setattr__(self, "p", _frozen(p))
 
     @property
     def dimension(self) -> int:
@@ -505,24 +508,21 @@ def check_distance_comparison(body: ConvexBody, pairs, tol: float = 1e-10) -> Ch
     first point is strictly farther from the body than the second.
     """
     pairs = list(pairs)
-    worst = -np.inf
-    where = None
-    n_ii = 0
-    for idx, (xa, xb) in enumerate(pairs):
-        xa = _vector(xa, body.dimension, "x_a")
-        xb = _vector(xb, body.dimension, "x_b")
-        pa = body.project(xa)
-        da = float(np.linalg.norm(xa - pa))
-        db = body.distance(xb)
-        lhs = float(np.dot(xa - pa, xb - xa))
-        viol_i = lhs - da * abs(da - db)
-        if viol_i > worst:
-            worst, where = viol_i, {"pair": idx, "part": "i"}
-        if da > db:
-            n_ii += 1
-            viol_ii = lhs + da * (da - db)
-            if viol_ii > worst:
-                worst, where = viol_ii, {"pair": idx, "part": "ii"}
+    m = body.dimension
+    xa = np.array([_vector(a, m, "x_a") for a, _ in pairs]).reshape(-1, m)
+    xb = np.array([_vector(b, m, "x_b") for _, b in pairs]).reshape(-1, m)
+    gap_a, gap_b = xa - body.project(xa), xb - body.project(xb)
+    da, db = np.sqrt(row_dot(gap_a, gap_a)), np.sqrt(row_dot(gap_b, gap_b))
+    lhs = row_dot(gap_a, xb - xa)
+    farther = da > db
+    # (pair, part) rows in pair order, so the first maximum is the first violation
+    viol_ii = np.where(farther, lhs + da * (da - db), -np.inf)
+    viol = np.stack([lhs - da * np.abs(da - db), viol_ii], axis=1)
+    worst, where = -np.inf, None
+    if pairs:
+        k = int(np.argmax(viol))
+        worst, where = float(viol.flat[k]), {"pair": k // 2, "part": ("i", "ii")[k % 2]}
+    n_ii = int(farther.sum())
     return CheckReport(
         check="distance_comparison",
         passed=worst <= tol,

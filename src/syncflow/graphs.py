@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, PreconditionError
+from .report import CheckReport
 
 __all__ = [
     "WeightedDigraph",
@@ -31,6 +32,7 @@ __all__ = [
     "is_strongly_connected",
     "joint_graph",
     "certify_ujsc",
+    "check_ujsc",
     "lambda2",
 ]
 
@@ -359,6 +361,17 @@ def certify_ujsc(signal: SwitchingSignal, T: float, horizon: float) -> UJSCCerti
                 f"joint graph over [{t:.6g}, {t + T:.6g}) is not strongly connected",
             )
     return UJSCCertificate(True, None, f"checked {len(starts)} window starts over one period")
+
+
+def check_ujsc(signal: SwitchingSignal, T: float) -> CheckReport:
+    """Report form of ``certify_ujsc`` over one period plus T; a failing window is the location."""
+    cert = certify_ujsc(signal, T, horizon=signal.period + T)
+    return CheckReport(
+        check="ujsc",
+        passed=cert.ok,
+        location=None if cert.window is None else list(cert.window),
+        params={"T": T, "detail": cert.detail},
+    )
 
 
 # -- spectra -----------------------------------------------------------------

@@ -80,17 +80,21 @@ class Potential:
         return v
 
 
+def _center(value, kind: str) -> np.ndarray:
+    c = np.atleast_1d(np.asarray(value, dtype=float))
+    if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+        raise InputError(f"{kind} center must be a nonempty finite vector")
+    c.setflags(write=False)
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class Quadratic(Potential):
     center: np.ndarray
     weight: float = 1.0
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise InputError("quadratic center must be a finite vector")
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _center(self.center, "quadratic"))
         object.__setattr__(self, "weight", float(self.weight))
         if not (self.weight > 0 and np.isfinite(self.weight)):
             raise InputError(f"quadratic weight must be positive, got {self.weight}")
@@ -115,11 +119,7 @@ class QuarticWell(Potential):
     center: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise InputError("quartic center must be a finite vector")
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _center(self.center, "quartic"))
 
     @property
     def dimension(self) -> int:

@@ -34,7 +34,7 @@ from syncflow import (
     sweep_K,
     sync_verdict,
 )
-from syncflow.analysis import cube_containment, diameter_series
+from syncflow.analysis import check_no_sync, check_sync, cube_containment, diameter_series
 from syncflow.simulator import NetworkState
 from syncflow.convex_geometry import zero_set_hull
 from util import hull_projection_oracle, path_graph, ring_graph, undirected
@@ -118,6 +118,30 @@ def test_sync_verdict_fields():
     given = sync_verdict(traj, tol=1e-6, diameter=diameter_series(traj))
     assert given.epsilon_estimate == v.epsilon_estimate
     np.testing.assert_array_equal(given.limit_point, v.limit_point)
+
+
+def test_sync_and_no_sync_reports():
+    def run(pots):
+        return integrate(pots, fixed_signal(two_node()), 1.0, [3.0, -1.0], 0.02, 30.0, 0.5)
+
+    same = [Quadratic(center=[1.0]), Quadratic(center=[1.0], weight=0.5)]
+    traj = run(same)
+    v = sync_verdict(traj, tol=1e-6)
+    rep = check_sync(traj, tol=1e-6)
+    assert (rep.check, rep.passed, rep.worst_value) == ("sync", True, v.epsilon_estimate)
+    assert rep.params == {"tol": 1e-6, "limit_point": v.limit_point.tolist()}
+    # two-node disagreement law: unit weights, centers 0 and 1, K = 1 settle 1/3 apart
+    apart = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
+    traj = run(apart)
+    diag = diagnostics(traj, apart, z_star=None)
+    rep = check_sync(traj, tol=1e-6, diameter=diag.diameter)
+    assert not rep.passed and rep.params["limit_point"] is None
+    rep = check_no_sync(diag, floor=0.3)
+    assert (rep.check, rep.passed) == ("no_sync", True)
+    assert rep.worst_value == rep.params["observed_floor"] == pytest.approx(1 / 3, abs=1e-6)
+    assert not check_no_sync(diag, floor=0.34).passed
+    # the observed floor is the minimum over the tail window, here the whole run
+    assert check_no_sync(diag, tail_fraction=1.0).worst_value == diag.diameter.min() < 0.3
 
 
 def test_diagnostics_theta_is_max_squared_oracle_distance():

@@ -116,8 +116,10 @@ PRECONDITIONS = {
                         "check 'spectral_bound' requires K > 0"),
     "cube_planar": (PLANAR, {"name": "invariant_cube"},
                     "check 'invariant_cube' requires one-dimensional node states"),
-    "common_limit_apart": (APART, {"name": "common_limit"},
-                           "checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets"),
+    "common_limit_apart": (
+        APART, {"name": "common_limit"},
+        "checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets",
+    ),
     "ujsc_without_T": ({}, {"name": "ujsc"}, "check 'ujsc' needs a window length 'T'"),
 }
 
@@ -131,6 +133,33 @@ def test_check_precondition_fails_at_load(tmp_path, capsys, case):
     assert str(err.value) == message
     assert main(["verify", str(p)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+UNUSED_PARAMETERS = {
+    "sync_tolerance": ({"name": "sync", "tolerance": 10},
+                       "check 'sync' has no parameter 'tolerance'; it accepts: tol, tail_fraction"),
+    "feasibility_eta": ({"name": "feasibility", "eta": 3},
+                        "check 'feasibility' has no parameter 'eta'; it accepts: none"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSED_PARAMETERS.values(), ids=UNUSED_PARAMETERS.keys())
+def test_unknown_check_parameter_fails_at_load(tmp_path, capsys, case):
+    check, message = case
+    p, out = write(tmp_path, dict(BASE, checks=[check])), tmp_path / "out"
+    assert main(["simulate", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def test_check_parameters_default_from_the_table_and_the_scenario(tmp_path):
+    checks = [{"name": "node_optimum"}, {"name": "common_limit", "tail_fraction": 0.25, "tol": 1e-3}]
+    out = tmp_path / "out"
+    run(load_scenario(write(tmp_path, dict(BASE, tail_fraction=0.5, checks=checks))), out)
+    reports = json.loads((out / "report.json").read_text())["checks"]
+    assert [(r["params"]["tol"], r["params"]["tail_fraction"]) for r in reports] == [
+        (1e-6, 0.5), (1e-3, 0.25)
+    ]
 
 
 def test_K_and_K_list_mutually_exclusive(tmp_path):
@@ -396,6 +425,24 @@ def test_sweep_command_writes_csv(tmp_path):
     got = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
     for k, eps in got:
         assert eps == pytest.approx(1.0 / (1.0 + 2.0 * k), abs=1e-4)
+
+
+def test_sweep_lane_obeys_the_divergence_guard(tmp_path, capsys):
+    # node 1 settles near 8.57 at K=0.5 and near 6.88 at K=10, so a guard of
+    # 8 stops the first lane only; the default guard stops neither
+    obj = {k: v for k, v in BASE.items() if k != "K"}
+    obj.update(
+        nodes=[{"kind": "quadratic", "center": [0.0]},
+               {"kind": "quadratic", "center": [10.0], "weight": 2.0}],
+        K_list=[0.5, 10.0], epsilon=1.0, x0=[0.0, 0.0], checks=[], divergence_guard=8.0,
+    )
+    out = tmp_path / "sw"
+    assert main(["sweep", str(write(tmp_path, obj)), "--out", str(out)]) == 1
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "0.5,nan" and lines[2].startswith("10,")
+    assert "K=0.5: error: finite-escape suspected" in capsys.readouterr().out
+    obj["divergence_guard"] = 1e8
+    assert main(["sweep", str(write(tmp_path, obj)), "--out", str(out)]) == 0
 
 
 def test_simulate_with_k_list_writes_sweep_too(tmp_path):

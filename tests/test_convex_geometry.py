@@ -175,6 +175,54 @@ def test_check_distance_comparison_randomized_hull():
     assert rep.params["pairs"] == 1000
 
 
+def distance_comparison_reference(body, pairs):
+    """(worst, location, part-(ii) count) by the pair-by-pair scan, first maximum kept."""
+    worst, where, n_ii = -np.inf, None, 0
+    for idx, (xa, xb) in enumerate(pairs):
+        xa, xb = np.atleast_1d(np.asarray(xa, float)), np.atleast_1d(np.asarray(xb, float))
+        pa = body.project(xa)
+        da = float(np.linalg.norm(xa - pa))
+        db = body.distance(xb)
+        lhs = float(np.dot(xa - pa, xb - xa))
+        if lhs - da * abs(da - db) > worst:
+            worst, where = lhs - da * abs(da - db), {"pair": idx, "part": "i"}
+        if da > db:
+            n_ii += 1
+            if lhs + da * (da - db) > worst:
+                worst, where = lhs + da * (da - db), {"pair": idx, "part": "ii"}
+    return worst, where, n_ii
+
+
+@pytest.mark.parametrize(
+    "kind,m",
+    [(kind, m) for kind in ("point", "interval", "box", "hull") for m in (1, 2, 3)
+     if kind != "interval" or m == 1],
+)
+def test_distance_comparison_matches_the_pair_loop(kind, m):
+    rng = np.random.default_rng(100 * m + len(kind))
+    for _ in range(20):
+        body = random_bodies(rng, kind, m)
+        # members, points outside, and a few pairs that repeat a point
+        pairs = [(rng.uniform(-12, 12, m), rng.uniform(-12, 12, m)) for _ in range(40)]
+        pairs += [(random_member(rng, body), rng.uniform(-12, 12, m)), (pairs[0][1], pairs[0][1])]
+        rep = check_distance_comparison(body, pairs)
+        worst, where, n_ii = distance_comparison_reference(body, pairs)
+        assert (rep.worst_value, rep.location, rep.params["pairs_part_ii"]) == (worst, where, n_ii)
+        assert rep.passed == (worst <= 1e-10)
+
+
+def test_distance_comparison_of_no_pairs_passes_vacuously():
+    rep = check_distance_comparison(Hull([[0.0, 0.0], [1.0, 0.0]]), [])
+    assert rep.passed and rep.worst_value == -np.inf and rep.location is None
+
+
+def test_non_finite_point_is_an_input_error():
+    with pytest.raises(InputError, match="point must be finite"):
+        Point([np.nan])
+    with pytest.raises(InputError, match="point must be finite"):
+        Point([0.0, np.inf])
+
+
 def test_intersect():
     assert intersect([Interval1D(0, 1), Interval1D(2, 5)]) is None
     got = intersect([Interval1D(0, 2), Interval1D(1, 5)])

@@ -17,6 +17,7 @@ from syncflow import (
     joint_graph,
     lambda2,
 )
+from syncflow import graphs
 from util import complete_graph, path_graph, ring_graph, undirected
 
 
@@ -175,6 +176,16 @@ def test_certify_ujsc_isolated_node_fails():
     sig = SwitchingSignal({"a": ga, "b": gb}, PeriodicSchedule((("a", 1.0), ("b", 1.0))), 1.0)
     cert = certify_ujsc(sig, 2.0, horizon=4.0)
     assert not cert.ok and cert.window is not None
+
+
+def test_check_ujsc_reports_the_certificate_over_one_period_plus_T():
+    sig = alternating_chains(seg=1.0)
+    ok = graphs.check_ujsc(sig, 2.0)
+    assert (ok.check, ok.passed, ok.location) == ("ujsc", True, None)
+    assert ok.params == {"T": 2.0, "detail": certify_ujsc(sig, 2.0, horizon=4.0).detail}
+    bad = graphs.check_ujsc(sig, 0.5)
+    assert not bad.passed
+    assert bad.location == list(certify_ujsc(sig, 0.5, horizon=2.5).window)
 
 
 def test_certify_ujsc_horizon_precondition():

@@ -239,6 +239,12 @@ def test_serialization_roundtrip():
             assert clone.gradient([x])[0] == spec.gradient([x])[0]
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "quartic"])
+def test_empty_center_is_rejected_naming_the_center(kind):
+    with pytest.raises(InputError, match=f"{kind} center must be a nonempty finite vector"):
+        potential_from_dict({"kind": kind, "center": []})
+
+
 def test_from_dict_errors():
     with pytest.raises(InputError):
         potential_from_dict({"kind": "pentagon"})
