@@ -63,12 +63,10 @@ from .potentials import (
 )
 from .report import CheckReport
 from .simulator import (
-    NetworkState,
     Trajectory,
     equilibrium_oracle_quadratic,
     fixed_signal,
     integrate,
-    rhs,
 )
 
 __version__ = "0.1.0"

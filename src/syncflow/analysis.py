@@ -88,6 +88,24 @@ def validate_tail_fraction(tail_fraction) -> float:
     return tf
 
 
+def validate_rise_tol(rise_tol):
+    """Raises InputError unless the monotonicity slack ``rise_tol`` is nonnegative."""
+    if not rise_tol >= 0:
+        raise InputError(f"rise_tol must be nonnegative, got {rise_tol}")
+
+
+def validate_eta(eta):
+    """Raises InputError unless the invariant-cube margin ``eta`` is positive."""
+    if not eta > 0:
+        raise InputError(f"eta must be positive, got {eta}")
+
+
+def validate_grad_tol(grad_tol):
+    """Raises InputError unless a gradient-norm tolerance is positive."""
+    if not grad_tol > 0:
+        raise InputError(f"grad_tol must be positive, got {grad_tol}")
+
+
 def _tail_indices(times: np.ndarray, tail_fraction: float) -> np.ndarray:
     validate_tail_fraction(tail_fraction)
     horizon = times[-1]
@@ -97,7 +115,7 @@ def _tail_indices(times: np.ndarray, tail_fraction: float) -> np.ndarray:
 
 def diameter_series(traj: Trajectory) -> np.ndarray:
     """max_{i,j} |x_i - x_j| per sample."""
-    X = traj.blocks()
+    X = traj.states
     diam = np.zeros(len(traj))
     for i in range(traj.node_count - 1):
         d = np.linalg.norm(X[:, i + 1 :, :] - X[:, i : i + 1, :], axis=2).max(axis=1)
@@ -112,15 +130,15 @@ def diagnostics(traj: Trajectory, potentials, z_star="auto") -> DiagnosticsSerie
     centroid of the intersection of zero sets (an error if that intersection
     is empty), or ``None`` to skip the V series.
     """
-    X = traj.blocks()
+    X = traj.states
     diam = diameter_series(traj)
 
     # every node at every sample in one projection: (samples, N) distances
-    theta = (cg.zero_set_hull(potentials).distance_many(X) ** 2).max(axis=1)
+    theta = (cg.zero_set_hull(potentials).distance(X) ** 2).max(axis=1)
 
     argmin_dist = np.empty((len(traj), traj.node_count))
     for i, p in enumerate(potentials):
-        argmin_dist[:, i] = p.zero_set().distance_many(X[:, i, :])
+        argmin_dist[:, i] = p.zero_set().distance(X[:, i, :])
 
     v_nodes = v = z = None
     if z_star is not None:
@@ -165,7 +183,7 @@ def sync_verdict(
     tail = _tail_indices(traj.times, tail_fraction)
     eps = float(diam[tail].max())
     exact = eps < tol
-    limit = traj.blocks()[-1].mean(axis=0) if exact else None
+    limit = traj.states[-1].mean(axis=0) if exact else None
     return SyncVerdict(exact_sync=exact, epsilon_estimate=eps, limit_point=limit)
 
 
@@ -210,8 +228,7 @@ def check_monotone(series, rise_tol: float | None = None, label: str = "series")
         raise InputError("monotonicity check needs a 1-D series with >= 2 samples")
     if rise_tol is None:
         rise_tol = 1e-8 * max(1.0, float(s[0]))
-    if rise_tol < 0:
-        raise InputError("rise_tol must be nonnegative")
+    validate_rise_tol(rise_tol)
     rises = np.diff(s)
     k = int(np.argmax(rises))
     worst = float(rises[k])
@@ -292,13 +309,14 @@ def _require_symmetric(g: WeightedDigraph, op: str):
 
 
 def aggregate_potential(potentials, g: WeightedDigraph, K: float, x) -> float:
-    """sum_i F_i(x_i) + (K/2) sum_{edges} a_ij |x_j - x_i|^2 (undirected g)."""
+    """sum_i F_i(x_i) + (K/2) sum_{edges} a_ij |x_j - x_i|^2 (undirected g), x as (N, m) blocks."""
     _require_symmetric(g, "aggregate_potential")
-    return _aggregate(compile_network(potentials, g.node_count), g.laplacian_matrix, K, x)
-
-
-def _aggregate(net: NetworkPotential, lap: np.ndarray, K: float, x) -> float:
+    net = compile_network(potentials, g.node_count)
     X = np.asarray(x, dtype=float).reshape(net.node_count, net.dimension)
+    return _aggregate(net, g.laplacian_matrix, K, X)
+
+
+def _aggregate(net: NetworkPotential, lap: np.ndarray, K: float, X: np.ndarray) -> float:
     val = sum(net.value(X))  # one node after another; np.sum would add pairwise
     # for symmetric weights, x'(L kron I)x equals the unordered-edge sum
     val += 0.5 * K * float(np.sum(X * (lap @ X)))
@@ -313,7 +331,7 @@ def minimize_aggregate(
     tol: float = 1e-8,
     max_iter: int = 200000,
 ) -> np.ndarray:
-    """Minimize the aggregate potential by gradient descent with backtracking.
+    """Minimize the aggregate potential by backtracking gradient descent; returns (N, m) blocks.
 
     The descent direction is the coupled vector field itself (its negation is
     exactly the gradient of the aggregate potential on an undirected graph),
@@ -329,6 +347,7 @@ def minimize_aggregate(
     _require_symmetric(g, "minimize_aggregate")
     if K < 0:
         raise InputError(f"K must be nonnegative, got {K}")
+    validate_grad_tol(tol)
     net = compile_network(potentials, g.node_count)
     lap = g.laplacian_matrix
 
@@ -338,7 +357,7 @@ def minimize_aggregate(
             raise InputError("state entries must be finite")
         return -network_field(net, lap, K, y)
 
-    x = np.asarray(x_init, dtype=float).ravel().copy()
+    x = np.array(x_init, dtype=float).reshape(net.node_count, net.dimension)
     fval = _aggregate(net, lap, K, x)
     noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(fval))
     step = 1.0
@@ -433,7 +452,7 @@ def check_spectral_bound(
     net = compile_network(potentials, g.node_count)
     lap = g.laplacian_matrix
     P = np.asarray(p, dtype=float).reshape(g.node_count, net.dimension)
-    grad = -network_field(net, lap, K, P.ravel())
+    grad = -network_field(net, lap, K, P)
     gnorm = float(np.linalg.norm(grad))
     if gnorm > grad_tol:
         raise PreconditionError(
@@ -441,7 +460,7 @@ def check_spectral_bound(
         )
     p_ave = P.mean(axis=0)
     lhs = float(np.sum((P - p_ave) ** 2))
-    l0 = float(np.linalg.norm(network_field(net, lap, 0.0, P.ravel())))
+    l0 = float(np.linalg.norm(network_field(net, lap, 0.0, P)))
     lam2 = lambda2(g)
     bound = (l0 / (K * lam2)) ** 2
     return CheckReport(
@@ -490,7 +509,7 @@ def check_sync_iff(
         entry: dict = {"run": ridx}
         if body is not None:
             tail_sup = float(diam[tail].max())
-            final_dev = float(body.distance_many(traj.blocks()[-1]).max())
+            final_dev = float(body.distance(traj.states[-1]).max())
             ok = tail_sup <= tol and final_dev <= tol
             entry.update({"tail_diameter": tail_sup, "final_deviation": final_dev, "pass": ok})
             worst = max(worst, tail_sup, final_dev)
@@ -632,8 +651,7 @@ def cube_containment(
     """
     if traj.dim != 1:
         raise InputError("invariant cube applies to one-dimensional node states only")
-    if eta <= 0:
-        raise InputError(f"eta must be positive, got {eta}")
+    validate_eta(eta)
     reps = [float(p.zero_set().center()[0]) for p in potentials]
     lo = min(reps) - eta
     hi = max(reps) + eta
@@ -651,7 +669,7 @@ def cube_containment(
             },
         )
     overflow = np.maximum(traj.states - hi, lo - traj.states)
-    k = int(np.argmax(overflow.max(axis=1)))
+    k = int(np.argmax(overflow.max(axis=(1, 2))))
     worst = float(overflow.max())
     return CheckReport(
         check="invariant_cube",

@@ -42,8 +42,7 @@ class Scenario:
     name: str
     potentials: list
     signal: SwitchingSignal
-    weight_bounds: tuple
-    x0: np.ndarray
+    x0: np.ndarray  # (N, m) node blocks
     dt: float
     t_end: float
     sample_every: float
@@ -212,7 +211,7 @@ def load_scenario(path) -> Scenario:
     validate_dt(signal, dt)
     validate_event_count(signal, t_end, sample_every)
 
-    x0 = _parse_x0(raw, n * m)
+    x0 = _parse_x0(raw, n, m)
 
     tail_fraction = analysis.validate_tail_fraction(
         _number(raw.get("tail_fraction", analysis.DEFAULT_TAIL_FRACTION), "tail_fraction")
@@ -226,7 +225,6 @@ def load_scenario(path) -> Scenario:
         name=str(raw.get("name", p.stem)),
         potentials=potentials,
         signal=signal,
-        weight_bounds=(a_lo, a_hi),
         x0=x0,
         dt=dt,
         t_end=t_end,
@@ -245,20 +243,19 @@ def load_scenario(path) -> Scenario:
     return scenario
 
 
-def _parse_x0(raw: dict, length: int) -> np.ndarray:
+def _parse_x0(raw: dict, n: int, m: int) -> np.ndarray:
     spec = _require(raw, "x0", "scenario")
     lo, hi = _numbers(raw.get("x0_range", [-5.0, 5.0]), "x0_range", 2)
     if isinstance(spec, list):
-        return np.asarray(_numbers(spec, "x0", length))
+        return np.reshape(_numbers(spec, "x0", n * m), (n, m))
     if spec == "grid":
-        return np.linspace(lo, hi, length)
+        return np.linspace(lo, hi, n * m).reshape(n, m)
     if isinstance(spec, str) and spec.startswith("random:"):
-        try:
-            seed = int(spec.split(":", 1)[1])
+        try:  # int() refuses a non-integer seed, default_rng a negative one
+            rng = np.random.default_rng(int(spec.split(":", 1)[1]))
         except ValueError:
-            _fail(f"x0 generator {spec!r} needs an integer seed, e.g. 'random:42'")
-        rng = np.random.default_rng(seed)
-        return rng.uniform(lo, hi, size=length)
+            _fail(f"x0 generator {spec!r} needs a nonnegative integer seed, e.g. 'random:42'")
+        return rng.uniform(lo, hi, size=(n, m))
     _fail(f"x0 must be a list of numbers, 'grid', or 'random:<seed>', got {spec!r}")
 
 
@@ -316,7 +313,7 @@ def _spectral_bound(sc: Scenario, traj, diag, p):
 
 
 def _drift_alignment(sc: Scenario, traj, diag, p):
-    samples = traj.blocks().reshape(-1, sc.dim)
+    samples = traj.states.reshape(-1, sc.dim)
     if samples.shape[0] > 512:
         samples = samples[:: samples.shape[0] // 512 + 1]
     return check_drift_alignment(sc.potentials, samples, **p)
@@ -366,6 +363,16 @@ CHECKS = {
 }
 
 
+# the library's owner of each parameter's range, run at load on a value the check sets
+RANGES = {
+    "tail_fraction": analysis.validate_tail_fraction,
+    "rise_tol": analysis.validate_rise_tol,
+    "eta": analysis.validate_eta,
+    "grad_tol": analysis.validate_grad_tol,
+    "T": graphs.validate_window,
+}
+
+
 def _load_check(c, tail_fraction: float) -> tuple[str, dict]:
     """A check object as ``(name, params)``, every parameter read or defaulted."""
     if not isinstance(c, dict) or "name" not in c:
@@ -382,41 +389,28 @@ def _load_check(c, tail_fraction: float) -> tuple[str, dict]:
     for key, default in spec.items():
         if key in c:
             params[key] = _number(c[key], f"{name}.{key}")
+            if key in RANGES:
+                RANGES[key](params[key])
         elif isinstance(default, Required):
             _fail(f"check {name!r} needs {default.what} {key!r}")
         else:
             params[key] = tail_fraction if default is TAIL else default
-    if "tail_fraction" in c:
-        analysis.validate_tail_fraction(params["tail_fraction"])
     return name, params
 
 
 # -- execution ----------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _write_trajectory_csv(path: Path, sc: Scenario, traj, diag):
-    cols = ["t"]
-    for i in range(sc.node_count):
-        for k in range(sc.dim):
-            cols.append(f"x_{i}_{k}")
-    cols.append("diameter")
-    if diag.v is not None:
-        cols.append("V")
-    cols.append("theta")
-    lines = [",".join(cols)]
-    for idx in range(len(traj)):
-        row = [_fmt(traj.times[idx])]
-        row += [_fmt(v) for v in traj.states[idx]]
-        row.append(_fmt(diag.diameter[idx]))
-        if diag.v is not None:
-            row.append(_fmt(diag.v[idx]))
-        row.append(_fmt(diag.theta[idx]))
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    series = {"diameter": diag.diameter, "V": diag.v, "theta": diag.theta}
+    series = {name: v for name, v in series.items() if v is not None}
+    cols = ["t"] + [f"x_{i}_{k}" for i in range(sc.node_count) for k in range(sc.dim)]
+    cols += list(series)
+    table = np.column_stack([traj.times, traj.states.reshape(len(traj), -1), *series.values()])
+    row = ",".join(["%.17g"] * len(cols)) + "\n"  # 17 digits round-trip; one format call per row
+    with path.open("w") as f:  # row by row: neither the text nor the floats are held whole
+        f.write(",".join(cols) + "\n")
+        f.writelines(row % tuple(r.tolist()) for r in table)
 
 
 def _write_plot_script(path: Path, sc: Scenario, csv_name: str = "trajectory.csv"):
@@ -432,10 +426,8 @@ def _write_plot_script(path: Path, sc: Scenario, csv_name: str = "trajectory.csv
 
 
 def _write_sweep_csv(path: Path, sweep: analysis.SweepResult):
-    lines = ["K,epsilon_estimate"]
-    for k, eps, err in sweep.rows:
-        lines.append(f"{_fmt(k)},{_fmt(eps) if err is None else 'nan'}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = ["%.17g,%.17g" % (k, eps if err is None else math.nan) for k, eps, err in sweep.rows]
+    path.write_text("\n".join(["K,epsilon_estimate", *rows]) + "\n")
 
 
 def _execute(sc: Scenario):

@@ -88,18 +88,10 @@ class ConvexBody:
         """Nearest point of the body to ``x``: one point (m,) or a stack (..., m), same shape."""
         raise NotImplementedError
 
-    def distance(self, x) -> float:
-        """Euclidean distance from the point ``x`` to the body; zero iff ``x`` is a member."""
-        x = _vector(x, self.dimension)
-        return float(np.linalg.norm(x - self.project(x)))
-
-    def distance_many(self, points) -> np.ndarray:
-        """Distances for a stack of points, shape (..., m) -> (...)."""
+    def distance(self, points) -> np.ndarray:
+        """Euclidean distances of one point or a stack to the body, shape (..., m) -> (...)."""
         pts = _points(points, self.dimension, "points")
         return np.linalg.norm(pts - self.project(pts), axis=-1)
-
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        return self.distance(x) <= tol
 
     def center(self) -> np.ndarray:
         """A deterministic interior representative (centroid of the description)."""
@@ -131,7 +123,7 @@ class Point(ConvexBody):
         x = _points(x, self.dimension)
         return np.broadcast_to(self.p, x.shape).copy()
 
-    def distance_many(self, points) -> np.ndarray:
+    def distance(self, points) -> np.ndarray:
         pts = _points(points, self.dimension, "points")
         return np.linalg.norm(pts - self.p, axis=-1)
 
@@ -166,7 +158,7 @@ class Interval1D(ConvexBody):
         x = _points(x, 1)
         return np.clip(x, self.lo, self.hi)
 
-    def distance_many(self, points) -> np.ndarray:
+    def distance(self, points) -> np.ndarray:
         pts = _points(points, 1, "points")[..., 0]
         return np.abs(pts - np.clip(pts, self.lo, self.hi))
 
@@ -205,7 +197,7 @@ class Box(ConvexBody):
         x = _points(x, self.dimension)
         return np.clip(x, self.lo, self.hi)
 
-    def distance_many(self, points) -> np.ndarray:
+    def distance(self, points) -> np.ndarray:
         pts = _points(points, self.dimension, "points")
         return np.linalg.norm(pts - np.clip(pts, self.lo, self.hi), axis=-1)
 

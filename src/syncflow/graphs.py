@@ -92,10 +92,6 @@ class WeightedDigraph:
     def arc_set(self) -> frozenset:
         return frozenset((j, i) for j, i, _ in self.arcs)
 
-    def neighbors(self, i: int) -> list[int]:
-        """Sources j whose state node i receives."""
-        return [j for j, tgt, _ in self.arcs if tgt == i]
-
     def is_symmetric(self) -> bool:
         """True iff arcs come in (j, i) / (i, j) pairs with equal weights."""
         weights = {(j, i): w for j, i, w in self.arcs}
@@ -322,6 +318,12 @@ class UJSCCertificate:
         return self.ok
 
 
+def validate_window(T):
+    """Raises InputError unless the UJSC window length ``T`` is positive."""
+    if not T > 0:
+        raise InputError(f"window length T must be positive, got {T}")
+
+
 def certify_ujsc(signal: SwitchingSignal, T: float, horizon: float) -> UJSCCertificate:
     """Certify that every window [t, t+T) has a strongly connected joint graph.
 
@@ -331,8 +333,7 @@ def certify_ujsc(signal: SwitchingSignal, T: float, horizon: float) -> UJSCCerti
     midpoints between consecutive breakpoints within one period is
     exhaustive.  The first failing window, if any, is reported as a witness.
     """
-    if T <= 0:
-        raise InputError(f"window length T must be positive, got {T}")
+    validate_window(T)
     period = signal.period
     if horizon < period + T - _TIME_TOL:
         raise PreconditionError(

@@ -1,6 +1,7 @@
 """Coupled network integrator for gradient self-dynamics with diffusive coupling.
 
-The stacked state x in R^(m*N) evolves as
+Node i holds x_i in R^m, and the network state is the (N, m) array of node
+blocks; every node evolves as
 
     dx_i/dt = f_i(x_i) + K * sum_{j in N_i(sigma(t))} a_ij (x_j - x_i)
 
@@ -25,10 +26,8 @@ from .graphs import FixedSchedule, SwitchingSignal, WeightedDigraph
 from .potentials import NetworkPotential, Quadratic
 
 __all__ = [
-    "NetworkState",
     "Trajectory",
     "fixed_signal",
-    "rhs",
     "compile_network",
     "network_field",
     "integrate",
@@ -42,63 +41,33 @@ MAX_EVENTS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
-class NetworkState:
-    """Stacked node states at one instant; node i occupies block i."""
-
-    t: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise InputError(f"state must be a flat vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InputError("state entries must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", float(self.t))
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-sampled run: uniform sample grid plus every switching instant."""
 
     times: np.ndarray
-    states: np.ndarray  # (n_samples, m*N)
-    node_count: int
-    dim: int
+    states: np.ndarray  # (n_samples, N, m) node blocks
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         s = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or s.ndim != 2 or s.shape[0] != t.shape[0]:
-            raise InputError("times and states must be aligned 1-D/2-D arrays")
+        if t.ndim != 1 or s.ndim != 3 or s.shape[0] != t.shape[0]:
+            raise InputError(f"times {t.shape} and states {s.shape} must be (S,) and (S, N, m)")
         if np.any(np.diff(t) <= 0):
             raise InputError("sample times must be strictly increasing")
-        if s.shape[1] != self.node_count * self.dim:
-            raise InputError("state width must equal node_count * dim")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
 
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def node_states(self, i: int) -> np.ndarray:
-        """All samples of node i, shape (n_samples, m)."""
-        if not 0 <= i < self.node_count:
-            raise InputError(f"node index {i} out of range")
-        return self.states[:, i * self.dim : (i + 1) * self.dim]
-
-    def blocks(self) -> np.ndarray:
-        """States reshaped to (n_samples, N, m)."""
-        return self.states.reshape(len(self), self.node_count, self.dim)
+    @property
+    def node_count(self) -> int:
+        return self.states.shape[1]
 
     @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def state(self, k: int) -> NetworkState:
-        return NetworkState(float(self.times[k]), self.states[k].copy())
+    def dim(self) -> int:
+        return self.states.shape[2]
 
 
 def fixed_signal(g: WeightedDigraph, dwell_floor: float = 1.0) -> SwitchingSignal:
@@ -123,38 +92,20 @@ def compile_network(potentials, node_count: int) -> NetworkPotential:
     return net
 
 
-def network_field(net: NetworkPotential, lap: np.ndarray, K: float, x: np.ndarray) -> np.ndarray:
-    """The network drift -grad F(X) - K L X on (N, m) blocks of the flat state ``x``."""
-    X = x.reshape(net.node_count, net.dimension)
+def network_field(net: NetworkPotential, lap: np.ndarray, K: float, X: np.ndarray) -> np.ndarray:
+    """The network drift -grad F(X) - K L X on node states X of shape (..., N, m)."""
     dX = -net.gradient(X)
     if K != 0.0:
         dX -= K * (lap @ X)
-    return dX.ravel()
+    return dX
 
 
-def rhs(potentials, signal: SwitchingSignal, K: float, s: NetworkState) -> np.ndarray:
-    """Right-hand side of the coupled dynamics at state ``s``.
-
-    The active graph is resolved right-continuously: at a switch instant the
-    post-switch snapshot applies.
-    """
-    if K < 0:
-        raise InputError(f"coupling gain K must be nonnegative, got {K}")
-    net = compile_network(potentials, signal.node_count)
-    if s.x.shape[0] != net.dimension * net.node_count:
-        raise InputError(
-            f"state length {s.x.shape[0]} != node_count*dim = {net.dimension * net.node_count}"
-        )
-    g = signal.graph_at(s.t)
-    return network_field(net, g.laplacian_matrix, K, s.x)
-
-
-def _rk4_step(net, lap, K, x, h):
-    k1 = network_field(net, lap, K, x)
-    k2 = network_field(net, lap, K, x + (0.5 * h) * k1)
-    k3 = network_field(net, lap, K, x + (0.5 * h) * k2)
-    k4 = network_field(net, lap, K, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(net, lap, K, X, h):
+    k1 = network_field(net, lap, K, X)
+    k2 = network_field(net, lap, K, X + (0.5 * h) * k1)
+    k3 = network_field(net, lap, K, X + (0.5 * h) * k2)
+    k4 = network_field(net, lap, K, X + h * k3)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def default_sample_every(dt: float) -> float:
@@ -203,7 +154,7 @@ def integrate(
     divergence_guard: float = DEFAULT_GUARD,
     scenario_id: str | None = None,
 ) -> Trajectory:
-    """Integrate the network from ``x0`` over [0, t_end].
+    """Integrate the network from ``x0``, any array of N*m numbers, over [0, t_end].
 
     Fixed-step RK4 whose steps never straddle a switching instant: the step
     is shortened to land exactly on each switch time and each sample time,
@@ -217,20 +168,18 @@ def integrate(
         raise InputError("dt, t_end and sample_every must be positive")
     validate_dt(signal, dt)
     net = compile_network(potentials, signal.node_count)
-    m = net.dimension
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    if x.shape[0] != m * signal.node_count:
-        raise InputError(
-            f"x0 length {x.shape[0]} != node_count*dim = {m * signal.node_count}"
-        )
-    if not np.all(np.isfinite(x)):
+    X = np.asarray(x0, dtype=float)
+    if X.size != net.node_count * net.dimension:
+        raise InputError(f"x0 length {X.size} != node_count*dim = {net.node_count * net.dimension}")
+    X = X.reshape(net.node_count, net.dimension)
+    if not np.all(np.isfinite(X)):
         raise InputError("x0 entries must be finite")
-    if np.max(np.abs(x)) > divergence_guard:
-        raise FiniteEscapeError(0.0, float(np.max(np.abs(x))), divergence_guard)
+    if np.max(np.abs(X)) > divergence_guard:
+        raise FiniteEscapeError(0.0, float(np.max(np.abs(X))), divergence_guard)
 
     events = _event_grid(signal, t_end, sample_every)
     times = [0.0]
-    states = [x.copy()]
+    states = [X]  # RK4 steps build new arrays, so recorded states need no copies
     t_prev = events[0][0]
     # overflow on the way out is reported by the divergence guard, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -244,19 +193,17 @@ def integrate(
             nsteps = max(1, math.ceil(span / dt - 1e-9))
             h = span / nsteps
             for k in range(nsteps):
-                x = _rk4_step(net, lap, K, x, h)
-                sup = float(np.max(np.abs(x))) if np.all(np.isfinite(x)) else math.inf
+                X = _rk4_step(net, lap, K, X, h)
+                sup = float(np.max(np.abs(X))) if np.all(np.isfinite(X)) else math.inf
                 if sup > divergence_guard:
                     raise FiniteEscapeError(t_prev + (k + 1) * h, sup, divergence_guard)
             t_prev = t_next
             if record:
                 times.append(t_next)
-                states.append(x.copy())
+                states.append(X)
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
-        node_count=signal.node_count,
-        dim=m,
         meta={
             "K": float(K),
             "dt": float(dt),
@@ -268,7 +215,7 @@ def integrate(
 
 
 def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np.ndarray:
-    """Unique equilibrium of the all-quadratic network on a fixed graph.
+    """Unique equilibrium of the all-quadratic network on a fixed graph, as (N, m) blocks.
 
     Solves (W + K (P kron I_m)) x = W m_stack with W = diag(w_i kron I_m);
     this linear system is independent of the integrator and serves as an
@@ -281,6 +228,6 @@ def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np
     lap = np.kron(np.array(g.laplacian_matrix), eye)
     b = np.concatenate([p.weight * p.center for p in potentials])
     try:
-        return np.linalg.solve(w_diag + K * lap, b)
+        return np.linalg.solve(w_diag + K * lap, b).reshape(g.node_count, -1)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"equilibrium system is singular: {e}") from None

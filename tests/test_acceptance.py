@@ -31,10 +31,9 @@ from syncflow import (
     fixed_signal,
     integrate,
     minimize_aggregate,
-    rhs,
 )
 from syncflow.analysis import diameter_series
-from syncflow.simulator import NetworkState
+from syncflow.simulator import compile_network, network_field
 from util import complete_graph, five_topologies, path_graph, ring_graph
 
 
@@ -91,7 +90,7 @@ def test_criterion_2_sync_iff():
         x0 = rng.uniform(-2.0, 3.0, 5)
         traj = integrate(common, fixed_signal(g), 1.0, x0, dt=0.02, t_end=50.0, sample_every=0.5)
         diam_end = diameter_series(traj)[-1]
-        final_dev = np.abs(traj.final_state - c).max()
+        final_dev = np.abs(traj.states[-1] - c).max()
         ok &= diam_end < 1e-6 and final_dev < 1e-5
         details.append(f"{name}: diam {diam_end:.1e}")
 
@@ -231,7 +230,7 @@ def test_criterion_6_point_convergence_flat_bottoms():
     sig = _alternating_chains(3, seg=0.5)
     assert certify_ujsc(sig, T=sig.period, horizon=2 * sig.period).ok
     traj = integrate(pots, sig, 1.0, [-2.0, 3.0, 0.15], dt=0.1, t_end=100.0, sample_every=0.5)
-    X = traj.blocks()[:, :, 0]
+    X = traj.states[:, :, 0]
     tail = traj.times >= 80.0
     osc = float((X[tail].max(axis=0) - X[tail].min(axis=0)).max())
     limit = float(X[-1].mean())
@@ -255,7 +254,7 @@ def test_criterion_7_minimizer_structure_and_gradient_identity():
     ok = True
     spread_worst = 0.0
     for g in (ring_graph(4), path_graph(4)):
-        p = minimize_aggregate(pots, g, 1.0, [1.5, -2.0, 0.25, 3.0], tol=1e-10)
+        p = minimize_aggregate(pots, g, 1.0, [1.5, -2.0, 0.25, 3.0], tol=1e-10)[:, 0]
         spread = p.max() - p.min()
         dev = max(abs(v - c) for v in p)
         spread_worst = max(spread_worst, spread, dev)
@@ -264,11 +263,12 @@ def test_criterion_7_minimizer_structure_and_gradient_identity():
     potsf = [FlatBottom1D(0.0, 0.6), FlatBottom1D(0.4, 1.0), FlatBottom1D(0.2, 0.8)]
     pf = minimize_aggregate(potsf, ring_graph(3), 1.0, [-2.0, 3.0, 0.1], tol=1e-10)
     iv = Interval1D(0.4, 0.6)
-    ok &= (pf.max() - pf.min()) < 1e-4 and max(iv.distance([v]) for v in pf) < 1e-4
+    ok &= (pf.max() - pf.min()) < 1e-4 and iv.distance(pf).max() < 1e-4
 
     # gradient of the aggregate potential == negated vector field, to 1e-12
     rng = np.random.default_rng(11)
     g = ring_graph(4)
+    net = compile_network(pots, 4)
     pairs = [(i, (i + 1) % 4, 1.0) for i in range(4)]
     worst = 0.0
     for _ in range(100):
@@ -277,11 +277,13 @@ def test_criterion_7_minimizer_structure_and_gradient_identity():
         for i, j, w in pairs:
             grad[i] += 1.0 * w * (x[i] - x[j])
             grad[j] += 1.0 * w * (x[j] - x[i])
-        worst = max(worst, np.abs(grad + rhs(pots, fixed_signal(g), 1.0, NetworkState(0.0, x))).max())
+        field = network_field(net, g.laplacian_matrix, 1.0, x.reshape(4, 1))[:, 0]
+        worst = max(worst, np.abs(grad + field).max())
     ok &= worst <= 1e-12
     _criterion(
         7,
-        "common-zero minimizers lie on the consensus manifold inside the intersection; grad == -rhs",
+        "common-zero minimizers lie on the consensus manifold inside the intersection; "
+        "grad == -network_field",
         ok,
         f"worst spread/dev {spread_worst:.1e}, worst gradient dev {worst:.1e}",
     )
@@ -311,7 +313,7 @@ def test_criterion_9_integrator_order():
     errs = []
     for dt in (0.2, 0.1, 0.05, 0.025):
         traj = integrate(pots, sig, 0.0, [0.0], dt=dt, t_end=2.0, sample_every=2.0)
-        errs.append(abs(traj.final_state[0] - exact))
+        errs.append(abs(traj.states[-1, 0, 0] - exact))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     ok = all(3.8 <= p <= 4.2 for p in orders)
     _criterion(

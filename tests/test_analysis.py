@@ -30,12 +30,11 @@ from syncflow import (
     fixed_signal,
     integrate,
     minimize_aggregate,
-    rhs,
     sweep_K,
     sync_verdict,
 )
 from syncflow.analysis import check_no_sync, check_sync, cube_containment, diameter_series
-from syncflow.simulator import NetworkState
+from syncflow.simulator import compile_network, network_field
 from syncflow.convex_geometry import zero_set_hull
 from util import hull_projection_oracle, path_graph, ring_graph, undirected
 
@@ -85,14 +84,14 @@ def trajectories(draw):
     m = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(1, 8))
     samples = draw(st.integers(1, 5))
-    states = draw(arrays(np.float64, (samples, n * m), elements=st.floats(-1e3, 1e3)))
-    return Trajectory(np.arange(float(samples)), states, n, m)
+    states = draw(arrays(np.float64, (samples, n, m), elements=st.floats(-1e3, 1e3)))
+    return Trajectory(np.arange(float(samples)), states)
 
 
 @settings(max_examples=200, deadline=None)
 @given(trajectories())
 def test_diameter_series_equals_pairwise_brute_force(traj):
-    X = traj.blocks()
+    X = traj.states
     expected = np.zeros(len(traj))
     for i in range(traj.node_count):
         for j in range(i + 1, traj.node_count):
@@ -154,7 +153,7 @@ def test_diagnostics_theta_is_max_squared_oracle_distance():
     verts = zero_set_hull(pots).vertices
     ref = np.array(
         [max(float(np.sum((x - hull_projection_oracle(verts, x)) ** 2)) for x in blocks)
-         for blocks in traj.blocks()]
+         for blocks in traj.states]
     )
     assert ref[0] > 10.0 and ref[-1] == 0.0
     np.testing.assert_allclose(diag.theta, ref, rtol=1e-12, atol=0.0)
@@ -241,7 +240,7 @@ def test_node_optimum_fails_off_argmin_equilibrium():
 
 
 def test_gradient_identity_against_rhs():
-    # independent edge-loop assembly of grad F_G must equal -rhs to 1e-12
+    # independent edge-loop assembly of grad F_G must equal -network_field to 1e-12
     rng = np.random.default_rng(42)
     pots = [
         Quadratic(center=[0.3], weight=1.5),
@@ -252,7 +251,7 @@ def test_gradient_identity_against_rhs():
     pairs = [(0, 1, 1.3), (1, 2, 0.7), (2, 3, 2.0), (0, 3, 1.1)]
     arcs = tuple((i, j, w) for i, j, w in pairs) + tuple((j, i, w) for i, j, w in pairs)
     g = WeightedDigraph(4, arcs)
-    sig = fixed_signal(g)
+    net = compile_network(pots, 4)
     K = 1.7
     for _ in range(100):
         x = rng.uniform(-5, 5, 4)
@@ -262,8 +261,8 @@ def test_gradient_identity_against_rhs():
         for i, j, w in pairs:
             grad[i] += K * w * (x[i] - x[j])
             grad[j] += K * w * (x[j] - x[i])
-        from_rhs = -rhs(pots, sig, K, NetworkState(0.0, x))
-        assert np.abs(grad - from_rhs).max() <= 1e-12
+        from_field = -network_field(net, g.laplacian_matrix, K, x.reshape(4, 1))
+        assert np.abs(grad - from_field[:, 0]).max() <= 1e-12
 
 
 def test_aggregate_potential_finite_difference():
@@ -273,7 +272,8 @@ def test_aggregate_potential_finite_difference():
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.uniform(-2, 2, 3)
-        grad = -rhs(pots, fixed_signal(g), K, NetworkState(0.0, x))
+        net = compile_network(pots, 3)
+        grad = -network_field(net, g.laplacian_matrix, K, x.reshape(3, 1))[:, 0]
         h = 1e-6
         for k in range(3):
             e = np.zeros(3)
@@ -305,7 +305,7 @@ def test_minimize_aggregate_common_zero_returns_consensus():
 def test_minimize_aggregate_K_zero_separable():
     pots = [Quadratic(center=[-1.0]), Quadratic(center=[3.0], weight=0.5)]
     p = minimize_aggregate(pots, two_node(), 0.0, [0.0, 0.0], tol=1e-10)
-    np.testing.assert_allclose(p, [-1.0, 3.0], atol=1e-8)
+    np.testing.assert_allclose(p, [[-1.0], [3.0]], atol=1e-8)
 
 
 def test_minimize_aggregate_requires_symmetric_graph():

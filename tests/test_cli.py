@@ -104,7 +104,7 @@ PLANAR = {
 }
 APART = {"nodes": [{"kind": "quadratic", "center": [0.0]}, {"kind": "quadratic", "center": [1.0]}]}
 
-# one case per load-time check precondition: (scenario overrides, check, message)
+# one case per load-time check precondition or parameter range: (scenario overrides, check, message)
 PRECONDITIONS = {
     "spectral_periodic": (PERIODIC, {"name": "spectral_bound"},
                           "check 'spectral_bound' requires a fixed signal"),
@@ -121,18 +121,26 @@ PRECONDITIONS = {
         "checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets",
     ),
     "ujsc_without_T": ({}, {"name": "ujsc"}, "check 'ujsc' needs a window length 'T'"),
+    "cube_eta_zero": ({}, {"name": "invariant_cube", "eta": 0}, "eta must be positive, got 0.0"),
+    "ujsc_T_negative": ({}, {"name": "ujsc", "T": -1},
+                        "window length T must be positive, got -1.0"),
+    "monotone_rise_tol_negative": ({}, {"name": "monotone_theta", "rise_tol": -1e-9},
+                                   "rise_tol must be nonnegative, got -1e-09"),
+    "spectral_grad_tol_negative": ({}, {"name": "spectral_bound", "grad_tol": -1},
+                                   "grad_tol must be positive, got -1.0"),
 }
 
 
 @pytest.mark.parametrize("case", PRECONDITIONS.values(), ids=PRECONDITIONS.keys())
 def test_check_precondition_fails_at_load(tmp_path, capsys, case):
     overrides, check, message = case
-    p = write(tmp_path, dict(BASE, **overrides, checks=[check]))
+    p, out = write(tmp_path, dict(BASE, **overrides, checks=[check])), tmp_path / "out"
     with pytest.raises(InputError) as err:
         load_scenario(p)
     assert str(err.value) == message
-    assert main(["verify", str(p)]) == 2
+    assert main(["simulate", str(p), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
 
 UNUSED_PARAMETERS = {
@@ -172,12 +180,14 @@ def test_K_and_K_list_mutually_exclusive(tmp_path):
 def test_x0_generators(tmp_path):
     grid = dict(BASE, x0="grid", x0_range=[-1.0, 1.0])
     sc = load_scenario(write(tmp_path, grid))
-    np.testing.assert_allclose(sc.x0, [-1.0, 1.0])
+    np.testing.assert_allclose(sc.x0, [[-1.0], [1.0]])
     rand = dict(BASE, x0="random:9")
     sc1 = load_scenario(write(tmp_path, rand, "a.json"))
     sc2 = load_scenario(write(tmp_path, rand, "b.json"))
     np.testing.assert_array_equal(sc1.x0, sc2.x0)
     assert np.all(np.abs(sc1.x0) <= 5.0)
+    with pytest.raises(InputError, match="'random:-3' needs a nonnegative integer seed"):
+        load_scenario(write(tmp_path, dict(BASE, x0="random:-3"), "c.json"))
 
 
 def test_defaults_from_dwell_floor(tmp_path):
@@ -517,6 +527,7 @@ MALFORMED = {
     "divergence_guard_string": _set(["divergence_guard"], "x"),
     "K_nan": _set(["K"], math.nan),
     "t_end_beyond_float_range": _set(["t_end"], 10**400),
+    "x0_negative_seed": _set(["x0"], "random:-3"),
 }
 
 

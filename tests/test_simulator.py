@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import syncflow.simulator as simulator
 from syncflow import (
@@ -12,19 +13,19 @@ from syncflow import (
     FiniteEscapeError,
     FlatBottom1D,
     InputError,
-    NetworkState,
     PeriodicSchedule,
     PreconditionError,
     Quadratic,
     QuarticWell,
     SumPotential,
     SwitchingSignal,
+    Trajectory,
     WeightedDigraph,
     equilibrium_oracle_quadratic,
     fixed_signal,
     integrate,
-    rhs,
 )
+from syncflow.simulator import compile_network, network_field
 from util import ring_graph, undirected
 
 
@@ -32,26 +33,31 @@ def two_node_graph():
     return undirected(2, [(0, 1)])
 
 
+def rhs_at(pots, sig, K, t, X):
+    """The right-hand side, the network drift, at time ``t`` on the graph active then."""
+    X = np.asarray(X, dtype=float)
+    return network_field(compile_network(pots, len(pots)), sig.graph_at(t).laplacian_matrix, K, X)
+
+
 def test_rhs_two_node_quadratic():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[0.0])]
     sig = fixed_signal(two_node_graph())
-    out = rhs(pots, sig, 1.0, NetworkState(0.0, np.array([1.0, 0.0])))
-    np.testing.assert_allclose(out, [-2.0, 1.0])
+    out = rhs_at(pots, sig, 1.0, 0.0, [[1.0], [0.0]])
+    np.testing.assert_allclose(out, [[-2.0], [1.0]])
 
 
 def test_rhs_uncoupled_limit():
     pots = [Quadratic(center=[2.0]), QuarticWell(center=[-1.0])]
     sig = fixed_signal(two_node_graph())
-    x = np.array([0.5, 0.5])
-    out = rhs(pots, sig, 0.0, NetworkState(0.0, x))
-    np.testing.assert_allclose(out, [pots[0].self_dynamics([0.5])[0], pots[1].self_dynamics([0.5])[0]])
+    out = rhs_at(pots, sig, 0.0, 0.0, [[0.5], [0.5]])
+    np.testing.assert_allclose(out, [pots[0].self_dynamics([0.5]), pots[1].self_dynamics([0.5])])
 
 
 def test_rhs_zero_on_consensus_at_common_zero():
     pots = [Quadratic(center=[1.0]), QuarticWell(center=[1.0])]
     sig = fixed_signal(two_node_graph())
-    out = rhs(pots, sig, 3.0, NetworkState(0.0, np.array([1.0, 1.0])))
-    np.testing.assert_array_equal(out, [0.0, 0.0])
+    out = rhs_at(pots, sig, 3.0, 0.0, [[1.0], [1.0]])
+    np.testing.assert_array_equal(out, [[0.0], [0.0]])
 
 
 def test_rhs_uses_post_switch_graph_at_switch_instant():
@@ -59,21 +65,65 @@ def test_rhs_uses_post_switch_graph_at_switch_instant():
     gb = WeightedDigraph(2, ((1, 0, 1.0),))
     sig = SwitchingSignal({"a": ga, "b": gb}, PeriodicSchedule((("a", 1.0), ("b", 1.0))), 1.0)
     pots = [Quadratic(center=[0.0], weight=1e-9), Quadratic(center=[0.0], weight=1e-9)]
-    x = np.array([1.0, 0.0])
-    before = rhs(pots, sig, 1.0, NetworkState(0.5, x))
-    at_switch = rhs(pots, sig, 1.0, NetworkState(1.0, x))
+    x = [[1.0], [0.0]]
+    before = rhs_at(pots, sig, 1.0, 0.5, x)[:, 0]
+    at_switch = rhs_at(pots, sig, 1.0, 1.0, x)[:, 0]
     # pre-switch only node 1 is driven; right-continuity flips it to node 0
     assert abs(before[1]) > 0.5 and abs(before[0]) < 1e-6
     assert abs(at_switch[0]) > 0.5 and abs(at_switch[1]) < 1e-6
+
+
+def catalog_terms(m):
+    """Single catalog terms of dimension ``m``; the flat bottom exists only in 1-D."""
+    center = st.lists(st.floats(-2, 2), min_size=m, max_size=m)
+    kinds = [st.builds(Quadratic, center, st.floats(0.1, 3.0)), st.builds(QuarticWell, center)]
+    if m == 1:
+        kinds.append(st.tuples(st.floats(-2, 0), st.floats(0, 2)).map(lambda b: FlatBottom1D(*b)))
+    return st.one_of(kinds)
+
+
+@st.composite
+def lane_stacks(draw):
+    """A network of catalog terms and sums of them, and a stack (B, N, m) of its states."""
+    m, n, lanes = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    term = catalog_terms(m)
+    sums = st.lists(term, min_size=1, max_size=3).map(lambda t: SumPotential(tuple(t)))
+    pots = draw(st.lists(st.one_of(term, sums), min_size=n, max_size=n))
+    arcs = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                st.floats(0.1, 2.0), max_size=3 * n))
+    g = WeightedDigraph(n, tuple((j, i, w) for (j, i), w in arcs.items() if j != i))
+    K = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    return pots, g, K, draw(arrays(np.float64, (lanes, n, m), elements=st.floats(-3, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lane_stacks())
+def test_network_field_on_a_lane_stack_equals_one_call_per_lane(case):
+    pots, g, K, X = case
+    net, lap = compile_network(pots, g.node_count), g.laplacian_matrix
+    stacked = network_field(net, lap, K, X)
+    assert stacked.shape == X.shape
+    for lane in range(X.shape[0]):
+        np.testing.assert_array_equal(stacked[lane], network_field(net, lap, K, X[lane]))
+
+
+@pytest.mark.parametrize(
+    "states",
+    [np.zeros((3, 4)), np.zeros((3, 2, 2, 1)), np.zeros((2, 2, 1))],
+    ids=["flat_rows", "four_axes", "one_sample_short"],
+)
+def test_trajectory_needs_one_node_block_per_sample_time(states):
+    with pytest.raises(InputError, match=r"must be \(S,\) and \(S, N, m\)"):
+        Trajectory(np.arange(3.0), states)
 
 
 def test_scalar_quadratic_closed_form():
     # dx/dt = -(x - 3), x(0) = 0  =>  x(t) = 3(1 - e^{-t})
     sig = fixed_signal(WeightedDigraph(1))
     traj = integrate([Quadratic(center=[3.0])], sig, 0.0, [0.0], dt=0.01, t_end=5.0, sample_every=0.5)
-    for t, x in zip(traj.times, traj.states[:, 0]):
+    for t, x in zip(traj.times, traj.states[:, 0, 0]):
         assert abs(x - 3.0 * (1.0 - math.exp(-t))) < 1e-6
-    assert traj.final_state[0] == pytest.approx(3.0 * (1.0 - math.exp(-5.0)), abs=1e-6)
+    assert traj.states[-1, 0, 0] == pytest.approx(3.0 * (1.0 - math.exp(-5.0)), abs=1e-6)
 
 
 def test_two_node_disagreement_closed_form():
@@ -86,7 +136,7 @@ def test_two_node_disagreement_closed_form():
     rate = 1.0 + 2.0 * K
     d_inf = (m1 - m2) / rate
     d0 = x0[0] - x0[1]
-    for t, row in zip(traj.times, traj.states):
+    for t, row in zip(traj.times, traj.states[:, :, 0]):
         expected = d_inf + (d0 - d_inf) * math.exp(-rate * t)
         assert abs((row[0] - row[1]) - expected) < 1e-6
 
@@ -105,7 +155,7 @@ def test_integrator_fourth_order_convergence():
     errs = []
     for dt in (0.2, 0.1, 0.05, 0.025):
         traj = integrate(pots, sig, 0.0, [0.0], dt=dt, t_end=2.0, sample_every=2.0)
-        errs.append(abs(traj.final_state[0] - exact))
+        errs.append(abs(traj.states[-1, 0, 0] - exact))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     for p in orders:
         assert 3.8 <= p <= 4.2
@@ -121,7 +171,7 @@ def test_sampling_grid_and_switch_instants():
     np.testing.assert_allclose(traj.times, expected, atol=1e-9)
     # continuity across switches: with dt-spaced samples no state jumps appear
     dense = integrate(pots, sig, 1.0, [2.0, -2.0], dt=0.05, t_end=3.0, sample_every=0.05)
-    steps = np.abs(np.diff(dense.states, axis=0)).max(axis=1)
+    steps = np.abs(np.diff(dense.states, axis=0)).max(axis=(1, 2))
     assert steps.max() < 0.5
 
 
@@ -131,7 +181,7 @@ def test_first_sample_is_x0():
     x0 = np.array([0.25, -0.75])
     traj = integrate(pots, sig, 1.0, x0, dt=0.01, t_end=1.0, sample_every=0.1)
     assert traj.times[0] == 0.0
-    np.testing.assert_array_equal(traj.states[0], x0)
+    np.testing.assert_array_equal(traj.states[0], x0.reshape(2, 1))
 
 
 def test_dt_must_resolve_dwell():
@@ -164,22 +214,22 @@ def test_equilibrium_oracle_two_node():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     g = two_node_graph()
     x_star = equilibrium_oracle_quadratic(pots, g, 1.0)
-    np.testing.assert_allclose(x_star, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-    out = rhs(pots, fixed_signal(g), 1.0, NetworkState(0.0, x_star))
+    np.testing.assert_allclose(x_star, [[1.0 / 3.0], [2.0 / 3.0]], atol=1e-12)
+    out = rhs_at(pots, fixed_signal(g), 1.0, 0.0, x_star)
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_equilibrium_oracle_decoupled():
     pots = [Quadratic(center=[-1.0], weight=2.0), Quadratic(center=[4.0])]
     x_star = equilibrium_oracle_quadratic(pots, two_node_graph(), 0.0)
-    np.testing.assert_allclose(x_star, [-1.0, 4.0])
+    np.testing.assert_allclose(x_star, [[-1.0], [4.0]])
 
 
 def test_equilibrium_oracle_common_center_fixed_point():
     pots = [Quadratic(center=[0.8]), Quadratic(center=[0.8], weight=3.0)]
     for K in (0.0, 1.0, 10.0):
         np.testing.assert_allclose(
-            equilibrium_oracle_quadratic(pots, two_node_graph(), K), [0.8, 0.8], atol=1e-12
+            equilibrium_oracle_quadratic(pots, two_node_graph(), K), [[0.8], [0.8]], atol=1e-12
         )
 
 
@@ -198,7 +248,7 @@ def test_convergence_to_equilibrium_monotone_in_horizon():
     devs = []
     for t_end in (2.0, 5.0, 10.0):
         traj = integrate(pots, sig, 2.0, [5.0, -5.0], dt=0.01, t_end=t_end, sample_every=1.0)
-        devs.append(np.abs(traj.final_state - x_star).max())
+        devs.append(np.abs(traj.states[-1] - x_star).max())
     assert devs[0] > devs[1] > devs[2]
 
 
@@ -208,8 +258,8 @@ def test_multidim_blocks():
     sig = fixed_signal(g)
     traj = integrate(pots, sig, 1.0, [0.0, 0.0, 0.0, 0.0], dt=0.01, t_end=25.0, sample_every=1.0)
     x_star = equilibrium_oracle_quadratic(pots, g, 1.0)
-    np.testing.assert_allclose(traj.final_state, x_star, atol=1e-9)
-    assert traj.node_states(1).shape == (len(traj), 2)
+    np.testing.assert_allclose(traj.states[-1], x_star, atol=1e-9)
+    assert traj.states[:, 1].shape == (len(traj), 2)
 
 
 def test_trajectory_meta():
@@ -271,6 +321,7 @@ def test_integrate_matches_per_node_reference_on_switching_mixed_network():
     x0 = np.linspace(-2.0, 2.0, n)
     traj = integrate(pots, sig, 1.5, x0, dt=0.05, t_end=4.0, sample_every=0.25)
     ref = per_node_rk4(pots, sig, 1.5, x0, 0.05, traj.times)
+    ref = ref.reshape(traj.states.shape)
     np.testing.assert_allclose(traj.states, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
 
