@@ -23,8 +23,6 @@ from .convex_geometry import (
     Box,
     ConvexBody,
     Hull,
-    Interval1D,
-    Point,
     check_drift_alignment,
     check_distance_comparison,
     intersect,
@@ -41,9 +39,7 @@ from .errors import (
     RepresentationError,
 )
 from .graphs import (
-    FixedSchedule,
     JointGraph,
-    PeriodicSchedule,
     SwitchingSignal,
     UJSCCertificate,
     WeightedDigraph,

@@ -136,9 +136,10 @@ def diagnostics(traj: Trajectory, potentials, z_star="auto") -> DiagnosticsSerie
     # every node at every sample in one projection: (samples, N) distances
     theta = (cg.zero_set_hull(potentials).distance(X) ** 2).max(axis=1)
 
-    argmin_dist = np.empty((len(traj), traj.node_count))
-    for i, p in enumerate(potentials):
-        argmin_dist[:, i] = p.zero_set().distance(X[:, i, :])
+    # every zero set is a box: one clip of all nodes against their stacked corners
+    zsets = [p.zero_set() for p in potentials]
+    lo, hi = np.array([z.lo for z in zsets]), np.array([z.hi for z in zsets])
+    argmin_dist = cg.box_distance(X, lo, hi)
 
     v_nodes = v = z = None
     if z_star is not None:

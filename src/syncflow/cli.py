@@ -28,8 +28,9 @@ import numpy as np
 from . import analysis, graphs
 from .convex_geometry import check_drift_alignment
 from .errors import FiniteEscapeError, InputError, NumericalError, PreconditionError, SyncflowError
-from .graphs import FixedSchedule, PeriodicSchedule, SwitchingSignal, WeightedDigraph
-from .potentials import common_zero_set, potential_from_dict
+from .graphs import SwitchingSignal, WeightedDigraph
+from .potentials import FlatBottom1D, Potential, Quadratic, QuarticWell, SumPotential
+from .potentials import common_zero_set
 from .report import jsonable
 from .simulator import default_sample_every, integrate, validate_dt, validate_event_count
 
@@ -106,6 +107,32 @@ def _integer(value, key: str) -> int:
     return int(v)
 
 
+_KINDS = {"quadratic", "quartic", "flat_bottom", "sum"}
+
+
+def potential_from_dict(d: dict) -> Potential:
+    """Parse the scenario-file representation of a potential; its numbers go through ``_number``."""
+    if not isinstance(d, dict) or "kind" not in d:
+        _fail(f"potential entry must be an object with a 'kind' field, got {d!r}")
+    kind = d["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        _fail(f"unknown potential kind {kind!r}; expected one of {sorted(_KINDS)}")
+    try:
+        if kind == "quadratic":
+            weight = _number(d.get("weight", 1.0), "weight")
+            return Quadratic(_numbers(d["center"], "center"), weight)
+        if kind == "quartic":
+            return QuarticWell(_numbers(d["center"], "center"))
+        if kind == "flat_bottom":
+            return FlatBottom1D(_number(d["left"], "left"), _number(d["right"], "right"))
+        terms = d["terms"]
+    except KeyError as e:
+        raise InputError(f"potential kind {kind!r} is missing field {e.args[0]!r}") from None
+    if not isinstance(terms, list):
+        _fail(f"field 'terms' must be a list of potential objects, got {terms!r}")
+    return SumPotential(tuple(potential_from_dict(t) for t in terms))
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file; every invariant is checked here."""
     p = Path(path)
@@ -121,7 +148,7 @@ def load_scenario(path) -> Scenario:
         ) from None
     if not isinstance(raw, dict):
         _fail("scenario file must contain a JSON object")
-    if raw.get("version") != SCHEMA_VERSION:
+    if isinstance(raw.get("version"), bool) or raw.get("version") != SCHEMA_VERSION:
         _fail(f"unsupported scenario version {raw.get('version')!r}; expected {SCHEMA_VERSION}")
 
     nodes_raw = _require(raw, "nodes", "scenario")
@@ -169,7 +196,7 @@ def load_scenario(path) -> Scenario:
         if gid not in library:
             _fail(f"signal references unknown graph id {gid!r}")
         dwell = _number(sig_raw.get("dwell_floor", 1.0), "dwell_floor", positive=True)
-        signal = SwitchingSignal(library, FixedSchedule(gid), dwell)
+        segs = [(gid, dwell)]  # a fixed graph is a one-segment cycle
     elif stype == "periodic":
         segs_raw = _require(sig_raw, "segments", "periodic signal")
         if not isinstance(segs_raw, list) or not segs_raw:
@@ -185,9 +212,9 @@ def load_scenario(path) -> Scenario:
         dwell = _number(
             _require(sig_raw, "dwell_floor", "periodic signal"), "dwell_floor", positive=True
         )
-        signal = SwitchingSignal(library, PeriodicSchedule(tuple(segs)), dwell)
     else:
         _fail(f"signal type must be 'fixed' or 'periodic', got {stype!r}")
+    signal = SwitchingSignal(library, segs, dwell)
 
     has_k = "K" in raw
     has_list = "K_list" in raw
@@ -209,7 +236,7 @@ def load_scenario(path) -> Scenario:
         else default_sample_every(dt)
     )
     validate_dt(signal, dt)
-    validate_event_count(signal, t_end, sample_every)
+    validate_event_count(signal, t_end, sample_every, dt)
 
     x0 = _parse_x0(raw, n, m)
 
@@ -285,7 +312,7 @@ class Check:
 
 
 def _fixed_symmetric_connected(sc: Scenario):
-    if not isinstance(sc.signal.schedule, FixedSchedule):
+    if sc.signal.has_switches():
         _fail("check 'spectral_bound' requires a fixed signal")
     g = sc.signal.graph_at(0.0)
     if not g.is_symmetric():

@@ -1,11 +1,11 @@
 """Closed bounded convex sets with exact nearest-point projection.
 
-Four representations are supported: a single point, a closed interval on the
-line, an axis-aligned box, and the convex hull of a finite vertex set.  Every
-body projects one point ``(m,)`` or a stack ``(..., m)`` in one call.  The
-first three project by clamping; hull projection runs one batched
-nearest-point active-set solve over the simplex of vertex weights for all
-rows and certifies each result through the projector's variational
+Two representations are supported: an axis-aligned box ``[lo, hi]``, which
+is also every point (``lo == hi``) and every interval (m = 1), and the convex
+hull of a finite vertex set.  Every body projects one point ``(m,)`` or a
+stack ``(..., m)`` in one call.  A box projects by clamping.  A hull runs one
+batched nearest-point active-set solve over the simplex of vertex weights
+for all rows and certifies each result through the projector's variational
 inequality at every vertex, so its correctness does not depend on the solver
 path.
 
@@ -19,20 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolationError,
-    InputError,
-    NumericalError,
-    RepresentationError,
-)
+from .errors import InputError, NumericalError, RepresentationError
 from .report import CheckReport
 
 __all__ = [
     "ConvexBody",
-    "Point",
-    "Interval1D",
     "Box",
     "Hull",
+    "box_distance",
     "intersect",
     "zero_set_hull",
     "check_drift_alignment",
@@ -105,87 +99,33 @@ class ConvexBody:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, eq=False)
-class Point(ConvexBody):
-    p: np.ndarray
+def box_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Distances of points (..., m) to the boxes [lo, hi] they broadcast against, shape (...).
 
-    def __post_init__(self):
-        p = _vector(self.p, what="p")
-        if not np.all(np.isfinite(p)):
-            raise InputError(f"point must be finite, got {p.tolist()}")
-        object.__setattr__(self, "p", _frozen(p))
-
-    @property
-    def dimension(self) -> int:
-        return self.p.shape[0]
-
-    def project(self, x) -> np.ndarray:
-        x = _points(x, self.dimension)
-        return np.broadcast_to(self.p, x.shape).copy()
-
-    def distance(self, points) -> np.ndarray:
-        pts = _points(points, self.dimension, "points")
-        return np.linalg.norm(pts - self.p, axis=-1)
-
-    def center(self) -> np.ndarray:
-        return self.p.copy()
-
-    def extreme_points(self) -> np.ndarray:
-        return self.p.reshape(1, -1).copy()
-
-    def as_dict(self) -> dict:
-        return {"type": "point", "p": self.p.tolist()}
-
-
-@dataclass(frozen=True, eq=False)
-class Interval1D(ConvexBody):
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise InputError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise InputError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def dimension(self) -> int:
-        return 1
-
-    def project(self, x) -> np.ndarray:
-        x = _points(x, 1)
-        return np.clip(x, self.lo, self.hi)
-
-    def distance(self, points) -> np.ndarray:
-        pts = _points(points, 1, "points")[..., 0]
-        return np.abs(pts - np.clip(pts, self.lo, self.hi))
-
-    def center(self) -> np.ndarray:
-        return np.array([0.5 * (self.lo + self.hi)])
-
-    def extreme_points(self) -> np.ndarray:
-        if self.lo == self.hi:
-            return np.array([[self.lo]])
-        return np.array([[self.lo], [self.hi]])
-
-    def as_dict(self) -> dict:
-        return {"type": "interval", "lo": self.lo, "hi": self.hi}
+    In one dimension this is ``|gap|``, which a norm's square would underflow
+    below ~1e-154 and overflow above ~1e154.
+    """
+    gap = points - np.clip(points, lo, hi)
+    if gap.shape[-1] == 1:
+        return np.abs(gap[..., 0])
+    return np.linalg.norm(gap, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class Box(ConvexBody):
+    """The axis-aligned box [lo, hi]; ``lo == hi`` is a point, and m = 1 an interval."""
+
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
         lo = _vector(self.lo, what="lo")
         hi = _vector(self.hi, dim=lo.shape[0], what="hi")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise InputError("box corners must be finite")
-        if np.any(lo > hi):
-            raise InputError("box requires lo <= hi componentwise")
+        # array methods, not np.all/np.any: boxes are built per node, and those cost twice as much
+        if not (np.isfinite(lo) & np.isfinite(hi)).all():
+            raise InputError(f"box corners must be finite, got lo={lo.tolist()}, hi={hi.tolist()}")
+        if (lo > hi).any():
+            raise InputError(f"box requires lo <= hi componentwise, got {lo.tolist()}, {hi.tolist()}")
         object.__setattr__(self, "lo", _frozen(lo))
         object.__setattr__(self, "hi", _frozen(hi))
 
@@ -194,29 +134,26 @@ class Box(ConvexBody):
         return self.lo.shape[0]
 
     def project(self, x) -> np.ndarray:
-        x = _points(x, self.dimension)
-        return np.clip(x, self.lo, self.hi)
+        return np.clip(_points(x, self.dimension), self.lo, self.hi)
 
     def distance(self, points) -> np.ndarray:
-        pts = _points(points, self.dimension, "points")
-        return np.linalg.norm(pts - np.clip(pts, self.lo, self.hi), axis=-1)
+        return box_distance(_points(points, self.dimension, "points"), self.lo, self.hi)
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
     def extreme_points(self) -> np.ndarray:
-        m = self.dimension
-        if m > 12:
-            raise RepresentationError(f"box corner enumeration infeasible for m={m}")
-        corners = np.array(
-            [
-                [self.hi[k] if bit else self.lo[k] for k, bit in enumerate(bits)]
-                for bits in itertools.product([0, 1], repeat=m)
-            ]
-        )
-        return np.unique(corners, axis=0)
+        """The distinct corners in lexicographic order: a product over {lo_k} or {lo_k, hi_k}."""
+        axes = [(a,) if a == b else (a, b) for a, b in zip(self.lo.tolist(), self.hi.tolist())]
+        if sum(len(ax) == 2 for ax in axes) > 12:
+            raise RepresentationError(f"box corner enumeration infeasible for m={self.dimension}")
+        return np.array(list(itertools.product(*axes)))
 
     def as_dict(self) -> dict:
+        if np.array_equal(self.lo, self.hi):
+            return {"type": "point", "p": self.lo.tolist()}
+        if self.dimension == 1:
+            return {"type": "interval", "lo": float(self.lo[0]), "hi": float(self.hi[0])}
         return {"type": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
@@ -391,53 +328,34 @@ def _project_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
 # -- zero-set geometry ------------------------------------------------------
 
 
-def _corners(body: ConvexBody) -> np.ndarray:
-    pts = body.extreme_points()
-    if not np.all(np.isfinite(pts)):
-        raise AssumptionViolationError("zero set is unbounded; the hull of zero sets must be bounded")
-    return pts
+def intersect(bodies: list[ConvexBody], tol: float = 1e-9) -> Box | None:
+    """Intersection of boxes, or ``None`` when empty; a width within ``tol`` collapses to a point.
 
-
-def intersect(bodies: list[ConvexBody], tol: float = 1e-9) -> ConvexBody | None:
-    """Intersection of point/interval/box bodies, or ``None`` when empty.
-
-    Hulls are not supported: every catalog zero set is a point, interval, or
-    box, and those are closed under intersection.
+    Hulls are not supported: every catalog zero set is a box, and boxes are
+    closed under intersection.
     """
     if not bodies:
         raise InputError("intersect requires at least one body")
-    dim = bodies[0].dimension
-    lo = np.full(dim, -np.inf)
-    hi = np.full(dim, np.inf)
     for b in bodies:
-        if b.dimension != dim:
+        if b.dimension != bodies[0].dimension:
             raise InputError("bodies must share one dimension")
-        if isinstance(b, Point):
-            blo = bhi = b.p
-        elif isinstance(b, Interval1D):
-            blo, bhi = np.array([b.lo]), np.array([b.hi])
-        elif isinstance(b, Box):
-            blo, bhi = b.lo, b.hi
-        else:
+        if not isinstance(b, Box):
             raise RepresentationError(f"intersection unsupported for {type(b).__name__}")
-        lo = np.maximum(lo, blo)
-        hi = np.minimum(hi, bhi)
-    if np.any(lo > hi + tol):
+    lo = np.maximum.reduce([b.lo for b in bodies])
+    hi = np.minimum.reduce([b.hi for b in bodies])
+    if (lo > hi + tol).any():
         return None
     hi = np.maximum(lo, hi)  # collapse sub-tolerance inversions
-    if np.all(hi - lo <= tol):
-        return Point(0.5 * (lo + hi))
-    if dim == 1:
-        return Interval1D(lo[0], hi[0])
+    if (hi - lo <= tol).all():
+        lo = hi = 0.5 * (lo + hi)
     return Box(lo, hi)
 
 
 def zero_set_hull(potentials) -> ConvexBody:
     """Convex hull of the union of all nodes' zero sets.
 
-    In one dimension this is an interval spanning every zero set; in higher
-    dimensions it is the hull of all corner vertices of the (point or box)
-    zero sets.
+    In one dimension this is the interval spanning every zero set; in higher
+    dimensions it is the hull of all corners of the zero-set boxes.
     """
     if not potentials:
         raise InputError("zero_set_hull requires at least one potential")
@@ -446,17 +364,10 @@ def zero_set_hull(potentials) -> ConvexBody:
     if any(z.dimension != dim for z in zsets):
         raise InputError("zero sets must share one dimension")
     if dim == 1:
-        lo = min(z.extreme_points().min() for z in zsets)
-        hi = max(z.extreme_points().max() for z in zsets)
-        for z in zsets:
-            _corners(z)  # boundedness
-        if lo == hi:
-            return Point(np.array([lo]))
-        return Interval1D(lo, hi)
-    pts = np.vstack([_corners(z) for z in zsets])
-    pts = np.unique(pts, axis=0)
+        return Box(min(z.lo[0] for z in zsets), max(z.hi[0] for z in zsets))
+    pts = np.unique(np.vstack([z.extreme_points() for z in zsets]), axis=0)
     if pts.shape[0] == 1:
-        return Point(pts[0])
+        return Box(pts[0], pts[0])
     return Hull(pts)
 
 

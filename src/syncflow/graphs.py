@@ -1,18 +1,21 @@
-"""Directed weighted graph snapshots, switching schedules, and spectra.
+"""Directed weighted graph snapshots, switching signals, and spectra.
 
 A ``WeightedDigraph`` is one communication snapshot: arc (j, i, w) means node
 j is a neighbor of node i, so information flows j -> i and the adjacency
-entry A[i, j] = w.  A ``SwitchingSignal`` schedules snapshots over time as a
-piecewise-constant, right-continuous map; only fixed and periodic schedules
-are supported, which keeps the uniform joint connectivity certificate
-exhaustive (the joint graph over a sliding window is piecewise constant in
-the window start, with breakpoints at switch times shifted by the period).
+entry A[i, j] = w.  A ``SwitchingSignal`` maps time to snapshots as a
+piecewise-constant, right-continuous cycle of ``(graph_id, duration)``
+segments repeated over [0, inf); a one-segment cycle is a fixed graph.
+Cycles keep the uniform joint connectivity certificate exhaustive (the
+joint graph over a sliding window is piecewise constant in the window start,
+with breakpoints at switch times shifted by the period).
 
 The algebraic side provides the graph Laplacian D - A, strong connectivity
 via double reachability sweeps, and the second-smallest Laplacian eigenvalue
 of symmetric graphs (``numpy.linalg.eigvalsh``).
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,8 +27,6 @@ from .report import CheckReport
 
 __all__ = [
     "WeightedDigraph",
-    "FixedSchedule",
-    "PeriodicSchedule",
     "SwitchingSignal",
     "JointGraph",
     "UJSCCertificate",
@@ -131,42 +132,28 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     return _strongly_connected(g.node_count, g.arc_set)
 
 
-# -- switching schedules -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedSchedule:
-    graph_id: str
-
-
-@dataclass(frozen=True)
-class PeriodicSchedule:
-    segments: tuple  # ((graph_id, duration), ...) repeated over [0, inf)
-
-    def __post_init__(self):
-        segs = tuple((str(g), float(d)) for g, d in self.segments)
-        if not segs:
-            raise InputError("periodic schedule needs at least one segment")
-        if any(d <= 0 for _, d in segs):
-            raise InputError("segment durations must be positive")
-        object.__setattr__(self, "segments", segs)
+# -- switching signals --------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class SwitchingSignal:
-    """Piecewise-constant, right-continuous graph schedule sigma(t).
+    """Piecewise-constant, right-continuous graph signal sigma(t).
 
-    Immutable after construction; all queries are pure.  The dwell floor is
-    the guaranteed minimum time between consecutive switches.
+    ``segments = ((graph_id, duration), ...)`` repeats over [0, inf); one
+    segment is a fixed graph.  Immutable after construction; all queries are
+    pure.  The dwell floor is the guaranteed minimum time between
+    consecutive switches, and no segment may be shorter.
     """
 
     library: dict
-    schedule: object
+    segments: tuple
     dwell_floor: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "library", dict(self.library))
         object.__setattr__(self, "dwell_floor", float(self.dwell_floor))
+        segs = tuple((str(g), float(d)) for g, d in self.segments)
+        object.__setattr__(self, "segments", segs)
         if not self.library:
             raise InputError("signal library must contain at least one graph")
         if self.dwell_floor <= 0:
@@ -174,76 +161,51 @@ class SwitchingSignal:
         counts = {g.node_count for g in self.library.values()}
         if len(counts) != 1:
             raise InputError(f"library graphs must share one node count, got {sorted(counts)}")
-        if isinstance(self.schedule, FixedSchedule):
-            ids = [self.schedule.graph_id]
-        elif isinstance(self.schedule, PeriodicSchedule):
-            ids = [g for g, _ in self.schedule.segments]
-            bad = [d for _, d in self.schedule.segments if d < self.dwell_floor - 1e-12]
-            if bad:
-                raise InputError(
-                    f"segment duration {min(bad)} is below the dwell floor {self.dwell_floor}"
-                )
-        else:
-            raise InputError(f"unsupported schedule type {type(self.schedule).__name__}")
-        missing = [g for g in ids if g not in self.library]
+        if not segs:
+            raise InputError("signal needs at least one segment")
+        if any(d <= 0 for _, d in segs):
+            raise InputError("segment durations must be positive")
+        bad = [d for _, d in segs if d < self.dwell_floor - 1e-12]
+        if bad:
+            raise InputError(f"segment duration {min(bad)} is below the dwell floor {self.dwell_floor}")
+        missing = [g for g, _ in segs if g not in self.library]
         if missing:
-            raise InputError(f"schedule references unknown graph ids {missing}")
+            raise InputError(f"signal references unknown graph ids {missing}")
 
     @property
     def node_count(self) -> int:
         return next(iter(self.library.values())).node_count
 
-    @property
-    def period(self) -> float:
-        if isinstance(self.schedule, FixedSchedule):
-            return 0.0
-        return sum(d for _, d in self.schedule.segments)
+    @cached_property
+    def _ends(self) -> tuple:
+        """End time of each segment within the period."""
+        return tuple(itertools.accumulate(d for _, d in self.segments))
 
     @cached_property
-    def _boundaries(self) -> list:
-        """Per-period list of (end_time_within_period, graph_id_of_segment)."""
-        if isinstance(self.schedule, FixedSchedule):
-            return []
-        out = []
-        acc = 0.0
-        for gid, dur in self.schedule.segments:
-            acc += dur
-            out.append((acc, gid))
-        return out
+    def _marks(self) -> tuple:
+        # a time within _TIME_TOL of a segment's end already belongs to the next segment
+        return tuple(end - _TIME_TOL for end in self._ends)
+
+    @property
+    def period(self) -> float:
+        return self._ends[-1]
 
     def graph_id_at(self, t: float) -> str:
         if t < 0:
             raise InputError(f"time must be nonnegative, got {t}")
-        if isinstance(self.schedule, FixedSchedule):
-            return self.schedule.graph_id
-        period = self.period
-        tau = t - math.floor(t / period) * period
-        if tau >= period:  # guard the floating wrap
-            tau = 0.0
-        start = 0.0
-        for end, gid in self._boundaries:
-            if start - _TIME_TOL <= tau < end - _TIME_TOL:
-                return gid
-            start = end
-        # tau within rounding of the period wraps to the first segment
-        return self.schedule.segments[0][0]
+        tau = t - math.floor(t / self.period) * self.period
+        # past the last mark, tau wraps to the first segment
+        return self.segments[bisect.bisect_right(self._marks, tau) % len(self.segments)][0]
 
     def graph_at(self, t: float) -> WeightedDigraph:
         return self.library[self.graph_id_at(t)]
 
     def switch_times(self, t0: float, t1: float) -> list[float]:
         """Instants in (t0, t1] where the active graph actually changes."""
-        if isinstance(self.schedule, FixedSchedule) or t1 <= t0:
-            return []
-        segs = self.schedule.segments
-        ids = [g for g, _ in segs]
-        # boundary within the period is a switch only if the ids differ across it
-        changing = []
-        for idx, (end, _) in enumerate(self._boundaries):
-            nxt = ids[(idx + 1) % len(ids)]
-            if ids[idx] != nxt:
-                changing.append(end)
-        if not changing:
+        ids = [g for g, _ in self.segments]
+        # a segment end is a switch only if the ids differ across it
+        changing = [end for end, g, nxt in zip(self._ends, ids, ids[1:] + ids[:1]) if g != nxt]
+        if not changing or t1 <= t0:
             return []
         period = self.period
         out = []
@@ -260,9 +222,8 @@ class SwitchingSignal:
         return out
 
     def has_switches(self) -> bool:
-        if isinstance(self.schedule, FixedSchedule):
-            return False
-        return bool(self.switch_times(0.0, 2.0 * self.period))
+        """True when the segments name more than one distinct graph."""
+        return len({g for g, _ in self.segments}) > 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,31 +242,13 @@ def joint_graph(signal: SwitchingSignal, t1: float, t2: float) -> JointGraph:
     """Arc union of every graph active in [t1, t2)."""
     if not t1 < t2:
         raise InputError(f"window requires t1 < t2, got [{t1}, {t2})")
-    arcs: set = set()
-    if isinstance(signal.schedule, FixedSchedule) or t2 - t1 >= signal.period - _TIME_TOL:
-        ids = (
-            [signal.schedule.graph_id]
-            if isinstance(signal.schedule, FixedSchedule)
-            else [g for g, _ in signal.schedule.segments]
-        )
-        for gid in ids:
-            arcs |= signal.library[gid].arc_set
-        return JointGraph((t1, t2), signal.node_count, frozenset(arcs))
-    t = t1
-    period = signal.period
-    while t < t2 - _TIME_TOL:
-        arcs |= signal.graph_at(t).arc_set
-        # advance to the next segment boundary after t
-        tau = t - math.floor(t / period) * period
-        nxt = None
-        for end, _ in signal._boundaries:
-            if end > tau + _TIME_TOL:
-                nxt = end
-                break
-        if nxt is None:
-            nxt = period
-        t = t - tau + nxt
-    return JointGraph((t1, t2), signal.node_count, frozenset(arcs))
+    if t2 - t1 >= signal.period - _TIME_TOL:
+        ids = {g for g, _ in signal.segments}
+    else:
+        starts = [t1] + [t for t in signal.switch_times(t1, t2) if t < t2 - _TIME_TOL]
+        ids = {signal.graph_id_at(t) for t in starts}
+    arcs = frozenset().union(*(signal.library[g].arc_set for g in ids))
+    return JointGraph((t1, t2), signal.node_count, arcs)
 
 
 @dataclass(frozen=True)
@@ -327,26 +270,25 @@ def validate_window(T):
 def certify_ujsc(signal: SwitchingSignal, T: float, horizon: float) -> UJSCCertificate:
     """Certify that every window [t, t+T) has a strongly connected joint graph.
 
-    For a periodic schedule the joint graph over [t, t+T) is piecewise
+    For a switching signal the joint graph over [t, t+T) is piecewise
     constant in t with breakpoints at segment boundaries and at boundaries
     shifted left by T (mod period), so checking each breakpoint plus the
     midpoints between consecutive breakpoints within one period is
     exhaustive.  The first failing window, if any, is reported as a witness.
     """
     validate_window(T)
-    period = signal.period
-    if horizon < period + T - _TIME_TOL:
-        raise PreconditionError(
-            f"horizon {horizon} must cover one schedule period plus T ({period + T})"
-        )
-    if isinstance(signal.schedule, FixedSchedule) or not signal.has_switches():
-        g = signal.graph_at(0.0)
-        ok = is_strongly_connected(g)
+    if not signal.has_switches():
+        ok = is_strongly_connected(signal.graph_at(0.0))
         return UJSCCertificate(
             ok, None if ok else (0.0, T), "fixed graph" if ok else "fixed graph not strongly connected"
         )
+    period = signal.period
+    if horizon < period + T - _TIME_TOL:
+        raise PreconditionError(
+            f"horizon {horizon} must cover one signal period plus T ({period + T})"
+        )
     breakpoints = {0.0}
-    for end, _ in signal._boundaries:
+    for end in signal._ends:
         breakpoints.add(end % period)
         breakpoints.add((end - T) % period)
     pts = sorted(breakpoints)

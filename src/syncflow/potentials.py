@@ -35,7 +35,6 @@ __all__ = [
     "NetworkPotential",
     "gradient_consistency_check",
     "common_zero_set",
-    "potential_from_dict",
     "potential_to_dict",
 ]
 
@@ -58,15 +57,15 @@ class Potential:
         """Node drift f(x) = -grad F(x)."""
         return -self.gradient(x)
 
-    def zero_set(self) -> cg.ConvexBody:
-        """Exact argmin set {z : f(z) = 0} as a convex body, computed on the first call."""
+    def zero_set(self) -> cg.Box:
+        """Exact argmin set {z : f(z) = 0} as a box, computed on the first call."""
         body = self.__dict__.get("_zero_set")
         if body is None:
             body = self._argmin_set()
             object.__setattr__(self, "_zero_set", body)  # potentials are immutable
         return body
 
-    def _argmin_set(self) -> cg.ConvexBody:
+    def _argmin_set(self) -> cg.Box:
         raise NotImplementedError
 
     def _check(self, x) -> np.ndarray:
@@ -110,8 +109,8 @@ class Quadratic(Potential):
     def gradient(self, x) -> np.ndarray:
         return self.weight * (self._check(x) - self.center)
 
-    def _argmin_set(self) -> cg.ConvexBody:
-        return cg.Point(self.center)
+    def _argmin_set(self) -> cg.Box:
+        return cg.Box(self.center, self.center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +132,8 @@ class QuarticWell(Potential):
         d = self._check(x) - self.center
         return d**3
 
-    def _argmin_set(self) -> cg.ConvexBody:
-        return cg.Point(self.center)
+    def _argmin_set(self) -> cg.Box:
+        return cg.Box(self.center, self.center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +167,8 @@ class FlatBottom1D(Potential):
         x = self._check(x)
         return x - np.minimum(np.maximum(x, self.left), self.right)
 
-    def _argmin_set(self) -> cg.ConvexBody:
-        if self.left == self.right:
-            return cg.Point(np.array([self.left]))
-        return cg.Interval1D(self.left, self.right)
+    def _argmin_set(self) -> cg.Box:
+        return cg.Box(self.left, self.right)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +198,7 @@ class SumPotential(Potential):
         x = self._check(x)
         return sum(t.gradient(x) for t in self.terms)
 
-    def _argmin_set(self) -> cg.ConvexBody:
+    def _argmin_set(self) -> cg.Box:
         flat = _flatten_terms(self)
         # shared minimizer: the argmin of the sum is exactly the intersection
         common = cg.intersect([t.zero_set() for t in flat], tol=0.0)
@@ -210,7 +207,7 @@ class SumPotential(Potential):
         if all(isinstance(t, Quadratic) for t in flat):
             wsum = sum(t.weight for t in flat)
             c = sum(t.weight * t.center for t in flat) / wsum
-            return cg.Point(c)
+            return cg.Box(c, c)
         # catalog gradients are componentwise separable, so the argmin box
         # follows from m independent one-dimensional bisections
         lo = np.empty(self.dimension)
@@ -219,9 +216,7 @@ class SumPotential(Potential):
             lo[k], hi[k] = _component_zero_interval(flat, k)
         scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
         if np.all(hi - lo <= 1e-9 * scale):
-            return cg.Point(0.5 * (lo + hi))
-        if self.dimension == 1:
-            return cg.Interval1D(lo[0], hi[0])
+            lo = hi = 0.5 * (lo + hi)
         return cg.Box(lo, hi)
 
 
@@ -259,12 +254,9 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
                 )
         return total
 
-    los, his = [], []
-    for t in terms:
-        ext = t.zero_set().extreme_points()[:, 0 if t.dimension == 1 else k]
-        los.append(float(np.min(ext)))
-        his.append(float(np.max(ext)))
-    a, b = min(los) - 1.0, max(his) + 1.0
+    zsets = [t.zero_set() for t in terms]
+    a = min(float(z.lo[k]) for z in zsets) - 1.0
+    b = max(float(z.hi[k]) for z in zsets) + 1.0
     if not (deriv(a) < 0.0 < deriv(b)):
         raise RepresentationError("failed to bracket the argmin of a sum potential")
 
@@ -388,7 +380,7 @@ class NetworkPotential:
 # -- catalog operations -----------------------------------------------------
 
 
-def common_zero_set(potentials) -> cg.ConvexBody | None:
+def common_zero_set(potentials) -> cg.Box | None:
     """Intersection of all nodes' zero sets, or ``None`` when empty."""
     return cg.intersect([p.zero_set() for p in potentials])
 
@@ -426,29 +418,6 @@ def gradient_consistency_check(
 
 
 # -- serialization ----------------------------------------------------------
-
-_KINDS = {"quadratic", "quartic", "flat_bottom", "sum"}
-
-
-def potential_from_dict(d: dict) -> Potential:
-    """Parse the scenario-file representation of a potential."""
-    if not isinstance(d, dict) or "kind" not in d:
-        raise InputError(f"potential entry must be an object with a 'kind' field, got {d!r}")
-    kind = d["kind"]
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise InputError(f"unknown potential kind {kind!r}; expected one of {sorted(_KINDS)}")
-    try:
-        if kind == "quadratic":
-            return Quadratic(center=d["center"], weight=d.get("weight", 1.0))
-        if kind == "quartic":
-            return QuarticWell(center=d["center"])
-        if kind == "flat_bottom":
-            return FlatBottom1D(left=d["left"], right=d["right"])
-        return SumPotential(tuple(potential_from_dict(t) for t in d["terms"]))
-    except KeyError as e:
-        raise InputError(f"potential kind {kind!r} is missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
-        raise InputError(f"potential kind {kind!r} has a malformed field: {e}") from None
 
 
 def potential_to_dict(spec: Potential) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FiniteEscapeError, InputError, NumericalError, PreconditionError
-from .graphs import FixedSchedule, SwitchingSignal, WeightedDigraph
+from .graphs import SwitchingSignal, WeightedDigraph
 from .potentials import NetworkPotential, Quadratic
 
 __all__ = [
@@ -38,6 +38,8 @@ DEFAULT_GUARD = 1e8
 
 # sample instants plus switch instants one integration may hold in memory
 MAX_EVENTS = 1_000_000
+# RK4 steps one integration may take
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +73,8 @@ class Trajectory:
 
 
 def fixed_signal(g: WeightedDigraph, dwell_floor: float = 1.0) -> SwitchingSignal:
-    """Wrap a single graph as a constant switching signal."""
-    return SwitchingSignal(library={"g": g}, schedule=FixedSchedule("g"), dwell_floor=dwell_floor)
+    """Wrap a single graph as a constant switching signal: one segment of ``dwell_floor``."""
+    return SwitchingSignal({"g": g}, (("g", dwell_floor),), dwell_floor)
 
 
 def validate_dt(signal: SwitchingSignal, dt: float):
@@ -113,8 +115,11 @@ def default_sample_every(dt: float) -> float:
     return 10.0 * dt
 
 
-def validate_event_count(signal: SwitchingSignal, t_end: float, sample_every: float):
-    """At most MAX_EVENTS sample and switch instants, counted before any is built."""
+def validate_event_count(signal: SwitchingSignal, t_end: float, sample_every: float, dt: float):
+    """At most MAX_EVENTS sample and switch instants and MAX_STEPS RK4 steps.
+
+    Both are counted from the arguments, before any event is built or any step taken.
+    """
     samples = t_end / sample_every + 1.0
     # every segment lasts at least the dwell floor, which bounds the switches
     switches = t_end / signal.dwell_floor if signal.has_switches() else 0.0
@@ -123,11 +128,17 @@ def validate_event_count(signal: SwitchingSignal, t_end: float, sample_every: fl
             f"t_end={t_end} with sample_every={sample_every} gives about {samples:.3g} samples "
             f"and up to {switches:.3g} switches; at most {MAX_EVENTS} events are allowed"
         )
+    # t_end/dt full steps plus at most one shortened step per event
+    steps = t_end / dt + samples + switches
+    if steps > MAX_STEPS:
+        raise ConfigurationError(
+            f"t_end={t_end} with dt={dt} and {samples + switches:.3g} events needs about "
+            f"{steps:.3g} RK4 steps; at most {MAX_STEPS} are allowed"
+        )
 
 
 def _event_grid(signal: SwitchingSignal, t_end: float, sample_every: float):
     """Merged, deduplicated event times with a record flag per event."""
-    validate_event_count(signal, t_end, sample_every)
     n_samples = int(math.floor(t_end / sample_every + 1e-9))
     events = [(k * sample_every, True) for k in range(n_samples + 1)]
     events += [(t, True) for t in signal.switch_times(0.0, t_end)]
@@ -177,6 +188,7 @@ def integrate(
     if np.max(np.abs(X)) > divergence_guard:
         raise FiniteEscapeError(0.0, float(np.max(np.abs(X))), divergence_guard)
 
+    validate_event_count(signal, t_end, sample_every, dt)
     events = _event_grid(signal, t_end, sample_every)
     times = [0.0]
     states = [X]  # RK4 steps build new arrays, so recorded states need no copies

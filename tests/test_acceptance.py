@@ -13,9 +13,6 @@ from syncflow import (
     Box,
     FlatBottom1D,
     Hull,
-    Interval1D,
-    Point,
-    PeriodicSchedule,
     Quadratic,
     QuarticWell,
     SumPotential,
@@ -48,7 +45,7 @@ def _alternating_chains(n, seg, isolate_last=False):
     fwd = WeightedDigraph(n, tuple((i, i + 1, 1.0) for i in range(last - 1)))
     rev = WeightedDigraph(n, tuple((i + 1, i, 1.0) for i in range(last - 1)))
     return SwitchingSignal(
-        {"fwd": fwd, "rev": rev}, PeriodicSchedule((("fwd", seg), ("rev", seg))), seg
+        {"fwd": fwd, "rev": rev}, (("fwd", seg), ("rev", seg)), seg
     )
 
 
@@ -175,7 +172,7 @@ def _random_scenario(rng, trial):
         )
         libs[name] = WeightedDigraph(n, arcs)
     durs = (float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.5, 1.0)))
-    sig = SwitchingSignal(libs, PeriodicSchedule((("a", durs[0]), ("b", durs[1]))), 0.5)
+    sig = SwitchingSignal(libs, (("a", durs[0]), ("b", durs[1])), 0.5)
     m = 2 if multi else 1
     x0 = rng.uniform(-5.0, 5.0, n * m)
     K = float(rng.uniform(0.5, 2.0))
@@ -262,7 +259,7 @@ def test_criterion_7_minimizer_structure_and_gradient_identity():
     # flat-bottom overlap: minimizer must sit on the consensus manifold inside [0.4, 0.6]
     potsf = [FlatBottom1D(0.0, 0.6), FlatBottom1D(0.4, 1.0), FlatBottom1D(0.2, 0.8)]
     pf = minimize_aggregate(potsf, ring_graph(3), 1.0, [-2.0, 3.0, 0.1], tol=1e-10)
-    iv = Interval1D(0.4, 0.6)
+    iv = Box(0.4, 0.6)
     ok &= (pf.max() - pf.min()) < 1e-4 and iv.distance(pf).max() < 1e-4
 
     # gradient of the aggregate potential == negated vector field, to 1e-12
@@ -332,10 +329,11 @@ def test_criterion_10_projection_suite():
         for _ in range(1000):
             m = 1 if kind == "interval" else int(rng.integers(1, 4))
             if kind == "point":
-                body = Point(rng.uniform(-10, 10, m))
+                p = rng.uniform(-10, 10, m)
+                body = Box(p, p)
             elif kind == "interval":
                 a, b = sorted(rng.uniform(-10, 10, 2))
-                body = Interval1D(a, b)
+                body = Box(a, b)
             elif kind == "box":
                 lo = rng.uniform(-10, 0, m)
                 body = Box(lo, lo + rng.uniform(0, 10, m))

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from syncflow import (
     FlatBottom1D,
     InputError,
-    PeriodicSchedule,
     PreconditionError,
     Quadratic,
     QuarticWell,
@@ -47,7 +46,7 @@ def alternating_chain_signal(n=3, seg=0.5):
     fwd = WeightedDigraph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
     rev = WeightedDigraph(n, tuple((i + 1, i, 1.0) for i in range(n - 1)))
     return SwitchingSignal(
-        {"fwd": fwd, "rev": rev}, PeriodicSchedule((("fwd", seg), ("rev", seg))), seg
+        {"fwd": fwd, "rev": rev}, (("fwd", seg), ("rev", seg)), seg
     )
 
 
@@ -159,6 +158,28 @@ def test_diagnostics_theta_is_max_squared_oracle_distance():
     np.testing.assert_allclose(diag.theta, ref, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_diagnostics_argmin_dist_equals_each_zero_set_distance(m):
+    # points, intervals and boxes of several kinds, each node against its own zero set
+    rng = np.random.default_rng(8 + m)
+    pots = []
+    for i in range(6):
+        c = rng.uniform(-2, 2, m)
+        pots.append([
+            Quadratic(center=c, weight=1.5),
+            QuarticWell(center=c),
+            SumPotential((Quadratic(center=c), QuarticWell(center=-c))),
+            FlatBottom1D(-1.0, 0.5) if m == 1 else SumPotential((Quadratic(center=c), Quadratic(center=-c))),
+        ][i % 4])
+    traj = integrate(pots, fixed_signal(ring_graph(6)), 0.3, rng.uniform(-4, 4, 6 * m),
+                     dt=0.05, t_end=3.0, sample_every=0.1)
+    diag = diagnostics(traj, pots, z_star=None)
+    per_node = np.stack([p.zero_set().distance(traj.states[:, i]) for i, p in enumerate(pots)], axis=1)
+    assert diag.argmin_dist.shape == per_node.shape
+    assert diag.argmin_dist.tobytes() == per_node.tobytes()
+    assert diag.argmin_dist[0].max() > 0.0
+
+
 # -- monotonicity -------------------------------------------------------------
 
 
@@ -198,7 +219,7 @@ def test_common_limit_ujsc_run():
 def test_common_limit_fails_with_isolated_node():
     ga = WeightedDigraph(3, ((0, 1, 1.0),))
     gb = WeightedDigraph(3, ((1, 0, 1.0),))
-    sig = SwitchingSignal({"a": ga, "b": gb}, PeriodicSchedule((("a", 0.5), ("b", 0.5))), 0.5)
+    sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 0.5), ("b", 0.5)), 0.5)
     pots = [FlatBottom1D(0.0, 2.0), FlatBottom1D(0.0, 2.0), FlatBottom1D(1.9, 2.0)]
     traj = integrate(pots, sig, 1.0, [0.2, 0.4, 5.0], dt=0.05, t_end=40.0, sample_every=0.5)
     diag = diagnostics(traj, pots, z_star=[0.0 + 1.95])
@@ -524,7 +545,7 @@ def test_randomized_monotonicity_small_battery():
             )
             libs[name] = WeightedDigraph(n, arcs)
         sig = SwitchingSignal(
-            {**libs}, PeriodicSchedule((("a", float(rng.uniform(0.5, 1.0))), ("b", float(rng.uniform(0.5, 1.0))))), 0.5
+            {**libs}, (("a", float(rng.uniform(0.5, 1.0))), ("b", float(rng.uniform(0.5, 1.0)))), 0.5
         )
         x0 = rng.uniform(-5, 5, n)
         traj = integrate(pots, sig, float(rng.uniform(0.5, 2.0)), x0, dt=0.01, t_end=6.0, sample_every=0.06)

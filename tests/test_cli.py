@@ -11,8 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncflow import InputError, NumericalError, analysis
+from syncflow import (
+    ConfigurationError,
+    InputError,
+    NumericalError,
+    WeightedDigraph,
+    analysis,
+    fixed_signal,
+    simulator,
+)
 from syncflow.cli import load_scenario, main, run, verify
+from syncflow.simulator import validate_event_count
 
 BASE = {
     "version": 1,
@@ -400,6 +409,24 @@ def test_event_count_cap_fails_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rk4_step_cap_fails_at_load(tmp_path):
+    # few events, but 1e13 steps: the cap refuses it before anything runs
+    huge = dict(BASE, t_end=1e12, dt=0.1, sample_every=1e11)
+    with pytest.raises(ConfigurationError, match=r"about 1e\+13 RK4 steps; at most 10000000"):
+        load_scenario(write(tmp_path, huge))
+
+
+def test_step_cap_counts_full_and_shortened_steps():
+    sig = fixed_signal(WeightedDigraph(1))
+    # t_end/dt full steps plus one shortened step per sample and switch instant
+    validate_event_count(sig, t_end=9_990_000.0, sample_every=1000.0, dt=1.0)  # 9,999,991
+    with pytest.raises(ConfigurationError, match="RK4 steps"):
+        validate_event_count(sig, t_end=9_990_000.0, sample_every=100.0, dt=1.0)  # 10,089,901
+    with pytest.raises(ConfigurationError, match="RK4 steps"):
+        validate_event_count(sig, t_end=1e7, sample_every=1e7, dt=1.0)  # 10,000,002
+    assert simulator.MAX_STEPS == 10_000_000
+
+
 @pytest.mark.parametrize("k_list", [[], [2.0, 1.0], [0.0, 1.0]])
 def test_bad_K_list_exits_2(tmp_path, capsys, k_list):
     bad = {k: v for k, v in BASE.items() if k != "K"}
@@ -528,6 +555,11 @@ MALFORMED = {
     "K_nan": _set(["K"], math.nan),
     "t_end_beyond_float_range": _set(["t_end"], 10**400),
     "x0_negative_seed": _set(["x0"], "random:-3"),
+    "weight_numeric_string": _set(["nodes", 0, "weight"], "2"),
+    "flat_bottom_left_bool": _set(["nodes", 0], {"kind": "flat_bottom", "left": True, "right": 1.0}),
+    "center_bool": _set(["nodes", 0, "center"], [True]),
+    "center_numeric_string": _set(["nodes", 0, "center"], "1"),
+    "version_bool": _set(["version"], True),
 }
 
 
@@ -554,6 +586,8 @@ def _scalar_leaves(obj, path=()):
 MUTATION_BASE = dict(BASE, t_end=3.0)
 NON_NUMBERS = st.one_of(
     st.text(max_size=3),
+    st.booleans(),
+    st.sampled_from(["1", "0.5", "-2", "1e3", "nan"]),
     st.none(),
     st.just(math.nan),
     st.lists(st.floats(-2, 2), max_size=2),
@@ -565,6 +599,9 @@ NON_NUMBERS = st.one_of(
 @given(st.sampled_from(_scalar_leaves(MUTATION_BASE)), NON_NUMBERS)
 def test_mutated_scalar_leaf_never_escapes(tmp_path_factory, path, value):
     obj = copy.deepcopy(MUTATION_BASE)
+    leaf = obj
+    for key in path:
+        leaf = leaf[key]
     _set(path, value)(obj)
     scen = write(tmp_path_factory.mktemp("mut"), obj)
     err = io.StringIO()
@@ -572,3 +609,5 @@ def test_mutated_scalar_leaf_never_escapes(tmp_path_factory, path, value):
         code = main(["verify", str(scen)])
     assert code in {0, 1, 2, 3}
     assert "Traceback" not in err.getvalue()
+    if isinstance(leaf, (int, float)):  # every scenario number is read as a finite JSON number
+        assert code == 2, f"{path}: {value!r} was accepted"

@@ -1,8 +1,9 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import syncflow.convex_geometry as cg
@@ -11,9 +12,7 @@ from syncflow import (
     FlatBottom1D,
     Hull,
     InputError,
-    Interval1D,
     NumericalError,
-    Point,
     Quadratic,
     QuarticWell,
     SumPotential,
@@ -27,10 +26,11 @@ from util import hull_projection_oracle
 
 def random_bodies(rng, kind, m):
     if kind == "point":
-        return Point(rng.uniform(-10, 10, m))
+        p = rng.uniform(-10, 10, m)
+        return Box(p, p)
     if kind == "interval":
         a, b = sorted(rng.uniform(-10, 10, 2))
-        return Interval1D(a, b)
+        return Box(a, b)
     if kind == "box":
         lo = rng.uniform(-10, 0, m)
         return Box(lo, lo + rng.uniform(0, 10, m))
@@ -46,8 +46,8 @@ def random_member(rng, body):
 
 
 def test_interval_clamp():
-    assert Interval1D(0, 1).project([2.0])[0] == 1.0
-    assert Interval1D(0, 1).distance([3.0]) == 2.0
+    assert Box(0, 1).project([2.0])[0] == 1.0
+    assert Box(0, 1).distance([3.0]) == 2.0
 
 
 def test_point_inside_body_is_fixed():
@@ -93,7 +93,7 @@ def test_distance_squared_gradient_matches_projection_residual():
     # grad |x|_K^2 = 2 (x - P(x)) via central differences
     rng = np.random.default_rng(5)
     bodies = [
-        Interval1D(-1.0, 2.0),
+        Box(-1.0, 2.0),
         Box([-1.0, 0.0], [1.0, 1.0]),
         Hull(rng.uniform(-2, 2, (5, 2))),
     ]
@@ -113,15 +113,15 @@ def test_distance_squared_gradient_matches_projection_residual():
 
 def test_zero_set_hull_1d():
     body = zero_set_hull([Quadratic(center=[1.0]), Quadratic(center=[3.0])])
-    assert isinstance(body, Interval1D)
-    assert (body.lo, body.hi) == (1.0, 3.0)
+    assert isinstance(body, Box) and body.dimension == 1  # an interval
+    assert (body.lo.tolist(), body.hi.tolist()) == ([1.0], [3.0])
 
     body = zero_set_hull([FlatBottom1D(0.0, 1.0), FlatBottom1D(2.0, 5.0)])
-    assert (body.lo, body.hi) == (0.0, 5.0)
+    assert (body.lo.tolist(), body.hi.tolist()) == ([0.0], [5.0])
 
     body = zero_set_hull([Quadratic(center=[2.0]), QuarticWell(center=[2.0])])
-    assert isinstance(body, Point)
-    np.testing.assert_array_equal(body.p, [2.0])
+    assert isinstance(body, Box) and np.array_equal(body.lo, body.hi)  # a point
+    np.testing.assert_array_equal(body.lo, [2.0])
 
 
 def test_zero_set_hull_multidim_hull_of_corners():
@@ -154,7 +154,7 @@ def test_check_drift_alignment_sample_inside_hull_contributes_zero():
 
 def test_check_distance_comparison_hand_case():
     # interval [0,1], x_a=2, x_b=0.5: lhs=-1.5, (i) bound 1, (ii) bound -1
-    body = Interval1D(0.0, 1.0)
+    body = Box(0.0, 1.0)
     pa = body.project([2.0])
     lhs = float((np.array([2.0]) - pa) @ (np.array([0.5]) - np.array([2.0])))
     assert lhs == pytest.approx(-1.5)
@@ -162,7 +162,7 @@ def test_check_distance_comparison_hand_case():
 
 
 def test_check_distance_comparison_member_pair_trivial():
-    body = Interval1D(0.0, 1.0)
+    body = Box(0.0, 1.0)
     assert check_distance_comparison(body, [([0.5], [0.9])]).passed
 
 
@@ -216,18 +216,18 @@ def test_distance_comparison_of_no_pairs_passes_vacuously():
 
 
 def test_non_finite_point_is_an_input_error():
-    with pytest.raises(InputError, match="point must be finite"):
-        Point([np.nan])
-    with pytest.raises(InputError, match="point must be finite"):
-        Point([0.0, np.inf])
+    with pytest.raises(InputError, match="box corners must be finite"):
+        Box([np.nan], [np.nan])
+    with pytest.raises(InputError, match="box corners must be finite"):
+        Box([0.0, np.inf], [0.0, np.inf])
 
 
 def test_intersect():
-    assert intersect([Interval1D(0, 1), Interval1D(2, 5)]) is None
-    got = intersect([Interval1D(0, 2), Interval1D(1, 5)])
-    assert isinstance(got, Interval1D) and (got.lo, got.hi) == (1.0, 2.0)
-    pt = intersect([Point([1.0]), Interval1D(0, 2)])
-    assert isinstance(pt, Point)
+    assert intersect([Box(0, 1), Box(2, 5)]) is None
+    got = intersect([Box(0, 2), Box(1, 5)])
+    assert isinstance(got, Box) and (got.lo.tolist(), got.hi.tolist()) == ([1.0], [2.0])
+    pt = intersect([Box([1.0], [1.0]), Box(0, 2)])
+    assert isinstance(pt, Box) and (pt.lo.tolist(), pt.hi.tolist()) == ([1.0], [1.0])  # a point
     box = intersect([Box([0, 0], [2, 2]), Box([1, -1], [3, 1])])
     np.testing.assert_array_equal(box.lo, [1, 0])
     np.testing.assert_array_equal(box.hi, [2, 1])
@@ -252,7 +252,7 @@ def test_hull_projection_beats_all_vertices(x, y):
 
 def test_invalid_bodies():
     with pytest.raises(InputError):
-        Interval1D(2.0, 1.0)
+        Box(2.0, 1.0)
     with pytest.raises(InputError):
         Box([0.0, 2.0], [1.0, 1.0])
     with pytest.raises(InputError):
@@ -267,7 +267,7 @@ def test_intersect_rejects_hull_representation():
 
 
 def test_report_json_schema():
-    rep = check_distance_comparison(Interval1D(0.0, 1.0), [([2.0], [0.5])])
+    rep = check_distance_comparison(Box(0.0, 1.0), [([2.0], [0.5])])
     d = rep.as_dict()
     assert set(d) == {"check", "pass", "worst_value", "location", "params"}
     assert '"check"' in rep.to_json()
@@ -427,15 +427,16 @@ def test_single_vertex_support_gets_unit_weight():
     np.testing.assert_array_equal(lam, [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
 
 
+# one body of each shape: a point box, an interval, a box and a hull
 BODIES = [
-    Point([0.5, -1.0]),
-    Interval1D(-1.0, 2.0),
-    Box([-1.0, 0.0], [1.0, 2.0]),
-    Hull([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]),
+    pytest.param(Box([0.5, -1.0], [0.5, -1.0]), id="Point"),
+    pytest.param(Box(-1.0, 2.0), id="Interval1D"),
+    pytest.param(Box([-1.0, 0.0], [1.0, 2.0]), id="Box"),
+    pytest.param(Hull([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]), id="Hull"),
 ]
 
 
-@pytest.mark.parametrize("body", BODIES, ids=lambda b: type(b).__name__)
+@pytest.mark.parametrize("body", BODIES)
 def test_every_body_projects_stacks_row_by_row(body):
     rng = np.random.default_rng(11)
     x = rng.uniform(-3.0, 3.0, (2, 3, body.dimension))
@@ -448,7 +449,7 @@ def test_every_body_projects_stacks_row_by_row(body):
         assert dist[idx] == pytest.approx(body.distance(x[idx]), rel=1e-15, abs=0.0)
 
 
-@pytest.mark.parametrize("body", BODIES, ids=lambda b: type(b).__name__)
+@pytest.mark.parametrize("body", BODIES)
 def test_non_finite_query_is_an_input_error_naming_the_row(body):
     m = body.dimension
     point = np.full(m, np.nan)
@@ -469,3 +470,79 @@ def test_non_finite_query_is_an_input_error_naming_the_row(body):
 def test_hull_nan_query_names_the_cause():
     with pytest.raises(InputError, match=r"x must be finite, got \[nan, 0.5\]"):
         Hull([[0, 0], [1, 0], [0, 1]]).project([np.nan, 0.5])
+
+
+# -- one box for points, intervals and boxes ---------------------------------
+
+
+def former_project(kind, lo, hi, x):
+    """Projection as the separate point, interval and box classes computed it."""
+    if kind == "point":
+        return np.broadcast_to(lo, x.shape).copy()
+    if kind == "interval":
+        return np.clip(x, float(lo[0]), float(hi[0]))
+    return np.clip(x, lo, hi)
+
+
+def former_distance(kind, lo, hi, x):
+    """Distance as the separate point, interval and box classes computed it."""
+    if kind == "point":
+        return np.linalg.norm(x - lo, axis=-1)
+    if kind == "interval":
+        return np.abs(x[..., 0] - np.clip(x[..., 0], float(lo[0]), float(hi[0])))
+    return np.linalg.norm(x - np.clip(x, lo, hi), axis=-1)
+
+
+@st.composite
+def boxes_and_queries(draw):
+    kind = draw(st.sampled_from(["point", "interval", "box"]))
+    m = 1 if kind == "interval" else draw(st.integers(1, 3))
+    coord = st.floats(-1e3, 1e3)
+    a = np.array(draw(st.lists(coord, min_size=m, max_size=m)))
+    b = a if kind == "point" else np.array(draw(st.lists(coord, min_size=m, max_size=m)))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    shape = draw(st.sampled_from([(m,), (3, m), (2, 2, m)]))
+    x = np.array(draw(st.lists(coord, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
+    return kind, lo, hi, x.reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes_and_queries())
+@example(("point", np.array([0.0]), np.array([0.0]), np.array([[1e-160], [-2.0], [0.0]])))
+@example(("interval", np.array([0.0]), np.array([0.0]), np.array([-0.0])))
+def test_box_matches_the_former_point_interval_and_box_formulas(case):
+    kind, lo, hi, x = case
+    body = Box(lo, hi)
+    expected = former_project(kind, lo, hi, x)
+    got = body.project(x)
+    # + 0.0 turns -0.0 into 0.0: np.clip may sign a zero differently for float and array bounds
+    assert got.shape == expected.shape and (got + 0.0).tobytes() == (expected + 0.0).tobytes()
+    expected, got = former_distance(kind, lo, hi, x), body.distance(x)
+    assert np.shape(got) == np.shape(expected)
+    gap = np.abs(x[..., 0] - np.clip(x[..., 0], lo[0], hi[0]))
+    if lo.shape[0] == 1 and kind != "interval":
+        # a 1-D norm squares the gap, which underflows below ~1e-154; |gap| keeps its bits
+        tiny = (gap > 0) & (gap < 1e-150)
+        assert np.asarray(got)[tiny].tobytes() == gap[tiny].tobytes()
+        got, expected = np.asarray(got)[~tiny], np.asarray(expected)[~tiny]
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_box_corners_are_the_distinct_sorted_corners():
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3):
+        for _ in range(50):
+            lo = rng.integers(-2, 2, m).astype(float)
+            hi = lo + rng.integers(0, 2, m)
+            corners = np.array(
+                [[hi[k] if bit else lo[k] for k, bit in enumerate(bits)]
+                 for bits in itertools.product([0, 1], repeat=m)]
+            )
+            np.testing.assert_array_equal(Box(lo, hi).extreme_points(), np.unique(corners, axis=0))
+
+
+def test_box_json_keeps_the_point_interval_and_box_forms():
+    assert Box([1.0, 2.0], [1.0, 2.0]).as_dict() == {"type": "point", "p": [1.0, 2.0]}
+    assert Box([0.5], [0.5]).as_dict() == {"type": "point", "p": [0.5]}
+    assert Box(0.0, 1.0).as_dict() == {"type": "interval", "lo": 0.0, "hi": 1.0}
+    assert Box([0.0, 1.0], [0.0, 2.0]).as_dict() == {"type": "box", "lo": [0.0, 1.0], "hi": [0.0, 2.0]}

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncflow import (
-    FixedSchedule,
     InputError,
-    PeriodicSchedule,
     PreconditionError,
     SwitchingSignal,
     WeightedDigraph,
@@ -30,7 +28,7 @@ def chain(n, reverse=False):
 def alternating_chains(n=3, seg=1.0, dwell=None):
     return SwitchingSignal(
         {"fwd": chain(n), "rev": chain(n, reverse=True)},
-        PeriodicSchedule((("fwd", seg), ("rev", seg))),
+        (("fwd", seg), ("rev", seg)),
         dwell_floor=dwell or seg,
     )
 
@@ -95,7 +93,7 @@ def test_signal_right_continuity_and_graph_at():
 
 def test_switch_times_skip_noop_boundaries():
     g = chain(3)
-    sig = SwitchingSignal({"a": g}, PeriodicSchedule((("a", 1.0), ("a", 1.0))), 1.0)
+    sig = SwitchingSignal({"a": g}, (("a", 1.0), ("a", 1.0)), 1.0)
     assert sig.switch_times(0.0, 5.0) == []
     assert not sig.has_switches()
     sig2 = alternating_chains()
@@ -106,13 +104,13 @@ def test_dwell_floor_enforced():
     with pytest.raises(InputError):
         SwitchingSignal(
             {"a": chain(2), "b": chain(2, reverse=True)},
-            PeriodicSchedule((("a", 0.2), ("b", 1.0))),
+            (("a", 0.2), ("b", 1.0)),
             dwell_floor=0.5,
         )
 
 
 def test_joint_graph_fixed():
-    sig = SwitchingSignal({"a": chain(3)}, FixedSchedule("a"), 1.0)
+    sig = SwitchingSignal({"a": chain(3)}, (("a", 1.0),), 1.0)
     jg = joint_graph(sig, 0.0, 10.0)
     assert jg.union_arcs == chain(3).arc_set
 
@@ -144,7 +142,7 @@ def test_joint_graph_bad_window():
 
 
 def test_certify_ujsc_fixed_graph():
-    sig = SwitchingSignal({"a": ring_graph(4)}, FixedSchedule("a"), 1.0)
+    sig = SwitchingSignal({"a": ring_graph(4)}, (("a", 1.0),), 1.0)
     for T in (0.1, 1.0, 10.0):
         assert certify_ujsc(sig, T, horizon=T + 1.0).ok
 
@@ -173,7 +171,7 @@ def test_certify_ujsc_monotone_in_T():
 def test_certify_ujsc_isolated_node_fails():
     ga = WeightedDigraph(3, ((0, 1, 1.0),))
     gb = WeightedDigraph(3, ((1, 0, 1.0),))
-    sig = SwitchingSignal({"a": ga, "b": gb}, PeriodicSchedule((("a", 1.0), ("b", 1.0))), 1.0)
+    sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 1.0), ("b", 1.0)), 1.0)
     cert = certify_ujsc(sig, 2.0, horizon=4.0)
     assert not cert.ok and cert.window is not None
 
@@ -276,3 +274,101 @@ def test_laplacian_is_read_only():
     lap = g.laplacian_matrix
     with pytest.raises(ValueError):
         lap[0, 0] = 99.0
+
+
+# -- signals are segment cycles: the former scan and walk code as the oracle --
+
+_TOL = 1e-9
+
+
+def former_ends(segs):
+    out, acc = [], 0.0
+    for _, dur in segs:
+        acc += dur
+        out.append(acc)
+    return out
+
+
+def former_graph_id_at(segs, t):
+    period = sum(d for _, d in segs)
+    tau = t - math.floor(t / period) * period
+    if tau >= period:
+        tau = 0.0
+    start = 0.0
+    for end, (gid, _) in zip(former_ends(segs), segs):
+        if start - _TOL <= tau < end - _TOL:
+            return gid
+        start = end
+    return segs[0][0]
+
+
+def former_switch_times(segs, t0, t1):
+    ids = [g for g, _ in segs]
+    changing = [end for idx, end in enumerate(former_ends(segs)) if ids[idx] != ids[(idx + 1) % len(ids)]]
+    if t1 <= t0 or not changing:
+        return []
+    period = sum(d for _, d in segs)
+    out = []
+    k = max(0, math.floor(t0 / period) - 1)
+    while k * period <= t1 + _TOL:
+        for c in changing:
+            t = k * period + c
+            if t0 + _TOL < t <= t1 + _TOL:
+                out.append(min(t, t1))
+        k += 1
+    return out
+
+
+def former_joint_ids(segs, t1, t2):
+    period = sum(d for _, d in segs)
+    if t2 - t1 >= period - _TOL:
+        return {g for g, _ in segs}
+    ids, t = set(), t1
+    while t < t2 - _TOL:
+        ids.add(former_graph_id_at(segs, t))
+        tau = t - math.floor(t / period) * period
+        t = t - tau + next((end for end in former_ends(segs) if end > tau + _TOL), period)
+    return ids
+
+
+# one distinct arc per graph id, so a joint graph's arcs name the ids it saw
+CYCLE_LIBRARY = {g: WeightedDigraph(4, ((k, (k + 1) % 4, 1.0),)) for k, g in enumerate("abcd")}
+
+
+@st.composite
+def cycles_and_times(draw):
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    durs = draw(st.lists(st.sampled_from([0.5, 0.7, 1.0, 1.3]) | st.floats(0.5, 2.0), min_size=n, max_size=n))
+    segs = tuple(zip(ids, durs))
+    period = sum(durs)
+    # exact segment boundaries over three periods, as the signal computes them, and free times
+    bounds = [0.0] + [k * period + e for k in range(3) for e in former_ends(segs)]
+    time = st.sampled_from(bounds) | st.floats(0.0, 3.0 * period)
+    return segs, sorted(draw(st.lists(time, min_size=2, max_size=2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cycles_and_times())
+def test_segment_cycle_matches_the_former_scan_and_walk(case):
+    segs, (t1, t2) = case
+    sig = SwitchingSignal(CYCLE_LIBRARY, segs, dwell_floor=0.5)
+    for t in (t1, t2):
+        assert sig.graph_id_at(t) == former_graph_id_at(segs, t)
+    assert sig.switch_times(t1, t2) == former_switch_times(segs, t1, t2)
+    period = sum(d for _, d in segs)
+    assert sig.has_switches() == bool(former_switch_times(segs, 0.0, 2.0 * period))
+    if t2 - t1 > _TOL:
+        arcs = {a for g in former_joint_ids(segs, t1, t2) for a in CYCLE_LIBRARY[g].arc_set}
+        assert joint_graph(sig, t1, t2).union_arcs == arcs
+    elif t1 < t2:  # the former walk saw no graph in a window within the time tolerance
+        assert joint_graph(sig, t1, t2).union_arcs == sig.graph_at(t1).arc_set
+
+
+@given(st.sampled_from("abc"), st.floats(0.5, 2.0), st.floats(0.0, 50.0), st.floats(0.0, 50.0))
+def test_one_segment_cycle_is_the_former_fixed_graph(gid, dwell, t1, t2):
+    sig = SwitchingSignal(CYCLE_LIBRARY, ((gid, dwell),), dwell)
+    assert sig.graph_id_at(t1) == gid
+    assert sig.switch_times(t1, t2) == [] and not sig.has_switches()
+    if t1 < t2:
+        assert joint_graph(sig, t1, t2).union_arcs == CYCLE_LIBRARY[gid].arc_set

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncflow import (
+    Box,
     FlatBottom1D,
     InputError,
-    Point,
     Quadratic,
     QuarticWell,
     SumPotential,
@@ -14,7 +14,8 @@ from syncflow import (
     gradient_consistency_check,
     potentials,
 )
-from syncflow.potentials import NetworkPotential, potential_from_dict, potential_to_dict
+from syncflow.cli import potential_from_dict
+from syncflow.potentials import NetworkPotential, potential_to_dict
 
 CATALOG_1D = [
     Quadratic(center=[0.0], weight=1.0),
@@ -103,7 +104,7 @@ def test_sum_zero_set_mixed_exact_point():
     # x + (x-2)^3 = 0 has the exact root x = 1
     s = SumPotential((Quadratic(center=[0.0]), QuarticWell(center=[2.0])))
     body = s.zero_set()
-    assert isinstance(body, Point)
+    assert isinstance(body, Box) and np.array_equal(body.lo, body.hi)  # a point
     np.testing.assert_allclose(body.center(), [1.0], atol=1e-9)
     assert abs(s.gradient(body.center())[0]) < 1e-9
 

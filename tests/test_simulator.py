@@ -13,7 +13,6 @@ from syncflow import (
     FiniteEscapeError,
     FlatBottom1D,
     InputError,
-    PeriodicSchedule,
     PreconditionError,
     Quadratic,
     QuarticWell,
@@ -63,7 +62,7 @@ def test_rhs_zero_on_consensus_at_common_zero():
 def test_rhs_uses_post_switch_graph_at_switch_instant():
     ga = WeightedDigraph(2, ((0, 1, 1.0),))
     gb = WeightedDigraph(2, ((1, 0, 1.0),))
-    sig = SwitchingSignal({"a": ga, "b": gb}, PeriodicSchedule((("a", 1.0), ("b", 1.0))), 1.0)
+    sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 1.0), ("b", 1.0)), 1.0)
     pots = [Quadratic(center=[0.0], weight=1e-9), Quadratic(center=[0.0], weight=1e-9)]
     x = [[1.0], [0.0]]
     before = rhs_at(pots, sig, 1.0, 0.5, x)[:, 0]
@@ -164,7 +163,7 @@ def test_integrator_fourth_order_convergence():
 def test_sampling_grid_and_switch_instants():
     ga = WeightedDigraph(2, ((0, 1, 1.0),))
     gb = WeightedDigraph(2, ((1, 0, 1.0),))
-    sig = SwitchingSignal({"a": ga, "b": gb}, PeriodicSchedule((("a", 0.7), ("b", 0.7))), 0.7)
+    sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 0.7), ("b", 0.7)), 0.7)
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     traj = integrate(pots, sig, 1.0, [2.0, -2.0], dt=0.1, t_end=3.0, sample_every=1.0)
     expected = sorted({0.0, 1.0, 2.0, 3.0} | {0.7, 1.4, 2.1, 2.8})
@@ -187,7 +186,7 @@ def test_first_sample_is_x0():
 def test_dt_must_resolve_dwell():
     ga = WeightedDigraph(2, ((0, 1, 1.0),))
     gb = WeightedDigraph(2, ((1, 0, 1.0),))
-    sig = SwitchingSignal({"a": ga, "b": gb}, PeriodicSchedule((("a", 1.0), ("b", 1.0))), 1.0)
+    sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 1.0), ("b", 1.0)), 1.0)
     pots = [Quadratic(center=[0.0]), Quadratic(center=[0.0])]
     with pytest.raises(ConfigurationError):
         integrate(pots, sig, 1.0, [1.0, 0.0], dt=0.5, t_end=5.0, sample_every=1.0)
@@ -308,7 +307,7 @@ def test_integrate_matches_per_node_reference_on_switching_mixed_network():
     n = 6
     fwd = WeightedDigraph(n, tuple((i, (i + 1) % n, 1.0 + 0.1 * i) for i in range(n)))
     rev = WeightedDigraph(n, tuple(((i + 1) % n, i, 1.5) for i in range(n)))
-    sig = SwitchingSignal({"f": fwd, "r": rev}, PeriodicSchedule((("f", 0.3), ("r", 0.5))), 0.3)
+    sig = SwitchingSignal({"f": fwd, "r": rev}, (("f", 0.3), ("r", 0.5)), 0.3)
     quad, quartic, flat = Quadratic, QuarticWell, FlatBottom1D
     pots = [
         quad(center=[0.5], weight=2.0),
@@ -365,7 +364,7 @@ def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
         "b": WeightedDigraph(2, ((1, 0, 2.0),)),
     }
     dwell = min(d for _, d in segments)
-    sig = SwitchingSignal(library, PeriodicSchedule(tuple(segments)), dwell)
+    sig = SwitchingSignal(library, tuple(segments), dwell)
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     steps = []
     rk4_step = simulator._rk4_step
