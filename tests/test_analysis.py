@@ -169,12 +169,15 @@ def test_diagnostics_argmin_dist_equals_each_zero_set_distance(m):
             Quadratic(center=c, weight=1.5),
             QuarticWell(center=c),
             SumPotential((Quadratic(center=c), QuarticWell(center=-c))),
-            FlatBottom1D(-1.0, 0.5) if m == 1 else SumPotential((Quadratic(center=c), Quadratic(center=-c))),
+            FlatBottom1D(-1.0, 0.5) if m == 1
+            else SumPotential((Quadratic(center=c), Quadratic(center=-c))),
         ][i % 4])
     traj = integrate(pots, fixed_signal(ring_graph(6)), 0.3, rng.uniform(-4, 4, 6 * m),
                      dt=0.05, t_end=3.0, sample_every=0.1)
     diag = diagnostics(traj, pots, z_star=None)
-    per_node = np.stack([p.zero_set().distance(traj.states[:, i]) for i, p in enumerate(pots)], axis=1)
+    per_node = np.stack(
+        [p.zero_set().distance(traj.states[:, i]) for i, p in enumerate(pots)], axis=1
+    )
     assert diag.argmin_dist.shape == per_node.shape
     assert diag.argmin_dist.tobytes() == per_node.tobytes()
     assert diag.argmin_dist[0].max() > 0.0
@@ -545,7 +548,9 @@ def test_randomized_monotonicity_small_battery():
             )
             libs[name] = WeightedDigraph(n, arcs)
         sig = SwitchingSignal(
-            {**libs}, (("a", float(rng.uniform(0.5, 1.0))), ("b", float(rng.uniform(0.5, 1.0)))), 0.5
+            {**libs},
+            (("a", float(rng.uniform(0.5, 1.0))), ("b", float(rng.uniform(0.5, 1.0)))),
+            0.5,
         )
         x0 = rng.uniform(-5, 5, n)
         traj = integrate(pots, sig, float(rng.uniform(0.5, 2.0)), x0, dt=0.01, t_end=6.0, sample_every=0.06)

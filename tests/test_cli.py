@@ -556,7 +556,9 @@ MALFORMED = {
     "t_end_beyond_float_range": _set(["t_end"], 10**400),
     "x0_negative_seed": _set(["x0"], "random:-3"),
     "weight_numeric_string": _set(["nodes", 0, "weight"], "2"),
-    "flat_bottom_left_bool": _set(["nodes", 0], {"kind": "flat_bottom", "left": True, "right": 1.0}),
+    "flat_bottom_left_bool": _set(
+        ["nodes", 0], {"kind": "flat_bottom", "left": True, "right": 1.0}
+    ),
     "center_bool": _set(["nodes", 0, "center"], [True]),
     "center_numeric_string": _set(["nodes", 0, "center"], "1"),
     "version_bool": _set(["version"], True),

@@ -545,4 +545,5 @@ def test_box_json_keeps_the_point_interval_and_box_forms():
     assert Box([1.0, 2.0], [1.0, 2.0]).as_dict() == {"type": "point", "p": [1.0, 2.0]}
     assert Box([0.5], [0.5]).as_dict() == {"type": "point", "p": [0.5]}
     assert Box(0.0, 1.0).as_dict() == {"type": "interval", "lo": 0.0, "hi": 1.0}
-    assert Box([0.0, 1.0], [0.0, 2.0]).as_dict() == {"type": "box", "lo": [0.0, 1.0], "hi": [0.0, 2.0]}
+    box = {"type": "box", "lo": [0.0, 1.0], "hi": [0.0, 2.0]}
+    assert Box([0.0, 1.0], [0.0, 2.0]).as_dict() == box

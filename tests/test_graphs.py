@@ -304,7 +304,8 @@ def former_graph_id_at(segs, t):
 
 def former_switch_times(segs, t0, t1):
     ids = [g for g, _ in segs]
-    changing = [end for idx, end in enumerate(former_ends(segs)) if ids[idx] != ids[(idx + 1) % len(ids)]]
+    ends = former_ends(segs)
+    changing = [end for idx, end in enumerate(ends) if ids[idx] != ids[(idx + 1) % len(ids)]]
     if t1 <= t0 or not changing:
         return []
     period = sum(d for _, d in segs)
@@ -339,7 +340,8 @@ CYCLE_LIBRARY = {g: WeightedDigraph(4, ((k, (k + 1) % 4, 1.0),)) for k, g in enu
 def cycles_and_times(draw):
     n = draw(st.integers(1, 4))
     ids = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
-    durs = draw(st.lists(st.sampled_from([0.5, 0.7, 1.0, 1.3]) | st.floats(0.5, 2.0), min_size=n, max_size=n))
+    duration = st.sampled_from([0.5, 0.7, 1.0, 1.3]) | st.floats(0.5, 2.0)
+    durs = draw(st.lists(duration, min_size=n, max_size=n))
     segs = tuple(zip(ids, durs))
     period = sum(durs)
     # exact segment boundaries over three periods, as the signal computes them, and free times
