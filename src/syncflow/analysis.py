@@ -114,15 +114,18 @@ def _tail_indices(times: np.ndarray, tail_fraction: float) -> np.ndarray:
 
 
 def diameter_series(traj: Trajectory) -> np.ndarray:
-    """max_{i,j} |x_i - x_j| per sample."""
+    """max_{i,j} |x_i - x_j| per sample.  For m = 1 it is max - min, exact as rounding is
+    monotone: no square underflows below |d| ~ 1.5e-154 or overflows above ~ 1.3e154."""
     X = traj.states
+    if traj.dim == 1:
+        return np.ptp(X[:, :, 0], axis=1)
     diam = np.zeros(len(traj))
     for i in range(traj.node_count - 1):
-        d = np.linalg.norm(X[:, i + 1 :, :] - X[:, i : i + 1, :], axis=2).max(axis=1)
-        diam = np.maximum(diam, d)
+        diam = np.maximum(diam, np.linalg.norm(X[:, i + 1 :] - X[:, i : i + 1], axis=2).max(axis=1))
     return diam
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan series, no warnings
 def diagnostics(traj: Trajectory, potentials, z_star="auto") -> DiagnosticsSeries:
     """Compute all diagnostic series for a completed trajectory.
 
@@ -218,6 +221,7 @@ def check_no_sync(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf - inf rise is nan, with no warning
 def check_monotone(series, rise_tol: float | None = None, label: str = "series") -> CheckReport:
     """Pass iff series[k+1] <= series[k] + rise_tol for every k.
 

@@ -108,10 +108,11 @@ def _integer(value, key: str) -> int:
 
 
 _KINDS = {"quadratic", "quartic", "flat_bottom", "sum"}
+MAX_SUM_DEPTH = 32  # "sum" potentials nested inside one another
 
 
-def potential_from_dict(d: dict) -> Potential:
-    """Parse the scenario-file representation of a potential; its numbers go through ``_number``."""
+def potential_from_dict(d: dict, depth: int = 0) -> Potential:
+    """Parse the scenario-file potential ``d``, nested in ``depth`` sums; see ``_number``."""
     if not isinstance(d, dict) or "kind" not in d:
         _fail(f"potential entry must be an object with a 'kind' field, got {d!r}")
     kind = d["kind"]
@@ -130,7 +131,9 @@ def potential_from_dict(d: dict) -> Potential:
         raise InputError(f"potential kind {kind!r} is missing field {e.args[0]!r}") from None
     if not isinstance(terms, list):
         _fail(f"field 'terms' must be a list of potential objects, got {terms!r}")
-    return SumPotential(tuple(potential_from_dict(t) for t in terms))
+    if depth >= MAX_SUM_DEPTH:
+        _fail(f"'sum' potentials nest deeper than {MAX_SUM_DEPTH} levels")
+    return SumPotential(tuple(potential_from_dict(t, depth + 1) for t in terms))
 
 
 def load_scenario(path) -> Scenario:
@@ -146,6 +149,8 @@ def load_scenario(path) -> Scenario:
         raise InputError(
             f"parse error in {p} at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    except RecursionError:
+        raise InputError(f"{p} nests deeper than the JSON decoder allows") from None
     if not isinstance(raw, dict):
         _fail("scenario file must contain a JSON object")
     if isinstance(raw.get("version"), bool) or raw.get("version") != SCHEMA_VERSION:

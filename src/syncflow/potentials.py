@@ -312,17 +312,15 @@ _TERM_KERNELS = {
 
 
 class NetworkPotential:
-    """The node potentials F_1..F_N of a network, compiled into per-kind arrays.
+    """The node potentials F_1..F_N of a network, compiled into signature blocks.
 
-    Every ``SumPotential`` is flattened into its terms.  Slot k holds the k-th
-    term of every node that has one, split into one group per kind: the node
-    indices plus the stacked centers, weights or flat-bottom bounds.  So the
-    network gradient is a few numpy calls per group, not one Python call per
-    node.  ``gradient`` and ``value`` take node states (..., N, m) and add the
-    slots in term order, which gives the bits of the per-node methods for
-    single terms and flat or left-nested sums; a right-nested sum associates
-    its additions differently.  The per-node classes stay the specification.
-    """
+    A node's signature is the kinds of its flattened terms; the nodes are
+    ordered once so that each signature is one contiguous block, with a kernel
+    per term slot over the stacked centers, weights or flat-bottom bounds.
+    ``gradient`` and ``value`` gather node states (..., N, m) into block order
+    once, add each block's slots in term order on slices and put them back once.
+    That keeps the per-node methods' bits for single terms and flat or
+    left-nested sums; a right-nested sum associates its additions differently."""
 
     def __init__(self, potentials):
         potentials = list(potentials)
@@ -335,19 +333,22 @@ class NetworkPotential:
         self.dimension = dims.pop()
         # a sum starts from 0 as ``sum()`` does, which turns a first -0.0
         # into +0.0; a single term keeps its sign (-0.0 + g is g)
-        self._start = np.array([[0.0 if isinstance(p, SumPotential) else -0.0] for p in potentials])
+        start = np.array([[0.0 if isinstance(p, SumPotential) else -0.0] for p in potentials])
         flat = [_flatten_terms(p) for p in potentials]
-        self._groups = []  # (node indices, gradient, value) in slot order
-        for slot in range(max(len(terms) for terms in flat)):
-            by_kind: dict = {}
-            for i, terms in enumerate(flat):
-                if slot < len(terms):
-                    by_kind.setdefault(type(terms[slot]), []).append(i)
-            for kind, nodes in by_kind.items():
+        blocks: dict = {}  # signature -> its nodes, in node order
+        for i, terms in enumerate(flat):
+            blocks.setdefault(tuple(type(t) for t in terms), []).append(i)
+        self._order = np.concatenate(list(blocks.values()))
+        self._inverse = np.empty_like(self._order)  # np.argsort would page in its sort code
+        self._inverse[self._order] = np.arange(self.node_count)
+        self._start = start[self._order]
+        self._slots = []  # (block slice, gradient, value), each block's in term order
+        for kinds, nodes in blocks.items():
+            block = slice(self._inverse[nodes[0]], self._inverse[nodes[0]] + len(nodes))
+            for k, kind in enumerate(kinds):
                 if kind not in _TERM_KERNELS:
                     raise RepresentationError(f"cannot compile a {kind.__name__} term")
-                grad, value = _TERM_KERNELS[kind]([flat[i][slot] for i in nodes])
-                self._groups.append((np.array(nodes), grad, value))
+                self._slots.append((block, *_TERM_KERNELS[kind]([flat[i][k] for i in nodes])))
 
     def _check(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -360,21 +361,21 @@ class NetworkPotential:
 
     def gradient(self, X) -> np.ndarray:
         """grad F_i(x_i) for every node, shape ``X.shape``."""
-        X = self._check(X)
+        X = self._check(X).take(self._order, axis=-2)
         G = np.empty(X.shape)
         G[...] = self._start
-        for nodes, grad, _ in self._groups:
-            G[..., nodes, :] += grad(X[..., nodes, :])
-        return G
+        for block, grad, _ in self._slots:
+            G[..., block, :] += grad(X[..., block, :])
+        return G.take(self._inverse, axis=-2)
 
     def value(self, X) -> np.ndarray:
         """F_i(x_i) for every node, shape ``X.shape[:-1]``."""
-        X = self._check(X)
+        X = self._check(X).take(self._order, axis=-2)
         V = np.empty(X.shape[:-1])
         V[...] = self._start[:, 0]
-        for nodes, _, value in self._groups:
-            V[..., nodes] += value(X[..., nodes, :])
-        return V
+        for block, _, value in self._slots:
+            V[..., block] += value(X[..., block, :])
+        return V.take(self._inverse, axis=-1)
 
 
 # -- catalog operations -----------------------------------------------------

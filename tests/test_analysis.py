@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -89,13 +89,19 @@ def trajectories(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(trajectories())
+@example(Trajectory(np.zeros(1), np.array([[[3.236e-195], [0.0]]])))  # the norm's square is 0
 def test_diameter_series_equals_pairwise_brute_force(traj):
+    # m = 1 is exact: |x_i - x_j| has no square to underflow or overflow,
+    # so its oracle is the pair max of |x_i - x_j| and not of the norm
     X = traj.states
+    pair = (lambda d: np.abs(d[:, 0])) if traj.dim == 1 else (lambda d: np.linalg.norm(d, axis=1))
     expected = np.zeros(len(traj))
     for i in range(traj.node_count):
         for j in range(i + 1, traj.node_count):
-            expected = np.maximum(expected, np.linalg.norm(X[:, i, :] - X[:, j, :], axis=1))
-    np.testing.assert_array_equal(diameter_series(traj), expected)
+            expected = np.maximum(expected, pair(X[:, i, :] - X[:, j, :]))
+    got = diameter_series(traj)
+    np.testing.assert_array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()  # bit for bit, zero signs included
 
 
 def test_diagnostics_auto_zstar_requires_intersection():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from syncflow import (
     fixed_signal,
     simulator,
 )
-from syncflow.cli import load_scenario, main, run, verify
+from syncflow.cli import MAX_SUM_DEPTH, load_scenario, main, run, verify
 from syncflow.simulator import validate_event_count
 
 BASE = {
@@ -349,6 +350,50 @@ def test_escape_prints_no_overflow_warning(tmp_path, capfd):
     assert json.loads((out / "report.json").read_text())["error"]["type"] == "FiniteEscapeError"
     err = capfd.readouterr().err
     assert "numerical error: finite-escape suspected" in err and "RuntimeWarning" not in err
+
+
+def test_huge_states_print_no_warning_from_diagnostics_or_checks(tmp_path, capfd):
+    # x0 near the float maximum under a guard at it: the theta square and
+    # the V norm overflow, and the monotone check's inf - inf rise is nan
+    huge = dict(BASE, x0=[1e300, -1e300], t_end=1.0, divergence_guard=1.7e308,
+                checks=[{"name": "monotone_theta"}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as an exception
+        assert main(["verify", str(write(tmp_path, huge))]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == "[FAIL] monotone_theta (worst=nan)\n"
+    assert "RuntimeWarning" not in captured.err
+
+
+def nested_sum_scenario(depth: int) -> str:
+    """BASE with a first node of ``depth`` nested sums, as text: too deep for ``json.dumps``."""
+    node = '{"kind": "sum", "terms": [' * depth + json.dumps(BASE["nodes"][0]) + "]}" * depth
+    return json.dumps(dict(BASE, nodes=["NODE", BASE["nodes"][1]])).replace('"NODE"', node)
+
+
+@pytest.mark.parametrize("depth", [MAX_SUM_DEPTH + 1, 5000])  # over the limit; past the decoder
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_deeply_nested_sums_exit_2(tmp_path, capsys, command, depth):
+    scen = tmp_path / "deep.json"
+    scen.write_text(nested_sum_scenario(depth))
+    out = tmp_path / "out"
+    argv = [command, str(scen)] + ([] if command == "verify" else ["--out", str(out)])
+    tracemalloc.start()
+    try:
+        code = main(argv + (["--k", "1,2"] if command == "sweep" else []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "nest" in err and "Traceback" not in err
+    assert peak < 16 * 2**20 and not out.exists()
+
+
+def test_sum_nesting_up_to_the_limit_loads(tmp_path):
+    scen = tmp_path / "deep.json"
+    scen.write_text(nested_sum_scenario(MAX_SUM_DEPTH))
+    assert load_scenario(scen).node_count == 2
 
 
 def test_report_names_a_plain_numerical_error(tmp_path, monkeypatch, capsys):

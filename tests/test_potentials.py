@@ -353,7 +353,7 @@ def network_case(draw):
 
     nesting = draw(st.sampled_from(["flat", "left", "right"]))
     nodes = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 12))):
         size = draw(st.integers(1, 3))
         terms = [term() for _ in range(size)]
         if size == 1:
@@ -389,6 +389,16 @@ def test_network_potential_equals_per_node_methods(case):
         else:
             assert same_bits(grads[..., i, :], spec.gradient(x))
             assert same_bits(values[..., i], spec.value(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(network_case(), st.data())
+def test_network_potential_commutes_with_node_permutations(case, data):
+    nodes, _, X = case
+    perm = data.draw(st.permutations(range(len(nodes))))
+    net, permuted = NetworkPotential(nodes), NetworkPotential([nodes[i] for i in perm])
+    assert same_bits(permuted.gradient(X[..., perm, :]), net.gradient(X)[..., perm, :])
+    assert same_bits(permuted.value(X[..., perm, :]), net.value(X)[..., perm])
 
 
 def test_network_potential_rejects_mismatched_states():
