@@ -9,7 +9,6 @@ from .analysis import (
     aggregate_potential,
     check_common_limit,
     check_feasibility,
-    check_invariant_cube,
     check_monotone,
     check_node_optimum,
     check_spectral_bound,
@@ -29,7 +28,6 @@ from .convex_geometry import (
     zero_set_hull,
 )
 from .errors import (
-    AssumptionViolationError,
     ConfigurationError,
     FiniteEscapeError,
     InputError,
@@ -55,12 +53,10 @@ from .potentials import (
     QuarticWell,
     SumPotential,
     common_zero_set,
-    gradient_consistency_check,
 )
 from .report import CheckReport
 from .simulator import (
     Trajectory,
-    equilibrium_oracle_quadratic,
     fixed_signal,
     integrate,
 )

@@ -21,10 +21,6 @@ class RepresentationError(SyncflowError):
     """The requested object cannot be represented in the supported vocabulary."""
 
 
-class AssumptionViolationError(SyncflowError):
-    """A structural assumption required by the analysis does not hold (e.g. unbounded zero set)."""
-
-
 class NumericalError(SyncflowError):
     """An iterative numerical procedure failed to reach its target accuracy."""
 

@@ -73,18 +73,12 @@ class WeightedDigraph:
         object.__setattr__(self, "arcs", tuple(norm))
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """A with A[i, j] = weight of arc j -> i (read-only)."""
+    def laplacian_matrix(self) -> np.ndarray:
+        """D - A with A[i, j] the weight of arc j -> i and D the diagonal of the
+        row sums of A (read-only)."""
         a = np.zeros((self.node_count, self.node_count))
         for j, i, w in self.arcs:
             a[i, j] = w
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def laplacian_matrix(self) -> np.ndarray:
-        """D - A with D the diagonal of row sums of A (read-only)."""
-        a = self.adjacency
         lap = np.diag(a.sum(axis=1)) - a
         lap.setflags(write=False)
         return lap

@@ -1,9 +1,9 @@
 """Catalog of convex node potentials with exact gradients and argmin sets.
 
 Each potential F is C1, convex, and coercive with a bounded argmin set, and
-exposes both its value and the node self-dynamics f = -grad(F).  The catalog
-is closed (four kinds) so that zero sets, convexity, and the hypotheses of
-the synchronization analysis stay machine-checkable:
+exposes its value and gradient; the node self-dynamics are f = -grad(F).  The
+catalog is closed (four kinds) so that zero sets, convexity, and the
+hypotheses of the synchronization analysis stay machine-checkable:
 
 * ``Quadratic``      F(x) = (w/2)|x - c|^2
 * ``QuarticWell``    F(x) = sum_k (x_k - c_k)^4 / 4, so f(x) = -(x - c)^3
@@ -11,7 +11,12 @@ the synchronization analysis stay machine-checkable:
 * ``SumPotential``   pointwise sum of catalog terms sharing one dimension
 
 ``NetworkPotential`` compiles the potentials of a whole network into arrays,
-so one call evaluates every node; the classes above stay its specification.
+so one call evaluates every node.  Each kind's kernel, a static method of its
+class, is the specification and the only formula for its value and gradient:
+``Potential.value`` and ``gradient`` evaluate a one-node network, and the test
+suite's ``tests/util.py`` holds the independent per-kind oracle.  The one other
+copy is the scalar derivative of the argmin bisection (see
+``_component_zero_interval``).
 
 The quartic well is deliberately non-Lipschitz; it is evaluated in double
 precision with no clamping, and boundedness along trajectories is the
@@ -24,7 +29,6 @@ import numpy as np
 
 from . import convex_geometry as cg
 from .errors import InputError, RepresentationError
-from .report import CheckReport
 
 __all__ = [
     "Potential",
@@ -33,37 +37,40 @@ __all__ = [
     "FlatBottom1D",
     "SumPotential",
     "NetworkPotential",
-    "gradient_consistency_check",
     "common_zero_set",
-    "potential_to_dict",
 ]
 
 
 class Potential:
-    """Immutable, pure base class.  Methods take a point (m,), a stack (..., m) or, in 1-D, a
-    bare number; ``value`` returns shape ``x.shape[:-1]``, the others ``x.shape``."""
+    """Immutable, pure base class.  ``value`` and ``gradient`` take a point (m,), a stack
+    (..., m) or, in 1-D, a bare number, and return shapes ``x.shape[:-1]`` and ``x.shape``."""
 
     @property
     def dimension(self) -> int:
         raise NotImplementedError
 
     def value(self, x):
-        raise NotImplementedError
+        """F(x), from the kernels as a one-node network."""
+        # [()] turns the 0-d result for one point into a scalar
+        return self._as_network().value(self._check(x)[..., None, :])[..., 0][()]
 
     def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def self_dynamics(self, x) -> np.ndarray:
-        """Node drift f(x) = -grad F(x)."""
-        return -self.gradient(x)
+        """grad F(x), from the kernels as a one-node network; the node drift is its negative."""
+        return self._as_network().gradient(self._check(x)[..., None, :])[..., 0, :]
 
     def zero_set(self) -> cg.Box:
-        """Exact argmin set {z : f(z) = 0} as a box, computed on the first call."""
-        body = self.__dict__.get("_zero_set")
-        if body is None:
-            body = self._argmin_set()
-            object.__setattr__(self, "_zero_set", body)  # potentials are immutable
-        return body
+        """Exact argmin set {z : grad F(z) = 0} as a box, computed on the first call."""
+        return self._cached("_zero_set", self._argmin_set)
+
+    def _as_network(self) -> "NetworkPotential":
+        return self._cached("_network", lambda: NetworkPotential([self]))
+
+    def _cached(self, name: str, build):
+        got = self.__dict__.get(name)
+        if got is None:
+            got = build()
+            object.__setattr__(self, name, got)  # potentials are immutable
+        return got
 
     def _argmin_set(self) -> cg.Box:
         raise NotImplementedError
@@ -102,12 +109,13 @@ class Quadratic(Potential):
     def dimension(self) -> int:
         return self.center.shape[0]
 
-    def value(self, x):
-        d = self._check(x) - self.center
-        return 0.5 * self.weight * cg.row_dot(d, d)
-
-    def gradient(self, x) -> np.ndarray:
-        return self.weight * (self._check(x) - self.center)
+    @staticmethod
+    def _kernel(terms):
+        """(gradient, value) of stacked quadratics on node blocks (..., n, m)."""
+        c = np.array([t.center for t in terms])
+        w = np.array([[t.weight] for t in terms])
+        half_w = 0.5 * w[:, 0]
+        return (lambda x: w * (x - c)), (lambda x: half_w * cg.row_dot(x - c, x - c))
 
     def _argmin_set(self) -> cg.Box:
         return cg.Box(self.center, self.center)
@@ -124,13 +132,11 @@ class QuarticWell(Potential):
     def dimension(self) -> int:
         return self.center.shape[0]
 
-    def value(self, x):
-        d = self._check(x) - self.center
-        return 0.25 * np.sum(d**4, axis=-1)
-
-    def gradient(self, x) -> np.ndarray:
-        d = self._check(x) - self.center
-        return d**3
+    @staticmethod
+    def _kernel(terms):
+        """(gradient, value) of stacked quartic wells on node blocks (..., n, m)."""
+        c = np.array([t.center for t in terms])
+        return (lambda x: (x - c) ** 3), (lambda x: 0.25 * np.sum((x - c) ** 4, axis=-1))
 
     def _argmin_set(self) -> cg.Box:
         return cg.Box(self.center, self.center)
@@ -159,13 +165,17 @@ class FlatBottom1D(Potential):
     def dimension(self) -> int:
         return 1
 
-    def value(self, x):
-        # libm pow, as Python's float ``**``; a multiply can differ in the last bit
-        return 0.5 * np.float_power(self.gradient(x)[..., 0], 2)
+    @staticmethod
+    def _kernel(terms):
+        """(gradient, value) of stacked flat bottoms on node blocks (..., n, 1)."""
+        left = np.array([[t.left] for t in terms])
+        right = np.array([[t.right] for t in terms])
 
-    def gradient(self, x) -> np.ndarray:
-        x = self._check(x)
-        return x - np.minimum(np.maximum(x, self.left), self.right)
+        def gradient(x):
+            return x - np.minimum(np.maximum(x, left), right)
+
+        # libm pow, as Python's float ``**``; a multiply can differ in the last bit
+        return gradient, (lambda x: 0.5 * np.float_power(gradient(x)[..., 0], 2))
 
     def _argmin_set(self) -> cg.Box:
         return cg.Box(self.left, self.right)
@@ -189,14 +199,6 @@ class SumPotential(Potential):
     @property
     def dimension(self) -> int:
         return self.terms[0].dimension
-
-    def value(self, x):
-        x = self._check(x)
-        return sum(t.value(x) for t in self.terms)
-
-    def gradient(self, x) -> np.ndarray:
-        x = self._check(x)
-        return sum(t.gradient(x) for t in self.terms)
 
     def _argmin_set(self) -> cg.Box:
         flat = _flatten_terms(self)
@@ -234,6 +236,12 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
 
     The component derivative is non-decreasing, so {deriv = 0} is an interval
     bracketed by the union of the terms' per-component argmin ranges.
+
+    ``deriv`` repeats each kind's gradient component as scalar arithmetic, the
+    one copy of the formulas outside the kernels.  The bisection calls it a few
+    hundred times per component, where a numpy kernel call per point measured
+    about 8x slower; zero sets already take 1.5-5.9 ms of a bench run (2 vCPUs,
+    Python 3.11, numpy 2.4).
     """
 
     def deriv(s: float) -> float:
@@ -282,35 +290,6 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
 # -- the network's potentials compiled into arrays ---------------------------
 
 
-def _quadratic_terms(terms):
-    c = np.array([t.center for t in terms])
-    w = np.array([[t.weight] for t in terms])
-    half_w = 0.5 * w[:, 0]
-    return (lambda x: w * (x - c)), (lambda x: half_w * cg.row_dot(x - c, x - c))
-
-
-def _quartic_terms(terms):
-    c = np.array([t.center for t in terms])
-    return (lambda x: (x - c) ** 3), (lambda x: 0.25 * np.sum((x - c) ** 4, axis=-1))
-
-
-def _flat_bottom_terms(terms):
-    left = np.array([[t.left] for t in terms])
-    right = np.array([[t.right] for t in terms])
-
-    def gradient(x):
-        return x - np.minimum(np.maximum(x, left), right)
-
-    return gradient, (lambda x: 0.5 * np.float_power(gradient(x)[..., 0], 2))
-
-
-_TERM_KERNELS = {
-    Quadratic: _quadratic_terms,
-    QuarticWell: _quartic_terms,
-    FlatBottom1D: _flat_bottom_terms,
-}
-
-
 class NetworkPotential:
     """The node potentials F_1..F_N of a network, compiled into signature blocks.
 
@@ -319,8 +298,9 @@ class NetworkPotential:
     per term slot over the stacked centers, weights or flat-bottom bounds.
     ``gradient`` and ``value`` gather node states (..., N, m) into block order
     once, add each block's slots in term order on slices and put them back once.
-    That keeps the per-node methods' bits for single terms and flat or
-    left-nested sums; a right-nested sum associates its additions differently."""
+    A sum thus adds its flattened terms left to right: the bits of ``sum()``
+    over the terms for flat and left-nested sums, while a right-nested sum
+    associates its additions differently from the nesting."""
 
     def __init__(self, potentials):
         potentials = list(potentials)
@@ -346,9 +326,9 @@ class NetworkPotential:
         for kinds, nodes in blocks.items():
             block = slice(self._inverse[nodes[0]], self._inverse[nodes[0]] + len(nodes))
             for k, kind in enumerate(kinds):
-                if kind not in _TERM_KERNELS:
+                if "_kernel" not in vars(kind):  # a subclass may change the formula
                     raise RepresentationError(f"cannot compile a {kind.__name__} term")
-                self._slots.append((block, *_TERM_KERNELS[kind]([flat[i][k] for i in nodes])))
+                self._slots.append((block, *kind._kernel([flat[i][k] for i in nodes])))
 
     def _check(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -384,50 +364,3 @@ class NetworkPotential:
 def common_zero_set(potentials) -> cg.Box | None:
     """Intersection of all nodes' zero sets, or ``None`` when empty."""
     return cg.intersect([p.zero_set() for p in potentials])
-
-
-def gradient_consistency_check(
-    spec: Potential, samples, h: float, tol: float
-) -> CheckReport:
-    """Central finite differences of the value against the analytic drift.
-
-    For every sample the difference quotient of F must match -f within
-    ``tol`` componentwise; the report carries the worst deviation.
-    """
-    if h <= 0 or tol <= 0:
-        raise InputError("h and tol must be positive")
-    worst = 0.0
-    where = None
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    for si, x in enumerate(pts):
-        f = spec.self_dynamics(x)
-        for k in range(spec.dimension):
-            e = np.zeros(spec.dimension)
-            e[k] = h
-            fd = (spec.value(x + e) - spec.value(x - e)) / (2.0 * h)
-            dev = abs(fd + f[k])
-            if dev > worst:
-                worst = dev
-                where = {"sample_index": si, "component": k, "sample": x.tolist()}
-    return CheckReport(
-        check="gradient_consistency",
-        passed=worst <= tol,
-        worst_value=worst,
-        location=where,
-        params={"h": h, "tol": tol, "samples": int(pts.shape[0])},
-    )
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def potential_to_dict(spec: Potential) -> dict:
-    if isinstance(spec, Quadratic):
-        return {"kind": "quadratic", "center": spec.center.tolist(), "weight": spec.weight}
-    if isinstance(spec, QuarticWell):
-        return {"kind": "quartic", "center": spec.center.tolist()}
-    if isinstance(spec, FlatBottom1D):
-        return {"kind": "flat_bottom", "left": spec.left, "right": spec.right}
-    if isinstance(spec, SumPotential):
-        return {"kind": "sum", "terms": [potential_to_dict(t) for t in spec.terms]}
-    raise InputError(f"cannot serialize {type(spec).__name__}")

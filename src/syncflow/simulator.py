@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FiniteEscapeError, InputError, NumericalError, PreconditionError
+from .errors import ConfigurationError, FiniteEscapeError, InputError
 from .graphs import SwitchingSignal, WeightedDigraph
-from .potentials import NetworkPotential, Quadratic
+from .potentials import NetworkPotential
 
 __all__ = [
     "Trajectory",
@@ -31,7 +31,6 @@ __all__ = [
     "compile_network",
     "network_field",
     "integrate",
-    "equilibrium_oracle_quadratic",
 ]
 
 DEFAULT_GUARD = 1e8
@@ -225,21 +224,3 @@ def integrate(
         },
     )
 
-
-def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np.ndarray:
-    """Unique equilibrium of the all-quadratic network on a fixed graph, as (N, m) blocks.
-
-    Solves (W + K (P kron I_m)) x = W m_stack with W = diag(w_i kron I_m);
-    this linear system is independent of the integrator and serves as an
-    oracle for acceptance tests.
-    """
-    if any(not isinstance(p, Quadratic) for p in potentials):
-        raise PreconditionError("equilibrium oracle requires all-quadratic potentials")
-    eye = np.eye(compile_network(potentials, g.node_count).dimension)
-    w_diag = np.kron(np.diag([p.weight for p in potentials]), eye)
-    lap = np.kron(np.array(g.laplacian_matrix), eye)
-    b = np.concatenate([p.weight * p.center for p in potentials])
-    try:
-        return np.linalg.solve(w_diag + K * lap, b).reshape(g.node_count, -1)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"equilibrium system is singular: {e}") from None

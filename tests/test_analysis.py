@@ -19,13 +19,11 @@ from syncflow import (
     aggregate_potential,
     check_common_limit,
     check_feasibility,
-    check_invariant_cube,
     check_monotone,
     check_node_optimum,
     check_spectral_bound,
     check_sync_iff,
     diagnostics,
-    equilibrium_oracle_quadratic,
     fixed_signal,
     integrate,
     minimize_aggregate,
@@ -35,7 +33,13 @@ from syncflow import (
 from syncflow.analysis import check_no_sync, check_sync, cube_containment, diameter_series
 from syncflow.simulator import compile_network, network_field
 from syncflow.convex_geometry import zero_set_hull
-from util import hull_projection_oracle, path_graph, ring_graph, undirected
+from util import (
+    equilibrium_oracle_quadratic,
+    hull_projection_oracle,
+    path_graph,
+    ring_graph,
+    undirected,
+)
 
 
 def two_node():
@@ -503,19 +507,22 @@ def test_invariant_cube_corner_starts():
     g = ring_graph(3)
     eta = 0.5
     for x0 in ([-0.5, 2.5, -0.5], [2.5, 2.5, 2.5], [-0.5, -0.5, 2.5]):
-        rep = check_invariant_cube(pots, g, 1.0, eta, x0, horizon=15.0, dt=0.02)
+        traj = integrate(pots, fixed_signal(g), 1.0, x0, dt=0.02, t_end=15.0)
+        rep = cube_containment(traj, pots, eta)
         assert rep.passed, rep.as_dict()
 
 
 def test_invariant_cube_center_starts():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0]), Quadratic(center=[2.0])]
-    rep = check_invariant_cube(pots, ring_graph(3), 2.0, 0.5, [0.0, 1.0, 2.0], horizon=10.0, dt=0.02)
+    traj = integrate(pots, fixed_signal(ring_graph(3)), 2.0, [0.0, 1.0, 2.0], dt=0.02, t_end=10.0)
+    rep = cube_containment(traj, pots, 0.5)
     assert rep.passed
 
 
 def test_invariant_cube_precondition_unmet():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0]), Quadratic(center=[2.0])]
-    rep = check_invariant_cube(pots, ring_graph(3), 1.0, 0.5, [5.0, 0.0, 0.0], horizon=5.0, dt=0.02)
+    traj = integrate(pots, fixed_signal(ring_graph(3)), 1.0, [5.0, 0.0, 0.0], dt=0.02, t_end=5.0)
+    rep = cube_containment(traj, pots, 0.5)
     assert not rep.passed
     assert rep.params["precondition_met"] is False
 

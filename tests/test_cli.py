@@ -365,6 +365,22 @@ def test_huge_states_print_no_warning_from_diagnostics_or_checks(tmp_path, capfd
     assert "RuntimeWarning" not in captured.err
 
 
+def test_huge_2d_states_print_no_warning_from_the_sweep(tmp_path, capfd):
+    # each sweep lane's verdict takes the m = 2 diameter, whose norms overflow
+    huge = dict(BASE, nodes=[{"kind": "quadratic", "center": [0.0, 0.0]}] * 2,
+                x0=[1e300, 1e300, -1e300, -1e300], t_end=1.0, divergence_guard=1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as an exception
+        code = main(["sweep", str(write(tmp_path, huge)), "--k", "1,2",
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capfd.readouterr()
+    assert captured.out == (
+        "K=1: epsilon_estimate=inf\nK=2: epsilon_estimate=inf\n[FAIL] sweep (epsilon=0.05)\n"
+    )
+    assert captured.err == ""
+
+
 def nested_sum_scenario(depth: int) -> str:
     """BASE with a first node of ``depth`` nested sums, as text: too deep for ``json.dumps``."""
     node = '{"kind": "sum", "terms": [' * depth + json.dumps(BASE["nodes"][0]) + "]}" * depth

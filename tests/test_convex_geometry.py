@@ -280,7 +280,7 @@ def drift_alignment_reference(potentials, samples):
     for si, x in enumerate(samples):
         gap = x - body.project(x)
         for ni, p in enumerate(potentials):
-            val = float(np.dot(gap, p.self_dynamics(x)))
+            val = float(np.dot(gap, -p.gradient(x)))
             if val > worst:
                 worst, where = val, {"node": ni, "sample_index": si, "sample": x.tolist()}
     return worst, where

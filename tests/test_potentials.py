@@ -9,13 +9,14 @@ from syncflow import (
     InputError,
     Quadratic,
     QuarticWell,
+    RepresentationError,
     SumPotential,
     common_zero_set,
-    gradient_consistency_check,
     potentials,
 )
 from syncflow.cli import potential_from_dict
-from syncflow.potentials import NetworkPotential, potential_to_dict
+from syncflow.potentials import NetworkPotential
+from util import gradient_consistency_check, oracle_gradient, oracle_value, potential_to_dict
 
 CATALOG_1D = [
     Quadratic(center=[0.0], weight=1.0),
@@ -50,15 +51,15 @@ def test_flat_bottom_value_inside():
 
 
 def test_quartic_self_dynamics_is_negative_cube():
-    # f(x) = -(x - c)^3 componentwise
+    # f(x) = -grad F(x) = -(x - c)^3 componentwise
     spec = QuarticWell(center=[0.3, -0.2])
     x = np.array([1.3, 0.8])
-    np.testing.assert_allclose(spec.self_dynamics(x), -(x - spec.center) ** 3)
-    assert QuarticWell(center=[0.0]).self_dynamics([1.0])[0] == pytest.approx(-1.0)
+    np.testing.assert_allclose(-spec.gradient(x), -(x - spec.center) ** 3)
+    assert -QuarticWell(center=[0.0]).gradient([1.0])[0] == pytest.approx(-1.0)
 
 
 def test_quadratic_self_dynamics():
-    assert Quadratic(center=[2.0], weight=1.0).self_dynamics([5.0])[0] == pytest.approx(-3.0)
+    assert -Quadratic(center=[2.0], weight=1.0).gradient([5.0])[0] == pytest.approx(-3.0)
 
 
 @pytest.mark.parametrize("spec", CATALOG_1D)
@@ -72,7 +73,7 @@ def test_self_dynamics_vanishes_on_zero_set(spec):
         and any(not isinstance(t, Quadratic) for t in spec.terms)
     )
     for pt in [*body.extreme_points(), body.center()]:
-        f = spec.self_dynamics(np.atleast_1d(pt))
+        f = -spec.gradient(np.atleast_1d(pt))
         if exact:
             assert np.all(f == 0.0)
         else:
@@ -149,8 +150,10 @@ def test_gradient_consistency_quartic():
 
 def test_gradient_consistency_detects_corruption():
     class Corrupted(QuarticWell):
-        def gradient(self, x):
-            return super().gradient(x) + 0.1
+        @staticmethod
+        def _kernel(terms):
+            gradient, value = QuarticWell._kernel(terms)
+            return (lambda x: gradient(x) + 0.1), value
 
     rep = gradient_consistency_check(Corrupted(center=[0.0]), [[0.5]], h=1e-5, tol=1e-5)
     assert not rep.passed
@@ -193,7 +196,7 @@ def test_midpoint_convexity(spec, a, b):
 def test_first_order_convexity(spec, a, b):
     # F(x) >= F(y) - <x - y, f(y)> up to rounding
     x, y = np.array([a]), np.array([b])
-    lower = spec.value(y) - float((x - y) @ spec.self_dynamics(y))
+    lower = spec.value(y) - float((x - y) @ -spec.gradient(y))
     assert spec.value(x) >= lower - 1e-10
 
 
@@ -210,7 +213,7 @@ def test_convexity_multidim_random_pairs():
             y = rng.uniform(-6, 6, 2)
             mid = spec.value(0.5 * (x + y))
             assert mid <= 0.5 * (spec.value(x) + spec.value(y)) + 1e-12
-            lower = spec.value(y) - float((x - y) @ spec.self_dynamics(y))
+            lower = spec.value(y) - float((x - y) @ -spec.gradient(y))
             assert spec.value(x) >= lower - 1e-10
 
 
@@ -218,7 +221,7 @@ def test_dimension_mismatch_raises():
     with pytest.raises(InputError):
         Quadratic(center=[0.0, 0.0]).value([1.0])
     with pytest.raises(InputError):
-        QuarticWell(center=[0.0]).self_dynamics([1.0, 2.0])
+        QuarticWell(center=[0.0]).gradient([1.0, 2.0])
 
 
 def test_invalid_constructions():
@@ -286,7 +289,7 @@ def test_stack_rows_equal_single_point_results(case):
     for j, x in enumerate(stack):
         assert np.array_equal(values[j], spec.value(x))
         assert np.array_equal(grads[j], spec.gradient(x))
-        assert np.array_equal(spec.self_dynamics(stack)[j], spec.self_dynamics(x))
+        assert np.array_equal(-spec.gradient(stack)[j], -spec.gradient(x))
 
 
 def test_stack_of_stacks_keeps_leading_axes():
@@ -382,13 +385,42 @@ def test_network_potential_equals_per_node_methods(case):
         terms = potentials._flatten_terms(spec)
         if nesting == "right" and len(terms) == 3:
             # (g1 + (g2 + g3)) against ((g1 + g2) + g3): a few ulps of the terms' size
-            g_scale = sum(np.abs(t.gradient(x)) for t in terms)
-            v_scale = sum(np.abs(t.value(x)) for t in terms)
-            assert np.all(np.abs(grads[..., i, :] - spec.gradient(x)) <= 1e-15 * g_scale)
-            assert np.all(np.abs(values[..., i] - spec.value(x)) <= 1e-15 * v_scale)
+            g_scale = sum(np.abs(oracle_gradient(t, x)) for t in terms)
+            v_scale = sum(np.abs(oracle_value(t, x)) for t in terms)
+            assert np.all(np.abs(grads[..., i, :] - oracle_gradient(spec, x)) <= 1e-15 * g_scale)
+            assert np.all(np.abs(values[..., i] - oracle_value(spec, x)) <= 1e-15 * v_scale)
         else:
-            assert same_bits(grads[..., i, :], spec.gradient(x))
-            assert same_bits(values[..., i], spec.value(x))
+            assert same_bits(grads[..., i, :], oracle_gradient(spec, x))
+            assert same_bits(values[..., i], oracle_value(spec, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_case(), st.data())
+def test_single_potential_equals_oracle(case, data):
+    # one node's potential on its own: a point (m,), a stack (..., m) or a bare number
+    nodes, _, X = case
+    i = data.draw(st.integers(0, len(nodes) - 1))
+    spec, x = nodes[i], X[..., i, :]
+    if x.shape == (1,) and data.draw(st.booleans()):
+        x = float(x[0])
+    # the kernels add a sum's flattened terms left to right, whatever the nesting
+    flat = SumPotential(tuple(potentials._flatten_terms(spec)))
+    reference = flat if isinstance(spec, SumPotential) else spec
+    grads, values = spec.gradient(x), spec.value(x)
+    shape = np.shape(x) or (1,)
+    assert grads.shape == shape and np.shape(values) == shape[:-1]
+    assert same_bits(grads, oracle_gradient(reference, x))
+    assert same_bits(values, oracle_value(reference, x))
+
+
+def test_kind_without_a_kernel_of_its_own_is_rejected():
+    class Shifted(Quadratic):
+        pass
+
+    with pytest.raises(RepresentationError, match="cannot compile a Shifted term"):
+        NetworkPotential([Quadratic(center=[0.0]), Shifted(center=[1.0])])
+    with pytest.raises(RepresentationError):
+        Shifted(center=[1.0]).value([0.0])
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,12 +20,11 @@ from syncflow import (
     SwitchingSignal,
     Trajectory,
     WeightedDigraph,
-    equilibrium_oracle_quadratic,
     fixed_signal,
     integrate,
 )
 from syncflow.simulator import compile_network, network_field
-from util import ring_graph, undirected
+from util import equilibrium_oracle_quadratic, oracle_gradient, ring_graph, undirected
 
 
 def two_node_graph():
@@ -49,7 +48,7 @@ def test_rhs_uncoupled_limit():
     pots = [Quadratic(center=[2.0]), QuarticWell(center=[-1.0])]
     sig = fixed_signal(two_node_graph())
     out = rhs_at(pots, sig, 0.0, 0.0, [[0.5], [0.5]])
-    np.testing.assert_allclose(out, [pots[0].self_dynamics([0.5]), pots[1].self_dynamics([0.5])])
+    np.testing.assert_allclose(out, [-pots[0].gradient([0.5]), -pots[1].gradient([0.5])])
 
 
 def test_rhs_zero_on_consensus_at_common_zero():
@@ -281,11 +280,12 @@ def test_sample_every_defaults_to_ten_steps():
 
 
 def per_node_rk4(pots, signal, K, x0, dt, times):
-    """RK4 over the recorded sample times, one ``self_dynamics`` call per node and stage."""
+    """RK4 over the recorded sample times, one oracle gradient call per node and stage."""
 
     def field(lap, x):
         X = x.reshape(len(pots), -1)
-        return (np.array([p.self_dynamics(xi) for p, xi in zip(pots, X)]) - K * (lap @ X)).ravel()
+        drift = np.array([-oracle_gradient(p, xi) for p, xi in zip(pots, X)])
+        return (drift - K * (lap @ X)).ravel()
 
     x = np.asarray(x0, dtype=float)
     states = [x]

@@ -2,7 +2,19 @@
 
 import numpy as np
 
-from syncflow import NumericalError, WeightedDigraph
+from syncflow import (
+    CheckReport,
+    FlatBottom1D,
+    InputError,
+    NumericalError,
+    PreconditionError,
+    Quadratic,
+    QuarticWell,
+    SumPotential,
+    WeightedDigraph,
+)
+from syncflow.convex_geometry import row_dot
+from syncflow.simulator import compile_network
 
 
 def undirected(n, pairs, weight=1.0):
@@ -114,3 +126,107 @@ def hull_projection_oracle(vertices, x):
         f"hull projection failed to certify optimality: worst vertex slack "
         f"{worst:.3e} (tolerance {-cert_tol:.3e})"
     )
+
+
+# -- potentials: closed forms one kind at a time, the kernels' reference ------
+
+
+def _point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return x.reshape(1) if x.ndim == 0 else x
+
+
+def oracle_gradient(spec, x) -> np.ndarray:
+    """grad F(x) for a point (m,), a stack (..., m) or a bare number, by each kind's
+    closed form; a sum adds its terms with ``sum()``, nesting kept."""
+    x = _point(x)
+    if isinstance(spec, Quadratic):
+        return spec.weight * (x - spec.center)
+    if isinstance(spec, QuarticWell):
+        return (x - spec.center) ** 3
+    if isinstance(spec, FlatBottom1D):
+        return x - np.minimum(np.maximum(x, spec.left), spec.right)
+    if isinstance(spec, SumPotential):
+        return sum(oracle_gradient(t, x) for t in spec.terms)
+    raise TypeError(f"no oracle for {type(spec).__name__}")
+
+
+def oracle_value(spec, x):
+    """F(x) by each kind's closed form, shape ``x.shape[:-1]``; sums as in ``oracle_gradient``."""
+    x = _point(x)
+    if isinstance(spec, Quadratic):
+        d = x - spec.center
+        return 0.5 * spec.weight * row_dot(d, d)
+    if isinstance(spec, QuarticWell):
+        return 0.25 * np.sum((x - spec.center) ** 4, axis=-1)
+    if isinstance(spec, FlatBottom1D):
+        # libm pow, as Python's float ``**``
+        return 0.5 * np.float_power(oracle_gradient(spec, x)[..., 0], 2)
+    if isinstance(spec, SumPotential):
+        return sum(oracle_value(t, x) for t in spec.terms)
+    raise TypeError(f"no oracle for {type(spec).__name__}")
+
+
+def potential_to_dict(spec) -> dict:
+    """The scenario-schema dict of a catalog potential; ``cli.potential_from_dict`` reads it."""
+    if isinstance(spec, Quadratic):
+        return {"kind": "quadratic", "center": spec.center.tolist(), "weight": spec.weight}
+    if isinstance(spec, QuarticWell):
+        return {"kind": "quartic", "center": spec.center.tolist()}
+    if isinstance(spec, FlatBottom1D):
+        return {"kind": "flat_bottom", "left": spec.left, "right": spec.right}
+    if isinstance(spec, SumPotential):
+        return {"kind": "sum", "terms": [potential_to_dict(t) for t in spec.terms]}
+    raise InputError(f"cannot serialize {type(spec).__name__}")
+
+
+def gradient_consistency_check(spec, samples, h: float, tol: float) -> CheckReport:
+    """Central finite differences of the value against the analytic gradient.
+
+    For every sample the difference quotient of F must match grad F within
+    ``tol`` componentwise; the report carries the worst deviation.
+    """
+    if h <= 0 or tol <= 0:
+        raise InputError("h and tol must be positive")
+    worst = 0.0
+    where = None
+    pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    for si, x in enumerate(pts):
+        grad = spec.gradient(x)
+        for k in range(spec.dimension):
+            e = np.zeros(spec.dimension)
+            e[k] = h
+            fd = (spec.value(x + e) - spec.value(x - e)) / (2.0 * h)
+            dev = abs(fd - grad[k])
+            if dev > worst:
+                worst = dev
+                where = {"sample_index": si, "component": k, "sample": x.tolist()}
+    return CheckReport(
+        check="gradient_consistency",
+        passed=worst <= tol,
+        worst_value=worst,
+        location=where,
+        params={"h": h, "tol": tol, "samples": int(pts.shape[0])},
+    )
+
+
+# -- the all-quadratic equilibrium: a linear solve, independent of the integrator
+
+
+def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np.ndarray:
+    """Unique equilibrium of the all-quadratic network on a fixed graph, as (N, m) blocks.
+
+    Solves (W + K (P kron I_m)) x = W m_stack with W = diag(w_i kron I_m);
+    this linear system is independent of the integrator and serves as an
+    oracle for acceptance tests.
+    """
+    if any(not isinstance(p, Quadratic) for p in potentials):
+        raise PreconditionError("equilibrium oracle requires all-quadratic potentials")
+    eye = np.eye(compile_network(potentials, g.node_count).dimension)
+    w_diag = np.kron(np.diag([p.weight for p in potentials]), eye)
+    lap = np.kron(np.array(g.laplacian_matrix), eye)
+    b = np.concatenate([p.weight * p.center for p in potentials])
+    try:
+        return np.linalg.solve(w_diag + K * lap, b).reshape(g.node_count, -1)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"equilibrium system is singular: {e}") from None
