@@ -205,8 +205,9 @@ def integrate(
             h = span / nsteps
             for k in range(nsteps):
                 X = _rk4_step(net, lap, K, X, h)
-                sup = float(np.max(np.abs(X))) if np.all(np.isfinite(X)) else math.inf
-                if sup > divergence_guard:
+                sup = float(np.abs(X).max())  # NaN if any entry is NaN
+                if not sup <= divergence_guard:
+                    sup = math.inf if math.isnan(sup) else sup
                     raise FiniteEscapeError(t_prev + (k + 1) * h, sup, divergence_guard)
             t_prev = t_next
             if record:

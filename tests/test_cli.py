@@ -426,6 +426,47 @@ def test_report_names_a_plain_numerical_error(tmp_path, monkeypatch, capsys):
     assert "numerical error: minimizer did not converge" in capsys.readouterr().err
 
 
+def test_far_apart_sum_zero_set_prints_no_warning(tmp_path, capfd):
+    # the zero set of node 0 is the point 1e200, found by a bisection whose
+    # cubes overflow; it does not meet node 1's, so monotone_V fails at load
+    far = dict(BASE, nodes=[{"kind": "sum", "terms": [{"kind": "quadratic", "center": [0.0]},
+                                                       {"kind": "quartic", "center": [1e200]}]},
+                            BASE["nodes"][1]],
+               checks=[{"name": "monotone_V"}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as an exception
+        assert main(["verify", str(write(tmp_path, far))]) == 2
+    err = capfd.readouterr().err
+    assert "nonempty intersection of zero sets" in err and "RuntimeWarning" not in err
+
+
+def test_spectral_bound_minimizer_starts_from_the_last_sample(tmp_path, monkeypatch):
+    n = 6
+    ring = [[i, (i + 1) % n, 1.0] for i in range(n)] + [[(i + 1) % n, i, 1.0] for i in range(n)]
+    nodes = [{"kind": "quadratic", "center": [(-1.0) ** i * 2.0]} if i % 2 == 0 else
+             {"kind": "sum", "terms": [{"kind": "quadratic", "center": [0.1 * i]},
+                                       {"kind": "quartic", "center": [-0.1 * i]}]}
+             for i in range(n)]
+    obj = dict(BASE, nodes=nodes, graphs={"g0": ring}, K=8.0, t_end=6.0,
+               x0=[float(i % 5) - 2.0 for i in range(n)], checks=[{"name": "spectral_bound"}])
+    sc = load_scenario(write(tmp_path, obj))
+    calls = []
+    field = analysis.network_field
+    monkeypatch.setattr(analysis, "network_field", lambda *a: calls.append(1) or field(*a))
+    out = tmp_path / "out"
+    assert run(sc, out) == 0
+    (got,) = json.loads((out / "report.json").read_text())["checks"]
+    warm = len(calls)  # the minimizer's and the check's own
+    calls.clear()
+    g = sc.signal.graph_at(0.0)
+    x = analysis.minimize_aggregate(sc.potentials, g, sc.primary_K, sc.x0, tol=1e-10)
+    cold = len(calls)
+    want = analysis.check_spectral_bound(x, sc.potentials, g, sc.primary_K, tol=1e-8)
+    assert got["params"]["lhs"] == pytest.approx(want.params["lhs"], rel=1e-8)
+    assert got["params"]["bound"] == pytest.approx(want.params["bound"], rel=1e-8)
+    assert got["pass"] and warm <= cold / 5
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = write(tmp_path, BASE, "good.json")
     assert main(["verify", str(good)]) == 0

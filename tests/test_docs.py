@@ -3,6 +3,7 @@
 import contextlib
 import importlib
 import io
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 import syncflow
 from syncflow.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_use_runs():
@@ -35,3 +37,18 @@ def test_readme_scenario_verifies(tmp_path):
     scenario.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", str(scenario)]) == 0
+
+
+def test_every_bench_file_holds_its_pair_summary():
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        bench = json.loads(path.read_text())
+        assert {"python", "numpy", "nproc"} <= set(bench["environment"]), path.name
+        assert set(bench["src_lines"]) == {"parent", "change"}, path.name
+        assert bench["workloads"], path.name
+        for name, metrics in bench["workloads"].items():
+            for metric, m in metrics.items():
+                where = f"{path.name}: {name} {metric}"
+                assert {"median", "q1", "q3"} <= set(m["parent"]) & set(m["change"]), where
+                assert 0 <= m["pairs_won"] <= m["pairs"], where

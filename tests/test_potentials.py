@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from syncflow import (
@@ -14,9 +14,16 @@ from syncflow import (
     common_zero_set,
     potentials,
 )
+from syncflow import convex_geometry as cg
 from syncflow.cli import potential_from_dict
 from syncflow.potentials import NetworkPotential
-from util import gradient_consistency_check, oracle_gradient, oracle_value, potential_to_dict
+from util import (
+    gradient_consistency_check,
+    oracle_gradient,
+    oracle_value,
+    potential_to_dict,
+    sum_zero_set_oracle,
+)
 
 CATALOG_1D = [
     Quadratic(center=[0.0], weight=1.0),
@@ -133,6 +140,54 @@ def test_sum_zero_set_multidim_box():
     body = s.zero_set()
     # component 0: x + (x-2)^3 = 0 -> 1; component 1: shared minimizer 1
     np.testing.assert_allclose(body.center(), [1.0, 1.0], atol=1e-9)
+
+
+def test_far_apart_sum_zero_set_prints_no_overflow_warning():
+    # the bisection's cube of s - 1e200 overflows on the way; the quadratic's
+    # pull of 1e200 moves the root by ~1e66, below the ulp of 1e200
+    s = SumPotential((Quadratic(center=[0.0]), QuarticWell(center=[1e200])))
+    body = s.zero_set()  # a RuntimeWarning fails the test
+    assert body.lo.tolist() == body.hi.tolist() == [1e200]
+
+
+@st.composite
+def far_apart_sum(draw):
+    """2-4 catalog terms whose centers span 1e-300 to 1e150 in magnitude, flat bottoms in 1-D."""
+    m = draw(st.integers(1, 3))
+    magnitude = st.builds(lambda sign, e: sign * 10.0**e,
+                          st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 150.0))
+    point = st.lists(magnitude, min_size=m, max_size=m)
+    terms = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["quadratic", "quartic"] + (["flat_bottom"] if m == 1 else [])))
+        if kind == "quadratic":
+            terms.append(Quadratic(center=draw(point), weight=draw(st.floats(0.1, 5.0))))
+        elif kind == "quartic":
+            terms.append(QuarticWell(center=draw(point)))
+        else:
+            terms.append(FlatBottom1D(*sorted(draw(st.lists(magnitude, min_size=2, max_size=2)))))
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(far_apart_sum())
+# 200 halvings of a bracket ~2 wide stop short of the ulp of 1e-300: no early exit
+@example([Quadratic(center=[1e-300]), QuarticWell(center=[-1e-300])])
+# reaches its float fixed point after ~60 halvings
+@example([Quadratic(center=[0.0, 3.0]), QuarticWell(center=[1e100, -2.0])])
+def test_sum_zero_set_equals_the_full_200_step_bisection(terms):
+    # only the bisection branch: no shared minimizer and not all quadratics
+    assume(cg.intersect([t.zero_set() for t in terms], tol=0.0) is None)
+    assume(not all(isinstance(t, Quadratic) for t in terms))
+    try:
+        lo, hi = sum_zero_set_oracle(terms)
+    except RepresentationError:  # the +-1 bracket is lost in the ulp of a center >= ~1e16
+        with pytest.raises(RepresentationError, match="failed to bracket"):
+            SumPotential(tuple(terms)).zero_set()
+        return
+    body = SumPotential(tuple(terms)).zero_set()
+    # bit for bit, the sign of a zero included
+    assert body.lo.tobytes() == lo.tobytes() and body.hi.tobytes() == hi.tobytes()
 
 
 def test_gradient_consistency_quadratic_tight():

@@ -197,6 +197,21 @@ def test_divergence_guard_names_time():
         integrate([QuarticWell(center=[0.0])], sig, 0.0, [50.0], dt=0.05, t_end=5.0, sample_every=0.5)
 
 
+def test_guard_reports_a_nan_state_as_an_infinite_sup_norm():
+    # the wells' cubes overflow to +-inf within the first step, and inf - inf is NaN
+    pots = [QuarticWell(center=[1e100]), QuarticWell(center=[-1e100])]
+    g = two_node_graph()
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = simulator._rk4_step(compile_network(pots, 2), g.laplacian_matrix, 1.0,
+                                np.zeros((2, 1)), 0.01)
+    assert np.isnan(X).any()
+    with pytest.raises(FiniteEscapeError) as caught:
+        integrate(pots, fixed_signal(g), 1.0, [0.0, 0.0], dt=0.01, t_end=1.0,
+                  divergence_guard=1.7e308)
+    assert caught.value.time == 0.01
+    assert caught.value.sup_norm == math.inf
+
+
 def test_input_validation():
     sig = fixed_signal(two_node_graph())
     pots = [Quadratic(center=[0.0]), Quadratic(center=[0.0])]

@@ -10,6 +10,7 @@ from syncflow import (
     PreconditionError,
     Quadratic,
     QuarticWell,
+    RepresentationError,
     SumPotential,
     WeightedDigraph,
 )
@@ -230,3 +231,62 @@ def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np
         return np.linalg.solve(w_diag + K * lap, b).reshape(g.node_count, -1)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"equilibrium system is singular: {e}") from None
+
+
+# -- the argmin bisection as it ran before its early exit: all 200 halvings ----
+
+
+def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
+    """Zero interval of the k-th gradient component of the flattened sum ``terms``, by
+    200 halvings per edge with no early exit; overflow to inf is silent, as in ``src/``."""
+
+    def deriv(s: float) -> float:
+        total = 0.0
+        for t in terms:
+            if isinstance(t, Quadratic):
+                total += t.weight * (s - t.center[k])
+            elif isinstance(t, QuarticWell):
+                total += (s - t.center[k]) ** 3
+            elif isinstance(t, FlatBottom1D):
+                if s > t.right:
+                    total += s - t.right
+                elif s < t.left:
+                    total += s - t.left
+        return total
+
+    zsets = [t.zero_set() for t in terms]
+    a = min(float(z.lo[k]) for z in zsets) - 1.0
+    b = max(float(z.hi[k]) for z in zsets) + 1.0
+
+    def bisect(predicate) -> tuple[float, float]:
+        lo_, hi_ = a, b
+        for _ in range(200):
+            mid = 0.5 * (lo_ + hi_)
+            if predicate(mid):
+                hi_ = mid
+            else:
+                lo_ = mid
+        return lo_, hi_
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (deriv(a) < 0.0 < deriv(b)):
+            raise RepresentationError("failed to bracket the argmin of a sum potential")
+        _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
+        right_edge, _ = bisect(lambda s: deriv(s) > 0.0)
+    if right_edge < left_edge:
+        mid = 0.5 * (left_edge + right_edge)
+        return mid, mid
+    return left_edge, right_edge
+
+
+def sum_zero_set_oracle(terms) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of a sum's argmin box when its terms share no minimizer and are not all
+    quadratic: one oracle interval per component, a box thinner than 1e-9 of its
+    scale collapsed to its midpoint."""
+    m = terms[0].dimension
+    lo, hi = (np.array(e) for e in zip(*(component_zero_interval_oracle(terms, k)
+                                         for k in range(m))))
+    scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+    if np.all(hi - lo <= 1e-9 * scale):
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi
