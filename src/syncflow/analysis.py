@@ -25,8 +25,8 @@ import numpy as np
 
 from . import convex_geometry as cg
 from .errors import InputError, NumericalError, PreconditionError
-from .graphs import SwitchingSignal, WeightedDigraph, is_strongly_connected, lambda2
-from .potentials import NetworkPotential, common_zero_set
+from .graphs import SwitchingSignal, WeightedDigraph, lambda2, require_undirected
+from .potentials import common_zero_set
 from .report import CheckReport
 from .simulator import DEFAULT_GUARD, Trajectory, compile_network, fixed_signal, integrate
 from .simulator import network_field
@@ -308,24 +308,14 @@ def check_node_optimum(
 # -- aggregate potential over a fixed undirected graph ----------------------
 
 
-def _require_symmetric(g: WeightedDigraph, op: str):
-    if not g.is_symmetric():
-        raise PreconditionError(f"{op} requires a symmetric (undirected) graph")
-
-
 def aggregate_potential(potentials, g: WeightedDigraph, K: float, x) -> float:
     """sum_i F_i(x_i) + (K/2) sum_{edges} a_ij |x_j - x_i|^2 (undirected g), x as (N, m) blocks."""
-    _require_symmetric(g, "aggregate_potential")
+    require_undirected(g, "aggregate_potential", connected=False)
     net = compile_network(potentials, g.node_count)
     X = np.asarray(x, dtype=float).reshape(net.node_count, net.dimension)
-    return _aggregate(net, g.laplacian_matrix, K, X)
-
-
-def _aggregate(net: NetworkPotential, lap: np.ndarray, K: float, X: np.ndarray) -> float:
     val = sum(net.value(X))  # one node after another; np.sum would add pairwise
     # for symmetric weights, x'(L kron I)x equals the unordered-edge sum
-    val += 0.5 * K * float(np.sum(X * (lap @ X)))
-    return val
+    return val + 0.5 * K * float(np.sum(X * (g.laplacian_matrix @ X)))
 
 
 def minimize_aggregate(
@@ -336,20 +326,24 @@ def minimize_aggregate(
     tol: float = 1e-8,
     max_iter: int = 200000,
 ) -> np.ndarray:
-    """Minimize the aggregate potential by backtracking gradient descent; returns (N, m) blocks.
+    """Minimize the aggregate potential by adaptive gradient descent; returns (N, m) blocks.
 
     The descent direction is the coupled vector field itself (its negation is
     exactly the gradient of the aggregate potential on an undirected graph),
     so agreement between this routine and the simulator is a structural
     identity, not a coincidence.
 
-    Armijo backtracking compares function values, whose resolution is limited
-    to roughly machine epsilon times the value scale; once the requested
-    decrease drops below that floor the search switches to fixed steps sized
-    from a local curvature estimate, driven by the gradient norm alone, which
-    stays meaningful down to ~1e-13.
+    The step adapts from gradients alone, with no function values and no
+    backtracking (Malitsky and Mishchenko, arXiv:2308.02261): a probe of
+    length 1e-5 * max(1, |x|) along the descent direction sets the first step
+    1/L from its secant, and every later step takes the smaller of
+    sqrt(2/3 + theta) times the last one and the bound from the newest secant
+    L_k = |grad_k - grad_{k-1}| / |x_k - x_{k-1}|.  The loop returns once the
+    gradient norm is at most ``tol``, raises NumericalError naming a stall
+    when the norm sets no new best in 200 steps in a row, and raises
+    NumericalError naming the budget when ``max_iter`` steps run out.
     """
-    _require_symmetric(g, "minimize_aggregate")
+    require_undirected(g, "minimize_aggregate", connected=False)
     if K < 0:
         raise InputError(f"K must be nonnegative, got {K}")
     validate_grad_tol(tol)
@@ -363,73 +357,43 @@ def minimize_aggregate(
         return -network_field(net, lap, K, y)
 
     x = np.array(x_init, dtype=float).reshape(net.node_count, net.dimension)
-    fval = _aggregate(net, lap, K, x)
-    noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(fval))
-    step = 1.0
-    budget = max_iter
-    gnorm = math.inf
-    while budget > 0:
-        budget -= 1
-        grad = grad_at(x)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            return x
-        step = min(step * 2.0, 1e6)
-        stalled = False
-        while True:
-            x_new = x - step * grad
-            f_new = _aggregate(net, lap, K, x_new)
-            need = 1e-4 * step * gnorm * gnorm
-            if f_new <= fval - need:
-                break
-            if need <= noise_floor:
-                stalled = True  # requested decrease is unresolvable in floats
-                break
-            step *= 0.5
-            if step < 1e-18:
-                stalled = True
-                break
-        if stalled:
-            break
-        x, fval = x_new, f_new
-    else:
-        raise NumericalError(
-            f"minimize_aggregate exhausted {max_iter} iterations; final gradient norm "
-            f"{gnorm:.3e} (target {tol:.1e})"
-        )
-
-    # fixed-step refinement: step 1/L from a directional curvature estimate,
-    # halved whenever the gradient norm stops contracting
     grad = grad_at(x)
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = best = float(np.linalg.norm(grad))
     if gnorm <= tol:
         return x
-    delta = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-    lip = float(np.linalg.norm(grad - grad_at(x - delta * grad / gnorm))) / delta
-    h = 1.0 / max(lip, 1e-12)
-    best_x, best_g = x.copy(), gnorm
-    since_improve = 0
-    while budget > 0:
-        budget -= 1
-        x = x - h * grad
-        grad = grad_at(x)
+    step = 1e-5 * max(1.0, float(np.linalg.norm(x))) / gnorm  # the probe
+    theta = None  # set once the probe's secant has sized the first real step
+    since_best = 0
+    for _ in range(max_iter):
+        x_next = x - step * grad
+        grad_next = grad_at(x_next)
+        dx = float(np.linalg.norm(x_next - x))
+        # a step too short to change x or its gradient has no secant: only the growth term applies
+        lip = float(np.linalg.norm(grad_next - grad)) / dx if dx > 0 else 0.0
+        x, grad = x_next, grad_next
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
             return x
-        if gnorm < best_g * (1.0 - 1e-12):
-            best_x, best_g = x.copy(), gnorm
-            since_improve = 0
+        if gnorm < best:
+            best, since_best = gnorm, 0
         else:
-            since_improve += 1
-            if gnorm > 2.0 * best_g or since_improve > 200:
-                h *= 0.5
-                x, grad, gnorm = best_x.copy(), grad_at(best_x), best_g
-                since_improve = 0
-                if h < 1e-18:
-                    break
+            since_best += 1
+            if since_best == 200:
+                raise NumericalError(
+                    f"minimize_aggregate stalled: no smaller gradient norm in 200 steps; "
+                    f"best {best:.3e} (target {tol:.1e})"
+                )
+        if theta is None:
+            step, theta = (1.0 / lip if lip > 0 else step), 1.0
+        else:
+            nxt = math.sqrt(2.0 / 3.0 + theta) * step
+            curv = 2.0 * (step * lip) * (step * lip)  # a float ** would raise on overflow
+            if curv > 1.0:
+                nxt = min(nxt, step / math.sqrt(curv - 1.0))
+            step, theta = nxt, nxt / step
     raise NumericalError(
         f"minimize_aggregate exhausted {max_iter} iterations; final gradient norm "
-        f"{best_g:.3e} (target {tol:.1e})"
+        f"{gnorm:.3e} (target {tol:.1e})"
     )
 
 
@@ -451,9 +415,7 @@ def check_spectral_bound(
     """
     if K <= 0:
         raise PreconditionError("spectral bound needs K > 0")
-    _require_symmetric(g, "check_spectral_bound")
-    if not is_strongly_connected(g):
-        raise PreconditionError("check_spectral_bound requires a connected graph")
+    require_undirected(g, "check_spectral_bound")
     net = compile_network(potentials, g.node_count)
     lap = g.laplacian_matrix
     P = np.asarray(p, dtype=float).reshape(g.node_count, net.dimension)
@@ -499,9 +461,7 @@ def check_sync_iff(
     run's tail diameter must stay at or above ``min_floor`` (the observed
     floor is reported, never assumed).
     """
-    _require_symmetric(g, "check_sync_iff")
-    if not is_strongly_connected(g):
-        raise PreconditionError("check_sync_iff requires a connected graph")
+    require_undirected(g, "check_sync_iff")
     body = common_zero_set(potentials)
     sig = fixed_signal(g)
     runs = []

@@ -319,11 +319,10 @@ class Check:
 def _fixed_symmetric_connected(sc: Scenario):
     if sc.signal.has_switches():
         _fail("check 'spectral_bound' requires a fixed signal")
-    g = sc.signal.graph_at(0.0)
-    if not g.is_symmetric():
-        _fail("check 'spectral_bound' requires a symmetric graph")
-    if not graphs.is_strongly_connected(g):
-        _fail("check 'spectral_bound' requires a connected graph")
+    try:
+        graphs.require_undirected(sc.signal.graph_at(0.0), "check 'spectral_bound'")
+    except PreconditionError as e:
+        _fail(str(e))
     if sc.primary_K <= 0:
         _fail("check 'spectral_bound' requires K > 0")
 

@@ -35,6 +35,7 @@ __all__ = [
     "certify_ujsc",
     "check_ujsc",
     "lambda2",
+    "require_undirected",
 ]
 
 _TIME_TOL = 1e-9
@@ -314,13 +315,19 @@ def check_ujsc(signal: SwitchingSignal, T: float) -> CheckReport:
 # -- spectra -----------------------------------------------------------------
 
 
+def require_undirected(g: WeightedDigraph, what: str, connected: bool = True):
+    """Raises PreconditionError naming ``what`` unless g is symmetric (paired
+    equal-weight arcs) and, when ``connected``, connected."""
+    if not g.is_symmetric():
+        raise PreconditionError(f"{what} requires a symmetric graph")
+    if connected and not is_strongly_connected(g):
+        raise PreconditionError(f"{what} requires a connected graph")
+
+
 def lambda2(g: WeightedDigraph) -> float:
     """Second-smallest eigenvalue of the Laplacian of a symmetric connected graph."""
     if g.node_count < 2:
         raise PreconditionError("lambda2 needs at least two nodes")
-    if not g.is_symmetric():
-        raise PreconditionError("lambda2 requires a symmetric graph (paired equal-weight arcs)")
-    if not is_strongly_connected(g):
-        raise PreconditionError("lambda2 requires a connected graph")
+    require_undirected(g, "lambda2")
     # eigvalsh reads one triangle only; the symmetry check above keeps that exact
     return float(np.linalg.eigvalsh(g.laplacian_matrix)[1])

@@ -23,6 +23,7 @@ precision with no clamping, and boundedness along trajectories is the
 simulator's responsibility (divergence guard), not the potential's.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,11 +279,13 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
         return lo_, hi_
 
     zsets = [t.zero_set() for t in terms]
-    a = min(float(z.lo[k]) for z in zsets) - 1.0
-    b = max(float(z.hi[k]) for z in zsets) + 1.0
+    lo = min(float(z.lo[k]) for z in zsets)
+    hi = max(float(z.hi[k]) for z in zsets)
+    # each edge widens by 1, or by 2^-50 of it beyond 2^50, where its ulp would swallow 1
+    a, b = lo - max(1.0, 2.0**-50 * abs(lo)), hi + max(1.0, 2.0**-50 * abs(hi))
     # far-apart centers overflow deriv to +-inf (NaN once both meet); both are only compared
     with np.errstate(over="ignore", invalid="ignore"):
-        if not (deriv(a) < 0.0 < deriv(b)):
+        if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
             raise RepresentationError("failed to bracket the argmin of a sum potential")
         _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
         right_edge, _ = bisect(lambda s: deriv(s) > 0.0)

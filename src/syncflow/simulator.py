@@ -150,6 +150,7 @@ def _event_grid(signal: SwitchingSignal, t_end: float, sample_every: float):
             merged[-1][1] = merged[-1][1] or rec
         else:
             merged.append([t, rec])
+    merged[-1][0] = t_end  # a sample within the tolerance before t_end does not end the run early
     return merged
 
 
@@ -169,7 +170,8 @@ def integrate(
     Fixed-step RK4 whose steps never straddle a switching instant: the step
     is shortened to land exactly on each switch time and each sample time,
     then resumes.  Samples are recorded at every multiple of ``sample_every``
-    and at every switch instant (by default every ten steps).
+    and at every switch instant (by default every ten steps); events closer
+    than 1e-9 * max(1, t_end) merge, and the run ends at t_end exactly.
     """
     if K < 0:
         raise InputError(f"coupling gain K must be nonnegative, got {K}")

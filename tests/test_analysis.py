@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from syncflow import (
     FlatBottom1D,
     InputError,
+    NumericalError,
     PreconditionError,
     Quadratic,
     QuarticWell,
@@ -30,6 +31,7 @@ from syncflow import (
     sweep_K,
     sync_verdict,
 )
+from syncflow import analysis
 from syncflow.analysis import check_no_sync, check_sync, cube_containment, diameter_series
 from syncflow.simulator import compile_network, network_field
 from syncflow.convex_geometry import zero_set_hull
@@ -345,6 +347,79 @@ def test_minimize_aggregate_K_zero_separable():
 def test_minimize_aggregate_requires_symmetric_graph():
     with pytest.raises(PreconditionError):
         minimize_aggregate([Quadratic(center=[0.0])] * 2, WeightedDigraph(2, ((0, 1, 1.0),)), 1.0, [0.0, 0.0])
+
+
+@st.composite
+def aggregate_problems(draw):
+    """A catalog network on a connected symmetric graph, a gain K in (0, 30] and a start.
+
+    Every node carries a quadratic, alone (on every node, half the time) or
+    summed with up to two catalog terms.  The quadratic keeps the aggregate
+    strongly convex: a quartic centered inside every flat bottom around it
+    has a minimizer with no curvature along the consensus, where any gradient
+    method converges sublinearly.  The weights keep the condition number in
+    the thousands.
+    """
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 12))
+    center = st.lists(st.floats(-5, 5), min_size=m, max_size=m)
+    quadratic = st.builds(Quadratic, center, st.floats(0.5, 3.0))
+    kinds = [quadratic, st.builds(QuarticWell, center)]
+    if m == 1:
+        kinds.append(st.tuples(st.floats(-5, 0), st.floats(0, 5)).map(lambda b: FlatBottom1D(*b)))
+    extra = st.lists(st.one_of(kinds), min_size=1, max_size=2)
+    summed = st.tuples(quadratic, extra).map(lambda q: SumPotential((q[0], *q[1])))
+    node = quadratic if draw(st.booleans()) else quadratic | summed
+    pots = draw(st.lists(node, min_size=n, max_size=n))
+    # a random spanning tree keeps the graph connected; chords are optional
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    arcs = []
+    for i, j in sorted(edges):
+        w = draw(st.floats(0.1, 2.0))
+        arcs += [(i, j, w), (j, i, w)]
+    K = draw(st.floats(0.0, 30.0, exclude_min=True))
+    x0 = draw(arrays(np.float64, (n, m), elements=st.floats(-100.0, 100.0)))
+    return pots, WeightedDigraph(n, tuple(arcs)), K, x0
+
+
+@settings(max_examples=100, deadline=None)
+@given(aggregate_problems())
+def test_minimize_aggregate_reaches_the_gradient_tolerance(case):
+    pots, g, K, x0 = case
+    p = minimize_aggregate(pots, g, K, x0, tol=1e-10)
+    grad = network_field(compile_network(pots, g.node_count), g.laplacian_matrix, K, p)
+    assert np.linalg.norm(grad) <= 1e-10
+    if all(isinstance(q, Quadratic) for q in pots):
+        np.testing.assert_allclose(p, equilibrium_oracle_quadratic(pots, g, K), rtol=0, atol=1e-8)
+
+
+def test_minimize_aggregate_names_a_stall(monkeypatch):
+    # the 6-node ring of the CLI's warm-start test; no float state has a gradient norm of 1e-300
+    n = 6
+    pots = [Quadratic(center=[2.0]) if i % 2 == 0 else
+            SumPotential((Quadratic(center=[0.1 * i]), QuarticWell(center=[-0.1 * i])))
+            for i in range(n)]
+    calls = []
+    field = analysis.network_field
+    monkeypatch.setattr(analysis, "network_field", lambda *a: calls.append(1) or field(*a))
+    with pytest.raises(NumericalError, match="stalled"):
+        minimize_aggregate(pots, ring_graph(n), 8.0, [float(i % 5) - 2.0 for i in range(n)],
+                           tol=1e-300)
+    assert len(calls) <= 500
+
+
+def test_minimize_aggregate_grows_a_probe_too_short_to_change_the_gradient():
+    # from 0 the probe moves 1e-5, far below the ulp of the gradient -1e20: it has no secant
+    pots = [Quadratic(center=[1e20]), Quadratic(center=[1e20])]
+    p = minimize_aggregate(pots, two_node(), 1.0, [0.0, 0.0], tol=1e5)
+    np.testing.assert_allclose(p, 1e20, rtol=1e-14)
+
+
+def test_minimize_aggregate_names_an_exhausted_budget():
+    pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
+    with pytest.raises(NumericalError, match="exhausted 3 iterations"):
+        minimize_aggregate(pots, two_node(), 1.0, [5.0, -5.0], tol=1e-12, max_iter=3)
 
 
 # -- spectral bound ------------------------------------------------------------

@@ -214,6 +214,17 @@ def test_lambda2_preconditions():
         lambda2(undirected(4, [(0, 1), (2, 3)]))  # disconnected
 
 
+def test_require_undirected_names_the_rule_a_graph_breaks():
+    split = undirected(4, [(0, 1), (2, 3)])
+    with pytest.raises(PreconditionError) as err:
+        graphs.require_undirected(chain(3), "op")
+    assert str(err.value) == "op requires a symmetric graph"
+    with pytest.raises(PreconditionError) as err:
+        graphs.require_undirected(split, "op")
+    assert str(err.value) == "op requires a connected graph"
+    graphs.require_undirected(split, "op", connected=False)
+
+
 def test_lambda2_positive_iff_connected():
     connected = ring_graph(5)
     assert lambda2(connected) > 0

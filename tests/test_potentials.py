@@ -175,19 +175,34 @@ def far_apart_sum(draw):
 @example([Quadratic(center=[1e-300]), QuarticWell(center=[-1e-300])])
 # reaches its float fixed point after ~60 halvings
 @example([Quadratic(center=[0.0, 3.0]), QuarticWell(center=[1e100, -2.0])])
+# a bracket widened by a fixed 1.0 was lost in the ulp of -1e16
+@example([Quadratic(center=[-1.0, -1e16]), QuarticWell(center=[-10.0, -1e16])])
 def test_sum_zero_set_equals_the_full_200_step_bisection(terms):
     # only the bisection branch: no shared minimizer and not all quadratics
     assume(cg.intersect([t.zero_set() for t in terms], tol=0.0) is None)
     assume(not all(isinstance(t, Quadratic) for t in terms))
     try:
         lo, hi = sum_zero_set_oracle(terms)
-    except RepresentationError:  # the +-1 bracket is lost in the ulp of a center >= ~1e16
+    except RepresentationError:  # a bracket edge that overflows to +-inf
         with pytest.raises(RepresentationError, match="failed to bracket"):
             SumPotential(tuple(terms)).zero_set()
         return
     body = SumPotential(tuple(terms)).zero_set()
     # bit for bit, the sign of a zero included
     assert body.lo.tobytes() == lo.tobytes() and body.hi.tobytes() == hi.tobytes()
+
+
+def test_sum_zero_set_brackets_a_component_beyond_2_to_the_53():
+    # the ulp of -1e16 is 2.0, so a bracket widened by a fixed 1.0 did not move
+    terms = (Quadratic(center=[-1.0, -1e16]), QuarticWell(center=[-10.0, -1e16]))
+    body = SumPotential(terms).zero_set()
+    assert body.lo[1] == body.hi[1] == -1e16
+
+
+def test_sum_zero_set_bracket_edge_that_overflows_fails_to_bracket():
+    far = np.finfo(float).max  # widened by 2^-50 of itself, the edge is inf
+    with pytest.raises(RepresentationError, match="failed to bracket"):
+        SumPotential((Quadratic(center=[0.0]), QuarticWell(center=[far]))).zero_set()
 
 
 def test_gradient_consistency_quadratic_tight():

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: standard topologies, catalogs and reference solvers."""
 
+import math
+
 import numpy as np
 
 from syncflow import (
@@ -255,8 +257,9 @@ def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
         return total
 
     zsets = [t.zero_set() for t in terms]
-    a = min(float(z.lo[k]) for z in zsets) - 1.0
-    b = max(float(z.hi[k]) for z in zsets) + 1.0
+    lo = min(float(z.lo[k]) for z in zsets)
+    hi = max(float(z.hi[k]) for z in zsets)
+    a, b = lo - max(1.0, 2.0**-50 * abs(lo)), hi + max(1.0, 2.0**-50 * abs(hi))
 
     def bisect(predicate) -> tuple[float, float]:
         lo_, hi_ = a, b
@@ -269,7 +272,7 @@ def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
         return lo_, hi_
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if not (deriv(a) < 0.0 < deriv(b)):
+        if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
             raise RepresentationError("failed to bracket the argmin of a sum potential")
         _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
         right_edge, _ = bisect(lambda s: deriv(s) > 0.0)
