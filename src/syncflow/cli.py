@@ -278,6 +278,8 @@ def load_scenario(path) -> Scenario:
 def _parse_x0(raw: dict, n: int, m: int) -> np.ndarray:
     spec = _require(raw, "x0", "scenario")
     lo, hi = _numbers(raw.get("x0_range", [-5.0, 5.0]), "x0_range", 2)
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        _fail(f"x0_range [{lo}, {hi}] must have lo <= hi and a finite width hi - lo")
     if isinstance(spec, list):
         return np.reshape(_numbers(spec, "x0", n * m), (n, m))
     if spec == "grid":

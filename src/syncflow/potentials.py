@@ -10,17 +10,17 @@ hypotheses of the synchronization analysis stay machine-checkable:
 * ``FlatBottom1D``   zero on [left, right], quadratic halves outside (1-D)
 * ``SumPotential``   pointwise sum of catalog terms sharing one dimension
 
-``NetworkPotential`` compiles the potentials of a whole network into arrays,
-so one call evaluates every node.  Each kind's kernel, a static method of its
-class, is the specification and the only formula for its value and gradient:
-``Potential.value`` and ``gradient`` evaluate a one-node network, and the test
-suite's ``tests/util.py`` holds the independent per-kind oracle.  The one other
-copy is the scalar derivative of the argmin bisection (see
-``_component_zero_interval``).
+``NetworkPotential`` compiles a network's potentials into arrays, so one call
+evaluates every node.  Each kind's kernel, a static method of its class, is the
+only formula for its value and gradient (``Potential.value``/``gradient`` evaluate
+a one-node network; ``tests/util.py`` holds the per-kind oracle), but for the
+argmin bisection's scalar derivative (see ``_component_zero_interval``).
 
-The quartic well is deliberately non-Lipschitz; it is evaluated in double
-precision with no clamping, and boundedness along trajectories is the
-simulator's responsibility (divergence guard), not the potential's.
+The quartic well is deliberately non-Lipschitz and evaluated in double precision
+with no clamping; boundedness along trajectories is the simulator's (divergence
+guard).  Its gradient is d * d * d with d = x - c: on the RK4 field's hot path two
+multiplies take a fifth of libm pow's time, and they stay within 1 ulp of pow where
+the cube is normal, with pow's inf, NaN, signed zero and overflow.
 """
 
 import math
@@ -137,7 +137,11 @@ class QuarticWell(Potential):
     def _kernel(terms):
         """(gradient, value) of stacked quartic wells on node blocks (..., n, m)."""
         c = np.array([t.center for t in terms])
-        return (lambda x: (x - c) ** 3), (lambda x: 0.25 * np.sum((x - c) ** 4, axis=-1))
+
+        def gradient(x):
+            d = x - c  # two multiplies, not libm pow: see the module docstring
+            return d * d * d
+        return gradient, (lambda x: 0.25 * np.sum((x - c) ** 4, axis=-1))
 
     def _argmin_set(self) -> cg.Box:
         return cg.Box(self.center, self.center)
@@ -238,11 +242,11 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
     The component derivative is non-decreasing, so {deriv = 0} is an interval
     bracketed by the union of the terms' per-component argmin ranges.
 
-    ``deriv`` repeats each kind's gradient component as scalar arithmetic, the
-    one copy of the formulas outside the kernels.  Each edge's bisection calls
-    it about 55 times before it reaches its float fixed point (at most 200),
-    where a numpy kernel call per point measured about 8x slower; zero sets
-    take 1.5-2.7 ms of a bench run (2 vCPUs, Python 3.11, numpy 2.4).
+    ``deriv`` repeats each kind's gradient component in scalar arithmetic, the one
+    copy outside the kernels: over its ~55 calls per edge to the float fixed point,
+    a numpy call per point measured 8x slower (zero sets take 1.5-2.7 ms of a bench
+    run; 2 vCPUs, Python 3.11, numpy 2.4).  Its cube is pow, up to 1 ulp from the
+    kernel's d * d * d, which can flip deriv's sign (all the bisection reads) only near 0.
     """
 
     def deriv(s: float) -> float:
@@ -353,7 +357,8 @@ class NetworkPotential:
         G = np.empty(X.shape)
         G[...] = self._start
         for block, grad, _ in self._slots:
-            G[..., block, :] += grad(X[..., block, :])
+            g = G[..., block, :]  # += on the view adds in place; on G[...] it copies back
+            g += grad(X[..., block, :])
         return G.take(self._inverse, axis=-2)
 
     def value(self, X) -> np.ndarray:

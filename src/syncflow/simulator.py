@@ -95,9 +95,12 @@ def compile_network(potentials, node_count: int) -> NetworkPotential:
 
 def network_field(net: NetworkPotential, lap: np.ndarray, K: float, X: np.ndarray) -> np.ndarray:
     """The network drift -grad F(X) - K L X on node states X of shape (..., N, m)."""
-    dX = -net.gradient(X)
+    dX = net.gradient(X)
+    np.negative(dX, out=dX)  # dX and LX are fresh arrays: in place, the same bits
     if K != 0.0:
-        dX -= K * (lap @ X)
+        LX = lap @ X
+        LX *= K
+        dX -= LX
     return dX
 
 

@@ -648,6 +648,10 @@ MALFORMED = {
     "K_string": _set(["K"], "abc"),
     "dt_null": _set(["dt"], None),
     "x0_range_3": _set(["x0_range"], [-1.0, 0.0, 1.0]),
+    "x0_range_reversed_random": lambda obj: obj.update(x0="random:1", x0_range=[5.0, -5.0]),
+    "x0_range_width_overflows_random": lambda obj: obj.update(x0="random:1",
+                                                              x0_range=[-1e308, 1e308]),
+    "x0_range_width_overflows_grid": lambda obj: obj.update(x0="grid", x0_range=[-1e308, 1e308]),
     "center_string": _set(["nodes", 0, "center"], "x"),
     "edge_source_string": _set(["graphs", "g0", 0, 0], "a"),
     "edge_weight_string": _set(["graphs", "g0", 0, 2], "w"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from syncflow import (
     Box,
@@ -63,6 +64,51 @@ def test_quartic_self_dynamics_is_negative_cube():
     x = np.array([1.3, 0.8])
     np.testing.assert_allclose(-spec.gradient(x), -(x - spec.center) ** 3)
     assert -QuarticWell(center=[0.0]).gradient([1.0])[0] == pytest.approx(-1.0)
+
+
+def _pow_cube_and_kernel(c, x):
+    """(x - c) ** 3 by libm pow, the quartic kernel's independent reference, and the kernel's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x - c) ** 3, QuarticWell(center=c).gradient(x)
+
+
+def _assert_within_one_ulp_of_pow(c, x) -> int:
+    """The kernel is within 1 ulp of pow wherever pow's cube is normal, and equal to it where
+    the cube overflows; returns how many results were normal."""
+    want, got = _pow_cube_and_kernel(c, x)
+    normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+    w, g = want[normal], got[normal]
+    assert np.all((g == w) | (g == np.nextafter(w, np.inf)) | (g == np.nextafter(w, -np.inf)))
+    np.testing.assert_array_equal(got[np.isinf(want)], want[np.isinf(want)])
+    return int(normal.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, 3, elements=st.floats(allow_nan=False, allow_infinity=False)),
+       arrays(np.float64, (4, 3), elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_quartic_gradient_is_within_one_ulp_of_pow(c, x):
+    _assert_within_one_ulp_of_pow(c, x)
+
+
+def test_quartic_gradient_is_within_one_ulp_of_pow_on_random_bit_patterns():
+    bits = np.random.default_rng(14).integers(0, 2**64, size=(50_000, 2), dtype=np.uint64)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x).all(axis=1)]
+    for c in (0.0, 1.0, -3.5e-7):
+        # a third of all exponents cube to a normal number
+        assert _assert_within_one_ulp_of_pow(np.array([c, -c]), x) > 0.3 * x.size
+
+
+@pytest.mark.parametrize(
+    "x, c",
+    [(0.0, 0.0), (-0.0, 0.0), (2.5, 2.5), (np.inf, 0.0), (-np.inf, 1.0), (np.nan, 0.0),
+     (1e103, 0.0), (-1e103, 0.0), (1e155, 0.0), (-1e155, 0.0), (1.7e308, -1.7e308)],
+)
+def test_quartic_gradient_equals_pow_on_zeros_infinities_nan_and_overflow(x, c):
+    want, got = _pow_cube_and_kernel(np.array([c]), np.array([x]))
+    np.testing.assert_array_equal(got, want)
+    if not np.isnan(want[0]):
+        assert np.signbit(got[0]) == np.signbit(want[0])
 
 
 def test_quadratic_self_dynamics():

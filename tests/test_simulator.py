@@ -105,6 +105,20 @@ def test_network_field_on_a_lane_stack_equals_one_call_per_lane(case):
         np.testing.assert_array_equal(stacked[lane], network_field(net, lap, K, X[lane]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(lane_stacks())
+def test_network_field_neither_writes_nor_aliases_its_input(case):
+    pots, g, K, stack = case
+    net, lap = compile_network(pots, g.node_count), g.laplacian_matrix
+    for X in (stack[0].copy(), stack):  # one state (N, m) and a lane stack (B, N, m)
+        before = X.tobytes()
+        first = network_field(net, lap, K, X)
+        second = network_field(net, lap, K, X)
+        assert X.tobytes() == before
+        assert not np.shares_memory(first, X) and not np.shares_memory(second, X)
+        assert not np.shares_memory(second, first)
+
+
 @pytest.mark.parametrize(
     "states",
     [np.zeros((3, 4)), np.zeros((3, 2, 2, 1)), np.zeros((2, 2, 1))],

@@ -146,7 +146,8 @@ def oracle_gradient(spec, x) -> np.ndarray:
     if isinstance(spec, Quadratic):
         return spec.weight * (x - spec.center)
     if isinstance(spec, QuarticWell):
-        return (x - spec.center) ** 3
+        d = x - spec.center  # two multiplies, as the kernel; pow is the reference of its own test
+        return d * d * d
     if isinstance(spec, FlatBottom1D):
         return x - np.minimum(np.maximum(x, spec.left), spec.right)
     if isinstance(spec, SumPotential):
