@@ -4,19 +4,17 @@ potentials, under fixed or switching directed communication graphs."""
 
 from .analysis import (
     DiagnosticsSeries,
-    SweepResult,
-    SyncVerdict,
     aggregate_potential,
     check_common_limit,
     check_feasibility,
     check_monotone,
     check_node_optimum,
     check_spectral_bound,
+    check_sync,
     check_sync_iff,
     diagnostics,
     minimize_aggregate,
     sweep_K,
-    sync_verdict,
 )
 from .convex_geometry import (
     Box,
@@ -37,9 +35,7 @@ from .errors import (
     RepresentationError,
 )
 from .graphs import (
-    JointGraph,
     SwitchingSignal,
-    UJSCCertificate,
     WeightedDigraph,
     certify_ujsc,
     is_strongly_connected,

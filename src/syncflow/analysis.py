@@ -19,7 +19,7 @@ Finite-horizon proxies: a "tail" quantity is taken over the last
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +33,8 @@ from .simulator import network_field
 
 __all__ = [
     "DiagnosticsSeries",
-    "SyncVerdict",
-    "SweepResult",
     "diagnostics",
     "diameter_series",
-    "sync_verdict",
     "check_sync",
     "check_no_sync",
     "check_monotone",
@@ -70,13 +67,6 @@ class DiagnosticsSeries:
     v_nodes: np.ndarray | None = None  # (n_samples, N)
     v: np.ndarray | None = None
     z_star: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class SyncVerdict:
-    exact_sync: bool
-    epsilon_estimate: float
-    limit_point: np.ndarray | None
 
 
 def validate_tail_fraction(tail_fraction) -> float:
@@ -172,39 +162,24 @@ def diagnostics(traj: Trajectory, potentials, z_star="auto") -> DiagnosticsSerie
     )
 
 
-def sync_verdict(
-    traj: Trajectory,
-    tol: float = 1e-6,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    diameter: np.ndarray | None = None,
-) -> SyncVerdict:
-    """Exact-synchronization verdict plus the tail-sup disagreement estimate.
-
-    ``diameter`` is the trajectory's ``diameter_series`` when the caller
-    already holds it (``diagnostics`` computes one); otherwise it is computed.
-    """
-    diam = diameter_series(traj) if diameter is None else diameter
-    tail = _tail_indices(traj.times, tail_fraction)
-    eps = float(diam[tail].max())
-    exact = eps < tol
-    limit = traj.states[-1].mean(axis=0) if exact else None
-    return SyncVerdict(exact_sync=exact, epsilon_estimate=eps, limit_point=limit)
-
-
 def check_sync(
     traj: Trajectory,
     tol: float = 1e-6,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
     diameter: np.ndarray | None = None,
 ) -> CheckReport:
-    """Report form of ``sync_verdict``: passes on exact synchronization."""
-    v = sync_verdict(traj, tol=tol, tail_fraction=tail_fraction, diameter=diameter)
-    limit = None if v.limit_point is None else v.limit_point.tolist()
+    """Exact synchronization: the tail-sup of the diameter, the disagreement
+    estimate and ``worst_value``, is below ``tol``.  A pass records the final
+    block average as the limit point.
+
+    ``diameter`` is the trajectory's ``diameter_series`` when the caller
+    already holds it (``diagnostics`` computes one); otherwise it is computed.
+    """
+    diam = diameter_series(traj) if diameter is None else diameter
+    eps = float(diam[_tail_indices(traj.times, tail_fraction)].max())
+    limit = traj.states[-1].mean(axis=0).tolist() if eps < tol else None
     return CheckReport(
-        check="sync",
-        passed=v.exact_sync,
-        worst_value=v.epsilon_estimate,
-        params={"tol": tol, "limit_point": limit},
+        check="sync", passed=eps < tol, worst_value=eps, params={"tol": tol, "limit_point": limit}
     )
 
 
@@ -461,6 +436,9 @@ def check_sync_iff(
     run's tail diameter must stay at or above ``min_floor`` (the observed
     floor is reported, never assumed).
     """
+    x0_set = list(x0_set)
+    if not x0_set:
+        raise InputError("sync iff-check needs at least one initial state")
     require_undirected(g, "check_sync_iff")
     body = common_zero_set(potentials)
     sig = fixed_signal(g)
@@ -499,22 +477,6 @@ def check_sync_iff(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Per-gain disagreement estimates from a coupling sweep."""
-
-    rows: tuple  # ((K, epsilon_estimate | None, error | None), ...)
-    epsilon: float
-    passed: bool
-    params: dict = field(default_factory=dict)
-
-    def report(self) -> CheckReport:
-        """The sweep as the ``sweep_K`` entry of a scenario report."""
-        rows = [{"K": k, "epsilon_estimate": e, "error": err} for (k, e, err) in self.rows]
-        params = {"rows": rows, "epsilon": self.epsilon, "pass": self.passed, "params": self.params}
-        return CheckReport(check="sweep_K", passed=self.passed, params=params)
-
-
 def validate_K_list(K_list) -> list[float]:
     """The gains as floats; raises InputError unless positive and strictly increasing."""
     ks = [float(k) for k in K_list]
@@ -534,36 +496,38 @@ def sweep_K(
     sample_every: float | None = None,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
     divergence_guard: float = DEFAULT_GUARD,
-) -> SweepResult:
+) -> CheckReport:
     """Run the scenario once per gain and table the disagreement estimates.
 
-    Passes iff the estimates are non-increasing in K (5% slack) and the
-    largest gain achieves an estimate below ``epsilon``.  Gains run one after
-    another; a gain whose run fails numerically (its state passing
-    ``divergence_guard``, say) becomes an error row.
+    Each row of ``params["rows"]`` is ``{"K", "epsilon_estimate", "error"}``,
+    the estimate being ``check_sync``'s tail-sup diameter.  Passes iff the
+    estimates are non-increasing in K (5% slack) and the largest gain achieves
+    an estimate below ``epsilon``.  Gains run one after another; a gain whose
+    run fails numerically (its state passing ``divergence_guard``, say) becomes
+    an error row.
     """
     K_list = validate_K_list(K_list)
     rows = []
     for k in K_list:
+        row = {"K": k, "epsilon_estimate": None, "error": None}
         try:
             traj = integrate(potentials, signal, k, x0, dt, t_end, sample_every, divergence_guard)
-            rows.append((k, sync_verdict(traj, tail_fraction=tail_fraction).epsilon_estimate, None))
+            row["epsilon_estimate"] = check_sync(traj, tail_fraction=tail_fraction).worst_value
         except NumericalError as e:
-            rows.append((k, None, str(e)))
+            row["error"] = str(e)
+        rows.append(row)
 
-    estimates = [e for _, e, err in rows if err is None]
-    ok = len(estimates) == len(rows)
-    if ok:
-        for a, b in zip(estimates, estimates[1:]):
-            if b > a * 1.05 + 1e-12:
-                ok = False
-                break
-        ok = ok and estimates[-1] < epsilon
-    return SweepResult(
-        rows=tuple(rows),
-        epsilon=epsilon,
+    estimates = [r["epsilon_estimate"] for r in rows if r["error"] is None]
+    ok = (
+        len(estimates) == len(rows)
+        and not any(b > a * 1.05 + 1e-12 for a, b in zip(estimates, estimates[1:]))
+        and estimates[-1] < epsilon
+    )
+    params = {"dt": dt, "t_end": t_end, "tail_fraction": tail_fraction}
+    return CheckReport(
+        check="sweep_K",
         passed=ok,
-        params={"dt": dt, "t_end": t_end, "tail_fraction": tail_fraction},
+        params={"rows": rows, "epsilon": epsilon, "pass": ok, "params": params},
     )
 
 

@@ -31,8 +31,9 @@ from .errors import FiniteEscapeError, InputError, NumericalError, PreconditionE
 from .graphs import SwitchingSignal, WeightedDigraph
 from .potentials import FlatBottom1D, Potential, Quadratic, QuarticWell, SumPotential
 from .potentials import common_zero_set
-from .report import jsonable
-from .simulator import default_sample_every, integrate, validate_dt, validate_event_count
+from .report import CheckReport, jsonable
+from .simulator import DEFAULT_GUARD, default_sample_every, integrate, validate_dt
+from .simulator import validate_event_count
 
 SCHEMA_VERSION = 1
 
@@ -52,7 +53,7 @@ class Scenario:
     checks: list = field(default_factory=list)  # (name, params) pairs, see CHECKS
     epsilon: float = 0.05
     tail_fraction: float = analysis.DEFAULT_TAIL_FRACTION
-    divergence_guard: float = 1e8
+    divergence_guard: float = DEFAULT_GUARD
 
     @property
     def node_count(self) -> int:
@@ -267,7 +268,7 @@ def load_scenario(path) -> Scenario:
         epsilon=_number(raw.get("epsilon", 0.05), "epsilon"),
         tail_fraction=tail_fraction,
         divergence_guard=_number(
-            raw.get("divergence_guard", 1e8), "divergence_guard", positive=True
+            raw.get("divergence_guard", DEFAULT_GUARD), "divergence_guard", positive=True
         ),
     )
     for name, _ in checks:
@@ -395,7 +396,7 @@ CHECKS = {
     ),
     "ujsc": Check(
         {"T": Required("a window length")},
-        lambda sc, traj, diag, p: graphs.check_ujsc(sc.signal, **p),
+        lambda sc, traj, diag, p: graphs.certify_ujsc(sc.signal, **p),
     ),
 }
 
@@ -462,8 +463,11 @@ def _write_plot_script(path: Path, sc: Scenario, csv_name: str = "trajectory.csv
     )
 
 
-def _write_sweep_csv(path: Path, sweep: analysis.SweepResult):
-    rows = ["%.17g,%.17g" % (k, eps if err is None else math.nan) for k, eps, err in sweep.rows]
+def _write_sweep_csv(path: Path, sweep: CheckReport):
+    rows = [
+        "%.17g,%.17g" % (r["K"], r["epsilon_estimate"] if r["error"] is None else math.nan)
+        for r in sweep.params["rows"]
+    ]
     path.write_text("\n".join(["K,epsilon_estimate", *rows]) + "\n")
 
 
@@ -486,11 +490,11 @@ def _execute(sc: Scenario):
     sweep = None
     if sc.K_list is not None:
         sweep = _sweep(sc, sc.K_list)
-        reports.append(sweep.report())
+        reports.append(sweep)
     return traj, diag, reports, sweep
 
 
-def _sweep(sc: Scenario, K_list) -> analysis.SweepResult:
+def _sweep(sc: Scenario, K_list) -> CheckReport:
     return analysis.sweep_K(
         sc.potentials,
         sc.signal,
@@ -561,8 +565,9 @@ def sweep_command(scenario: Scenario, k_arg: str | None, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(out / "sweep.csv", sweep)
-    for k, eps, err in sweep.rows:
-        print(f"K={k:g}: " + (f"epsilon_estimate={eps:.6g}" if err is None else f"error: {err}"))
+    for r in sweep.params["rows"]:
+        eps, err = r["epsilon_estimate"], r["error"]
+        print(f"K={r['K']:g}: " + (f"epsilon_estimate={eps:.6g}" if err is None else f"error: {err}"))
     print(f"[{'PASS' if sweep.passed else 'FAIL'}] sweep (epsilon={scenario.epsilon:g})")
     return 0 if sweep.passed else 1
 

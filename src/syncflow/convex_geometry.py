@@ -411,6 +411,8 @@ def check_distance_comparison(body: ConvexBody, pairs, tol: float = 1e-10) -> Ch
     first point is strictly farther from the body than the second.
     """
     pairs = list(pairs)
+    if not pairs:
+        raise InputError("distance comparison needs at least one point pair")
     m = body.dimension
     xa = np.array([_vector(a, m, "x_a") for a, _ in pairs]).reshape(-1, m)
     xb = np.array([_vector(b, m, "x_b") for _, b in pairs]).reshape(-1, m)
@@ -421,15 +423,12 @@ def check_distance_comparison(body: ConvexBody, pairs, tol: float = 1e-10) -> Ch
     # (pair, part) rows in pair order, so the first maximum is the first violation
     viol_ii = np.where(farther, lhs + da * (da - db), -np.inf)
     viol = np.stack([lhs - da * np.abs(da - db), viol_ii], axis=1)
-    worst, where = -np.inf, None
-    if pairs:
-        k = int(np.argmax(viol))
-        worst, where = float(viol.flat[k]), {"pair": k // 2, "part": ("i", "ii")[k % 2]}
-    n_ii = int(farther.sum())
+    k = int(np.argmax(viol))
+    worst = float(viol.flat[k])
     return CheckReport(
         check="distance_comparison",
         passed=worst <= tol,
         worst_value=worst,
-        location=where,
-        params={"tol": tol, "pairs": len(pairs), "pairs_part_ii": n_ii},
+        location={"pair": k // 2, "part": ("i", "ii")[k % 2]},
+        params={"tol": tol, "pairs": len(pairs), "pairs_part_ii": int(farther.sum())},
     )

@@ -28,12 +28,9 @@ from .report import CheckReport
 __all__ = [
     "WeightedDigraph",
     "SwitchingSignal",
-    "JointGraph",
-    "UJSCCertificate",
     "is_strongly_connected",
     "joint_graph",
     "certify_ujsc",
-    "check_ujsc",
     "lambda2",
     "require_undirected",
 ]
@@ -221,20 +218,8 @@ class SwitchingSignal:
         return len({g for g, _ in self.segments}) > 1
 
 
-@dataclass(frozen=True, eq=False)
-class JointGraph:
-    """Union of all arcs active anywhere in a time window (weights ignored)."""
-
-    window: tuple
-    node_count: int
-    union_arcs: frozenset
-
-    def is_strongly_connected(self) -> bool:
-        return _strongly_connected(self.node_count, self.union_arcs)
-
-
-def joint_graph(signal: SwitchingSignal, t1: float, t2: float) -> JointGraph:
-    """Arc union of every graph active in [t1, t2)."""
+def joint_graph(signal: SwitchingSignal, t1: float, t2: float) -> frozenset:
+    """The ``(j, i)`` arcs of every graph active in [t1, t2), weights ignored."""
     if not t1 < t2:
         raise InputError(f"window requires t1 < t2, got [{t1}, {t2})")
     if t2 - t1 >= signal.period - _TIME_TOL:
@@ -242,18 +227,7 @@ def joint_graph(signal: SwitchingSignal, t1: float, t2: float) -> JointGraph:
     else:
         starts = [t1] + [t for t in signal.switch_times(t1, t2) if t < t2 - _TIME_TOL]
         ids = {signal.graph_id_at(t) for t in starts}
-    arcs = frozenset().union(*(signal.library[g].arc_set for g in ids))
-    return JointGraph((t1, t2), signal.node_count, arcs)
-
-
-@dataclass(frozen=True)
-class UJSCCertificate:
-    ok: bool
-    window: tuple | None
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.ok
+    return frozenset().union(*(signal.library[g].arc_set for g in ids))
 
 
 def validate_window(T):
@@ -262,53 +236,37 @@ def validate_window(T):
         raise InputError(f"window length T must be positive, got {T}")
 
 
-def certify_ujsc(signal: SwitchingSignal, T: float, horizon: float) -> UJSCCertificate:
+def certify_ujsc(signal: SwitchingSignal, T: float) -> CheckReport:
     """Certify that every window [t, t+T) has a strongly connected joint graph.
 
     For a switching signal the joint graph over [t, t+T) is piecewise
     constant in t with breakpoints at segment boundaries and at boundaries
     shifted left by T (mod period), so checking each breakpoint plus the
     midpoints between consecutive breakpoints within one period is
-    exhaustive.  The first failing window, if any, is reported as a witness.
+    exhaustive.  The scan stops at the first failing window, which becomes
+    the report's location.
     """
     validate_window(T)
-    if not signal.has_switches():
-        ok = is_strongly_connected(signal.graph_at(0.0))
-        return UJSCCertificate(
-            ok, None if ok else (0.0, T), "fixed graph" if ok else "fixed graph not strongly connected"
-        )
-    period = signal.period
-    if horizon < period + T - _TIME_TOL:
-        raise PreconditionError(
-            f"horizon {horizon} must cover one signal period plus T ({period + T})"
-        )
-    breakpoints = {0.0}
-    for end in signal._ends:
-        breakpoints.add(end % period)
-        breakpoints.add((end - T) % period)
-    pts = sorted(breakpoints)
-    starts = list(pts)
-    for a, b in zip(pts, pts[1:] + [pts[0] + period]):
-        starts.append(0.5 * (a + b))
-    for t in sorted(starts):
-        jg = joint_graph(signal, t, t + T)
-        if not jg.is_strongly_connected():
-            return UJSCCertificate(
-                False,
-                (t, t + T),
-                f"joint graph over [{t:.6g}, {t + T:.6g}) is not strongly connected",
-            )
-    return UJSCCertificate(True, None, f"checked {len(starts)} window starts over one period")
-
-
-def check_ujsc(signal: SwitchingSignal, T: float) -> CheckReport:
-    """Report form of ``certify_ujsc`` over one period plus T; a failing window is the location."""
-    cert = certify_ujsc(signal, T, horizon=signal.period + T)
+    if signal.has_switches():
+        period = signal.period
+        breakpoints = {0.0}
+        for end in signal._ends:
+            breakpoints.add(end % period)
+            breakpoints.add((end - T) % period)
+        pts = sorted(breakpoints)
+        starts = pts + [0.5 * (a + b) for a, b in zip(pts, pts[1:] + [pts[0] + period])]
+        window, detail = None, f"checked {len(starts)} window starts over one period"
+        for t in sorted(starts):
+            if not _strongly_connected(signal.node_count, joint_graph(signal, t, t + T)):
+                window = [t, t + T]
+                detail = f"joint graph over [{t:.6g}, {t + T:.6g}) is not strongly connected"
+                break
+    elif is_strongly_connected(signal.graph_at(0.0)):
+        window, detail = None, "fixed graph"
+    else:
+        window, detail = [0.0, T], "fixed graph not strongly connected"
     return CheckReport(
-        check="ujsc",
-        passed=cert.ok,
-        location=None if cert.window is None else list(cert.window),
-        params={"T": T, "detail": cert.detail},
+        check="ujsc", passed=window is None, location=window, params={"T": T, "detail": detail}
     )
 
 

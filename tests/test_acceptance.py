@@ -202,7 +202,7 @@ def test_criterion_4_lyapunov_monotonicity_battery():
 def test_criterion_5_ujsc_switching_sync_and_control():
     pots = [Quadratic(center=[1.0], weight=w) for w in (0.5, 1.0, 2.0)]
     sig = _alternating_chains(3, seg=0.5)
-    assert certify_ujsc(sig, T=sig.period, horizon=2 * sig.period).ok
+    assert certify_ujsc(sig, T=sig.period).passed
     traj = integrate(pots, sig, 1.0, [4.0, -3.0, 0.5], dt=0.1, t_end=100.0, sample_every=1.0)
     diam = diameter_series(traj)
     tail = diam[traj.times >= 80.0].max()
@@ -224,7 +224,7 @@ def test_criterion_6_point_convergence_flat_bottoms():
     inter = common_zero_set(pots)
     np.testing.assert_allclose(sorted(inter.extreme_points().ravel()), [0.4, 0.6])
     sig = _alternating_chains(3, seg=0.5)
-    assert certify_ujsc(sig, T=sig.period, horizon=2 * sig.period).ok
+    assert certify_ujsc(sig, T=sig.period).passed
     traj = integrate(pots, sig, 1.0, [-2.0, 3.0, 0.15], dt=0.1, t_end=100.0, sample_every=0.5)
     X = traj.states[:, :, 0]
     tail = traj.times >= 80.0

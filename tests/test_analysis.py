@@ -29,7 +29,6 @@ from syncflow import (
     integrate,
     minimize_aggregate,
     sweep_K,
-    sync_verdict,
 )
 from syncflow import analysis
 from syncflow.analysis import check_no_sync, check_sync, cube_containment, diameter_series
@@ -119,15 +118,19 @@ def test_diagnostics_auto_zstar_requires_intersection():
     assert diag.v is None and diag.theta is not None
 
 
-def test_sync_verdict_fields():
+def test_check_sync_fields():
     pots = [Quadratic(center=[1.0]), Quadratic(center=[1.0], weight=0.5)]
     traj = integrate(pots, fixed_signal(two_node()), 1.0, [3.0, -1.0], dt=0.02, t_end=30.0, sample_every=0.5)
-    v = sync_verdict(traj, tol=1e-6)
-    assert v.exact_sync and v.epsilon_estimate < 1e-6
-    np.testing.assert_allclose(v.limit_point, [1.0], atol=1e-6)
-    given = sync_verdict(traj, tol=1e-6, diameter=diameter_series(traj))
-    assert given.epsilon_estimate == v.epsilon_estimate
-    np.testing.assert_array_equal(given.limit_point, v.limit_point)
+    rep = check_sync(traj, tol=1e-6)
+    assert rep.passed and rep.worst_value < 1e-6
+    np.testing.assert_allclose(rep.params["limit_point"], [1.0], atol=1e-6)
+    given = check_sync(traj, tol=1e-6, diameter=diameter_series(traj))
+    assert given.worst_value == rep.worst_value
+    assert given.params == rep.params
+    # the estimate is the tail-sup of the diameter over the last tail_fraction of the horizon
+    tail = traj.times >= 30.0 * 0.7 - 1e-12
+    loose = check_sync(traj, tol=1.0, tail_fraction=0.3)
+    assert loose.worst_value == float(diameter_series(traj)[tail].max())
 
 
 def test_sync_and_no_sync_reports():
@@ -136,10 +139,10 @@ def test_sync_and_no_sync_reports():
 
     same = [Quadratic(center=[1.0]), Quadratic(center=[1.0], weight=0.5)]
     traj = run(same)
-    v = sync_verdict(traj, tol=1e-6)
     rep = check_sync(traj, tol=1e-6)
-    assert (rep.check, rep.passed, rep.worst_value) == ("sync", True, v.epsilon_estimate)
-    assert rep.params == {"tol": 1e-6, "limit_point": v.limit_point.tolist()}
+    assert (rep.check, rep.passed) == ("sync", True)
+    assert rep.worst_value == float(diameter_series(traj)[traj.times >= 24.0 - 1e-12].max())
+    assert rep.params == {"tol": 1e-6, "limit_point": traj.states[-1].mean(axis=0).tolist()}
     # two-node disagreement law: unit weights, centers 0 and 1, K = 1 settle 1/3 apart
     apart = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     traj = run(apart)
@@ -486,6 +489,9 @@ def test_sync_iff_single_node_trivially_synced():
     g1 = WeightedDigraph(1)
     rep = check_sync_iff([Quadratic(center=[1.0])], g1, 0.0, [np.array([4.0])], horizon=30.0, tol=1e-5)
     assert rep.passed
+    # no initial state is no evidence: an empty set is refused, not passed
+    with pytest.raises(InputError, match="at least one initial state"):
+        check_sync_iff([Quadratic(center=[1.0])], g1, 0.0, [], horizon=30.0, tol=1e-5)
 
 
 # -- sweep ---------------------------------------------------------------------
@@ -494,19 +500,21 @@ def test_sync_iff_single_node_trivially_synced():
 def test_sweep_two_node_closed_form():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     sig = fixed_signal(two_node())
-    table = sweep_K(pots, sig, [1.0, 0.0], [0.5, 1.0, 5.0, 10.0], epsilon=0.05, dt=0.01, t_end=20.0)
-    assert table.passed
-    for k, eps, err in table.rows:
-        assert err is None
-        assert eps == pytest.approx(1.0 / (1.0 + 2.0 * k), abs=1e-4)
+    rep = sweep_K(pots, sig, [1.0, 0.0], [0.5, 1.0, 5.0, 10.0], epsilon=0.05, dt=0.01, t_end=20.0)
+    assert (rep.check, rep.passed) == ("sweep_K", True)
+    assert rep.params["params"] == {"dt": 0.01, "t_end": 20.0, "tail_fraction": 0.2}
+    assert (rep.params["epsilon"], rep.params["pass"]) == (0.05, True)
+    for row in rep.params["rows"]:
+        assert row["error"] is None
+        assert row["epsilon_estimate"] == pytest.approx(1.0 / (1.0 + 2.0 * row["K"]), abs=1e-4)
 
 
 def test_sweep_common_zero_all_tiny():
     pots = [Quadratic(center=[1.0]), Quadratic(center=[1.0], weight=2.0)]
     sig = fixed_signal(two_node())
-    table = sweep_K(pots, sig, [4.0, -4.0], [1.0, 2.0], epsilon=1e-6, dt=0.01, t_end=30.0)
-    assert table.passed
-    assert all(eps < 1e-8 for _, eps, _ in table.rows)
+    rep = sweep_K(pots, sig, [4.0, -4.0], [1.0, 2.0], epsilon=1e-6, dt=0.01, t_end=30.0)
+    assert rep.passed
+    assert all(row["epsilon_estimate"] < 1e-8 for row in rep.params["rows"])
 
 
 def test_sweep_validates_K_list():
@@ -520,9 +528,9 @@ def test_sweep_ring_of_five_monotone_decreasing():
     rng = np.random.default_rng(17)
     pots = [Quadratic(center=[float(c)]) for c in rng.uniform(-1, 1, 5)]
     sig = fixed_signal(ring_graph(5))
-    table = sweep_K(pots, sig, rng.uniform(-2, 2, 5), [1.0, 2.0, 4.0, 8.0], epsilon=0.5, dt=0.01, t_end=25.0)
-    assert table.passed
-    eps = [e for _, e, _ in table.rows]
+    rep = sweep_K(pots, sig, rng.uniform(-2, 2, 5), [1.0, 2.0, 4.0, 8.0], epsilon=0.5, dt=0.01, t_end=25.0)
+    assert rep.passed
+    eps = [row["epsilon_estimate"] for row in rep.params["rows"]]
     assert all(b < a for a, b in zip(eps, eps[1:]))
 
 
@@ -531,11 +539,11 @@ def test_sweep_over_switching_schedule_small_period():
     # tail disagreement below a requested epsilon for this initial state
     pots = [Quadratic(center=[-0.5]), Quadratic(center=[0.0]), Quadratic(center=[0.5])]
     sig = alternating_chain_signal(3, seg=0.5)
-    table = sweep_K(
+    rep = sweep_K(
         pots, sig, [2.0, -2.0, 1.0], [1.0, 2.0, 4.0, 8.0, 16.0], epsilon=0.1, dt=0.03, t_end=40.0
     )
-    assert table.passed
-    eps = [e for _, e, _ in table.rows]
+    assert rep.passed
+    eps = [row["epsilon_estimate"] for row in rep.params["rows"]]
     assert eps[-1] < 0.1 and all(b < a * 1.05 for a, b in zip(eps, eps[1:]))
 
 
@@ -543,22 +551,22 @@ def test_sweep_rows_equal_direct_runs():
     pots = [Quadratic(center=[-0.5]), QuarticWell(center=[0.0]), FlatBottom1D(0.3, 0.8)]
     sig = alternating_chain_signal(3, seg=0.5)
     x0, K_list = [2.0, -1.0, 0.5], [0.5, 1.0, 4.0]
-    table = sweep_K(pots, sig, x0, K_list, epsilon=0.5, dt=0.05, t_end=6.0, sample_every=0.25,
-                    tail_fraction=0.3)
-    direct = tuple(
-        (k, sync_verdict(integrate(pots, sig, k, x0, 0.05, 6.0, 0.25), tail_fraction=0.3).epsilon_estimate,
-         None)
-        for k in K_list
-    )
-    assert table.rows == direct
+    rep = sweep_K(pots, sig, x0, K_list, epsilon=0.5, dt=0.05, t_end=6.0, sample_every=0.25,
+                  tail_fraction=0.3)
+
+    def estimate(k):
+        return check_sync(integrate(pots, sig, k, x0, 0.05, 6.0, 0.25), tail_fraction=0.3).worst_value
+
+    assert rep.params["rows"] == [{"K": k, "epsilon_estimate": estimate(k), "error": None} for k in K_list]
 
 
 def test_sweep_records_divergence_as_error_row():
     pots = [QuarticWell(center=[0.0]), QuarticWell(center=[0.0])]
     sig = fixed_signal(two_node())
-    table = sweep_K(pots, sig, [60.0, -60.0], [1.0, 2.0], epsilon=0.1, dt=0.05, t_end=5.0)
-    assert not table.passed
-    assert any(err is not None for _, _, err in table.rows)
+    rep = sweep_K(pots, sig, [60.0, -60.0], [1.0, 2.0], epsilon=0.1, dt=0.05, t_end=5.0)
+    assert not rep.passed and not rep.params["pass"]
+    rows = rep.params["rows"]
+    assert any(row["error"] is not None and row["epsilon_estimate"] is None for row in rows)
 
 
 # -- feasibility and invariant cube ---------------------------------------------

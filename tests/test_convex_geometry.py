@@ -210,9 +210,9 @@ def test_distance_comparison_matches_the_pair_loop(kind, m):
         assert rep.passed == (worst <= 1e-10)
 
 
-def test_distance_comparison_of_no_pairs_passes_vacuously():
-    rep = check_distance_comparison(Hull([[0.0, 0.0], [1.0, 0.0]]), [])
-    assert rep.passed and rep.worst_value == -np.inf and rep.location is None
+def test_distance_comparison_of_no_pairs_is_an_input_error():
+    with pytest.raises(InputError, match="at least one point pair"):
+        check_distance_comparison(Hull([[0.0, 0.0], [1.0, 0.0]]), [])
 
 
 def test_non_finite_point_is_an_input_error():

@@ -33,6 +33,11 @@ def alternating_chains(n=3, seg=1.0, dwell=None):
     )
 
 
+def connected(n, arcs):
+    """Strong connectivity of the ``(j, i)`` arc set ``arcs`` on n nodes."""
+    return is_strongly_connected(WeightedDigraph(n, tuple((j, i, 1.0) for j, i in arcs)))
+
+
 def test_laplacian_undirected_pair():
     g = undirected(2, [(0, 1)])
     np.testing.assert_array_equal(g.laplacian_matrix, [[1, -1], [-1, 1]])
@@ -111,28 +116,26 @@ def test_dwell_floor_enforced():
 
 def test_joint_graph_fixed():
     sig = SwitchingSignal({"a": chain(3)}, (("a", 1.0),), 1.0)
-    jg = joint_graph(sig, 0.0, 10.0)
-    assert jg.union_arcs == chain(3).arc_set
+    assert joint_graph(sig, 0.0, 10.0) == chain(3).arc_set
 
 
 def test_joint_graph_union_over_two_segments():
     sig = alternating_chains()
-    jg = joint_graph(sig, 0.0, 2.0)
-    assert jg.union_arcs == chain(3).arc_set | chain(3, reverse=True).arc_set
-    assert jg.is_strongly_connected()
+    arcs = joint_graph(sig, 0.0, 2.0)
+    assert arcs == chain(3).arc_set | chain(3, reverse=True).arc_set
+    assert connected(3, arcs)
 
 
 def test_joint_graph_first_segment_only():
     sig = alternating_chains()
-    jg = joint_graph(sig, 0.0, 0.5)
-    assert jg.union_arcs == chain(3).arc_set
+    assert joint_graph(sig, 0.0, 0.5) == chain(3).arc_set
 
 
 def test_joint_graph_window_additivity():
     sig = alternating_chains(seg=0.7)
     for t1, t2, t3 in [(0.0, 0.9, 2.3), (0.3, 1.4, 1.9), (1.0, 2.1, 4.0)]:
-        whole = joint_graph(sig, t1, t3).union_arcs
-        split = joint_graph(sig, t1, t2).union_arcs | joint_graph(sig, t2, t3).union_arcs
+        whole = joint_graph(sig, t1, t3)
+        split = joint_graph(sig, t1, t2) | joint_graph(sig, t2, t3)
         assert whole == split
 
 
@@ -144,25 +147,24 @@ def test_joint_graph_bad_window():
 def test_certify_ujsc_fixed_graph():
     sig = SwitchingSignal({"a": ring_graph(4)}, (("a", 1.0),), 1.0)
     for T in (0.1, 1.0, 10.0):
-        assert certify_ujsc(sig, T, horizon=T + 1.0).ok
+        assert certify_ujsc(sig, T).passed
 
 
 def test_certify_ujsc_alternating_chains():
     # union over any window of one full period is the bidirectional chain
     sig = alternating_chains(seg=1.0)
-    cert = certify_ujsc(sig, 2.0, horizon=4.0)
-    assert cert.ok
+    assert certify_ujsc(sig, 2.0).passed
     # half-period windows see only one chain: certification must fail with a witness
-    cert2 = certify_ujsc(sig, 0.5, horizon=4.0)
-    assert not cert2.ok
-    assert cert2.window is not None
-    t, t2 = cert2.window
-    assert not joint_graph(sig, t, t2).is_strongly_connected()
+    rep = certify_ujsc(sig, 0.5)
+    assert not rep.passed
+    assert rep.location is not None
+    t, t2 = rep.location
+    assert not connected(3, joint_graph(sig, t, t2))
 
 
 def test_certify_ujsc_monotone_in_T():
     sig = alternating_chains(seg=1.0)
-    results = [certify_ujsc(sig, T, horizon=2.0 + T).ok for T in (0.5, 1.0, 2.0, 3.0, 5.0)]
+    results = [certify_ujsc(sig, T).passed for T in (0.5, 1.0, 2.0, 3.0, 5.0)]
     # once certification holds it must keep holding for larger windows
     assert results == sorted(results)
     assert results[-1]
@@ -172,23 +174,21 @@ def test_certify_ujsc_isolated_node_fails():
     ga = WeightedDigraph(3, ((0, 1, 1.0),))
     gb = WeightedDigraph(3, ((1, 0, 1.0),))
     sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 1.0), ("b", 1.0)), 1.0)
-    cert = certify_ujsc(sig, 2.0, horizon=4.0)
-    assert not cert.ok and cert.window is not None
+    rep = certify_ujsc(sig, 2.0)
+    assert not rep.passed and rep.location is not None
 
 
-def test_check_ujsc_reports_the_certificate_over_one_period_plus_T():
+def test_certify_ujsc_reports_the_first_failing_window():
     sig = alternating_chains(seg=1.0)
-    ok = graphs.check_ujsc(sig, 2.0)
+    ok = certify_ujsc(sig, 2.0)
     assert (ok.check, ok.passed, ok.location) == ("ujsc", True, None)
-    assert ok.params == {"T": 2.0, "detail": certify_ujsc(sig, 2.0, horizon=4.0).detail}
-    bad = graphs.check_ujsc(sig, 0.5)
-    assert not bad.passed
-    assert bad.location == list(certify_ujsc(sig, 0.5, horizon=2.5).window)
-
-
-def test_certify_ujsc_horizon_precondition():
-    with pytest.raises(PreconditionError):
-        certify_ujsc(alternating_chains(), 2.0, horizon=1.0)
+    assert ok.params == {"T": 2.0, "detail": "checked 4 window starts over one period"}
+    bad = certify_ujsc(sig, 0.5)
+    assert (bad.check, bad.passed, bad.location) == ("ujsc", False, [0.0, 0.5])
+    assert bad.params == {"T": 0.5, "detail": "joint graph over [0, 0.5) is not strongly connected"}
+    fixed = certify_ujsc(SwitchingSignal({"a": chain(3)}, (("a", 1.0),), 1.0), 0.5)
+    assert (fixed.passed, fixed.location) == (False, [0.0, 0.5])
+    assert fixed.params == {"T": 0.5, "detail": "fixed graph not strongly connected"}
 
 
 def test_lambda2_two_node():
@@ -373,9 +373,9 @@ def test_segment_cycle_matches_the_former_scan_and_walk(case):
     assert sig.has_switches() == bool(former_switch_times(segs, 0.0, 2.0 * period))
     if t2 - t1 > _TOL:
         arcs = {a for g in former_joint_ids(segs, t1, t2) for a in CYCLE_LIBRARY[g].arc_set}
-        assert joint_graph(sig, t1, t2).union_arcs == arcs
+        assert joint_graph(sig, t1, t2) == arcs
     elif t1 < t2:  # the former walk saw no graph in a window within the time tolerance
-        assert joint_graph(sig, t1, t2).union_arcs == sig.graph_at(t1).arc_set
+        assert joint_graph(sig, t1, t2) == sig.graph_at(t1).arc_set
 
 
 @given(st.sampled_from("abc"), st.floats(0.5, 2.0), st.floats(0.0, 50.0), st.floats(0.0, 50.0))
@@ -384,4 +384,44 @@ def test_one_segment_cycle_is_the_former_fixed_graph(gid, dwell, t1, t2):
     assert sig.graph_id_at(t1) == gid
     assert sig.switch_times(t1, t2) == [] and not sig.has_switches()
     if t1 < t2:
-        assert joint_graph(sig, t1, t2).union_arcs == CYCLE_LIBRARY[gid].arc_set
+        assert joint_graph(sig, t1, t2) == CYCLE_LIBRARY[gid].arc_set
+
+
+@st.composite
+def cycles_and_window_lengths(draw):
+    """A cycle that names each of the four CYCLE_LIBRARY graphs, which are jointly a directed
+    4-ring, and a window length T.  T is often a sum of consecutive durations, so that window
+    ends hit switches; shorter windows miss a graph and fail, longer ones see all four."""
+    extra = draw(st.lists(st.sampled_from("abcd"), max_size=3))
+    ids = draw(st.permutations(list("abcd") + extra))
+    n = len(ids)
+    duration = st.sampled_from([0.5, 0.7, 1.0, 1.3]) | st.floats(0.5, 2.0)
+    durs = draw(st.lists(duration, min_size=n, max_size=n))
+    # durations of 1 to n - 1 consecutive segments, wrapping around the cycle
+    sums = [sum((durs + durs)[i : i + length]) for i in range(n) for length in range(1, n)]
+    T = draw(st.sampled_from(sums) | st.floats(0.05, 1.5 * sum(durs)))
+    return tuple(zip(ids, durs)), T
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles_and_window_lengths())
+def test_certify_ujsc_agrees_with_a_brute_force_scan(case):
+    segs, T = case
+    sig = SwitchingSignal(CYCLE_LIBRARY, segs, dwell_floor=0.5)
+    ends = former_ends(segs)
+    period = ends[-1]
+    # every breakpoint of the window start, and a dense grid over one period
+    starts = {0.0} | {e % period for e in ends} | {(e - T) % period for e in ends}
+    starts = sorted(starts | {period * k / 200 for k in range(200)})
+    fails = [not connected(4, joint_graph(sig, t, t + T)) for t in starts]
+    rep = certify_ujsc(sig, T)
+    assert (rep.check, rep.params["T"]) == ("ujsc", T)
+    assert rep.passed == (not any(fails))
+    if not rep.passed:
+        t, t_end = rep.location
+        assert t_end == t + T and not connected(4, joint_graph(sig, t, t_end))
+        # the witness lies in the first run of failing starts: none passes between it and
+        # the earliest failing start of the scan
+        first = starts[fails.index(True)]
+        lo, hi = min(t, first), max(t, first)
+        assert all(f for s, f in zip(starts, fails) if lo <= s <= hi)
