@@ -140,7 +140,7 @@ class Box(ConvexBody):
         return box_distance(_points(points, self.dimension, "points"), self.lo, self.hi)
 
     def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
+        return 0.5 * self.lo + 0.5 * self.hi  # no overflow near the largest floats
 
     def extreme_points(self) -> np.ndarray:
         """The distinct corners in lexicographic order: a product over {lo_k} or {lo_k, hi_k}."""
@@ -347,7 +347,7 @@ def intersect(bodies: list[ConvexBody], tol: float = 1e-9) -> Box | None:
         return None
     hi = np.maximum(lo, hi)  # collapse sub-tolerance inversions
     if (hi - lo <= tol).all():
-        lo = hi = 0.5 * (lo + hi)
+        lo = hi = 0.5 * lo + 0.5 * hi
     return Box(lo, hi)
 
 

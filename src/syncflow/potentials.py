@@ -12,9 +12,9 @@ hypotheses of the synchronization analysis stay machine-checkable:
 
 ``NetworkPotential`` compiles a network's potentials into arrays, so one call
 evaluates every node.  Each kind's kernel, a static method of its class, is the
-only formula for its value and gradient (``Potential.value``/``gradient`` evaluate
-a one-node network; ``tests/util.py`` holds the per-kind oracle), but for the
-argmin bisection's scalar derivative (see ``_component_zero_interval``).
+only formula for its value, gradient and curvature (``Potential.value``/``gradient``
+evaluate a one-node network; ``tests/util.py`` holds the per-kind oracle), but for
+the argmin bisection's scalar derivative (see ``_component_zero_interval``).
 
 The quartic well is deliberately non-Lipschitz and evaluated in double precision
 with no clamping; boundedness along trajectories is the simulator's (divergence
@@ -112,11 +112,12 @@ class Quadratic(Potential):
 
     @staticmethod
     def _kernel(terms):
-        """(gradient, value) of stacked quadratics on node blocks (..., n, m)."""
+        """(gradient, value, curvature) of stacked quadratics on node blocks (..., n, m)."""
         c = np.array([t.center for t in terms])
         w = np.array([[t.weight] for t in terms])
         half_w = 0.5 * w[:, 0]
-        return (lambda x: w * (x - c)), (lambda x: half_w * cg.row_dot(x - c, x - c))
+        return ((lambda x: w * (x - c)), (lambda x: half_w * cg.row_dot(x - c, x - c)),
+                (lambda x: np.broadcast_to(w, x.shape)))
 
     def _argmin_set(self) -> cg.Box:
         return cg.Box(self.center, self.center)
@@ -135,13 +136,14 @@ class QuarticWell(Potential):
 
     @staticmethod
     def _kernel(terms):
-        """(gradient, value) of stacked quartic wells on node blocks (..., n, m)."""
+        """(gradient, value, curvature) of stacked quartic wells on node blocks (..., n, m)."""
         c = np.array([t.center for t in terms])
 
         def gradient(x):
             d = x - c  # two multiplies, not libm pow: see the module docstring
             return d * d * d
-        return gradient, (lambda x: 0.25 * np.sum((x - c) ** 4, axis=-1))
+        return (gradient, (lambda x: 0.25 * np.sum((x - c) ** 4, axis=-1)),
+                (lambda x: 3.0 * (x - c) * (x - c)))
 
     def _argmin_set(self) -> cg.Box:
         return cg.Box(self.center, self.center)
@@ -172,15 +174,17 @@ class FlatBottom1D(Potential):
 
     @staticmethod
     def _kernel(terms):
-        """(gradient, value) of stacked flat bottoms on node blocks (..., n, 1)."""
+        """(gradient, value, curvature) of stacked flat bottoms on node blocks (..., n, 1)."""
         left = np.array([[t.left] for t in terms])
         right = np.array([[t.right] for t in terms])
 
         def gradient(x):
             return x - np.minimum(np.maximum(x, left), right)
 
-        # libm pow, as Python's float ``**``; a multiply can differ in the last bit
-        return gradient, (lambda x: 0.5 * np.float_power(gradient(x)[..., 0], 2))
+        # value: libm pow, as Python's ``**`` (a multiply can differ in the last bit); curvature: 1
+        # on the edges, so a Newton step cannot throw a node resting there far out by a tiny pull
+        return (gradient, (lambda x: 0.5 * np.float_power(gradient(x)[..., 0], 2)),
+                (lambda x: ((x <= left) | (x >= right)).astype(float)))
 
     def _argmin_set(self) -> cg.Box:
         return cg.Box(self.left, self.right)
@@ -223,7 +227,7 @@ class SumPotential(Potential):
             lo[k], hi[k] = _component_zero_interval(flat, k)
         scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
         if np.all(hi - lo <= 1e-9 * scale):
-            lo = hi = 0.5 * (lo + hi)
+            lo = hi = 0.5 * lo + 0.5 * hi  # no overflow near the largest floats
         return cg.Box(lo, hi)
 
 
@@ -272,7 +276,7 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
         # lo_ and True at hi_, so once mid is an endpoint no later step moves one
         lo_, hi_ = a, b
         for _ in range(200):
-            mid = 0.5 * (lo_ + hi_)
+            mid = 0.5 * lo_ + 0.5 * hi_  # 0.5 * (lo_ + hi_) overflows past ~9e307
             fixed = mid == lo_ or mid == hi_
             if predicate(mid):
                 hi_ = mid
@@ -294,7 +298,7 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
         _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
         right_edge, _ = bisect(lambda s: deriv(s) > 0.0)
     if right_edge < left_edge:
-        mid = 0.5 * (left_edge + right_edge)
+        mid = 0.5 * left_edge + 0.5 * right_edge
         return mid, mid
     return left_edge, right_edge
 
@@ -307,9 +311,9 @@ class NetworkPotential:
 
     A node's signature is the kinds of its flattened terms; the nodes are
     ordered once so that each signature is one contiguous block, with a kernel
-    per term slot over the stacked centers, weights or flat-bottom bounds.
-    ``gradient`` and ``value`` gather node states (..., N, m) into block order
-    once, add each block's slots in term order on slices and put them back once.
+    per term slot over the stacked centers, weights or flat-bottom bounds.  ``gradient``,
+    ``value`` and ``curvature`` gather node states (..., N, m) into block order once,
+    add each block's slots in term order on slices and put them back once.
     A sum thus adds its flattened terms left to right: the bits of ``sum()``
     over the terms for flat and left-nested sums, while a right-nested sum
     associates its additions differently from the nesting."""
@@ -334,7 +338,7 @@ class NetworkPotential:
         self._inverse = np.empty_like(self._order)  # np.argsort would page in its sort code
         self._inverse[self._order] = np.arange(self.node_count)
         self._start = start[self._order]
-        self._slots = []  # (block slice, gradient, value), each block's in term order
+        self._slots = []  # (block slice, gradient, value, curvature), each block's in term order
         for kinds, nodes in blocks.items():
             block = slice(self._inverse[nodes[0]], self._inverse[nodes[0]] + len(nodes))
             for k, kind in enumerate(kinds):
@@ -356,7 +360,7 @@ class NetworkPotential:
         X = self._check(X).take(self._order, axis=-2)
         G = np.empty(X.shape)
         G[...] = self._start
-        for block, grad, _ in self._slots:
+        for block, grad, _, _ in self._slots:
             g = G[..., block, :]  # += on the view adds in place; on G[...] it copies back
             g += grad(X[..., block, :])
         return G.take(self._inverse, axis=-2)
@@ -366,9 +370,17 @@ class NetworkPotential:
         X = self._check(X).take(self._order, axis=-2)
         V = np.empty(X.shape[:-1])
         V[...] = self._start[:, 0]
-        for block, _, value in self._slots:
+        for block, _, value, _ in self._slots:
             V[..., block] += value(X[..., block, :])
         return V.take(self._inverse, axis=-1)
+
+    def curvature(self, X) -> np.ndarray:
+        """d^2 F_i / dx_ik^2, shape ``X.shape``; separable, so each node's Hessian is diagonal."""
+        X = self._check(X).take(self._order, axis=-2)
+        H = np.zeros(X.shape)
+        for block, _, _, curv in self._slots:
+            H[..., block, :] += curv(X[..., block, :])
+        return H.take(self._inverse, axis=-2)
 
 
 # -- catalog operations -----------------------------------------------------

@@ -356,23 +356,19 @@ def test_minimize_aggregate_requires_symmetric_graph():
 def aggregate_problems(draw):
     """A catalog network on a connected symmetric graph, a gain K in (0, 30] and a start.
 
-    Every node carries a quadratic, alone (on every node, half the time) or
-    summed with up to two catalog terms.  The quadratic keeps the aggregate
-    strongly convex: a quartic centered inside every flat bottom around it
-    has a minimizer with no curvature along the consensus, where any gradient
-    method converges sublinearly.  The weights keep the condition number in
-    the thousands.
+    A node is any catalog term or a sum of two or three, so a quartic or a flat
+    bottom may stand alone: a quartic centered inside every flat bottom around
+    it leaves the aggregate with no curvature at its minimizer.  Quadratic
+    weights keep the condition number in the thousands.
     """
     m, n = draw(st.integers(1, 3)), draw(st.integers(2, 12))
     center = st.lists(st.floats(-5, 5), min_size=m, max_size=m)
-    quadratic = st.builds(Quadratic, center, st.floats(0.5, 3.0))
-    kinds = [quadratic, st.builds(QuarticWell, center)]
+    kinds = [st.builds(Quadratic, center, st.floats(0.5, 3.0)), st.builds(QuarticWell, center)]
     if m == 1:
         kinds.append(st.tuples(st.floats(-5, 0), st.floats(0, 5)).map(lambda b: FlatBottom1D(*b)))
-    extra = st.lists(st.one_of(kinds), min_size=1, max_size=2)
-    summed = st.tuples(quadratic, extra).map(lambda q: SumPotential((q[0], *q[1])))
-    node = quadratic if draw(st.booleans()) else quadratic | summed
-    pots = draw(st.lists(node, min_size=n, max_size=n))
+    term = st.one_of(kinds)
+    summed = st.lists(term, min_size=2, max_size=3).map(lambda ts: SumPotential(tuple(ts)))
+    pots = draw(st.lists(term | summed, min_size=n, max_size=n))
     # a random spanning tree keeps the graph connected; chords are optional
     edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -388,6 +384,11 @@ def aggregate_problems(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(aggregate_problems())
+# centers at 1e20, whose ulp is 16384: only the exact minimizer meets the tolerance
+@example(([Quadratic(center=[1e20])] * 2, two_node(), 1.0, np.zeros((2, 1))))
+# a subnormal K leaves the blocks of components 0 and 1 all zero: only the ridge's floor is left
+@example(([QuarticWell(center=[0.0, 0.0, 0.0]), QuarticWell(center=[0.0, 0.0, 1.0])],
+          undirected(2, [(0, 1)], 0.5), 5e-324, np.zeros((2, 3))))
 def test_minimize_aggregate_reaches_the_gradient_tolerance(case):
     pots, g, K, x0 = case
     p = minimize_aggregate(pots, g, K, x0, tol=1e-10)
@@ -397,8 +398,20 @@ def test_minimize_aggregate_reaches_the_gradient_tolerance(case):
         np.testing.assert_allclose(p, equilibrium_oracle_quadratic(pots, g, K), rtol=0, atol=1e-8)
 
 
+def test_minimize_aggregate_settles_a_node_pulled_across_a_flat_bottom_edge():
+    # the flat-bottom node ends on its edge at -1, pulled outward by K * 1 ~ 2e-18; with
+    # curvature 0 there, that pull over the ridge alone is a step 2.5e-4 past the edge, and
+    # the halvings that undo it leave the quartic node all but still
+    pots = [Quadratic(center=[-2.0]), QuarticWell(center=[0.0]), Quadratic(center=[0.0]),
+            FlatBottom1D(-1.0, 0.0)]
+    g, K = undirected(4, [(0, 1), (0, 2), (0, 3)]), 1.8939431562421724e-18
+    p = minimize_aggregate(pots, g, K, np.full((4, 1), -1e4), tol=1e-10)
+    assert np.linalg.norm(network_field(compile_network(pots, 4), g.laplacian_matrix, K, p)) <= 1e-10
+
+
 def test_minimize_aggregate_names_a_stall(monkeypatch):
-    # the 6-node ring of the CLI's warm-start test; no float state has a gradient norm of 1e-300
+    # the 6-node ring of the CLI's warm-start test; no float state has a gradient norm of 1e-300,
+    # so once Newton has converged no halving of its step lowers the norm
     n = 6
     pots = [Quadratic(center=[2.0]) if i % 2 == 0 else
             SumPotential((Quadratic(center=[0.1 * i]), QuarticWell(center=[-0.1 * i])))
@@ -412,17 +425,28 @@ def test_minimize_aggregate_names_a_stall(monkeypatch):
     assert len(calls) <= 500
 
 
-def test_minimize_aggregate_grows_a_probe_too_short_to_change_the_gradient():
-    # from 0 the probe moves 1e-5, far below the ulp of the gradient -1e20: it has no secant
-    pots = [Quadratic(center=[1e20]), Quadratic(center=[1e20])]
-    p = minimize_aggregate(pots, two_node(), 1.0, [0.0, 0.0], tol=1e5)
-    np.testing.assert_allclose(p, 1e20, rtol=1e-14)
-
-
 def test_minimize_aggregate_names_an_exhausted_budget():
-    pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
-    with pytest.raises(NumericalError, match="exhausted 3 iterations"):
-        minimize_aggregate(pots, two_node(), 1.0, [5.0, -5.0], tol=1e-12, max_iter=3)
+    # Newton shrinks a quartic's offset by a third per step: 1e3 is still far after two
+    pots = [QuarticWell(center=[0.0])] * 2
+    with pytest.raises(NumericalError, match="exhausted 2 iterations"):
+        minimize_aggregate(pots, two_node(), 1.0, [1e3, 1e3], tol=1e-10, max_iter=2)
+
+
+def test_warm_started_minimizer_ignores_the_last_bits_of_its_start():
+    # Newton lands where its last step from the flow's last sample puts it, to ~1 ulp;
+    # a method that stops anywhere within the gradient tolerance moved lhs by 9e-14
+    n, K = 6, 8.0
+    pots = [Quadratic(center=[(-1.0) ** i * 2.0]) if i % 2 == 0 else
+            SumPotential((Quadratic(center=[0.1 * i]), QuarticWell(center=[-0.1 * i])))
+            for i in range(n)]
+    g = ring_graph(n)
+    x0 = [float(i % 5) - 2.0 for i in range(n)]
+    last = integrate(pots, fixed_signal(g), K, x0, 0.01, 6.0).states[-1]
+    lhs = []
+    for scale in (1.0, 1 + 1e-15, 1 - 1e-15, 1 + 2e-15, 1 - 2e-15, 1 + 4e-15, 1 - 4e-15):
+        p = minimize_aggregate(pots, g, K, last * scale, tol=1e-10)
+        lhs.append(check_spectral_bound(p, pots, g, K).params["lhs"])
+    assert max(abs(v - lhs[0]) for v in lhs) <= 1e-14 * lhs[0]
 
 
 # -- spectral bound ------------------------------------------------------------

@@ -18,6 +18,7 @@ from syncflow import (
     NumericalError,
     WeightedDigraph,
     analysis,
+    cli,
     fixed_signal,
     simulator,
 )
@@ -427,17 +428,19 @@ def test_report_names_a_plain_numerical_error(tmp_path, monkeypatch, capsys):
 
 
 def test_far_apart_sum_zero_set_prints_no_warning(tmp_path, capfd):
-    # the zero set of node 0 is the point 1e200, found by a bisection whose
-    # cubes overflow; it does not meet node 1's, so monotone_V fails at load
-    far = dict(BASE, nodes=[{"kind": "sum", "terms": [{"kind": "quadratic", "center": [0.0]},
-                                                       {"kind": "quartic", "center": [1e200]}]},
-                            BASE["nodes"][1]],
-               checks=[{"name": "monotone_V"}])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy warning would escape as an exception
-        assert main(["verify", str(write(tmp_path, far))]) == 2
-    err = capfd.readouterr().err
-    assert "nonempty intersection of zero sets" in err and "RuntimeWarning" not in err
+    # the zero set of node 0 is the point c, found by a bisection whose cubes
+    # overflow (and, past ~9e307, whose midpoints did); it does not meet node 1's,
+    # so monotone_V fails at load
+    for c in (1e200, 1e308, -1e308):
+        far = dict(BASE, nodes=[{"kind": "sum", "terms": [{"kind": "quadratic", "center": [0.0]},
+                                                           {"kind": "quartic", "center": [c]}]},
+                                BASE["nodes"][1]],
+                   checks=[{"name": "monotone_V"}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would escape as an exception
+            assert main(["verify", str(write(tmp_path, far))]) == 2
+        err = capfd.readouterr().err
+        assert "nonempty intersection of zero sets" in err and "RuntimeWarning" not in err
 
 
 def test_spectral_bound_minimizer_starts_from_the_last_sample(tmp_path, monkeypatch):
@@ -450,21 +453,44 @@ def test_spectral_bound_minimizer_starts_from_the_last_sample(tmp_path, monkeypa
     obj = dict(BASE, nodes=nodes, graphs={"g0": ring}, K=8.0, t_end=6.0,
                x0=[float(i % 5) - 2.0 for i in range(n)], checks=[{"name": "spectral_bound"}])
     sc = load_scenario(write(tmp_path, obj))
-    calls = []
-    field = analysis.network_field
-    monkeypatch.setattr(analysis, "network_field", lambda *a: calls.append(1) or field(*a))
+    trajs, starts = [], []
+    integrate, minimize = cli.integrate, analysis.minimize_aggregate
+
+    def recorded_integrate(*args, **kwargs):
+        trajs.append(integrate(*args, **kwargs))
+        return trajs[-1]
+
+    def recorded_minimize(pots, g, K, x_init, **kwargs):
+        starts.append(np.array(x_init))
+        return minimize(pots, g, K, x_init, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", recorded_integrate)
+    monkeypatch.setattr(analysis, "minimize_aggregate", recorded_minimize)
     out = tmp_path / "out"
     assert run(sc, out) == 0
     (got,) = json.loads((out / "report.json").read_text())["checks"]
-    warm = len(calls)  # the minimizer's and the check's own
-    calls.clear()
+    (traj,), (start,) = trajs, starts
+    assert start.tobytes() == traj.states[-1].tobytes()  # the warm start is the last sample
     g = sc.signal.graph_at(0.0)
-    x = analysis.minimize_aggregate(sc.potentials, g, sc.primary_K, sc.x0, tol=1e-10)
-    cold = len(calls)
+    x = minimize(sc.potentials, g, sc.primary_K, sc.x0, tol=1e-10)
     want = analysis.check_spectral_bound(x, sc.potentials, g, sc.primary_K, tol=1e-8)
     assert got["params"]["lhs"] == pytest.approx(want.params["lhs"], rel=1e-8)
     assert got["params"]["bound"] == pytest.approx(want.params["bound"], rel=1e-8)
-    assert got["pass"] and warm <= cold / 5
+    assert got["pass"]
+
+
+def test_spectral_bound_passes_where_the_aggregate_has_no_curvature(tmp_path, capsys):
+    # a quartic centered inside both flat bottoms around it: the minimizer is a consensus
+    # with no curvature along it, where a gradient method spent its whole budget
+    nodes = [{"kind": "flat_bottom", "left": -1.612, "right": 4.860},
+             {"kind": "quartic", "center": [1.532]},
+             {"kind": "flat_bottom", "left": 0.909, "right": 1.590}]
+    path = [[0, 1, 3.59], [1, 0, 3.59], [1, 2, 3.34], [2, 1, 3.34]]
+    obj = {k: v for k, v in BASE.items() if k != "sample_every"}
+    obj.update(nodes=nodes, weight_bounds=[0.5, 4.0], graphs={"g0": path}, K=10.53,
+               x0=[3.0, -2.0, 4.0], dt=0.01, t_end=5.0, checks=[{"name": "spectral_bound"}])
+    assert main(["verify", str(write(tmp_path, obj))]) == 0
+    assert "[PASS] spectral_bound" in capsys.readouterr().out
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -233,6 +233,15 @@ def test_intersect():
     np.testing.assert_array_equal(box.hi, [2, 1])
 
 
+@pytest.mark.parametrize("big", [1.7e308, -1.7e308])
+def test_midpoints_near_the_largest_floats_stay_finite(big):
+    # half of each end, then the sum: adding the ends first overflows
+    assert Box([big], [big]).center().tolist() == [big]
+    assert Box(*sorted([[0.5 * big], [big]])).center().tolist() == [0.75 * big]
+    got = intersect([Box([big], [big]), Box([min(0.0, big)], [max(0.0, big)])])
+    assert (got.lo.tolist(), got.hi.tolist()) == ([big], [big])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(-5, 5), min_size=2, max_size=2),

@@ -20,6 +20,7 @@ from syncflow.cli import potential_from_dict
 from syncflow.potentials import NetworkPotential
 from util import (
     gradient_consistency_check,
+    oracle_curvature,
     oracle_gradient,
     oracle_value,
     potential_to_dict,
@@ -223,6 +224,9 @@ def far_apart_sum(draw):
 @example([Quadratic(center=[0.0, 3.0]), QuarticWell(center=[1e100, -2.0])])
 # a bracket widened by a fixed 1.0 was lost in the ulp of -1e16
 @example([Quadratic(center=[-1.0, -1e16]), QuarticWell(center=[-10.0, -1e16])])
+# midpoints of brackets past ~9e307 overflowed when their ends were added first
+@example([Quadratic(center=[1.0]), QuarticWell(center=[1e308])])
+@example([Quadratic(center=[1.0]), QuarticWell(center=[-1e308])])
 def test_sum_zero_set_equals_the_full_200_step_bisection(terms):
     # only the bisection branch: no shared minimizer and not all quadratics
     assume(cg.intersect([t.zero_set() for t in terms], tol=0.0) is None)
@@ -236,6 +240,13 @@ def test_sum_zero_set_equals_the_full_200_step_bisection(terms):
     body = SumPotential(tuple(terms)).zero_set()
     # bit for bit, the sign of a zero included
     assert body.lo.tobytes() == lo.tobytes() and body.hi.tobytes() == hi.tobytes()
+
+
+@pytest.mark.parametrize("c", [1e308, -1e308])
+def test_sum_zero_set_near_the_largest_floats_is_finite(c):
+    body = SumPotential((Quadratic(center=[1.0]), QuarticWell(center=[c]))).zero_set()
+    assert np.all(np.isfinite(body.lo)) and np.all(np.isfinite(body.hi))
+    assert body.lo[0] == body.hi[0] == pytest.approx(c, rel=1e-15)
 
 
 def test_sum_zero_set_brackets_a_component_beyond_2_to_the_53():
@@ -268,8 +279,8 @@ def test_gradient_consistency_detects_corruption():
     class Corrupted(QuarticWell):
         @staticmethod
         def _kernel(terms):
-            gradient, value = QuarticWell._kernel(terms)
-            return (lambda x: gradient(x) + 0.1), value
+            gradient, value, curvature = QuarticWell._kernel(terms)
+            return (lambda x: gradient(x) + 0.1), value, curvature
 
     rep = gradient_consistency_check(Corrupted(center=[0.0]), [[0.5]], h=1e-5, tol=1e-5)
     assert not rep.passed
@@ -557,3 +568,36 @@ def test_network_potential_rejects_mismatched_states():
         net.value(np.zeros((2, 1)))
     with pytest.raises(InputError):
         NetworkPotential([Quadratic(center=[0.0]), Quadratic(center=[0.0, 1.0])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(network_case())
+@example(([FlatBottom1D(-1.0, 2.0)], "flat", np.array([[[-1.0]], [[2.0]]])))  # on both edges
+def test_network_curvature_equals_the_oracle(case):
+    nodes, _, X = case
+    H = NetworkPotential(nodes).curvature(X)
+    assert H.shape == X.shape
+    for i, spec in enumerate(nodes):
+        # the kernels add a sum's flattened terms left to right, whatever the nesting
+        flat = SumPotential(tuple(potentials._flatten_terms(spec)))
+        reference = flat if isinstance(spec, SumPotential) else spec
+        assert same_bits(H[..., i, :], oracle_curvature(reference, X[..., i, :]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(network_case())
+def test_curvature_matches_central_differences_of_the_gradient(case):
+    # the catalog is separable, so one shift of every entry differences the Hessian's diagonal
+    nodes, _, X = case
+    net, h = NetworkPotential(nodes), 1e-5
+    fd = (net.gradient(X + h) - net.gradient(X - h)) / (2 * h)
+    H = net.curvature(X)
+    for i, spec in enumerate(nodes):
+        x = X[..., i, :]
+        # a flat bottom's curvature jumps at its edges: keep the stencil off them
+        off_edges = np.ones(x.shape, dtype=bool)
+        for t in potentials._flatten_terms(spec):
+            if isinstance(t, FlatBottom1D):
+                off_edges &= (np.abs(x - t.left) > 2 * h) & (np.abs(x - t.right) > 2 * h)
+        np.testing.assert_allclose(fd[..., i, :][off_edges], H[..., i, :][off_edges],
+                                   rtol=1e-6, atol=1e-6)

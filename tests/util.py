@@ -155,6 +155,23 @@ def oracle_gradient(spec, x) -> np.ndarray:
     raise TypeError(f"no oracle for {type(spec).__name__}")
 
 
+def oracle_curvature(spec, x) -> np.ndarray:
+    """The diagonal of F's Hessian at x, shaped as ``oracle_gradient``'s result, by each kind's
+    second derivative (a flat bottom's is 0 strictly inside (left, right) and 1 elsewhere, its
+    edges included); sums likewise."""
+    x = _point(x)
+    if isinstance(spec, Quadratic):
+        return np.full(x.shape, spec.weight)
+    if isinstance(spec, QuarticWell):
+        d = x - spec.center
+        return 3.0 * d * d
+    if isinstance(spec, FlatBottom1D):
+        return np.where((x <= spec.left) | (x >= spec.right), 1.0, 0.0)
+    if isinstance(spec, SumPotential):
+        return sum(oracle_curvature(t, x) for t in spec.terms)
+    raise TypeError(f"no oracle for {type(spec).__name__}")
+
+
 def oracle_value(spec, x):
     """F(x) by each kind's closed form, shape ``x.shape[:-1]``; sums as in ``oracle_gradient``."""
     x = _point(x)
@@ -265,7 +282,7 @@ def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
     def bisect(predicate) -> tuple[float, float]:
         lo_, hi_ = a, b
         for _ in range(200):
-            mid = 0.5 * (lo_ + hi_)
+            mid = 0.5 * lo_ + 0.5 * hi_
             if predicate(mid):
                 hi_ = mid
             else:
@@ -278,7 +295,7 @@ def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
         _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
         right_edge, _ = bisect(lambda s: deriv(s) > 0.0)
     if right_edge < left_edge:
-        mid = 0.5 * (left_edge + right_edge)
+        mid = 0.5 * left_edge + 0.5 * right_edge
         return mid, mid
     return left_edge, right_edge
 
@@ -292,5 +309,5 @@ def sum_zero_set_oracle(terms) -> tuple[np.ndarray, np.ndarray]:
                                          for k in range(m))))
     scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
     if np.all(hi - lo <= 1e-9 * scale):
-        lo = hi = 0.5 * (lo + hi)
+        lo = hi = 0.5 * lo + 0.5 * hi
     return lo, hi
