@@ -4,10 +4,10 @@ A ``WeightedDigraph`` is one communication snapshot: arc (j, i, w) means node
 j is a neighbor of node i, so information flows j -> i and the adjacency
 entry A[i, j] = w.  A ``SwitchingSignal`` maps time to snapshots as a
 piecewise-constant, right-continuous cycle of ``(graph_id, duration)``
-segments repeated over [0, inf); a one-segment cycle is a fixed graph.
-Cycles keep the uniform joint connectivity certificate exhaustive (the
-joint graph over a sliding window is piecewise constant in the window start,
-with breakpoints at switch times shifted by the period).
+segments repeated over [0, inf); a one-segment cycle is a fixed graph.  The
+segment table alone says which graph holds from when: ``switch_times`` pairs
+each switch with the next segment's graph, and the uniform joint connectivity
+certificate reads the segments from each start of one period.
 
 The algebraic side provides the graph Laplacian D - A, strong connectivity
 via double reachability sweeps, and the second-smallest Laplacian eigenvalue
@@ -148,15 +148,15 @@ class SwitchingSignal:
         object.__setattr__(self, "segments", segs)
         if not self.library:
             raise InputError("signal library must contain at least one graph")
-        if self.dwell_floor <= 0:
-            raise InputError(f"dwell floor must be positive, got {self.dwell_floor}")
+        if not 0 < self.dwell_floor < math.inf:
+            raise InputError(f"dwell floor must be positive and finite, got {self.dwell_floor}")
         counts = {g.node_count for g in self.library.values()}
         if len(counts) != 1:
             raise InputError(f"library graphs must share one node count, got {sorted(counts)}")
         if not segs:
             raise InputError("signal needs at least one segment")
-        if any(d <= 0 for _, d in segs):
-            raise InputError("segment durations must be positive")
+        if not all(0 < d < math.inf for _, d in segs):
+            raise InputError("segment durations must be positive and finite")
         bad = [d for _, d in segs if d < self.dwell_floor - 1e-12]
         if bad:
             raise InputError(f"segment duration {min(bad)} is below the dwell floor {self.dwell_floor}")
@@ -192,11 +192,11 @@ class SwitchingSignal:
     def graph_at(self, t: float) -> WeightedDigraph:
         return self.library[self.graph_id_at(t)]
 
-    def switch_times(self, t0: float, t1: float) -> list[float]:
-        """Instants in (t0, t1] where the active graph actually changes."""
+    def switch_times(self, t0: float, t1: float) -> list[tuple[float, str]]:
+        """``(instant, graph_id)`` per switch in (t0, t1]: the next segment's graph from then on."""
         ids = [g for g, _ in self.segments]
         # a segment end is a switch only if the ids differ across it
-        changing = [end for end, g, nxt in zip(self._ends, ids, ids[1:] + ids[:1]) if g != nxt]
+        changing = [(e, nxt) for e, g, nxt in zip(self._ends, ids, ids[1:] + ids[:1]) if g != nxt]
         if not changing or t1 <= t0:
             return []
         period = self.period
@@ -206,10 +206,10 @@ class SwitchingSignal:
             base = k * period
             if base > t1 + _TIME_TOL:
                 break
-            for c in changing:
+            for c, g in changing:
                 t = base + c
                 if t0 + _TIME_TOL < t <= t1 + _TIME_TOL:
-                    out.append(min(t, t1))
+                    out.append((min(t, t1), g))
             k += 1
         return out
 
@@ -225,8 +225,8 @@ def joint_graph(signal: SwitchingSignal, t1: float, t2: float) -> frozenset:
     if t2 - t1 >= signal.period - _TIME_TOL:
         ids = {g for g, _ in signal.segments}
     else:
-        starts = [t1] + [t for t in signal.switch_times(t1, t2) if t < t2 - _TIME_TOL]
-        ids = {signal.graph_id_at(t) for t in starts}
+        ids = {signal.graph_id_at(t1)}
+        ids |= {g for t, g in signal.switch_times(t1, t2) if t < t2 - _TIME_TOL}
     return frozenset().union(*(signal.library[g].arc_set for g in ids))
 
 
@@ -239,35 +239,31 @@ def validate_window(T):
 def certify_ujsc(signal: SwitchingSignal, T: float) -> CheckReport:
     """Certify that every window [t, t+T) has a strongly connected joint graph.
 
-    For a switching signal the joint graph over [t, t+T) is piecewise
-    constant in t with breakpoints at segment boundaries and at boundaries
-    shifted left by T (mod period), so checking each breakpoint plus the
-    midpoints between consecutive breakpoints within one period is
-    exhaustive.  The scan stops at the first failing window, which becomes
-    the report's location.
+    Within one segment a window only gains graphs as its start moves, so the
+    segment starts of one period are exhaustive.  From each start the next
+    segments join one at a time; the start's T_min is the offset at which the
+    union becomes strongly connected (inf if one period's never does).  The
+    check passes iff T > max T_min + _TIME_TOL; the location is the window
+    from the first failing start.
     """
     validate_window(T)
-    if signal.has_switches():
-        period = signal.period
-        breakpoints = {0.0}
-        for end in signal._ends:
-            breakpoints.add(end % period)
-            breakpoints.add((end - T) % period)
-        pts = sorted(breakpoints)
-        starts = pts + [0.5 * (a + b) for a, b in zip(pts, pts[1:] + [pts[0] + period])]
-        window, detail = None, f"checked {len(starts)} window starts over one period"
-        for t in sorted(starts):
-            if not _strongly_connected(signal.node_count, joint_graph(signal, t, t + T)):
-                window = [t, t + T]
-                detail = f"joint graph over [{t:.6g}, {t + T:.6g}) is not strongly connected"
+    segs, t_min, window = signal.segments, 0.0, None
+    for k, start in enumerate((0.0,) + signal._ends[:-1]):
+        arcs, offset, need = set(), 0.0, math.inf
+        for g, d in segs[k:] + segs[:k]:
+            arcs |= signal.library[g].arc_set
+            if _strongly_connected(signal.node_count, arcs):
+                need = offset
                 break
-    elif is_strongly_connected(signal.graph_at(0.0)):
-        window, detail = None, "fixed graph"
-    else:
-        window, detail = [0.0, T], "fixed graph not strongly connected"
-    return CheckReport(
-        check="ujsc", passed=window is None, location=window, params={"T": T, "detail": detail}
-    )
+            offset += d
+        t_min = max(t_min, need)
+        if window is None and not T > need + _TIME_TOL:
+            window = [start, start + T]
+    detail = "every window's joint graph is strongly connected"
+    if window is not None:
+        detail = f"joint graph over [{window[0]:.6g}, {window[1]:.6g}) is not strongly connected"
+    params = {"T": T, "T_min": t_min, "detail": detail}
+    return CheckReport(check="ujsc", passed=window is None, location=window, params=params)
 
 
 # -- spectra -----------------------------------------------------------------

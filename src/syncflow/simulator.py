@@ -140,19 +140,23 @@ def validate_event_count(signal: SwitchingSignal, t_end: float, sample_every: fl
 
 
 def _event_grid(signal: SwitchingSignal, t_end: float, sample_every: float):
-    """Merged, deduplicated event times with a record flag per event."""
+    """Merged, deduplicated events ``[time, record, graph_id]``: graph_id is the graph from
+    the event on, None if unchanged, taken from a switch merged into the event, so a switch
+    up to the merge tolerance after a sample takes effect at that sample."""
     n_samples = int(math.floor(t_end / sample_every + 1e-9))
-    events = [(k * sample_every, True) for k in range(n_samples + 1)]
-    events += [(t, True) for t in signal.switch_times(0.0, t_end)]
-    events.append((t_end, False))
+    events = [(k * sample_every, True, None) for k in range(n_samples + 1)]
+    events += [(t, True, g) for t, g in signal.switch_times(0.0, t_end)]
+    events.append((t_end, False, None))
     events.sort(key=lambda e: e[0])
     tol = 1e-9 * max(1.0, t_end)
     merged: list[list] = []
-    for t, rec in events:
+    for t, rec, g in events:
         if merged and t - merged[-1][0] <= tol:
             merged[-1][1] = merged[-1][1] or rec
+            if g is not None:
+                merged[-1][2] = g
         else:
-            merged.append([t, rec])
+            merged.append([t, rec, g])
     merged[-1][0] = t_end  # a sample within the tolerance before t_end does not end the run early
     return merged
 
@@ -174,7 +178,8 @@ def integrate(
     is shortened to land exactly on each switch time and each sample time,
     then resumes.  Samples are recorded at every multiple of ``sample_every``
     and at every switch instant (by default every ten steps); events closer
-    than 1e-9 * max(1, t_end) merge, and the run ends at t_end exactly.
+    than 1e-9 * max(1, t_end) merge, and the run ends at t_end exactly.  Each
+    span runs on the graph its event carries: the last switch's, or the graph at 0.
     """
     if K < 0:
         raise InputError(f"coupling gain K must be nonnegative, got {K}")
@@ -196,28 +201,27 @@ def integrate(
     events = _event_grid(signal, t_end, sample_every)
     times = [0.0]
     states = [X]  # RK4 steps build new arrays, so recorded states need no copies
-    t_prev = events[0][0]
+    lap = signal.graph_at(0.0).laplacian_matrix
+    t_prev = 0.0
     # overflow on the way out is reported by the divergence guard, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for t_next, record in events[1:]:
+        for t_next, record, graph_id in events:
             span = t_next - t_prev
-            if span <= 0:
-                continue
-            # the graph of the span's interior: a switch merged into a sample
-            # up to the merge tolerance earlier still takes effect at that sample
-            lap = signal.graph_at(0.5 * (t_prev + t_next)).laplacian_matrix
-            nsteps = max(1, math.ceil(span / dt - 1e-9))
-            h = span / nsteps
-            for k in range(nsteps):
-                X = _rk4_step(net, lap, K, X, h)
-                sup = float(np.abs(X).max())  # NaN if any entry is NaN
-                if not sup <= divergence_guard:
-                    sup = math.inf if math.isnan(sup) else sup
-                    raise FiniteEscapeError(t_prev + (k + 1) * h, sup, divergence_guard)
-            t_prev = t_next
-            if record:
-                times.append(t_next)
-                states.append(X)
+            if span > 0:
+                nsteps = max(1, math.ceil(span / dt - 1e-9))
+                h = span / nsteps
+                for k in range(nsteps):
+                    X = _rk4_step(net, lap, K, X, h)
+                    sup = float(np.abs(X).max())  # NaN if any entry is NaN
+                    if not sup <= divergence_guard:
+                        sup = math.inf if math.isnan(sup) else sup
+                        raise FiniteEscapeError(t_prev + (k + 1) * h, sup, divergence_guard)
+                t_prev = t_next
+                if record:
+                    times.append(t_next)
+                    states.append(X)
+            if graph_id is not None:
+                lap = signal.library[graph_id].laplacian_matrix
     return Trajectory(
         times=np.array(times),
         states=np.array(states),

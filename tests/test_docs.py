@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import syncflow
-from syncflow.cli import main
+from syncflow.cli import CHECKS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -37,6 +37,18 @@ def test_readme_scenario_verifies(tmp_path):
     scenario.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", str(scenario)]) == 0
+
+
+def test_readme_check_table_names_every_check_and_its_parameters():
+    text = README.read_text()
+    section = text[text.index("## Scenario files"):text.index("## Library use")]
+    table = section[section.index("| check | parameters"):].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        name, params = line.split("|")[1:3]
+        # the parameter list ends at its first sentence; a note on the report may follow
+        rows[name.strip().strip("`")] = set(re.findall(r"`(\w+)`", params.split(". ")[0]))
+    assert rows == {name: set(check.params) for name, check in CHECKS.items()}
 
 
 def test_every_bench_file_holds_its_pair_summary():

@@ -102,7 +102,7 @@ def test_switch_times_skip_noop_boundaries():
     assert sig.switch_times(0.0, 5.0) == []
     assert not sig.has_switches()
     sig2 = alternating_chains()
-    assert sig2.switch_times(0.0, 4.0) == [1.0, 2.0, 3.0, 4.0]
+    assert sig2.switch_times(0.0, 4.0) == [(1.0, "rev"), (2.0, "fwd"), (3.0, "rev"), (4.0, "fwd")]
 
 
 def test_dwell_floor_enforced():
@@ -112,6 +112,22 @@ def test_dwell_floor_enforced():
             (("a", 0.2), ("b", 1.0)),
             dwell_floor=0.5,
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_signal_rejects_non_finite_durations(bad):
+    with pytest.raises(InputError, match="segment durations must be positive and finite"):
+        SwitchingSignal({"a": chain(2)}, (("a", bad),), 1.0)
+    with pytest.raises(InputError, match="segment durations must be positive and finite"):
+        alternating_chains(seg=bad, dwell=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_signal_rejects_a_non_finite_dwell_floor(bad):
+    with pytest.raises(InputError, match="dwell floor must be positive and finite"):
+        SwitchingSignal({"a": chain(2)}, (("a", 1.0),), bad)
+    with pytest.raises(InputError, match="dwell floor must be positive and finite"):
+        alternating_chains(dwell=bad)
 
 
 def test_joint_graph_fixed():
@@ -182,13 +198,19 @@ def test_certify_ujsc_reports_the_first_failing_window():
     sig = alternating_chains(seg=1.0)
     ok = certify_ujsc(sig, 2.0)
     assert (ok.check, ok.passed, ok.location) == ("ujsc", True, None)
-    assert ok.params == {"T": 2.0, "detail": "checked 4 window starts over one period"}
+    assert ok.params == {
+        "T": 2.0, "T_min": 1.0, "detail": "every window's joint graph is strongly connected"
+    }
     bad = certify_ujsc(sig, 0.5)
     assert (bad.check, bad.passed, bad.location) == ("ujsc", False, [0.0, 0.5])
-    assert bad.params == {"T": 0.5, "detail": "joint graph over [0, 0.5) is not strongly connected"}
+    assert bad.params == {
+        "T": 0.5, "T_min": 1.0, "detail": "joint graph over [0, 0.5) is not strongly connected"
+    }
     fixed = certify_ujsc(SwitchingSignal({"a": chain(3)}, (("a", 1.0),), 1.0), 0.5)
     assert (fixed.passed, fixed.location) == (False, [0.0, 0.5])
-    assert fixed.params == {"T": 0.5, "detail": "fixed graph not strongly connected"}
+    assert fixed.params == {
+        "T": 0.5, "T_min": math.inf, "detail": "joint graph over [0, 0.5) is not strongly connected"
+    }
 
 
 def test_lambda2_two_node():
@@ -368,7 +390,10 @@ def test_segment_cycle_matches_the_former_scan_and_walk(case):
     sig = SwitchingSignal(CYCLE_LIBRARY, segs, dwell_floor=0.5)
     for t in (t1, t2):
         assert sig.graph_id_at(t) == former_graph_id_at(segs, t)
-    assert sig.switch_times(t1, t2) == former_switch_times(segs, t1, t2)
+    switches = sig.switch_times(t1, t2)
+    assert [t for t, _ in switches] == former_switch_times(segs, t1, t2)
+    # each switch names the graph from its instant on
+    assert all(g == former_graph_id_at(segs, t) for t, g in switches)
     period = sum(d for _, d in segs)
     assert sig.has_switches() == bool(former_switch_times(segs, 0.0, 2.0 * period))
     if t2 - t1 > _TOL:
@@ -425,3 +450,20 @@ def test_certify_ujsc_agrees_with_a_brute_force_scan(case):
         first = starts[fails.index(True)]
         lo, hi = min(t, first), max(t, first)
         assert all(f for s, f in zip(starts, fails) if lo <= s <= hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles_and_window_lengths(), st.sampled_from("abcd"))
+def test_certify_ujsc_fails_at_T_min_and_passes_just_beyond_it(case, dropped):
+    segs, T = case
+    sig = SwitchingSignal(CYCLE_LIBRARY, segs, dwell_floor=0.5)
+    t_min = certify_ujsc(sig, T).params["T_min"]
+    # no graph of the library is strongly connected alone, and one period sees all four
+    assert 0 < t_min < sig.period
+    assert not certify_ujsc(sig, t_min).passed
+    assert certify_ujsc(sig, t_min + 2 * graphs._TIME_TOL).passed
+    # without one of the four graphs no window's joint graph is strongly connected
+    rest = SwitchingSignal(CYCLE_LIBRARY, tuple(s for s in segs if s[0] != dropped), 0.5)
+    for window in (T, t_min + 2 * graphs._TIME_TOL, sig.period, 10.0 * sig.period):
+        rep = certify_ujsc(rest, window)
+        assert rep.params["T_min"] == math.inf and not rep.passed
