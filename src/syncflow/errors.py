@@ -28,9 +28,9 @@ class NumericalError(SyncflowError):
 class FiniteEscapeError(NumericalError):
     """State norm exceeded the divergence guard during integration.
 
-    Convex self-dynamics alone do not rule out finite-time escape, so the
-    integrator converts a runaway trajectory into this explicit error instead
-    of overflowing silently.
+    The exact flow stays in the box spanned by x0 and the zero sets, so a trip
+    is fixed-step RK4 leaving its stability region, not an escape of the
+    network; the integrator raises this error instead of overflowing silently.
     """
 
     def __init__(self, time: float, sup_norm: float, bound: float):

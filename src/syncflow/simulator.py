@@ -12,8 +12,9 @@ exactly on every switch instant and sample instant; that keeps fourth-order
 accuracy piecewise and makes runs bit-reproducible.
 
 A divergence guard aborts with an explicit finite-escape error instead of
-overflowing silently: convexity of the potentials alone does not exclude
-finite-time escape.
+overflowing silently.  The exact flow stays in the box spanned by x0 and the
+zero sets (gradients nondecreasing per component, diffusive coupling), so a
+trip is fixed-step RK4 leaving its stability region; a smaller step cures it.
 """
 
 import math

@@ -36,9 +36,11 @@ from syncflow.simulator import compile_network, network_field
 from syncflow.convex_geometry import zero_set_hull
 from util import (
     equilibrium_oracle_quadratic,
+    extreme_points_oracle,
     hull_projection_oracle,
     path_graph,
     ring_graph,
+    squared_polygon_distance_oracle,
     undirected,
 )
 
@@ -170,6 +172,39 @@ def test_diagnostics_theta_is_max_squared_oracle_distance():
          for blocks in traj.states]
     )
     assert ref[0] > 10.0 and ref[-1] == 0.0
+    np.testing.assert_allclose(diag.theta, ref, rtol=1e-12, atol=0.0)
+
+
+def test_theta_of_nodes_leaving_the_hull_is_the_exact_polygon_distance():
+    # the bench's hull_2d shape cut to 8 nodes: quadratics on the corners of a
+    # square of radius 4 turned 22.5 degrees, a sum whose quartic center lies
+    # beyond the fourth corner, and three inner nodes, on a directed ring that
+    # switches direction; the sum's drift carries nodes out of the hull and back
+    corners = [[4.0 * math.cos(a), 4.0 * math.sin(a)]
+               for a in (math.radians(22.5) + math.pi / 4 + k * math.pi / 2 for k in range(4))]
+    pots = [Quadratic(center=c, weight=w) for c, w in zip(corners, (0.804, 1.883, 1.882, 1.429))]
+    pots += [
+        SumPotential((Quadratic(center=corners[3]),
+                      QuarticWell(center=[corners[3][0] + 4.0, corners[3][1] - 1.0]))),
+        SumPotential((Quadratic(center=[1.012, 1.779], weight=1.039),
+                      QuarticWell(center=[1.857, 1.788]))),
+        Quadratic(center=[-0.421, 1.811], weight=1.738),
+        SumPotential((Quadratic(center=[1.624, -1.750], weight=0.516),
+                      QuarticWell(center=[1.536, -0.777]))),
+    ]
+    fwd = (1.961, 0.678, 0.898, 1.131, 1.449, 0.562, 1.560, 1.078)
+    rev = (1.898, 1.077, 0.955, 1.124, 1.812, 1.857, 0.826, 0.628)
+    graphs = {"fwd": WeightedDigraph(8, tuple((i, (i + 1) % 8, w) for i, w in enumerate(fwd))),
+              "rev": WeightedDigraph(8, tuple(((i + 1) % 8, i, w) for i, w in enumerate(rev)))}
+    sig = SwitchingSignal(graphs, (("fwd", 0.4), ("rev", 0.4)), 0.4)
+    x0 = [0.028, -0.44, 0.938, -1.241, -1.114, 0.141, 0.009, 1.174,
+          1.379, 0.829, 1.185, 0.549, 0.949, -0.95, -0.176, -0.918]
+    traj = integrate(pots, sig, 1.0, x0, dt=0.02, t_end=6.0, sample_every=0.05)
+    diag = diagnostics(traj, pots, z_star=None)
+    polygon = extreme_points_oracle(np.vstack([p.zero_set().extreme_points() for p in pots]))
+    ref = np.array([float(max(squared_polygon_distance_oracle(polygon, x) for x in blocks))
+                    for blocks in traj.states])
+    assert 0 < np.count_nonzero(ref) < ref.size - 50
     np.testing.assert_allclose(diag.theta, ref, rtol=1e-12, atol=0.0)
 
 

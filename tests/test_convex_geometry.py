@@ -21,7 +21,7 @@ from syncflow import (
     intersect,
     zero_set_hull,
 )
-from util import hull_projection_oracle
+from util import extreme_points_oracle, hull_projection_oracle, polygon_depth_oracle
 
 
 def random_bodies(rng, kind, m):
@@ -390,6 +390,78 @@ def test_stacked_hull_projection_rows_are_certified_oracle_solutions(case):
         if members[idx]:
             assert np.array_equal(p, row)
         assert np.array_equal(hull.project(row), p)
+
+
+@st.composite
+def plane_clouds(draw):
+    """A 2-D cloud whose float hull is easy to get wrong, plus query rows.
+
+    Grid points give duplicates, points at quarter steps along the line of
+    two cloud points give collinear runs, and 1-ulp nudges make points that
+    are almost, but not exactly, on an edge.  A power-of-two scale keeps all
+    of it exact.  Rows are free points, cloud points, points between two cloud
+    points and convex combinations of the whole cloud.
+    """
+    coord = st.integers(-4, 4).map(float)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=9))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        t = draw(st.sampled_from([-0.5, 0.25, 0.5, 0.75, 1.5]))
+        pts.append(((1.0 - t) * a[0] + t * b[0], (1.0 - t) * a[1] + t * b[1]))
+    for _ in range(draw(st.integers(0, 4))):
+        p = list(draw(st.sampled_from(pts)))
+        k = draw(st.integers(0, 1))
+        p[k] = float(np.nextafter(p[k], draw(st.sampled_from([-np.inf, np.inf]))))
+        pts.append(tuple(p))
+    pts = np.array(pts) * 2.0 ** draw(st.integers(-30, 30))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["free", "point", "between", "interior"]))
+        if kind == "free":
+            scale = float(np.max(np.abs(pts))) + 1.0
+            rows.append([draw(st.floats(-2.0, 2.0)) * scale for _ in range(2)])
+        elif kind == "point":
+            rows.append(pts[draw(st.integers(0, len(pts) - 1))])
+        elif kind == "between":
+            i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1))
+            t = draw(st.floats(0.0, 1.0))
+            rows.append((1.0 - t) * pts[i] + t * pts[j])
+        else:
+            unit = st.floats(0.0, 1.0)
+            w = np.array(draw(st.lists(unit, min_size=len(pts), max_size=len(pts)))) + 1e-3
+            rows.append(w / w.sum() @ pts)
+    return pts, np.array(rows, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plane_clouds())
+@example((np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0]]),
+          np.array([[1.0, 1.0], [3.0, 0.0]])))
+@example((np.array([[0.0, 0.0], [np.nextafter(0.5, 1.0), 0.5], [1.0, 1.0], [1.0, 0.0]]),
+          np.array([[0.5, 0.5], [0.75, 0.25], [0.0, 1.0]])))
+# the float determinant calls (12, 12) a right turn; exactly it is a left turn, a corner
+@example((np.array([[0.5 + 41 * 2.0**-53, 0.5 + 48 * 2.0**-53], [12.0, 12.0], [24.0, 24.0]]),
+          np.array([[12.0, 12.0], [6.0, 6.0]])))
+# a triangle 1 ulp thick: no row is inside it by more than the rounding, and the
+# solver may certify a vertex 1e-8 from a row that lies in it
+@example((np.array([[-2.0**-17, 0.0], [-2.0**-17 - 2.0**-69, 0.0], [2.0**-17, 2.0**-17]]),
+          np.array([[-7.61928268e-06, 5.05592746e-09], [0.0, 0.0]])))
+def test_planar_hull_keeps_exactly_its_extreme_points(case):
+    pts, x = case
+    hull = Hull(pts)
+    # the extreme points, counter-clockwise from the lexicographic minimum
+    assert np.array_equal(hull.vertices, extreme_points_oracle(pts))
+    got = hull.project(x)
+    polygon = hull.vertices.shape[0] >= 3
+    for row, p in zip(x, got):
+        scale = max(1.0, float(np.max(np.abs(pts))), float(np.max(np.abs(row))))
+        # a certified projection onto conv(pts), whatever vertices were dropped; each of
+        # two certified points lies within sqrt(5e-13) * scale of the true projection
+        assert np.all((pts - p) @ (p - row) >= -5e-13 * scale * scale)
+        assert np.linalg.norm(p - hull_projection_oracle(pts, row)) <= 2 * np.sqrt(5e-13) * scale
+        # inside by more than the edge test's rounding: the row itself, bit for bit
+        if polygon and polygon_depth_oracle(hull.vertices, row) > (1e-12 * scale) ** 2:
+            assert np.array_equal(p, row)
 
 
 def test_one_uncertifiable_row_raises(monkeypatch):

@@ -52,10 +52,16 @@ def test_readme_check_table_names_every_check_and_its_parameters():
 
 
 def test_every_bench_file_holds_its_pair_summary():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    end_to_end = {m["name"] for m in declared["end_to_end"]}
     files = sorted(ROOT.glob("BENCH_*.json"))
     assert files
     for path in files:
         bench = json.loads(path.read_text())
+        if bench.get("claim"):  # a claimed gain names a declared workload and end-to-end metric
+            assert bench["claim"]["workload"] in workloads, path.name
+            assert bench["claim"]["metric"] in end_to_end, path.name
         assert {"python", "numpy", "nproc"} <= set(bench["environment"]), path.name
         assert set(bench["src_lines"]) == {"parent", "change"}, path.name
         assert bench["workloads"], path.name

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: standard topologies, catalogs and reference solvers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -129,6 +130,64 @@ def hull_projection_oracle(vertices, x):
         f"hull projection failed to certify optimality: worst vertex slack "
         f"{worst:.3e} (tolerance {-cert_tol:.3e})"
     )
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _rational(points) -> list:
+    """Rows of a float array (k, 2) or one point (2,) as exact tuples of Fractions."""
+    rows = np.atleast_2d(np.asarray(points, dtype=float)).tolist()
+    return [tuple(map(Fraction, p)) for p in rows]
+
+
+def extreme_points_oracle(points) -> np.ndarray:
+    """Extreme points of a 2-D set, counter-clockwise from the lexicographic minimum.
+
+    Andrew's monotone chain on exact rational coordinates, so no rounding can
+    keep a point on an edge or drop a corner.  Fewer than 3 distinct points
+    come back sorted.
+    """
+    pts = sorted(set(_rational(points)))
+
+    def chain(seq):
+        h = []
+        for p in seq:
+            while len(h) >= 2 and _cross(h[-2], h[-1], p) <= 0:
+                h.pop()
+            h.append(p)
+        return h
+
+    if len(pts) >= 3:
+        pts = chain(pts)[:-1] + chain(pts[::-1])[:-1]
+    return np.array([[float(c) for c in p] for p in pts])
+
+
+def polygon_depth_oracle(vertices, x) -> Fraction:
+    """Exact signed squared distance of x to the nearest edge line of a counter-clockwise
+    convex polygon: positive strictly inside, zero on an edge line, negative outside."""
+    v, (x,) = _rational(vertices), _rational(x)
+    signed = []
+    for a, b in zip(v, v[1:] + v[:1]):
+        c = _cross(a, b, x)
+        signed.append(c * abs(c) / ((b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2))
+    return min(signed)
+
+
+def squared_polygon_distance_oracle(vertices, x) -> Fraction:
+    """Exact squared distance of the point x to a counter-clockwise convex polygon:
+    zero inside or on it, else the least squared distance to an edge segment."""
+    if polygon_depth_oracle(vertices, x) >= 0:
+        return Fraction(0)
+    v, (x,) = _rational(vertices), _rational(x)
+    dists = []
+    for a, b in zip(v, v[1:] + v[:1]):
+        e, d = (b[0] - a[0], b[1] - a[1]), (x[0] - a[0], x[1] - a[1])
+        t = (d[0] * e[0] + d[1] * e[1]) / (e[0] ** 2 + e[1] ** 2)
+        t = min(max(t, Fraction(0)), Fraction(1))
+        dists.append((d[0] - t * e[0]) ** 2 + (d[1] - t * e[1]) ** 2)
+    return min(dists)
 
 
 # -- potentials: closed forms one kind at a time, the kernels' reference ------
