@@ -28,8 +28,7 @@ from .errors import InputError, NumericalError, PreconditionError
 from .graphs import SwitchingSignal, WeightedDigraph, lambda2, require_undirected
 from .potentials import common_zero_set
 from .report import CheckReport
-from .simulator import DEFAULT_GUARD, Trajectory, compile_network, fixed_signal, integrate
-from .simulator import network_field
+from .simulator import Trajectory, compile_network, fixed_signal, integrate, network_field
 
 __all__ = [
     "DiagnosticsSeries",
@@ -488,7 +487,6 @@ def sweep_K(
     t_end: float,
     sample_every: float | None = None,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    divergence_guard: float = DEFAULT_GUARD,
 ) -> CheckReport:
     """Run the scenario once per gain and table the disagreement estimates.
 
@@ -496,15 +494,15 @@ def sweep_K(
     the estimate being ``check_sync``'s tail-sup diameter.  Passes iff the
     estimates are non-increasing in K (5% slack) and the largest gain achieves
     an estimate below ``epsilon``.  Gains run one after another; a gain whose
-    run fails numerically (its state passing ``divergence_guard``, say) becomes
-    an error row.
+    run fails numerically (an RK4 step that is unstable at that gain, say)
+    becomes an error row.
     """
     K_list = validate_K_list(K_list)
     rows = []
     for k in K_list:
         row = {"K": k, "epsilon_estimate": None, "error": None}
         try:
-            traj = integrate(potentials, signal, k, x0, dt, t_end, sample_every, divergence_guard)
+            traj = integrate(potentials, signal, k, x0, dt, t_end, sample_every)
             row["epsilon_estimate"] = check_sync(traj, tail_fraction=tail_fraction).worst_value
         except NumericalError as e:
             row["error"] = str(e)

@@ -32,10 +32,12 @@ from .graphs import SwitchingSignal, WeightedDigraph
 from .potentials import FlatBottom1D, Potential, Quadratic, QuarticWell, SumPotential
 from .potentials import common_zero_set
 from .report import CheckReport, jsonable
-from .simulator import DEFAULT_GUARD, default_sample_every, integrate, validate_dt
-from .simulator import validate_event_count
+from .simulator import default_sample_every, integrate, validate_dt, validate_event_count
 
 SCHEMA_VERSION = 1
+# every top-level scenario field; load_scenario refuses any other
+FIELDS = tuple("version name nodes weight_bounds graphs signal K K_list epsilon x0 x0_range dt "
+               "t_end sample_every tail_fraction checks".split())
 
 @dataclass
 class Scenario:
@@ -53,7 +55,6 @@ class Scenario:
     checks: list = field(default_factory=list)  # (name, params) pairs, see CHECKS
     epsilon: float = 0.05
     tail_fraction: float = analysis.DEFAULT_TAIL_FRACTION
-    divergence_guard: float = DEFAULT_GUARD
 
     @property
     def node_count(self) -> int:
@@ -156,6 +157,9 @@ def load_scenario(path) -> Scenario:
         _fail("scenario file must contain a JSON object")
     if isinstance(raw.get("version"), bool) or raw.get("version") != SCHEMA_VERSION:
         _fail(f"unsupported scenario version {raw.get('version')!r}; expected {SCHEMA_VERSION}")
+    unknown = ", ".join(repr(key) for key in raw if key not in FIELDS)
+    if unknown:
+        _fail(f"unknown scenario field(s) {unknown}; the accepted fields are: {', '.join(FIELDS)}")
 
     nodes_raw = _require(raw, "nodes", "scenario")
     if not isinstance(nodes_raw, list) or not nodes_raw:
@@ -267,9 +271,6 @@ def load_scenario(path) -> Scenario:
         checks=checks,
         epsilon=_number(raw.get("epsilon", 0.05), "epsilon"),
         tail_fraction=tail_fraction,
-        divergence_guard=_number(
-            raw.get("divergence_guard", DEFAULT_GUARD), "divergence_guard", positive=True
-        ),
     )
     for name, _ in checks:
         CHECKS[name].precondition(scenario)
@@ -481,7 +482,6 @@ def _execute(sc: Scenario):
         sc.dt,
         sc.t_end,
         sc.sample_every,
-        divergence_guard=sc.divergence_guard,
         scenario_id=sc.name,
     )
     z_star = "auto" if common_zero_set(sc.potentials) is not None else None
@@ -505,7 +505,6 @@ def _sweep(sc: Scenario, K_list) -> CheckReport:
         t_end=sc.t_end,
         sample_every=sc.sample_every,
         tail_fraction=sc.tail_fraction,
-        divergence_guard=sc.divergence_guard,
     )
 
 
@@ -528,7 +527,7 @@ def run(scenario: Scenario, out_dir) -> int:
     except NumericalError as e:
         error = {"type": type(e).__name__, "message": str(e)}
         if isinstance(e, FiniteEscapeError):
-            error.update(time=e.time, sup_norm=e.sup_norm, bound=e.bound)
+            error.update(time=e.time, sup_norm=e.sup_norm, bound=e.bound, step=e.step)
         (out / "report.json").write_text(_report_json(scenario, [], error=error))
         print(f"numerical error: {e}", file=sys.stderr)
         return 3

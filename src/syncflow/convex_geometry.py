@@ -295,7 +295,8 @@ def _project_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
     residual so a silent bad projection cannot escape.
     """
     n, nverts = x.shape[0], vertices.shape[0]
-    scale = np.maximum(max(1.0, float(np.max(np.abs(vertices)))), np.max(np.abs(x), axis=1))
+    floor = float(np.sqrt(np.finfo(float).tiny))  # relative down to where scale^2 underflows
+    scale = np.maximum(max(floor, float(np.max(np.abs(vertices)))), np.max(np.abs(x), axis=1))
     cert_tol = 5e-13 * scale * scale
     member_tol = 1e-11 * scale
     max_outer = 16 * (nverts + 2) * (nverts + 2)

@@ -26,18 +26,19 @@ class NumericalError(SyncflowError):
 
 
 class FiniteEscapeError(NumericalError):
-    """State norm exceeded the divergence guard during integration.
-
-    The exact flow stays in the box spanned by x0 and the zero sets, so a trip
-    is fixed-step RK4 leaving its stability region, not an escape of the
-    network; the integrator raises this error instead of overflowing silently.
+    """An RK4 step of length ``step`` became unstable at ``time``: |x|_inf
+    (``sup_norm``) passed ``bound``, 1e8 times the sup norm (at least 1) of the box
+    spanned by x0 and the zero sets.  The exact flow stays in that box, so no
+    network of the catalog escapes, and a smaller step cures it.
     """
 
-    def __init__(self, time: float, sup_norm: float, bound: float):
+    def __init__(self, time: float, sup_norm: float, bound: float, step: float):
         self.time = time
         self.sup_norm = sup_norm
         self.bound = bound
+        self.step = step
         super().__init__(
-            f"finite-escape suspected at t={time:.6g}: |x|_inf = {sup_norm:.3e} "
-            f"exceeds guard {bound:.3e}"
+            f"RK4 step h={step:.6g} became unstable at t={time:.6g}: |x|_inf = {sup_norm:.3e} "
+            f"passed the guard {bound:.3e}, 1e8 times the invariant box's sup norm (at least 1); "
+            "the exact flow stays in the box, so a smaller dt cures it"
         )

@@ -11,10 +11,10 @@ runs classical fixed-step RK4 segment by segment with steps shortened to land
 exactly on every switch instant and sample instant; that keeps fourth-order
 accuracy piecewise and makes runs bit-reproducible.
 
-A divergence guard aborts with an explicit finite-escape error instead of
-overflowing silently.  The exact flow stays in the box spanned by x0 and the
-zero sets (gradients nondecreasing per component, diffusive coupling), so a
-trip is fixed-step RK4 leaving its stability region; a smaller step cures it.
+The exact flow stays in the box spanned by x0 and the zero sets (gradients
+nondecreasing per component, diffusive coupling), so a state past 1e8 times that
+box's sup norm (at least 1) is fixed-step RK4 leaving its stability region: the
+run aborts with an explicit error instead of overflowing, and a smaller step cures it.
 """
 
 import math
@@ -33,8 +33,6 @@ __all__ = [
     "network_field",
     "integrate",
 ]
-
-DEFAULT_GUARD = 1e8
 
 # sample instants plus switch instants one integration may hold in memory
 MAX_EVENTS = 1_000_000
@@ -170,7 +168,6 @@ def integrate(
     dt: float,
     t_end: float,
     sample_every: float | None = None,
-    divergence_guard: float = DEFAULT_GUARD,
     scenario_id: str | None = None,
 ) -> Trajectory:
     """Integrate the network from ``x0``, any array of N*m numbers, over [0, t_end].
@@ -195,8 +192,11 @@ def integrate(
     X = X.reshape(net.node_count, net.dimension)
     if not np.all(np.isfinite(X)):
         raise InputError("x0 entries must be finite")
-    if np.max(np.abs(X)) > divergence_guard:
-        raise FiniteEscapeError(0.0, float(np.max(np.abs(X))), divergence_guard)
+    zs = [p.zero_set() for p in potentials]
+    box = np.concatenate([X.ravel(), *(z.lo for z in zs), *(z.hi for z in zs)])
+    # 1e8 times the invariant box's sup norm, capped at the largest float so that an
+    # overflowed (inf) state still trips it
+    guard = min(1e8 * max(1.0, float(np.abs(box).max())), float(np.finfo(float).max))
 
     validate_event_count(signal, t_end, sample_every, dt)
     events = _event_grid(signal, t_end, sample_every)
@@ -214,9 +214,9 @@ def integrate(
                 for k in range(nsteps):
                     X = _rk4_step(net, lap, K, X, h)
                     sup = float(np.abs(X).max())  # NaN if any entry is NaN
-                    if not sup <= divergence_guard:
+                    if not sup <= guard:
                         sup = math.inf if math.isnan(sup) else sup
-                        raise FiniteEscapeError(t_prev + (k + 1) * h, sup, divergence_guard)
+                        raise FiniteEscapeError(t_prev + (k + 1) * h, sup, guard, h)
                 t_prev = t_next
                 if record:
                     times.append(t_next)

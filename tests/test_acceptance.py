@@ -181,6 +181,7 @@ def _random_scenario(rng, trial):
 def test_criterion_4_lyapunov_monotonicity_battery():
     rng = np.random.default_rng(99)
     failures = 0
+    worst_excursion = 0.0
     for trial in range(50):
         pots, sig, x0, K = _random_scenario(rng, trial)
         traj = integrate(pots, sig, K, x0, dt=0.01, t_end=6.0, sample_every=0.06)
@@ -189,13 +190,22 @@ def test_criterion_4_lyapunov_monotonicity_battery():
         ok_t = check_monotone(
             diag.theta, rise_tol=1e-8 * max(1.0, diag.theta[0]), label="theta"
         ).passed
-        if not (ok_v and ok_t):
+        # the box spanned by x0 and the zero sets is forward invariant (max principle)
+        zero_sets = [p.zero_set() for p in pots]
+        corners = np.vstack([traj.states[0], *[(z.lo, z.hi) for z in zero_sets]])
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        excursion = float(np.maximum(traj.states - hi, lo - traj.states).max())
+        worst_excursion = max(worst_excursion, excursion)
+        # the slack absorbs a BLAS that orders the coupling sums differently
+        in_box = excursion <= 1e-12 * max(1.0, float(np.abs(corners).max()))
+        if not (ok_v and ok_t and in_box):
             failures += 1
     _criterion(
         4,
-        "V and theta non-increasing on 50 randomized switching scenarios (rise_tol 1e-8*scale)",
+        "V and theta non-increasing (rise_tol 1e-8*scale) and every sample inside the box "
+        "spanned by x0 and the zero sets (slack 1e-12*scale) on 50 randomized switching scenarios",
         failures == 0,
-        f"{failures} failures",
+        f"{failures} failures, worst excursion {worst_excursion:.2e}",
     )
 
 

@@ -316,8 +316,10 @@ def test_exit_code_finite_escape(tmp_path, capsys):
     error = report["error"]
     assert error["type"] == "FiniteEscapeError"
     assert error["time"] == pytest.approx(0.05)
-    assert error["sup_norm"] > error["bound"] == 1e8
-    assert "finite-escape suspected" in error["message"]
+    assert error["step"] == pytest.approx(0.05)  # the sample span 0.3 in six steps
+    # the invariant box spans x0 and the zero sets: its sup norm is 60
+    assert error["sup_norm"] > error["bound"] == 1e8 * 60.0
+    assert "RK4 step h=0.05 became unstable at t=0.05" in error["message"]
 
 
 # one RK4 step from 5e7 overflows the quartic drift to inf
@@ -350,14 +352,13 @@ def test_escape_prints_no_overflow_warning(tmp_path, capfd):
         assert main(["simulate", str(write(tmp_path, OVERFLOWING)), "--out", str(out)]) == 3
     assert json.loads((out / "report.json").read_text())["error"]["type"] == "FiniteEscapeError"
     err = capfd.readouterr().err
-    assert "numerical error: finite-escape suspected" in err and "RuntimeWarning" not in err
+    assert "numerical error: RK4 step h=0.05 became unstable" in err and "RuntimeWarning" not in err
 
 
 def test_huge_states_print_no_warning_from_diagnostics_or_checks(tmp_path, capfd):
-    # x0 near the float maximum under a guard at it: the theta square and
-    # the V norm overflow, and the monotone check's inf - inf rise is nan
-    huge = dict(BASE, x0=[1e300, -1e300], t_end=1.0, divergence_guard=1.7e308,
-                checks=[{"name": "monotone_theta"}])
+    # x0 near the float maximum, under a guard at 1e8 times it: the theta square
+    # and the V norm overflow, and the monotone check's inf - inf rise is nan
+    huge = dict(BASE, x0=[1e300, -1e300], t_end=1.0, checks=[{"name": "monotone_theta"}])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would escape as an exception
         assert main(["verify", str(write(tmp_path, huge))]) == 1
@@ -369,7 +370,7 @@ def test_huge_states_print_no_warning_from_diagnostics_or_checks(tmp_path, capfd
 def test_huge_2d_states_print_no_warning_from_the_sweep(tmp_path, capfd):
     # each sweep lane's verdict takes the m = 2 diameter, whose norms overflow
     huge = dict(BASE, nodes=[{"kind": "quadratic", "center": [0.0, 0.0]}] * 2,
-                x0=[1e300, 1e300, -1e300, -1e300], t_end=1.0, divergence_guard=1.7e308)
+                x0=[1e300, 1e300, -1e300, -1e300], t_end=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would escape as an exception
         code = main(["sweep", str(write(tmp_path, huge)), "--k", "1,2",
@@ -380,6 +381,37 @@ def test_huge_2d_states_print_no_warning_from_the_sweep(tmp_path, capfd):
         "K=1: epsilon_estimate=inf\nK=2: epsilon_estimate=inf\n[FAIL] sweep (epsilon=0.05)\n"
     )
     assert captured.err == ""
+
+
+def test_a_network_far_from_the_origin_runs(tmp_path, capfd):
+    # zero sets at 1e9 put the guard at 1e17; a fixed guard of 1e8 stopped this at t = 0
+    obj = dict(BASE, nodes=[{"kind": "quartic", "center": [1e9]}] * 2,
+               x0=[1e9 + 0.5, 1e9 - 0.5], dt=0.05, t_end=20.0, sample_every=0.5,
+               checks=[{"name": "sync", "tol": 1e-4}])
+    assert main(["verify", str(write(tmp_path, obj))]) == 0
+    assert capfd.readouterr().out.startswith("[PASS] sync")
+
+
+def test_a_step_that_overflows_trips_a_guard_at_the_largest_float(tmp_path):
+    # 1e8 times the box's sup norm 1e301 is beyond the float range, so the guard is
+    # capped at the largest float, which the first step's inf state still passes
+    obj = dict(BASE, nodes=[{"kind": "quartic", "center": [1e301]},
+                            {"kind": "quartic", "center": [-1e301]}],
+               x0=[0.0, 0.0], dt=0.05, checks=[])
+    out = tmp_path / "out"
+    assert main(["simulate", str(write(tmp_path, obj)), "--out", str(out)]) == 3
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["sup_norm"] == "inf"
+    assert error["bound"] == np.finfo(float).max
+    assert error["time"] == pytest.approx(0.05)
+
+
+def test_unknown_top_level_field_is_named_with_the_accepted_ones(tmp_path, capsys):
+    obj = dict(BASE, sample_evry=0.3, divergence_guard=1e8)
+    assert main(["verify", str(write(tmp_path, obj))]) == 2
+    err = capsys.readouterr().err
+    assert "unknown scenario field(s) 'sample_evry', 'divergence_guard'" in err
+    assert "the accepted fields are: " + ", ".join(cli.FIELDS) in err
 
 
 def nested_sum_scenario(depth: int) -> str:
@@ -593,20 +625,24 @@ def test_sweep_command_writes_csv(tmp_path):
 
 
 def test_sweep_lane_obeys_the_divergence_guard(tmp_path, capsys):
-    # node 1 settles near 8.57 at K=0.5 and near 6.88 at K=10, so a guard of
-    # 8 stops the first lane only; the default guard stops neither
+    # the field's stiffest rate is 2K + 1.5, so at dt 0.02 the K=200 lane has
+    # h * 401.5 = 8.0 against RK4's real-axis limit of 2.785 and trips the
+    # guard, while the K=0.5 lane runs; at dt 0.005 (h * 401.5 = 2.0) both run
     obj = {k: v for k, v in BASE.items() if k != "K"}
     obj.update(
         nodes=[{"kind": "quadratic", "center": [0.0]},
                {"kind": "quadratic", "center": [10.0], "weight": 2.0}],
-        K_list=[0.5, 10.0], epsilon=1.0, x0=[0.0, 0.0], checks=[], divergence_guard=8.0,
+        K_list=[0.5, 200.0], epsilon=1.0, x0=[0.0, 0.0], checks=[],
     )
     out = tmp_path / "sw"
     assert main(["sweep", str(write(tmp_path, obj)), "--out", str(out)]) == 1
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[1] == "0.5,nan" and lines[2].startswith("10,")
-    assert "K=0.5: error: finite-escape suspected" in capsys.readouterr().out
-    obj["divergence_guard"] = 1e8
+    assert lines[1].startswith("0.5,") and lines[2] == "200,nan"
+    assert float(lines[1].split(",")[1]) == pytest.approx(5.7143, abs=1e-4)
+    printed = capsys.readouterr().out
+    assert "K=0.5: epsilon_estimate=5.7143" in printed
+    assert "K=200: error: RK4 step h=0.02 became unstable" in printed
+    obj["dt"] = 0.005
     assert main(["sweep", str(write(tmp_path, obj)), "--out", str(out)]) == 0
 
 
@@ -684,6 +720,7 @@ MALFORMED = {
     "epsilon_string": _set(["epsilon"], "x"),
     "check_tol_string": _set(["checks", 0, "tol"], "x"),
     "divergence_guard_string": _set(["divergence_guard"], "x"),
+    "sample_evry": _set(["sample_evry"], 0.3),
     "K_nan": _set(["K"], math.nan),
     "t_end_beyond_float_range": _set(["t_end"], 10**400),
     "x0_negative_seed": _set(["x0"], "random:-3"),
@@ -745,3 +782,26 @@ def test_mutated_scalar_leaf_never_escapes(tmp_path_factory, path, value):
     assert "Traceback" not in err.getvalue()
     if isinstance(leaf, (int, float)):  # every scenario number is read as a finite JSON number
         assert code == 2, f"{path}: {value!r} was accepted"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.sampled_from(sorted(MUTATION_BASE)).map(lambda key: ("delete", key)),
+    st.text(min_size=1, max_size=6).filter(lambda key: key not in cli.FIELDS)
+    .map(lambda key: ("add", key)),
+))
+def test_deleted_or_unknown_top_level_field_never_escapes(tmp_path_factory, mutation):
+    action, key = mutation
+    obj = copy.deepcopy(MUTATION_BASE)
+    if action == "delete":
+        del obj[key]
+    else:
+        obj[key] = 1.0
+    scen = write(tmp_path_factory.mktemp("mut"), obj)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", str(scen)])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    if action == "add":
+        assert code == 2, f"unknown field {key!r} was accepted"

@@ -442,10 +442,12 @@ def plane_clouds(draw):
 # the float determinant calls (12, 12) a right turn; exactly it is a left turn, a corner
 @example((np.array([[0.5 + 41 * 2.0**-53, 0.5 + 48 * 2.0**-53], [12.0, 12.0], [24.0, 24.0]]),
           np.array([[12.0, 12.0], [6.0, 6.0]])))
-# a triangle 1 ulp thick: no row is inside it by more than the rounding, and the
-# solver may certify a vertex 1e-8 from a row that lies in it
+# a triangle 1 ulp thick: no row is inside it by more than the rounding, and a
+# tolerance floored at an absolute 1 certified a vertex 1e-8 from the first row
 @example((np.array([[-2.0**-17, 0.0], [-2.0**-17 - 2.0**-69, 0.0], [2.0**-17, 2.0**-17]]),
           np.array([[-7.61928268e-06, 5.05592746e-09], [0.0, 0.0]])))
+# a segment 7.5e-7 long: that floor returned an endpoint, 3.8e-7 from the projection
+@example((np.array([[2.0**-22, -2.0**-21], [-2.0**-21, -2.0**-22]]), np.array([[0.0, 0.0]])))
 def test_planar_hull_keeps_exactly_its_extreme_points(case):
     pts, x = case
     hull = Hull(pts)
@@ -454,7 +456,7 @@ def test_planar_hull_keeps_exactly_its_extreme_points(case):
     got = hull.project(x)
     polygon = hull.vertices.shape[0] >= 3
     for row, p in zip(x, got):
-        scale = max(1.0, float(np.max(np.abs(pts))), float(np.max(np.abs(row))))
+        scale = max(float(np.max(np.abs(pts))), float(np.max(np.abs(row))))
         # a certified projection onto conv(pts), whatever vertices were dropped; each of
         # two certified points lies within sqrt(5e-13) * scale of the true projection
         assert np.all((pts - p) @ (p - row) >= -5e-13 * scale * scale)
@@ -462,6 +464,15 @@ def test_planar_hull_keeps_exactly_its_extreme_points(case):
         # inside by more than the edge test's rounding: the row itself, bit for bit
         if polygon and polygon_depth_oracle(hull.vertices, row) > (1e-12 * scale) ** 2:
             assert np.array_equal(p, row)
+
+
+def test_a_body_below_the_scale_floor_still_certifies():
+    # at 1e-160 the certificate's products are subnormal: with scale floored at the
+    # smallest normal float, cert_tol underflowed to 0 and a -5e-324 slack raised here
+    verts = np.array([[1.222, 0.601, 1.001], [0.175, -0.247, -0.022], [1.057, 0.146, -1.537],
+                      [0.509, -1.166, -2.276], [-0.092, 1.754, 0.877]]) * 1e-160
+    got = Hull(verts).project(np.array([0.14, 0.42, -1.907]) * 1e-160)
+    assert np.all((verts.min(axis=0) <= got) & (got <= verts.max(axis=0)))
 
 
 def test_one_uncertifiable_row_raises(monkeypatch):

@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import syncflow
-from syncflow.cli import CHECKS, main
+from syncflow.cli import CHECKS, FIELDS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -49,6 +49,14 @@ def test_readme_check_table_names_every_check_and_its_parameters():
         # the parameter list ends at its first sentence; a note on the report may follow
         rows[name.strip().strip("`")] = set(re.findall(r"`(\w+)`", params.split(". ")[0]))
     assert rows == {name: set(check.params) for name, check in CHECKS.items()}
+
+
+def test_readme_lists_every_top_level_scenario_field():
+    text = README.read_text()
+    section = text[text.index("## Scenario files"):text.index("## Library use")]
+    note = section[section.index("* the top-level fields are"):].split("\n*")[0]
+    listed = re.findall(r"`(\w+)`", note)
+    assert sorted(listed) == sorted(FIELDS) and len(listed) == len(set(listed))
 
 
 def test_every_bench_file_holds_its_pair_summary():

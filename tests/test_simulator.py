@@ -207,7 +207,7 @@ def test_dt_must_resolve_dwell():
 
 def test_divergence_guard_names_time():
     sig = fixed_signal(WeightedDigraph(1))
-    with pytest.raises(FiniteEscapeError, match="finite-escape suspected"):
+    with pytest.raises(FiniteEscapeError, match="RK4 step h=0.05 became unstable at t=0.05"):
         integrate([QuarticWell(center=[0.0])], sig, 0.0, [50.0], dt=0.05, t_end=5.0, sample_every=0.5)
 
 
@@ -220,8 +220,7 @@ def test_guard_reports_a_nan_state_as_an_infinite_sup_norm():
                                 np.zeros((2, 1)), 0.01)
     assert np.isnan(X).any()
     with pytest.raises(FiniteEscapeError) as caught:
-        integrate(pots, fixed_signal(g), 1.0, [0.0, 0.0], dt=0.01, t_end=1.0,
-                  divergence_guard=1.7e308)
+        integrate(pots, fixed_signal(g), 1.0, [0.0, 0.0], dt=0.01, t_end=1.0)
     assert caught.value.time == 0.01
     assert caught.value.sup_norm == math.inf
 

@@ -83,7 +83,9 @@ def hull_projection_oracle(vertices, x):
     vertices = np.asarray(vertices, dtype=float)
     x = np.asarray(x, dtype=float)
     nverts = vertices.shape[0]
-    scale = max(1.0, float(np.max(np.abs(vertices))), float(np.max(np.abs(x))))
+    # the same floor as the solver: relative down to the square root of the smallest normal
+    scale = max(float(np.sqrt(np.finfo(float).tiny)), float(np.max(np.abs(vertices))),
+                float(np.max(np.abs(x))))
     cert_tol = 5e-13 * scale * scale
     member_tol = 1e-11 * scale
 
