@@ -181,9 +181,12 @@ class Hull(ConvexBody):
         v = self.vertices
         out, todo = rows.copy(), np.arange(rows.shape[0])
         if self.dimension == 2 and v.shape[0] >= 3:
-            # a counter-clockwise polygon: a row left of or on every edge is its own projection
+            # a counter-clockwise polygon: a row surely left of every edge is its own projection;
+            # one that rounding could put on or past an edge (a thin polygon's edges reach far
+            # along their lines) goes to the solver
             edge, d = np.roll(v, -1, axis=0) - v, rows[:, None, :] - v
-            inside = (edge[:, 0] * d[..., 1] - edge[:, 1] * d[..., 0] >= 0.0).all(axis=1)
+            left, right = edge[:, 0] * d[..., 1], edge[:, 1] * d[..., 0]
+            inside = (left - right > _orient_error(np.abs(left) + np.abs(right))).all(axis=1)
             todo = np.flatnonzero(~inside)
         step = max(1, _HULL_CHUNK_ENTRIES // v.size)
         for i in range(0, todo.size, step):
@@ -203,11 +206,16 @@ class Hull(ConvexBody):
 
 # -- hull projection -------------------------------------------------------
 
+def _orient_error(magnitude):
+    """Shewchuk's bound on the error of the float (a - o) x (b - o) = left - right, given
+    |left| + |right|, plus 1e-290 for underflow; an inf or nan determinant never clears it."""
+    return 3.3306690738754716e-16 * magnitude + 1e-290
+
+
 def _orient(o: list, a: list, b: list):
     """Signed like (a - o) x (b - o), > 0 for a left turn; exact where rounding could flip it."""
     left, right = (a[0] - o[0]) * (b[1] - o[1]), (a[1] - o[1]) * (b[0] - o[0])
-    # Shewchuk's bound on the float determinant's error, plus 1e-290 for underflow; inf, nan fail it
-    if abs(left - right) > 3.3306690738754716e-16 * (abs(left) + abs(right)) + 1e-290:
+    if abs(left - right) > _orient_error(abs(left) + abs(right)):
         return left - right
     from fractions import Fraction  # rare; at module level it would slow every import by ~3 ms
     o, a, b = ([Fraction(c) for c in p] for p in (o, a, b))

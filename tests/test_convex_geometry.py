@@ -448,6 +448,10 @@ def plane_clouds(draw):
           np.array([[-7.61928268e-06, 5.05592746e-09], [0.0, 0.0]])))
 # a segment 7.5e-7 long: that floor returned an endpoint, 3.8e-7 from the projection
 @example((np.array([[2.0**-22, -2.0**-21], [-2.0**-21, -2.0**-22]]), np.array([[0.0, 0.0]])))
+# a triangle 1 ulp wide at one end: the origin, sqrt(2) away on the line of its long
+# edges, rounds onto both of them, and an edge test without an error bound kept it
+@example((np.array([[-1.0, 1.0], [-4.0, 4.0], [np.nextafter(-4.0, -5.0), 4.0]]),
+          np.array([[0.0, 0.0]])))
 def test_planar_hull_keeps_exactly_its_extreme_points(case):
     pts, x = case
     hull = Hull(pts)
