@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .convex_geometry import (
     Box,
-    ConvexBody,
     Hull,
     check_drift_alignment,
     check_distance_comparison,

@@ -55,8 +55,8 @@ DEFAULT_TAIL_FRACTION = 0.2
 class DiagnosticsSeries:
     """Per-sample diagnostic series aligned with a trajectory.
 
-    ``v_nodes``/``v`` are present only when a reference common zero point is
-    available; ``theta`` needs only bounded zero sets and is always computed.
+    ``v_nodes``/``v`` are present only when the zero sets share a point;
+    ``theta`` needs only bounded zero sets and is always computed.
     """
 
     times: np.ndarray
@@ -115,12 +115,11 @@ def diameter_series(traj: Trajectory) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan series, no warnings
-def diagnostics(traj: Trajectory, potentials, z_star="auto") -> DiagnosticsSeries:
+def diagnostics(traj: Trajectory, potentials) -> DiagnosticsSeries:
     """Compute all diagnostic series for a completed trajectory.
 
-    ``z_star`` may be an explicit reference point, ``"auto"`` to use the
-    centroid of the intersection of zero sets (an error if that intersection
-    is empty), or ``None`` to skip the V series.
+    The V series is computed exactly when the zero sets share a point, about
+    the center of their intersection.
     """
     X = traj.states
     diam = diameter_series(traj)
@@ -134,19 +133,9 @@ def diagnostics(traj: Trajectory, potentials, z_star="auto") -> DiagnosticsSerie
     argmin_dist = cg.box_distance(X, lo, hi)
 
     v_nodes = v = z = None
-    if z_star is not None:
-        if isinstance(z_star, str) and z_star == "auto":
-            body = common_zero_set(potentials)
-            if body is None:
-                raise PreconditionError(
-                    "auto z_star requires a nonempty intersection of zero sets; "
-                    "supply z_star explicitly or pass z_star=None to skip the V series"
-                )
-            z = body.center()
-        else:
-            z = np.atleast_1d(np.asarray(z_star, dtype=float))
-            if z.shape != (traj.dim,):
-                raise InputError(f"z_star has shape {z.shape}, expected ({traj.dim},)")
+    common = common_zero_set(potentials)
+    if common is not None:
+        z = common.center()
         v_nodes = np.linalg.norm(X - z, axis=2) ** 2
         v = v_nodes.max(axis=1)
 
@@ -232,7 +221,7 @@ def check_common_limit(
     tail mean of V.
     """
     if diag.v_nodes is None:
-        raise PreconditionError("check_common_limit needs the V series (a reference z_star)")
+        raise PreconditionError("check_common_limit needs the V series (zero sets sharing a point)")
     tail = _tail_indices(diag.times, tail_fraction)
     if tail.shape[0] < 10:
         raise PreconditionError(

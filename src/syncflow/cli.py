@@ -484,8 +484,7 @@ def _execute(sc: Scenario):
         sc.sample_every,
         scenario_id=sc.name,
     )
-    z_star = "auto" if common_zero_set(sc.potentials) is not None else None
-    diag = analysis.diagnostics(traj, sc.potentials, z_star=z_star)
+    diag = analysis.diagnostics(traj, sc.potentials)
     reports = [CHECKS[name].run(sc, traj, diag, params) for name, params in sc.checks]
     sweep = None
     if sc.K_list is not None:

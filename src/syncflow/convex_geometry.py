@@ -8,6 +8,8 @@ counter-clockwise order.  Every body projects one point ``(m,)`` or a stack
 every edge as it is.  Other hull rows go through one batched active-set solve
 over the simplex of vertex weights, certified per row by the projector's
 variational inequality at every vertex, so no result depends on the solver path.
+Its affine least squares is one stacked pseudoinverse per support size, and it
+is exact under power-of-two scaling: each batch is scaled by one first.
 
 The module also builds the hull of the union of a potential catalog's zero
 sets and provides sampled verifiers for the projection inequalities the
@@ -23,7 +25,6 @@ from .errors import InputError, NumericalError, RepresentationError
 from .report import CheckReport
 
 __all__ = [
-    "ConvexBody",
     "Box",
     "Hull",
     "box_distance",
@@ -71,34 +72,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ConvexBody:
-    """A nonempty closed bounded convex subset of R^m."""
-
-    @property
-    def dimension(self) -> int:
-        raise NotImplementedError
-
-    def project(self, x) -> np.ndarray:
-        """Nearest point of the body to ``x``: one point (m,) or a stack (..., m), same shape."""
-        raise NotImplementedError
-
-    def distance(self, points) -> np.ndarray:
-        """Euclidean distances of one point or a stack to the body, shape (..., m) -> (...)."""
-        pts = _points(points, self.dimension, "points")
-        return np.linalg.norm(pts - self.project(pts), axis=-1)
-
-    def center(self) -> np.ndarray:
-        """A deterministic interior representative (centroid of the description)."""
-        raise NotImplementedError
-
-    def extreme_points(self) -> np.ndarray:
-        """Vertex set spanning the body, shape (k, m)."""
-        raise NotImplementedError
-
-    def as_dict(self) -> dict:
-        raise NotImplementedError
-
-
 def box_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Distances of points (..., m) to the boxes [lo, hi] they broadcast against, shape (...).
 
@@ -112,7 +85,7 @@ def box_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
 
 
 @dataclass(frozen=True, eq=False)
-class Box(ConvexBody):
+class Box:
     """The axis-aligned box [lo, hi]; ``lo == hi`` is a point, and m = 1 an interval."""
 
     lo: np.ndarray
@@ -134,9 +107,11 @@ class Box(ConvexBody):
         return self.lo.shape[0]
 
     def project(self, x) -> np.ndarray:
+        """Nearest point of the box to ``x``: one point (m,) or a stack (..., m), same shape."""
         return np.clip(_points(x, self.dimension), self.lo, self.hi)
 
     def distance(self, points) -> np.ndarray:
+        """Euclidean distances of one point or a stack to the box, shape (..., m) -> (...)."""
         return box_distance(_points(points, self.dimension, "points"), self.lo, self.hi)
 
     def center(self) -> np.ndarray:
@@ -158,7 +133,9 @@ class Box(ConvexBody):
 
 
 @dataclass(frozen=True, eq=False)
-class Hull(ConvexBody):
+class Hull:
+    """The convex hull of a finite vertex set; in 2-D, its extreme points counter-clockwise."""
+
     vertices: np.ndarray
 
     def __post_init__(self):
@@ -176,6 +153,7 @@ class Hull(ConvexBody):
         return self.vertices.shape[1]
 
     def project(self, x) -> np.ndarray:
+        """Nearest point of the hull to ``x``: one point (m,) or a stack (..., m), same shape."""
         x = _points(x, self.dimension)
         rows = x.reshape(-1, self.dimension)
         v = self.vertices
@@ -192,6 +170,11 @@ class Hull(ConvexBody):
         for i in range(0, todo.size, step):
             out[todo[i : i + step]] = _project_hull(v, rows[todo[i : i + step]])
         return out.reshape(x.shape)
+
+    def distance(self, points) -> np.ndarray:
+        """Euclidean distances of one point or a stack to the hull, shape (..., m) -> (...)."""
+        pts = _points(points, self.dimension, "points")
+        return np.linalg.norm(pts - self.project(pts), axis=-1)
 
     def center(self) -> np.ndarray:
         """The mean of the vertices; in 2-D, of the extreme points."""
@@ -242,51 +225,23 @@ def _convex_polygon(points: np.ndarray) -> np.ndarray:
 _HULL_CHUNK_ENTRIES = 1 << 14
 
 
-def _affine_weight_minimizer(vertices: np.ndarray, support: list[int], x: np.ndarray):
-    """Weights minimizing |x - sum(lam_k v_k)| subject to sum(lam)=1 (sign-unconstrained)."""
-    k = len(support)
-    if k == 1:
-        return np.array([1.0])
-    V = vertices[support].T  # (m, k)
-    # lam = e_1 + B nu parametrizes the affine constraint sum(lam) = 1
-    B = np.vstack([-np.ones((1, k - 1)), np.eye(k - 1)])
-    nu, *_ = np.linalg.lstsq(V @ B, x - V[:, 0], rcond=None)
-    lam = np.zeros(k)
-    lam[0] = 1.0
-    return lam + B @ nu
-
-
 def _affine_weights(vertices: np.ndarray, x: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Affine-minimizer weights of every row over its support, dense (rows, k).
 
-    Rows are grouped by support size and each group solves its least-squares
-    problems by one stacked QR; a row whose support is affinely degenerate
-    goes to the ``lstsq`` minimizer alone.
+    Rows are grouped by support size, and each group takes one stacked
+    pseudoinverse of its edges from the first support vertex: the minimum-norm
+    least-squares solution, for degenerate supports too.  A support of one
+    vertex has no edges and gets weight 1.
     """
     lam = np.zeros(support.shape)
     sizes = support.sum(axis=1)
     for s in np.unique(sizes):
         rows = np.flatnonzero(sizes == s)
         idx = np.nonzero(support[rows])[1].reshape(rows.size, s)
-        if s == 1:  # a restore step can drop all but one vertex
-            lam[rows, idx[:, 0]] = 1.0
-            continue
         V = vertices[idx]  # (rows, s, m)
-        # min |E nu - b| over edges E from the first support vertex
-        E = (V[:, 1:] - V[:, :1]).transpose(0, 2, 1)
-        b = x[rows] - V[:, 0]
-        degenerate = np.ones(rows.size, dtype=bool)
-        if s - 1 <= vertices.shape[1]:
-            q, r = np.linalg.qr(E)
-            pivots = np.abs(np.diagonal(r, axis1=1, axis2=2))
-            degenerate = pivots.min(axis=1) <= 1e-10 * pivots.max(axis=1)
-            ok = ~degenerate
-            # b as (..., M, 1): numpy 1.x and 2.x broadcast a (..., M) right side differently
-            nu = np.linalg.solve(r[ok], q[ok].transpose(0, 2, 1) @ b[ok, :, None])[:, :, 0]
-            first = 1.0 - nu.sum(axis=1, keepdims=True)
-            lam[rows[ok, None], idx[ok]] = np.concatenate([first, nu], axis=1)
-        for i in np.flatnonzero(degenerate):
-            lam[rows[i], idx[i]] = _affine_weight_minimizer(vertices, list(idx[i]), x[rows[i]])
+        E = (V[:, 1:] - V[:, :1]).transpose(0, 2, 1)  # (rows, m, s - 1)
+        nu = (np.linalg.pinv(E) @ (x[rows] - V[:, 0])[:, :, None])[:, :, 0]
+        lam[rows[:, None], idx] = np.concatenate([1.0 - nu.sum(axis=1, keepdims=True), nu], axis=1)
     return lam
 
 
@@ -302,8 +257,14 @@ def _project_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
     solver path; a row that stalls or exhausts its budget raises with its
     residual so a silent bad projection cannot escape.
     """
+    # one power of two puts the batch's largest magnitude in [0.5, 1), so the solve is the same
+    # at every size and its tolerances neither underflow nor overflow; it is exact but for
+    # subnormal bits a shrink shifts out, so a member row is returned from the caller's copy
+    e = int(np.frexp(max(np.abs(vertices).max(), np.abs(x).max()))[1])
+    given, vertices, x = x, np.ldexp(vertices, -e), np.ldexp(x, -e)
     n, nverts = x.shape[0], vertices.shape[0]
-    floor = float(np.sqrt(np.finfo(float).tiny))  # relative down to where scale^2 underflows
+    # rows tiny beside their batch stay relative down to where scale^2 underflows
+    floor = float(np.sqrt(np.finfo(float).tiny))
     scale = np.maximum(max(floor, float(np.max(np.abs(vertices)))), np.max(np.abs(x), axis=1))
     cert_tol = 5e-13 * scale * scale
     member_tol = 1e-11 * scale
@@ -327,15 +288,16 @@ def _project_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
             outer[rows] += 1
             done = worst >= -cert_tol[rows]
             member = np.linalg.norm(gap, axis=1) <= member_tol[rows]
-            out[rows[done]] = np.where(member[done, None], x[rows[done]], p[done])
+            out[rows[done]] = np.where(member[done, None], given[rows[done]], np.ldexp(p[done], e))
             active[rows[done]] = False
             # a worst vertex already in the support means the solve has stalled
             failed = ~done & (support[rows, j] | (outer[rows] >= max_outer))
             if failed.any():
                 i = int(np.argmax(failed))
+                slack_i, tol_i = np.ldexp([worst[i], -cert_tol[rows[i]]], 2 * e)  # caller's units
                 raise NumericalError(
                     f"hull projection failed to certify optimality: worst vertex slack "
-                    f"{worst[i]:.3e} (tolerance {-cert_tol[rows[i]]:.3e})"
+                    f"{slack_i:.3e} (tolerance {tol_i:.3e})"
                 )
             grow = rows[~done]
             support[grow, j[~done]] = True
@@ -372,7 +334,7 @@ def _project_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
 # -- zero-set geometry ------------------------------------------------------
 
 
-def intersect(bodies: list[ConvexBody], tol: float = 1e-9) -> Box | None:
+def intersect(bodies: list[Box | Hull], tol: float = 1e-9) -> Box | None:
     """Intersection of boxes, or ``None`` when empty; a width within ``tol`` collapses to a point.
 
     Hulls are not supported: every catalog zero set is a box, and boxes are
@@ -395,7 +357,7 @@ def intersect(bodies: list[ConvexBody], tol: float = 1e-9) -> Box | None:
     return Box(lo, hi)
 
 
-def zero_set_hull(potentials) -> ConvexBody:
+def zero_set_hull(potentials) -> Box | Hull:
     """Convex hull of the union of all nodes' zero sets.
 
     In one dimension this is the interval spanning every zero set; in higher
@@ -448,7 +410,7 @@ def check_drift_alignment(potentials, samples, tol: float = 1e-10) -> CheckRepor
     )
 
 
-def check_distance_comparison(body: ConvexBody, pairs, tol: float = 1e-10) -> CheckReport:
+def check_distance_comparison(body: Box | Hull, pairs, tol: float = 1e-10) -> CheckReport:
     """Verify both distance-comparison inequalities on the given point pairs.
 
     Part (i) is checked on every pair; part (ii) only on pairs where the

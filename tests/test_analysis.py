@@ -114,9 +114,7 @@ def test_diameter_series_equals_pairwise_brute_force(traj):
 def test_diagnostics_auto_zstar_requires_intersection():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     traj = integrate(pots, fixed_signal(two_node()), 1.0, [1.0, 0.0], dt=0.05, t_end=1.0, sample_every=0.2)
-    with pytest.raises(PreconditionError):
-        diagnostics(traj, pots)
-    diag = diagnostics(traj, pots, z_star=None)
+    diag = diagnostics(traj, pots)
     assert diag.v is None and diag.theta is not None
 
 
@@ -148,7 +146,7 @@ def test_sync_and_no_sync_reports():
     # two-node disagreement law: unit weights, centers 0 and 1, K = 1 settle 1/3 apart
     apart = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     traj = run(apart)
-    diag = diagnostics(traj, apart, z_star=None)
+    diag = diagnostics(traj, apart)
     rep = check_sync(traj, tol=1e-6, diameter=diag.diameter)
     assert not rep.passed and rep.params["limit_point"] is None
     rep = check_no_sync(diag, floor=0.3)
@@ -165,7 +163,7 @@ def test_diagnostics_theta_is_max_squared_oracle_distance():
     pots = [Quadratic(center=c, weight=1.0 + 0.5 * i) for i, c in enumerate(centers)]
     x0 = [6.0, -2.0, -4.0, 5.0, 1.5, 7.0, -3.0, -3.0]
     traj = integrate(pots, fixed_signal(ring_graph(4)), 0.7, x0, dt=0.02, t_end=6.0, sample_every=0.1)
-    diag = diagnostics(traj, pots, z_star=None)
+    diag = diagnostics(traj, pots)
     verts = zero_set_hull(pots).vertices
     ref = np.array(
         [max(float(np.sum((x - hull_projection_oracle(verts, x)) ** 2)) for x in blocks)
@@ -200,7 +198,7 @@ def test_theta_of_nodes_leaving_the_hull_is_the_exact_polygon_distance():
     x0 = [0.028, -0.44, 0.938, -1.241, -1.114, 0.141, 0.009, 1.174,
           1.379, 0.829, 1.185, 0.549, 0.949, -0.95, -0.176, -0.918]
     traj = integrate(pots, sig, 1.0, x0, dt=0.02, t_end=6.0, sample_every=0.05)
-    diag = diagnostics(traj, pots, z_star=None)
+    diag = diagnostics(traj, pots)
     polygon = extreme_points_oracle(np.vstack([p.zero_set().extreme_points() for p in pots]))
     ref = np.array([float(max(squared_polygon_distance_oracle(polygon, x) for x in blocks))
                     for blocks in traj.states])
@@ -224,7 +222,7 @@ def test_diagnostics_argmin_dist_equals_each_zero_set_distance(m):
         ][i % 4])
     traj = integrate(pots, fixed_signal(ring_graph(6)), 0.3, rng.uniform(-4, 4, 6 * m),
                      dt=0.05, t_end=3.0, sample_every=0.1)
-    diag = diagnostics(traj, pots, z_star=None)
+    diag = diagnostics(traj, pots)
     per_node = np.stack(
         [p.zero_set().distance(traj.states[:, i]) for i, p in enumerate(pots)], axis=1
     )
@@ -251,7 +249,7 @@ def test_theta_monotone_under_arbitrary_switching():
     pots = [Quadratic(center=[-1.0]), QuarticWell(center=[0.5]), FlatBottom1D(0.0, 1.0)]
     sig = alternating_chain_signal()
     traj = integrate(pots, sig, 1.0, [4.0, -4.0, 2.5], dt=0.01, t_end=8.0, sample_every=0.05)
-    diag = diagnostics(traj, pots, z_star=None)
+    diag = diagnostics(traj, pots)
     assert check_monotone(diag.theta, label="theta").passed
 
 
@@ -275,7 +273,7 @@ def test_common_limit_fails_with_isolated_node():
     sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 0.5), ("b", 0.5)), 0.5)
     pots = [FlatBottom1D(0.0, 2.0), FlatBottom1D(0.0, 2.0), FlatBottom1D(1.9, 2.0)]
     traj = integrate(pots, sig, 1.0, [0.2, 0.4, 5.0], dt=0.05, t_end=40.0, sample_every=0.5)
-    diag = diagnostics(traj, pots, z_star=[0.0 + 1.95])
+    diag = diagnostics(traj, pots)
     rep = check_common_limit(diag, tol=1e-3)
     assert not rep.passed
 
@@ -296,7 +294,7 @@ def test_node_optimum_ujsc_and_decoupled():
     # K = 0: every node descends its own potential
     pots_d = [Quadratic(center=[-1.0]), Quadratic(center=[2.0]), Quadratic(center=[0.0])]
     traj_d = integrate(pots_d, fixed_signal(ring_graph(3)), 0.0, [4.0, -4.0, 1.0], dt=0.02, t_end=30.0, sample_every=0.5)
-    assert check_node_optimum(diagnostics(traj_d, pots_d, z_star=None), pots_d, tol=1e-6).passed
+    assert check_node_optimum(diagnostics(traj_d, pots_d), pots_d, tol=1e-6).passed
 
 
 def test_node_optimum_fails_off_argmin_equilibrium():
@@ -304,7 +302,7 @@ def test_node_optimum_fails_off_argmin_equilibrium():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     g = two_node()
     traj = integrate(pots, fixed_signal(g), 1.0, [0.5, 0.5], dt=0.02, t_end=30.0, sample_every=0.5)
-    rep = check_node_optimum(diagnostics(traj, pots, z_star=None), pots, tol=1e-3)
+    rep = check_node_optimum(diagnostics(traj, pots), pots, tol=1e-3)
     assert not rep.passed
     x_star = equilibrium_oracle_quadratic(pots, g, 1.0)
     assert abs(x_star[0] - 0.0) > 1e-2 and abs(x_star[1] - 1.0) > 1e-2

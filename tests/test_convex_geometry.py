@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import syncflow.convex_geometry as cg
@@ -21,7 +21,12 @@ from syncflow import (
     intersect,
     zero_set_hull,
 )
-from util import extreme_points_oracle, hull_projection_oracle, polygon_depth_oracle
+from util import (
+    _affine_weight_minimizer,
+    extreme_points_oracle,
+    hull_projection_oracle,
+    polygon_depth_oracle,
+)
 
 
 def random_bodies(rng, kind, m):
@@ -376,6 +381,8 @@ def hull_and_queries(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(hull_and_queries())
+# a subnormal member row: shrinking it by the batch's power of two shifted its last bit out
+@example((np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 5e-324]), np.array(True)))
 def test_stacked_hull_projection_rows_are_certified_oracle_solutions(case):
     verts, x, members = case
     hull = Hull(verts)
@@ -472,11 +479,46 @@ def test_planar_hull_keeps_exactly_its_extreme_points(case):
 
 def test_a_body_below_the_scale_floor_still_certifies():
     # at 1e-160 the certificate's products are subnormal: with scale floored at the
-    # smallest normal float, cert_tol underflowed to 0 and a -5e-324 slack raised here
+    # smallest normal float, cert_tol underflowed to 0 and a -5e-324 slack raised here,
+    # and with it floored at sqrt(smallest normal) the first row went to a vertex
     verts = np.array([[1.222, 0.601, 1.001], [0.175, -0.247, -0.022], [1.057, 0.146, -1.537],
-                      [0.509, -1.166, -2.276], [-0.092, 1.754, 0.877]]) * 1e-160
-    got = Hull(verts).project(np.array([0.14, 0.42, -1.907]) * 1e-160)
-    assert np.all((verts.min(axis=0) <= got) & (got <= verts.max(axis=0)))
+                      [0.509, -1.166, -2.276], [-0.092, 1.754, 0.877]])
+    rows = np.array([[0.14, 0.42, -1.907], [-2.17, -0.85, -1.57]])
+    got = Hull(verts * 1e-160).project(rows * 1e-160)
+    assert np.all((verts.min(axis=0) * 1e-160 <= got) & (got <= verts.max(axis=0) * 1e-160))
+    # the solve is relative at every size: the same projections as at size 1
+    ref = Hull(verts).project(rows) * 1e-160
+    assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-13 * np.linalg.norm(ref, axis=1))
+
+
+@st.composite
+def hulls_scaled_by_powers_of_two(draw):
+    """A random hull in 2-D or 3-D, free and interior rows, and a power of two 2^k.
+
+    Beyond k ~ 511 the 2-D inside test's cross products overflow, so k stops at 500.
+    """
+    m, k = draw(st.integers(2, 3)), draw(st.integers(-1000, 500))
+    coord = st.floats(-8.0, 8.0)
+    verts = np.array(draw(st.lists(st.lists(coord, min_size=m, max_size=m), min_size=1, max_size=8)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            rows.append(draw(st.lists(st.floats(-12.0, 12.0), min_size=m, max_size=m)))
+        else:
+            w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(verts), max_size=len(verts))))
+            rows.append((w + 1e-3) / (w + 1e-3).sum() @ verts)
+    return verts, np.array(rows, dtype=float), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(hulls_scaled_by_powers_of_two())
+def test_projection_commutes_with_powers_of_two(case):
+    verts, x, k = case
+    big_verts, big_x = np.ldexp(verts, k), np.ldexp(x, k)
+    # 2^k times the inputs is exact unless a coordinate leaves the normal floats
+    assume(np.array_equal(np.ldexp(big_verts, -k), verts) and np.array_equal(np.ldexp(big_x, -k), x))
+    got = Hull(big_verts).project(big_x)
+    assert got.tobytes() == np.ldexp(Hull(verts).project(x), k).tobytes()
 
 
 def test_one_uncertifiable_row_raises(monkeypatch):
@@ -496,8 +538,8 @@ def test_one_uncertifiable_row_raises(monkeypatch):
 
 
 def test_degenerate_supports_use_the_least_squares_minimizer():
-    # collinear and duplicate supports make singular systems; such a row goes
-    # to lstsq alone while a regular row of the same size takes the batched QR
+    # collinear and duplicate supports make singular systems; the pseudoinverse's
+    # minimum-norm solution is the lstsq oracle's
     verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [0.0, 3.0]])
     support = np.zeros((4, 5), dtype=bool)
     support[0, [0, 1, 2]] = True  # collinear
@@ -507,11 +549,44 @@ def test_degenerate_supports_use_the_least_squares_minimizer():
     x = np.array([[3.0, 1.0]] * 4)
     lam = cg._affine_weights(verts, x, support)
     for i, s in enumerate(support):
-        ref = cg._affine_weight_minimizer(verts, list(np.flatnonzero(s)), x[i])
-        if i < 2:
-            np.testing.assert_array_equal(lam[i, s], ref)
-        else:
-            np.testing.assert_allclose(lam[i, s], ref, rtol=0.0, atol=1e-14)
+        ref = _affine_weight_minimizer(verts, list(np.flatnonzero(s)), x[i])
+        np.testing.assert_allclose(lam[i, s], ref, rtol=0.0, atol=1e-14)
+        assert np.all(lam[i, ~s] == 0.0)
+
+
+@st.composite
+def supports_and_rows(draw):
+    """Vertices on a small integer grid with duplicates and collinear points added, and
+    rows with supports of any size, so many are degenerate or larger than m + 1."""
+    m = draw(st.integers(2, 4))
+    coord = st.integers(-3, 3).map(float)
+    verts = draw(st.lists(st.lists(coord, min_size=m, max_size=m), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = np.array(draw(st.sampled_from(verts))), np.array(draw(st.sampled_from(verts)))
+        t = draw(st.sampled_from([0.0, -0.5, 0.25, 0.5, 1.5]))  # 0: a duplicate
+        verts.append(list((1.0 - t) * a + t * b))
+    verts, k = np.array(verts), len(verts)
+    n = draw(st.integers(1, 6))
+    support = np.array(draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                                     min_size=n, max_size=n)))
+    support[np.arange(n), draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))] = True
+    x = np.array(draw(st.lists(st.lists(st.floats(-6.0, 6.0), min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+    return verts, x, support
+
+
+@settings(max_examples=300, deadline=None)
+@given(supports_and_rows())
+def test_affine_weights_fit_as_the_least_squares_oracle(case):
+    verts, x, support = case
+    lam = cg._affine_weights(verts, x, support)
+    scale = max(float(np.max(np.abs(verts))), float(np.max(np.abs(x))))
+    for i, s in enumerate(support):
+        ref = _affine_weight_minimizer(verts, list(np.flatnonzero(s)), x[i])
+        # a degenerate support has many minimizing weights but one fitted point
+        assert np.max(np.abs(lam[i] @ verts - ref @ verts[s])) <= 1e-12 * scale
+        # the sum rounds like the weights it adds: on this grid they reach ~660
+        assert abs(lam[i].sum() - 1.0) <= 1e-14 * max(1.0, np.abs(lam[i]).sum())
         assert np.all(lam[i, ~s] == 0.0)
 
 
