@@ -4,7 +4,6 @@ potentials, under fixed or switching directed communication graphs."""
 
 from .analysis import (
     DiagnosticsSeries,
-    aggregate_potential,
     check_common_limit,
     check_feasibility,
     check_monotone,
@@ -20,7 +19,6 @@ from .convex_geometry import (
     Box,
     Hull,
     check_drift_alignment,
-    check_distance_comparison,
     intersect,
     zero_set_hull,
 )

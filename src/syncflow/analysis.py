@@ -7,8 +7,8 @@ simulated trajectories:
   distance to a common zero point) and theta (squared distance to the hull of
   the union of zero sets), and per-node distance to each argmin set;
 * monotonicity, common-limit, and node-optimum checks on those series;
-* the aggregate potential over a fixed undirected graph, its minimizer via
-  Newton's method (the gradient is exactly the negated coupled vector
+* the minimizer of the aggregate potential over a fixed undirected graph via
+  Newton's method (its gradient is exactly the negated coupled vector
   field, which doubles as a cross-module identity), and the spectral
   disagreement bound at a minimizer;
 * exact-synchronization iff-checks, coupling-gain sweeps, assumption
@@ -39,7 +39,6 @@ __all__ = [
     "check_monotone",
     "check_common_limit",
     "check_node_optimum",
-    "aggregate_potential",
     "minimize_aggregate",
     "check_spectral_bound",
     "check_sync_iff",
@@ -65,7 +64,6 @@ class DiagnosticsSeries:
     argmin_dist: np.ndarray  # (n_samples, N)
     v_nodes: np.ndarray | None = None  # (n_samples, N)
     v: np.ndarray | None = None
-    z_star: np.ndarray | None = None
 
 
 def validate_tail_fraction(tail_fraction) -> float:
@@ -132,11 +130,10 @@ def diagnostics(traj: Trajectory, potentials) -> DiagnosticsSeries:
     lo, hi = np.array([z.lo for z in zsets]), np.array([z.hi for z in zsets])
     argmin_dist = cg.box_distance(X, lo, hi)
 
-    v_nodes = v = z = None
+    v_nodes = v = None
     common = common_zero_set(potentials)
     if common is not None:
-        z = common.center()
-        v_nodes = np.linalg.norm(X - z, axis=2) ** 2
+        v_nodes = np.linalg.norm(X - common.center(), axis=2) ** 2
         v = v_nodes.max(axis=1)
 
     return DiagnosticsSeries(
@@ -146,7 +143,6 @@ def diagnostics(traj: Trajectory, potentials) -> DiagnosticsSeries:
         argmin_dist=argmin_dist,
         v_nodes=v_nodes,
         v=v,
-        z_star=z,
     )
 
 
@@ -269,16 +265,6 @@ def check_node_optimum(
 
 
 # -- aggregate potential over a fixed undirected graph ----------------------
-
-
-def aggregate_potential(potentials, g: WeightedDigraph, K: float, x) -> float:
-    """sum_i F_i(x_i) + (K/2) sum_{edges} a_ij |x_j - x_i|^2 (undirected g), x as (N, m) blocks."""
-    require_undirected(g, "aggregate_potential", connected=False)
-    net = compile_network(potentials, g.node_count)
-    X = np.asarray(x, dtype=float).reshape(net.node_count, net.dimension)
-    val = sum(net.value(X))  # one node after another; np.sum would add pairwise
-    # for symmetric weights, x'(L kron I)x equals the unordered-edge sum
-    return val + 0.5 * K * float(np.sum(X * (g.laplacian_matrix @ X)))
 
 
 def minimize_aggregate(

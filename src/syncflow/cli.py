@@ -452,15 +452,15 @@ def _write_trajectory_csv(path: Path, sc: Scenario, traj, diag):
         f.writelines(row % tuple(r.tolist()) for r in table)
 
 
-def _write_plot_script(path: Path, sc: Scenario, csv_name: str = "trajectory.csv"):
+def _write_plot_script(path: Path, sc: Scenario):
     ncols = 1 + sc.node_count * sc.dim
     path.write_text(
         "# gnuplot script: node trajectories and disagreement diameter\n"
         'set datafile separator ","\n'
         "set key outside\n"
         'set xlabel "t"\n'
-        f'plot for [col=2:{ncols}] "{csv_name}" using 1:col with lines title columnheader(col), \\\n'
-        f'     "{csv_name}" using 1:{ncols + 1} with lines lw 2 title "diameter"\n'
+        f'plot for [col=2:{ncols}] "trajectory.csv" using 1:col with lines title columnheader(col), \\\n'
+        f'     "trajectory.csv" using 1:{ncols + 1} with lines lw 2 title "diameter"\n'
     )
 
 

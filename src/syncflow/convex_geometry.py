@@ -9,10 +9,11 @@ every edge as it is.  Other hull rows go through one batched active-set solve
 over the simplex of vertex weights, certified per row by the projector's
 variational inequality at every vertex, so no result depends on the solver path.
 Its affine least squares is one stacked pseudoinverse per support size, and it
-is exact under power-of-two scaling: each batch is scaled by one first.
+is exact under power-of-two scaling: each row is scaled by one first, so no row
+depends on the others in its batch.
 
 The module also builds the hull of the union of a potential catalog's zero
-sets and provides sampled verifiers for the projection inequalities the
+sets and provides a sampled verifier for the drift-alignment inequality the
 synchronization analysis relies on.
 """
 
@@ -31,7 +32,6 @@ __all__ = [
     "intersect",
     "zero_set_hull",
     "check_drift_alignment",
-    "check_distance_comparison",
 ]
 
 
@@ -176,10 +176,6 @@ class Hull:
         pts = _points(points, self.dimension, "points")
         return np.linalg.norm(pts - self.project(pts), axis=-1)
 
-    def center(self) -> np.ndarray:
-        """The mean of the vertices; in 2-D, of the extreme points."""
-        return self.vertices.mean(axis=0)
-
     def extreme_points(self) -> np.ndarray:
         return self.vertices.copy()
 
@@ -226,7 +222,8 @@ _HULL_CHUNK_ENTRIES = 1 << 14
 
 
 def _affine_weights(vertices: np.ndarray, x: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Affine-minimizer weights of every row over its support, dense (rows, k).
+    """Affine-minimizer weights of every row over its support in its own vertices (rows, k, m),
+    dense (rows, k).
 
     Rows are grouped by support size, and each group takes one stacked
     pseudoinverse of its edges from the first support vertex: the minimum-norm
@@ -238,7 +235,7 @@ def _affine_weights(vertices: np.ndarray, x: np.ndarray, support: np.ndarray) ->
     for s in np.unique(sizes):
         rows = np.flatnonzero(sizes == s)
         idx = np.nonzero(support[rows])[1].reshape(rows.size, s)
-        V = vertices[idx]  # (rows, s, m)
+        V = vertices[rows[:, None], idx]  # (rows, s, m)
         E = (V[:, 1:] - V[:, :1]).transpose(0, 2, 1)  # (rows, m, s - 1)
         nu = (np.linalg.pinv(E) @ (x[rows] - V[:, 0])[:, :, None])[:, :, 0]
         lam[rows[:, None], idx] = np.concatenate([1.0 - nu.sum(axis=1, keepdims=True), nu], axis=1)
@@ -257,15 +254,14 @@ def _project_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
     solver path; a row that stalls or exhausts its budget raises with its
     residual so a silent bad projection cannot escape.
     """
-    # one power of two puts the batch's largest magnitude in [0.5, 1), so the solve is the same
-    # at every size and its tolerances neither underflow nor overflow; it is exact but for
-    # subnormal bits a shrink shifts out, so a member row is returned from the caller's copy
-    e = int(np.frexp(max(np.abs(vertices).max(), np.abs(x).max()))[1])
-    given, vertices, x = x, np.ldexp(vertices, -e), np.ldexp(x, -e)
+    # a power of two per row puts scale, the larger of max |vertices| and max |row|, in [0.5, 1),
+    # on the row's own copy of the vertices (rows, k, m), so a row's solve is the same at every
+    # size and in every batch, and its tolerances neither underflow nor overflow; it is exact but
+    # for subnormal bits a shrink shifts out, so a member row is returned from the caller's copy
     n, nverts = x.shape[0], vertices.shape[0]
-    # rows tiny beside their batch stay relative down to where scale^2 underflows
-    floor = float(np.sqrt(np.finfo(float).tiny))
-    scale = np.maximum(max(floor, float(np.max(np.abs(vertices)))), np.max(np.abs(x), axis=1))
+    scale, e = np.frexp(np.maximum(np.abs(vertices).max(), np.abs(x).max(axis=1)))
+    given, x = x, np.ldexp(x, -e[:, None])
+    vertices = np.ldexp(vertices, -e[:, None, None])
     cert_tol = 5e-13 * scale * scale
     member_tol = 1e-11 * scale
     max_outer = 16 * (nverts + 2) * (nverts + 2)
@@ -280,21 +276,24 @@ def _project_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
     while active.any():
         rows = np.flatnonzero(active & (inner < 0))
         if rows.size:
-            p = (lam[rows, None, :] @ vertices)[:, 0, :]
+            V = vertices[rows]
+            p = (lam[rows, None, :] @ V)[:, 0, :]
             gap = p - x[rows]
-            slack = ((vertices - p[:, None, :]) @ gap[:, :, None])[:, :, 0]
+            slack = ((V - p[:, None, :]) @ gap[:, :, None])[:, :, 0]
             j = np.argmin(slack, axis=1)
             worst = slack[np.arange(rows.size), j]
             outer[rows] += 1
             done = worst >= -cert_tol[rows]
             member = np.linalg.norm(gap, axis=1) <= member_tol[rows]
-            out[rows[done]] = np.where(member[done, None], given[rows[done]], np.ldexp(p[done], e))
+            out[rows[done]] = np.where(member[done, None], given[rows[done]],
+                                       np.ldexp(p[done], e[rows[done], None]))
             active[rows[done]] = False
             # a worst vertex already in the support means the solve has stalled
             failed = ~done & (support[rows, j] | (outer[rows] >= max_outer))
             if failed.any():
                 i = int(np.argmax(failed))
-                slack_i, tol_i = np.ldexp([worst[i], -cert_tol[rows[i]]], 2 * e)  # caller's units
+                # in the caller's units
+                slack_i, tol_i = np.ldexp([worst[i], -cert_tol[rows[i]]], 2 * e[rows[i]])
                 raise NumericalError(
                     f"hull projection failed to certify optimality: worst vertex slack "
                     f"{slack_i:.3e} (tolerance {tol_i:.3e})"
@@ -306,7 +305,7 @@ def _project_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(active & (inner >= 0))
         if not rows.size:
             continue
-        lam_hat = _affine_weights(vertices, x[rows], support[rows])
+        lam_hat = _affine_weights(vertices[rows], x[rows], support[rows])
         # feasible affine minimizer: take it and certify next
         fit = lam_hat.min(axis=1) >= -1e-13
         w = np.clip(lam_hat[fit], 0.0, None)
@@ -407,34 +406,4 @@ def check_drift_alignment(potentials, samples, tol: float = 1e-10) -> CheckRepor
         worst_value=worst,
         location=where,
         params={"tol": tol, "samples": int(pts.shape[0]), "body": body.as_dict()},
-    )
-
-
-def check_distance_comparison(body: Box | Hull, pairs, tol: float = 1e-10) -> CheckReport:
-    """Verify both distance-comparison inequalities on the given point pairs.
-
-    Part (i) is checked on every pair; part (ii) only on pairs where the
-    first point is strictly farther from the body than the second.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise InputError("distance comparison needs at least one point pair")
-    m = body.dimension
-    xa = np.array([_vector(a, m, "x_a") for a, _ in pairs]).reshape(-1, m)
-    xb = np.array([_vector(b, m, "x_b") for _, b in pairs]).reshape(-1, m)
-    gap_a, gap_b = xa - body.project(xa), xb - body.project(xb)
-    da, db = np.sqrt(row_dot(gap_a, gap_a)), np.sqrt(row_dot(gap_b, gap_b))
-    lhs = row_dot(gap_a, xb - xa)
-    farther = da > db
-    # (pair, part) rows in pair order, so the first maximum is the first violation
-    viol_ii = np.where(farther, lhs + da * (da - db), -np.inf)
-    viol = np.stack([lhs - da * np.abs(da - db), viol_ii], axis=1)
-    k = int(np.argmax(viol))
-    worst = float(viol.flat[k])
-    return CheckReport(
-        check="distance_comparison",
-        passed=worst <= tol,
-        worst_value=worst,
-        location={"pair": k // 2, "part": ("i", "ii")[k % 2]},
-        params={"tol": tol, "pairs": len(pairs), "pairs_part_ii": int(farther.sum())},
     )

@@ -1,7 +1,8 @@
 """Catalog of convex node potentials with exact gradients and argmin sets.
 
 Each potential F is C1, convex, and coercive with a bounded argmin set, and
-exposes its value and gradient; the node self-dynamics are f = -grad(F).  The
+exposes its gradient; the node self-dynamics are f = -grad(F).  No path
+evaluates F itself: ``tests/util.py`` holds its closed form per kind.  The
 catalog is closed (four kinds) so that zero sets, convexity, and the
 hypotheses of the synchronization analysis stay machine-checkable:
 
@@ -12,8 +13,8 @@ hypotheses of the synchronization analysis stay machine-checkable:
 
 ``NetworkPotential`` compiles a network's potentials into arrays, so one call
 evaluates every node.  Each kind's kernel, a static method of its class, is the
-only formula for its value, gradient and curvature (``Potential.value``/``gradient``
-evaluate a one-node network; ``tests/util.py`` holds the per-kind oracle), but for
+only formula for its gradient and curvature (``Potential.gradient`` evaluates a
+one-node network; ``tests/util.py`` holds the per-kind oracle), but for
 the argmin bisection's scalar derivative (see ``_component_zero_interval``).
 
 The quartic well is deliberately non-Lipschitz and evaluated in double precision
@@ -43,17 +44,12 @@ __all__ = [
 
 
 class Potential:
-    """Immutable, pure base class.  ``value`` and ``gradient`` take a point (m,), a stack
-    (..., m) or, in 1-D, a bare number, and return shapes ``x.shape[:-1]`` and ``x.shape``."""
+    """Immutable, pure base class.  ``gradient`` takes a point (m,), a stack (..., m) or,
+    in 1-D, a bare number, and returns shape ``x.shape``."""
 
     @property
     def dimension(self) -> int:
         raise NotImplementedError
-
-    def value(self, x):
-        """F(x), from the kernels as a one-node network."""
-        # [()] turns the 0-d result for one point into a scalar
-        return self._as_network().value(self._check(x)[..., None, :])[..., 0][()]
 
     def gradient(self, x) -> np.ndarray:
         """grad F(x), from the kernels as a one-node network; the node drift is its negative."""
@@ -112,12 +108,10 @@ class Quadratic(Potential):
 
     @staticmethod
     def _kernel(terms):
-        """(gradient, value, curvature) of stacked quadratics on node blocks (..., n, m)."""
+        """(gradient, curvature) of stacked quadratics on node blocks (..., n, m)."""
         c = np.array([t.center for t in terms])
         w = np.array([[t.weight] for t in terms])
-        half_w = 0.5 * w[:, 0]
-        return ((lambda x: w * (x - c)), (lambda x: half_w * cg.row_dot(x - c, x - c)),
-                (lambda x: np.broadcast_to(w, x.shape)))
+        return (lambda x: w * (x - c)), (lambda x: np.broadcast_to(w, x.shape))
 
     def _argmin_set(self) -> cg.Box:
         return cg.Box(self.center, self.center)
@@ -136,14 +130,13 @@ class QuarticWell(Potential):
 
     @staticmethod
     def _kernel(terms):
-        """(gradient, value, curvature) of stacked quartic wells on node blocks (..., n, m)."""
+        """(gradient, curvature) of stacked quartic wells on node blocks (..., n, m)."""
         c = np.array([t.center for t in terms])
 
         def gradient(x):
             d = x - c  # two multiplies, not libm pow: see the module docstring
             return d * d * d
-        return (gradient, (lambda x: 0.25 * np.sum((x - c) ** 4, axis=-1)),
-                (lambda x: 3.0 * (x - c) * (x - c)))
+        return gradient, (lambda x: 3.0 * (x - c) * (x - c))
 
     def _argmin_set(self) -> cg.Box:
         return cg.Box(self.center, self.center)
@@ -174,16 +167,12 @@ class FlatBottom1D(Potential):
 
     @staticmethod
     def _kernel(terms):
-        """(gradient, value, curvature) of stacked flat bottoms on node blocks (..., n, 1)."""
+        """(gradient, curvature) of stacked flat bottoms on node blocks (..., n, 1)."""
         left = np.array([[t.left] for t in terms])
         right = np.array([[t.right] for t in terms])
-
-        def gradient(x):
-            return x - np.minimum(np.maximum(x, left), right)
-
-        # value: libm pow, as Python's ``**`` (a multiply can differ in the last bit); curvature: 1
-        # on the edges, so a Newton step cannot throw a node resting there far out by a tiny pull
-        return (gradient, (lambda x: 0.5 * np.float_power(gradient(x)[..., 0], 2)),
+        # curvature 1 on the edges, so a Newton step cannot throw a node resting there far out
+        # by a tiny pull
+        return ((lambda x: x - np.minimum(np.maximum(x, left), right)),
                 (lambda x: ((x <= left) | (x >= right)).astype(float)))
 
     def _argmin_set(self) -> cg.Box:
@@ -311,9 +300,9 @@ class NetworkPotential:
 
     A node's signature is the kinds of its flattened terms; the nodes are
     ordered once so that each signature is one contiguous block, with a kernel
-    per term slot over the stacked centers, weights or flat-bottom bounds.  ``gradient``,
-    ``value`` and ``curvature`` gather node states (..., N, m) into block order once,
-    add each block's slots in term order on slices and put them back once.
+    per term slot over the stacked centers, weights or flat-bottom bounds.  ``gradient``
+    and ``curvature`` gather node states (..., N, m) into block order once, add each
+    block's slots in term order on slices and put them back once.
     A sum thus adds its flattened terms left to right: the bits of ``sum()``
     over the terms for flat and left-nested sums, while a right-nested sum
     associates its additions differently from the nesting."""
@@ -338,7 +327,7 @@ class NetworkPotential:
         self._inverse = np.empty_like(self._order)  # np.argsort would page in its sort code
         self._inverse[self._order] = np.arange(self.node_count)
         self._start = start[self._order]
-        self._slots = []  # (block slice, gradient, value, curvature), each block's in term order
+        self._slots = []  # (block slice, gradient, curvature), each block's in term order
         for kinds, nodes in blocks.items():
             block = slice(self._inverse[nodes[0]], self._inverse[nodes[0]] + len(nodes))
             for k, kind in enumerate(kinds):
@@ -360,25 +349,16 @@ class NetworkPotential:
         X = self._check(X).take(self._order, axis=-2)
         G = np.empty(X.shape)
         G[...] = self._start
-        for block, grad, _, _ in self._slots:
+        for block, grad, _ in self._slots:
             g = G[..., block, :]  # += on the view adds in place; on G[...] it copies back
             g += grad(X[..., block, :])
         return G.take(self._inverse, axis=-2)
-
-    def value(self, X) -> np.ndarray:
-        """F_i(x_i) for every node, shape ``X.shape[:-1]``."""
-        X = self._check(X).take(self._order, axis=-2)
-        V = np.empty(X.shape[:-1])
-        V[...] = self._start[:, 0]
-        for block, _, value, _ in self._slots:
-            V[..., block] += value(X[..., block, :])
-        return V.take(self._inverse, axis=-1)
 
     def curvature(self, X) -> np.ndarray:
         """d^2 F_i / dx_ik^2, shape ``X.shape``; separable, so each node's Hessian is diagonal."""
         X = self._check(X).take(self._order, axis=-2)
         H = np.zeros(X.shape)
-        for block, _, _, curv in self._slots:
+        for block, _, curv in self._slots:
             H[..., block, :] += curv(X[..., block, :])
         return H.take(self._inverse, axis=-2)
 

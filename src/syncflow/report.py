@@ -1,6 +1,5 @@
 """Uniform pass/fail report value object used by all verification checks."""
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -45,9 +44,6 @@ class CheckReport:
             "location": jsonable(self.location),
             "params": jsonable(self.params),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
 
     def __bool__(self) -> bool:
         return self.passed

@@ -17,7 +17,6 @@ from syncflow import (
     SwitchingSignal,
     Trajectory,
     WeightedDigraph,
-    aggregate_potential,
     check_common_limit,
     check_feasibility,
     check_monotone,
@@ -35,6 +34,7 @@ from syncflow.analysis import check_no_sync, check_sync, cube_containment, diame
 from syncflow.simulator import compile_network, network_field
 from syncflow.convex_geometry import zero_set_hull
 from util import (
+    aggregate_value_oracle,
     equilibrium_oracle_quadratic,
     extreme_points_oracle,
     hull_projection_oracle,
@@ -350,7 +350,8 @@ def test_aggregate_potential_finite_difference():
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd = (aggregate_potential(pots, g, K, x + e) - aggregate_potential(pots, g, K, x - e)) / (2 * h)
+            fd = (aggregate_value_oracle(pots, g, K, x + e)
+                  - aggregate_value_oracle(pots, g, K, x - e)) / (2 * h)
             assert abs(fd - grad[k]) < 1e-5
 
 

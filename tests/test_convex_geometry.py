@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -17,7 +18,6 @@ from syncflow import (
     QuarticWell,
     SumPotential,
     check_drift_alignment,
-    check_distance_comparison,
     intersect,
     zero_set_hull,
 )
@@ -157,31 +157,13 @@ def test_check_drift_alignment_sample_inside_hull_contributes_zero():
     assert rep.passed and rep.worst_value == 0.0
 
 
-def test_check_distance_comparison_hand_case():
-    # interval [0,1], x_a=2, x_b=0.5: lhs=-1.5, (i) bound 1, (ii) bound -1
-    body = Box(0.0, 1.0)
-    pa = body.project([2.0])
-    lhs = float((np.array([2.0]) - pa) @ (np.array([0.5]) - np.array([2.0])))
-    assert lhs == pytest.approx(-1.5)
-    assert check_distance_comparison(body, [([2.0], [0.5])]).passed
-
-
-def test_check_distance_comparison_member_pair_trivial():
-    body = Box(0.0, 1.0)
-    assert check_distance_comparison(body, [([0.5], [0.9])]).passed
-
-
-def test_check_distance_comparison_randomized_hull():
-    rng = np.random.default_rng(7)
-    tri = Hull([[0, 0], [1, 0], [0, 1]])
-    pairs = [(rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)) for _ in range(1000)]
-    rep = check_distance_comparison(tri, pairs)
-    assert rep.passed
-    assert rep.params["pairs"] == 1000
-
-
 def distance_comparison_reference(body, pairs):
-    """(worst, location, part-(ii) count) by the pair-by-pair scan, first maximum kept."""
+    """(worst, location, part-(ii) count) of the distance-comparison lemma's two inequalities
+    over point pairs, by the pair-by-pair scan, first maximum kept.
+
+    Part (i) is checked on every pair; part (ii) only on pairs where the first
+    point is strictly farther from the body than the second.
+    """
     worst, where, n_ii = -np.inf, None, 0
     for idx, (xa, xb) in enumerate(pairs):
         xa, xb = np.atleast_1d(np.asarray(xa, float)), np.atleast_1d(np.asarray(xb, float))
@@ -197,27 +179,41 @@ def distance_comparison_reference(body, pairs):
     return worst, where, n_ii
 
 
+def test_check_distance_comparison_hand_case():
+    # interval [0,1], x_a=2, x_b=0.5: lhs=-1.5, (i) bound 1, (ii) bound -1
+    body = Box(0.0, 1.0)
+    pa = body.project([2.0])
+    lhs = float((np.array([2.0]) - pa) @ (np.array([0.5]) - np.array([2.0])))
+    assert lhs == pytest.approx(-1.5)
+    # the worst of lhs - 1 and lhs + 1 is part (ii)'s, -0.5
+    assert distance_comparison_reference(body, [([2.0], [0.5])]) == (-0.5, {"pair": 0, "part": "ii"}, 1)
+
+
+def test_check_distance_comparison_member_pair_trivial():
+    body = Box(0.0, 1.0)
+    assert distance_comparison_reference(body, [([0.5], [0.9])])[0] <= 1e-10
+
+
+def test_check_distance_comparison_randomized_hull():
+    rng = np.random.default_rng(7)
+    tri = Hull([[0, 0], [1, 0], [0, 1]])
+    pairs = [(rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)) for _ in range(1000)]
+    assert distance_comparison_reference(tri, pairs)[0] <= 1e-10
+
+
 @pytest.mark.parametrize(
     "kind,m",
     [(kind, m) for kind in ("point", "interval", "box", "hull") for m in (1, 2, 3)
      if kind != "interval" or m == 1],
 )
-def test_distance_comparison_matches_the_pair_loop(kind, m):
+def test_distance_comparison_holds_on_every_body_kind(kind, m):
     rng = np.random.default_rng(100 * m + len(kind))
     for _ in range(20):
         body = random_bodies(rng, kind, m)
         # members, points outside, and a few pairs that repeat a point
         pairs = [(rng.uniform(-12, 12, m), rng.uniform(-12, 12, m)) for _ in range(40)]
         pairs += [(random_member(rng, body), rng.uniform(-12, 12, m)), (pairs[0][1], pairs[0][1])]
-        rep = check_distance_comparison(body, pairs)
-        worst, where, n_ii = distance_comparison_reference(body, pairs)
-        assert (rep.worst_value, rep.location, rep.params["pairs_part_ii"]) == (worst, where, n_ii)
-        assert rep.passed == (worst <= 1e-10)
-
-
-def test_distance_comparison_of_no_pairs_is_an_input_error():
-    with pytest.raises(InputError, match="at least one point pair"):
-        check_distance_comparison(Hull([[0.0, 0.0], [1.0, 0.0]]), [])
+        assert distance_comparison_reference(body, pairs)[0] <= 1e-10
 
 
 def test_non_finite_point_is_an_input_error():
@@ -281,10 +277,10 @@ def test_intersect_rejects_hull_representation():
 
 
 def test_report_json_schema():
-    rep = check_distance_comparison(Box(0.0, 1.0), [([2.0], [0.5])])
+    rep = check_drift_alignment([Quadratic(center=[0.0]), Quadratic(center=[1.0])], [[2.0]])
     d = rep.as_dict()
     assert set(d) == {"check", "pass", "worst_value", "location", "params"}
-    assert '"check"' in rep.to_json()
+    assert json.loads(json.dumps(d)) == d
 
 
 def drift_alignment_reference(potentials, samples):
@@ -383,6 +379,12 @@ def hull_and_queries(draw):
 @given(hull_and_queries())
 # a subnormal member row: shrinking it by the batch's power of two shifted its last bit out
 @example((np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 5e-324]), np.array(True)))
+# a tiny row scaled with its batch's largest row got an absolute member tolerance and came
+# back unchanged; alone it was scaled on its own and certified to the vertex
+@example((np.array([[0.0]]), np.array([[0.0], [0.0], [0.0], [1.0], [1.068e-209]]),
+          np.array([False] * 5)))
+@example((np.array([[0.0]]), np.array([[0.0], [0.0], [0.0], [1.0], [2.087e-263]]),
+          np.array([False] * 5)))
 def test_stacked_hull_projection_rows_are_certified_oracle_solutions(case):
     verts, x, members = case
     hull = Hull(verts)
@@ -547,7 +549,7 @@ def test_degenerate_supports_use_the_least_squares_minimizer():
     support[2, [0, 1, 4]] = True  # a proper triangle
     support[3, [1, 4]] = True  # a proper edge
     x = np.array([[3.0, 1.0]] * 4)
-    lam = cg._affine_weights(verts, x, support)
+    lam = cg._affine_weights(np.broadcast_to(verts, (4, *verts.shape)), x, support)
     for i, s in enumerate(support):
         ref = _affine_weight_minimizer(verts, list(np.flatnonzero(s)), x[i])
         np.testing.assert_allclose(lam[i, s], ref, rtol=0.0, atol=1e-14)
@@ -579,7 +581,7 @@ def supports_and_rows(draw):
 @given(supports_and_rows())
 def test_affine_weights_fit_as_the_least_squares_oracle(case):
     verts, x, support = case
-    lam = cg._affine_weights(verts, x, support)
+    lam = cg._affine_weights(np.broadcast_to(verts, (len(x), *verts.shape)), x, support)
     scale = max(float(np.max(np.abs(verts))), float(np.max(np.abs(x))))
     for i, s in enumerate(support):
         ref = _affine_weight_minimizer(verts, list(np.flatnonzero(s)), x[i])
@@ -594,7 +596,8 @@ def test_single_vertex_support_gets_unit_weight():
     # a restore step may drop all but one vertex; its minimizer is that vertex
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     support = np.array([[False, True, False], [True, True, False]])
-    lam = cg._affine_weights(verts, np.array([[5.0, 5.0], [0.5, 2.0]]), support)
+    lam = cg._affine_weights(np.broadcast_to(verts, (2, 3, 2)), np.array([[5.0, 5.0], [0.5, 2.0]]),
+                             support)
     np.testing.assert_array_equal(lam, [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
 
 

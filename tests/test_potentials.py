@@ -35,28 +35,29 @@ CATALOG_1D = [
     SumPotential((Quadratic(center=[1.0]), QuarticWell(center=[-1.0]))),
     SumPotential((FlatBottom1D(0.0, 2.0), Quadratic(center=[3.0], weight=0.5))),
 ]
+# the coordinates of drawn centers, bounds and states
+coords = st.floats(-10, 10, allow_nan=False)
+
+
+def draw_term(draw, m: int, point):
+    """One catalog term of dimension m with centers drawn from ``point``; flat bottoms in 1-D."""
+    kind = draw(st.sampled_from(["quadratic", "quartic"] + (["flat_bottom"] if m == 1 else [])))
+    if kind == "quadratic":
+        return Quadratic(center=draw(point), weight=draw(st.floats(0.1, 5)))
+    if kind == "quartic":
+        return QuarticWell(center=draw(point))
+    return FlatBottom1D(*sorted(draw(st.lists(coords, min_size=2, max_size=2))))
 
 
 def central_diff(spec, x, h=1e-6):
+    """Central differences of F, by ``oracle_value``."""
     x = np.atleast_1d(np.asarray(x, float))
     out = np.empty_like(x)
     for k in range(x.size):
         e = np.zeros_like(x)
         e[k] = h
-        out[k] = (spec.value(x + e) - spec.value(x - e)) / (2 * h)
+        out[k] = (oracle_value(spec, x + e) - oracle_value(spec, x - e)) / (2 * h)
     return out
-
-
-def test_quadratic_value():
-    assert Quadratic(center=[2.0], weight=1.0).value([5.0]) == pytest.approx(4.5)
-
-
-def test_quartic_value_at_center():
-    assert QuarticWell(center=[0.0]).value([0.0]) == 0.0
-
-
-def test_flat_bottom_value_inside():
-    assert FlatBottom1D(0.0, 1.0).value([0.5]) == 0.0
 
 
 def test_quartic_self_dynamics_is_negative_cube():
@@ -279,8 +280,8 @@ def test_gradient_consistency_detects_corruption():
     class Corrupted(QuarticWell):
         @staticmethod
         def _kernel(terms):
-            gradient, value, curvature = QuarticWell._kernel(terms)
-            return (lambda x: gradient(x) + 0.1), value, curvature
+            gradient, curvature = QuarticWell._kernel(terms)
+            return (lambda x: gradient(x) + 0.1), curvature
 
     rep = gradient_consistency_check(Corrupted(center=[0.0]), [[0.5]], h=1e-5, tol=1e-5)
     assert not rep.passed
@@ -299,7 +300,7 @@ def test_quartic_gradient_relative_outside_lipschitz_range():
     spec = QuarticWell(center=[0.0])
     for x in (5.0, 12.0, -20.0):
         fd = central_diff(spec, [x], h=1e-5)[0]
-        assert abs(fd - x**3) <= 1e-6 * abs(x) ** 3
+        assert abs(fd - spec.gradient([x])[0]) <= 1e-6 * abs(x) ** 3
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,8 +311,8 @@ def test_quartic_gradient_relative_outside_lipschitz_range():
 )
 def test_midpoint_convexity(spec, a, b):
     x, y = np.array([a]), np.array([b])
-    mid = spec.value(0.5 * (x + y))
-    assert mid <= 0.5 * (spec.value(x) + spec.value(y)) + 1e-12
+    mid = oracle_value(spec, 0.5 * (x + y))
+    assert mid <= 0.5 * (oracle_value(spec, x) + oracle_value(spec, y)) + 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -323,8 +324,8 @@ def test_midpoint_convexity(spec, a, b):
 def test_first_order_convexity(spec, a, b):
     # F(x) >= F(y) - <x - y, f(y)> up to rounding
     x, y = np.array([a]), np.array([b])
-    lower = spec.value(y) - float((x - y) @ -spec.gradient(y))
-    assert spec.value(x) >= lower - 1e-10
+    lower = oracle_value(spec, y) - float((x - y) @ -spec.gradient(y))
+    assert oracle_value(spec, x) >= lower - 1e-10
 
 
 def test_convexity_multidim_random_pairs():
@@ -338,15 +339,37 @@ def test_convexity_multidim_random_pairs():
         for _ in range(100):
             x = rng.uniform(-6, 6, 2)
             y = rng.uniform(-6, 6, 2)
-            mid = spec.value(0.5 * (x + y))
-            assert mid <= 0.5 * (spec.value(x) + spec.value(y)) + 1e-12
-            lower = spec.value(y) - float((x - y) @ -spec.gradient(y))
-            assert spec.value(x) >= lower - 1e-10
+            mid = oracle_value(spec, 0.5 * (x + y))
+            assert mid <= 0.5 * (oracle_value(spec, x) + oracle_value(spec, y)) + 1e-12
+            lower = oracle_value(spec, y) - float((x - y) @ -spec.gradient(y))
+            assert oracle_value(spec, x) >= lower - 1e-10
+
+
+@st.composite
+def catalog_potential(draw):
+    """A catalog potential in 1-D or 2-D, one term or a sum of two or three, and its dimension."""
+    m = draw(st.integers(1, 2))
+    terms = [draw_term(draw, m, st.lists(coords, min_size=m, max_size=m))
+             for _ in range(draw(st.integers(1, 3)))]
+    return (terms[0] if len(terms) == 1 else SumPotential(tuple(terms))), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(catalog_potential(), st.data())
+def test_gradient_is_monotone(case, data):
+    # F is convex iff its gradient is monotone: <grad F(x) - grad F(y), x - y> >= 0.  Each
+    # kind's gradient is nondecreasing per component and rounding is monotone, so every
+    # component's product, and with them the inner product, is >= 0 in floats too: the
+    # rounding needs no slack
+    spec, m = case
+    point = st.lists(coords, min_size=m, max_size=m)
+    x, y = np.array(data.draw(point)), np.array(data.draw(point))
+    assert np.all((spec.gradient(x) - spec.gradient(y)) * (x - y) >= 0.0)
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(InputError):
-        Quadratic(center=[0.0, 0.0]).value([1.0])
+        Quadratic(center=[0.0, 0.0]).gradient([1.0])
     with pytest.raises(InputError):
         QuarticWell(center=[0.0]).gradient([1.0, 2.0])
 
@@ -365,8 +388,8 @@ def test_invalid_constructions():
 def test_serialization_roundtrip():
     for spec in CATALOG_1D:
         clone = potential_from_dict(potential_to_dict(spec))
+        assert potential_to_dict(clone) == potential_to_dict(spec)
         for x in np.linspace(-3, 3, 5):
-            assert clone.value([x]) == spec.value([x])
             assert clone.gradient([x])[0] == spec.gradient([x])[0]
 
 
@@ -384,8 +407,6 @@ def test_from_dict_errors():
 
 
 # -- one shape rule: a point (m,) or a stack (..., m) ------------------------
-
-coords = st.floats(-10, 10, allow_nan=False)
 
 
 @st.composite
@@ -411,10 +432,9 @@ def potential_and_stack(draw):
 @given(potential_and_stack())
 def test_stack_rows_equal_single_point_results(case):
     spec, stack = case
-    values, grads = spec.value(stack), spec.gradient(stack)
-    assert values.shape == stack.shape[:-1] and grads.shape == stack.shape
+    grads = spec.gradient(stack)
+    assert grads.shape == stack.shape
     for j, x in enumerate(stack):
-        assert np.array_equal(values[j], spec.value(x))
         assert np.array_equal(grads[j], spec.gradient(x))
         assert np.array_equal(-spec.gradient(stack)[j], -spec.gradient(x))
 
@@ -422,15 +442,13 @@ def test_stack_rows_equal_single_point_results(case):
 def test_stack_of_stacks_keeps_leading_axes():
     spec = Quadratic(center=[1.0, -1.0], weight=2.0)
     pts = np.arange(24.0).reshape(3, 4, 2)
-    assert spec.value(pts).shape == (3, 4)
     assert spec.gradient(pts).shape == (3, 4, 2)
-    assert spec.value(pts)[2, 1] == spec.value(pts[2, 1])
+    assert np.array_equal(spec.gradient(pts)[2, 1], spec.gradient(pts[2, 1]))
 
 
 def test_bare_number_is_a_one_dimensional_point():
     spec = FlatBottom1D(0.0, 1.0)
     np.testing.assert_array_equal(spec.gradient(3.0), [2.0])
-    assert spec.value(3.0) == 2.0
     with pytest.raises(InputError):
         Quadratic(center=[0.0, 0.0]).gradient(1.0)
 
@@ -453,12 +471,13 @@ def test_flat_bottom_equals_piecewise_reference(ends, pts, degenerate):
         right = left
     spec = FlatBottom1D(left, right)
     xs = np.array(pts + [left, right, 0.5 * (left + right)])
-    values, grads = spec.value(xs[:, None]), spec.gradient(xs[:, None])
+    # F by the oracle, which the convexity and finite-difference tests read
+    values, grads = oracle_value(spec, xs[:, None]), spec.gradient(xs[:, None])
     for j, s in enumerate(xs):
         ref_value, ref_grad = flat_bottom_reference(left, right, float(s))
         assert np.array_equal(values[j], ref_value)
         assert np.array_equal(grads[j], [ref_grad])
-        assert np.array_equal(spec.value([s]), ref_value)
+        assert np.array_equal(spec.gradient([s]), [ref_grad])
 
 
 def same_bits(a, b) -> bool:
@@ -471,21 +490,11 @@ def network_case(draw):
     """Random catalog networks, their nesting (flat, left or right) and a state stack."""
     m = draw(st.integers(1, 3))
     point = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), coords), min_size=m, max_size=m)
-
-    def term():
-        kinds = ["quadratic", "quartic"] + (["flat_bottom"] if m == 1 else [])
-        kind = draw(st.sampled_from(kinds))
-        if kind == "quadratic":
-            return Quadratic(center=draw(point), weight=draw(st.floats(0.1, 5)))
-        if kind == "quartic":
-            return QuarticWell(center=draw(point))
-        return FlatBottom1D(*sorted(draw(st.lists(coords, min_size=2, max_size=2))))
-
     nesting = draw(st.sampled_from(["flat", "left", "right"]))
     nodes = []
     for _ in range(draw(st.integers(1, 12))):
         size = draw(st.integers(1, 3))
-        terms = [term() for _ in range(size)]
+        terms = [draw_term(draw, m, point) for _ in range(size)]
         if size == 1:
             nodes.append(terms[0])
         elif nesting == "flat" or size == 2:
@@ -505,20 +514,17 @@ def network_case(draw):
 def test_network_potential_equals_per_node_methods(case):
     nodes, nesting, X = case
     net = NetworkPotential(nodes)
-    grads, values = net.gradient(X), net.value(X)
-    assert grads.shape == X.shape and values.shape == X.shape[:-1]
+    grads = net.gradient(X)
+    assert grads.shape == X.shape
     for i, spec in enumerate(nodes):
         x = X[..., i, :]
         terms = potentials._flatten_terms(spec)
         if nesting == "right" and len(terms) == 3:
             # (g1 + (g2 + g3)) against ((g1 + g2) + g3): a few ulps of the terms' size
             g_scale = sum(np.abs(oracle_gradient(t, x)) for t in terms)
-            v_scale = sum(np.abs(oracle_value(t, x)) for t in terms)
             assert np.all(np.abs(grads[..., i, :] - oracle_gradient(spec, x)) <= 1e-15 * g_scale)
-            assert np.all(np.abs(values[..., i] - oracle_value(spec, x)) <= 1e-15 * v_scale)
         else:
             assert same_bits(grads[..., i, :], oracle_gradient(spec, x))
-            assert same_bits(values[..., i], oracle_value(spec, x))
 
 
 @settings(max_examples=300, deadline=None)
@@ -533,11 +539,9 @@ def test_single_potential_equals_oracle(case, data):
     # the kernels add a sum's flattened terms left to right, whatever the nesting
     flat = SumPotential(tuple(potentials._flatten_terms(spec)))
     reference = flat if isinstance(spec, SumPotential) else spec
-    grads, values = spec.gradient(x), spec.value(x)
-    shape = np.shape(x) or (1,)
-    assert grads.shape == shape and np.shape(values) == shape[:-1]
+    grads = spec.gradient(x)
+    assert grads.shape == (np.shape(x) or (1,))
     assert same_bits(grads, oracle_gradient(reference, x))
-    assert same_bits(values, oracle_value(reference, x))
 
 
 def test_kind_without_a_kernel_of_its_own_is_rejected():
@@ -547,7 +551,7 @@ def test_kind_without_a_kernel_of_its_own_is_rejected():
     with pytest.raises(RepresentationError, match="cannot compile a Shifted term"):
         NetworkPotential([Quadratic(center=[0.0]), Shifted(center=[1.0])])
     with pytest.raises(RepresentationError):
-        Shifted(center=[1.0]).value([0.0])
+        Shifted(center=[1.0]).gradient([0.0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -557,7 +561,7 @@ def test_network_potential_commutes_with_node_permutations(case, data):
     perm = data.draw(st.permutations(range(len(nodes))))
     net, permuted = NetworkPotential(nodes), NetworkPotential([nodes[i] for i in perm])
     assert same_bits(permuted.gradient(X[..., perm, :]), net.gradient(X)[..., perm, :])
-    assert same_bits(permuted.value(X[..., perm, :]), net.value(X)[..., perm])
+    assert same_bits(permuted.curvature(X[..., perm, :]), net.curvature(X)[..., perm, :])
 
 
 def test_network_potential_rejects_mismatched_states():
@@ -565,7 +569,7 @@ def test_network_potential_rejects_mismatched_states():
     with pytest.raises(InputError):
         net.gradient(np.zeros((3, 2)))
     with pytest.raises(InputError):
-        net.value(np.zeros((2, 1)))
+        net.curvature(np.zeros((2, 1)))
     with pytest.raises(InputError):
         NetworkPotential([Quadratic(center=[0.0]), Quadratic(center=[0.0, 1.0])])
 

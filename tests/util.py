@@ -83,7 +83,8 @@ def hull_projection_oracle(vertices, x):
     vertices = np.asarray(vertices, dtype=float)
     x = np.asarray(x, dtype=float)
     nverts = vertices.shape[0]
-    # the same floor as the solver: relative down to the square root of the smallest normal
+    # unscaled, so relative only down to the square root of the smallest normal, below which
+    # cert_tol's square would underflow; the solver scales each row by a power of two instead
     scale = max(float(np.sqrt(np.finfo(float).tiny)), float(np.max(np.abs(vertices))),
                 float(np.max(np.abs(x))))
     cert_tol = 5e-13 * scale * scale
@@ -262,8 +263,17 @@ def potential_to_dict(spec) -> dict:
     raise InputError(f"cannot serialize {type(spec).__name__}")
 
 
+def aggregate_value_oracle(potentials, g: WeightedDigraph, K: float, x) -> float:
+    """sum_i F_i(x_i) + (K/2) sum_{edges} a_ij |x_j - x_i|^2 on an undirected g, x as (N, m)
+    blocks, with F by ``oracle_value``; its gradient is the negated network drift."""
+    X = np.asarray(x, dtype=float).reshape(g.node_count, -1)
+    val = sum(float(oracle_value(p, X[i])) for i, p in enumerate(potentials))
+    # for symmetric weights, x'(L kron I)x equals the unordered-edge sum
+    return val + 0.5 * K * float(np.sum(X * (g.laplacian_matrix @ X)))
+
+
 def gradient_consistency_check(spec, samples, h: float, tol: float) -> CheckReport:
-    """Central finite differences of the value against the analytic gradient.
+    """Central finite differences of ``oracle_value`` against the package's gradient.
 
     For every sample the difference quotient of F must match grad F within
     ``tol`` componentwise; the report carries the worst deviation.
@@ -278,7 +288,7 @@ def gradient_consistency_check(spec, samples, h: float, tol: float) -> CheckRepo
         for k in range(spec.dimension):
             e = np.zeros(spec.dimension)
             e[k] = h
-            fd = (spec.value(x + e) - spec.value(x - e)) / (2.0 * h)
+            fd = (oracle_value(spec, x + e) - oracle_value(spec, x - e)) / (2.0 * h)
             dev = abs(fd - grad[k])
             if dev > worst:
                 worst = dev
