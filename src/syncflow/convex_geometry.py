@@ -161,8 +161,11 @@ class Hull:
         if self.dimension == 2 and v.shape[0] >= 3:
             # a counter-clockwise polygon: a row surely left of every edge is its own projection;
             # one that rounding could put on or past an edge (a thin polygon's edges reach far
-            # along their lines) goes to the solver
-            edge, d = np.roll(v, -1, axis=0) - v, rows[:, None, :] - v
+            # along their lines) goes to the solver; all on one power of two that puts every
+            # coordinate below 1, so no cross product overflows
+            e = np.frexp(max(np.abs(v).max(), np.abs(rows).max(initial=0.0)))[1]
+            vs = np.ldexp(v, -e)
+            edge, d = np.roll(vs, -1, axis=0) - vs, np.ldexp(rows, -e)[:, None, :] - vs
             left, right = edge[:, 0] * d[..., 1], edge[:, 1] * d[..., 0]
             inside = (left - right > _orient_error(np.abs(left) + np.abs(right))).all(axis=1)
             todo = np.flatnonzero(~inside)
@@ -396,7 +399,13 @@ def check_drift_alignment(potentials, samples, tol: float = 1e-10) -> CheckRepor
         np.broadcast_to(pts[:, None, :], (pts.shape[0], len(potentials), pts.shape[1]))
     )
     # (samples, nodes); the first maximum in sample-major order is the location
-    vals = row_dot(gaps[:, None, :], drift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = row_dot(gaps[:, None, :], drift)
+        # redo each overflowed product on its rows, each scaled by its own power of two
+        lost = ~np.isfinite(vals)
+        g, d = np.broadcast_to(gaps[:, None, :], drift.shape)[lost], drift[lost]
+        eg, ed = (np.frexp(np.abs(a).max(axis=1, initial=0.0))[1][:, None] for a in (g, d))
+        vals[lost] = np.ldexp(row_dot(np.ldexp(g, -eg), np.ldexp(d, -ed)), (eg + ed)[:, 0])
     si, ni = np.unravel_index(np.argmax(vals), vals.shape)
     worst = float(vals[si, ni])
     where = {"node": int(ni), "sample_index": int(si), "sample": pts[si].tolist()}

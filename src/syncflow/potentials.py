@@ -11,11 +11,12 @@ hypotheses of the synchronization analysis stay machine-checkable:
 * ``FlatBottom1D``   zero on [left, right], quadratic halves outside (1-D)
 * ``SumPotential``   pointwise sum of catalog terms sharing one dimension
 
-``NetworkPotential`` compiles a network's potentials into arrays, so one call
-evaluates every node.  Each kind's kernel, a static method of its class, is the
-only formula for its gradient and curvature (``Potential.gradient`` evaluates a
-one-node network; ``tests/util.py`` holds the per-kind oracle), but for
-the argmin bisection's scalar derivative (see ``_component_zero_interval``).
+``NetworkPotential`` compiles a network's potentials into one kernel per run of like
+terms in a block order of the nodes, so one call evaluates every node.  Each kind's
+kernel, a static method of its class, is the only formula for its gradient and
+curvature (``Potential.gradient`` evaluates a one-node network; ``tests/util.py``
+holds the per-kind oracle), but for the argmin bisection's scalar derivative (see
+``_component_zero_interval``).
 
 The quartic well is deliberately non-Lipschitz and evaluated in double precision
 with no clamping; boundedness along trajectories is the simulator's (divergence
@@ -24,6 +25,7 @@ multiplies take a fifth of libm pow's time, and they stay within 1 ulp of pow wh
 the cube is normal, with pow's inf, NaN, signed zero and overflow.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -296,16 +298,15 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
 
 
 class NetworkPotential:
-    """The node potentials F_1..F_N of a network, compiled into signature blocks.
+    """The node potentials F_1..F_N of a network, compiled into slots of kernels.
 
-    A node's signature is the kinds of its flattened terms; the nodes are
-    ordered once so that each signature is one contiguous block, with a kernel
-    per term slot over the stacked centers, weights or flat-bottom bounds.  ``gradient``
-    and ``curvature`` gather node states (..., N, m) into block order once, add each
-    block's slots in term order on slices and put them back once.
-    A sum thus adds its flattened terms left to right: the bits of ``sum()``
-    over the terms for flat and left-nested sums, while a right-nested sum
-    associates its additions differently from the nesting."""
+    ``order`` sorts the nodes by the kinds of their flattened terms, each kind ranked by
+    its first appearance (``inverse`` undoes it), so the k-th terms of one kind form runs
+    of this block order: one slot each, a kernel over stacked centers, weights or bounds,
+    term k's slots after term k - 1's.  ``add_gradient`` adds every slot on states in
+    block order; ``gradient`` and ``curvature`` gather (..., N, m) in once and out once.
+    A sum thus adds its flattened terms left to right: the bits of ``sum()`` for flat and
+    left-nested sums; a right-nested sum associates differently from its nesting."""
 
     def __init__(self, potentials):
         potentials = list(potentials)
@@ -320,20 +321,23 @@ class NetworkPotential:
         # into +0.0; a single term keeps its sign (-0.0 + g is g)
         start = np.array([[0.0 if isinstance(p, SumPotential) else -0.0] for p in potentials])
         flat = [_flatten_terms(p) for p in potentials]
-        blocks: dict = {}  # signature -> its nodes, in node order
-        for i, terms in enumerate(flat):
-            blocks.setdefault(tuple(type(t) for t in terms), []).append(i)
-        self._order = np.concatenate(list(blocks.values()))
-        self._inverse = np.empty_like(self._order)  # np.argsort would page in its sort code
-        self._inverse[self._order] = np.arange(self.node_count)
-        self._start = start[self._order]
-        self._slots = []  # (block slice, gradient, curvature), each block's in term order
-        for kinds, nodes in blocks.items():
-            block = slice(self._inverse[nodes[0]], self._inverse[nodes[0]] + len(nodes))
-            for k, kind in enumerate(kinds):
-                if "_kernel" not in vars(kind):  # a subclass may change the formula
-                    raise RepresentationError(f"cannot compile a {kind.__name__} term")
-                self._slots.append((block, *kind._kernel([flat[i][k] for i in nodes])))
+        kinds = list(dict.fromkeys(type(t) for terms in flat for t in terms))  # first seen first
+        signature = [tuple(kinds.index(type(t)) for t in terms) for terms in flat]
+        self.order = np.array(sorted(range(self.node_count), key=signature.__getitem__))
+        self.inverse = np.empty_like(self.order)  # np.argsort would page in its sort code
+        self.inverse[self.order] = np.arange(self.node_count)
+        self._start = start[self.order]
+        self._slots = []  # (run, gradient, curvature)
+        for k in range(max(map(len, flat))):
+            b = 0  # the k-th terms in block order, None where a node has fewer
+            kth = [flat[i][k] if k < len(flat[i]) else None for i in self.order]
+            for kind, run in itertools.groupby(kth, type):
+                run = list(run)
+                if run[0] is not None:
+                    if "_kernel" not in vars(kind):  # a subclass may change the formula
+                        raise RepresentationError(f"cannot compile a {kind.__name__} term")
+                    self._slots.append((slice(b, b + len(run)), *kind._kernel(run)))
+                b += len(run)
 
     def _check(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -344,23 +348,27 @@ class NetworkPotential:
             )
         return X
 
+    def add_gradient(self, G: np.ndarray, Xb: np.ndarray) -> None:
+        """G += grad F_i(x_i) in place, for G and states Xb (..., N, m) both in block order."""
+        for run, grad, _ in self._slots:
+            g = G[..., run, :]  # += on the view adds in place; on G[...] it copies back
+            g += grad(Xb[..., run, :])
+
     def gradient(self, X) -> np.ndarray:
         """grad F_i(x_i) for every node, shape ``X.shape``."""
-        X = self._check(X).take(self._order, axis=-2)
+        X = self._check(X).take(self.order, axis=-2)
         G = np.empty(X.shape)
         G[...] = self._start
-        for block, grad, _ in self._slots:
-            g = G[..., block, :]  # += on the view adds in place; on G[...] it copies back
-            g += grad(X[..., block, :])
-        return G.take(self._inverse, axis=-2)
+        self.add_gradient(G, X)
+        return G.take(self.inverse, axis=-2)
 
     def curvature(self, X) -> np.ndarray:
         """d^2 F_i / dx_ik^2, shape ``X.shape``; separable, so each node's Hessian is diagonal."""
-        X = self._check(X).take(self._order, axis=-2)
+        X = self._check(X).take(self.order, axis=-2)
         H = np.zeros(X.shape)
-        for block, _, curv in self._slots:
-            H[..., block, :] += curv(X[..., block, :])
-        return H.take(self._inverse, axis=-2)
+        for run, _, curv in self._slots:
+            H[..., run, :] += curv(X[..., run, :])
+        return H.take(self.inverse, axis=-2)
 
 
 # -- catalog operations -----------------------------------------------------

@@ -392,6 +392,24 @@ def test_a_network_far_from_the_origin_runs(tmp_path, capfd):
     assert capfd.readouterr().out.startswith("[PASS] sync")
 
 
+def test_quadratics_near_1e200_align_with_their_hull_in_2d(tmp_path, capfd):
+    # the inside test's cross products and the alignment products <x - P(x), f_i(x)>
+    # reach ~1e401; for quadratics the inequality holds, so both checks pass
+    far = dict(BASE, nodes=[{"kind": "quadratic", "center": c}
+                            for c in ([1e200, 1e200], [-1e200, 1e200], [0.0, -1e200])],
+               graphs={"g0": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]},
+               x0=[1.05e200, 0.95e200, -0.9e200, 1.1e200, 0.05e200, -0.92e200],
+               dt=0.1, t_end=1.0, sample_every=0.5,
+               checks=[{"name": "drift_alignment"}, {"name": "feasibility"}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as an exception
+        assert main(["verify", str(write(tmp_path, far))]) == 0
+    captured = capfd.readouterr()
+    assert captured.out == ("[PASS] drift_alignment (worst=0.000e+00)\n"
+                            "[PASS] assumption_feasibility (worst=0.000e+00)\n")
+    assert captured.err == ""
+
+
 def test_a_step_that_overflows_trips_a_guard_at_the_largest_float(tmp_path):
     # 1e8 times the box's sup norm 1e301 is beyond the float range, so the guard is
     # capped at the largest float, which the first step's inf state still passes

@@ -392,10 +392,14 @@ def test_stacked_hull_projection_rows_are_certified_oracle_solutions(case):
     assert got.shape == x.shape
     for idx in np.ndindex(x.shape[:-1]):
         row, p = x[idx], got[idx]
-        scale = max(1.0, float(np.max(np.abs(verts))), float(np.max(np.abs(row))))
+        # in units of the row's power of two, which puts scale in [0.5, 1) as the solver does,
+        # so neither check underflows for a tiny row
+        scale, e = np.frexp(max(np.max(np.abs(verts)), np.max(np.abs(row))))
+        v, r, q = (np.ldexp(a, -e) for a in (verts, row, p))
         # the variational inequality at every vertex, with the solver's own tolerance
-        assert np.all((verts - p) @ (p - row) >= -5e-13 * scale * scale)
-        assert np.linalg.norm(p - hull_projection_oracle(verts, row)) <= 1e-12 * scale
+        assert np.all((v - q) @ (q - r) >= -5e-13 * scale * scale)
+        oracle = np.ldexp(hull_projection_oracle(verts, row), -e)
+        assert np.linalg.norm(q - oracle) <= 1e-12 * scale
         if members[idx]:
             assert np.array_equal(p, row)
         assert np.array_equal(hull.project(row), p)

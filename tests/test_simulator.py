@@ -24,7 +24,7 @@ from syncflow import (
     integrate,
 )
 from syncflow.simulator import compile_network, network_field
-from util import equilibrium_oracle_quadratic, oracle_gradient, ring_graph, undirected
+from util import equilibrium_oracle_quadratic, node_order_rk4, ring_graph, undirected
 
 
 def two_node_graph():
@@ -71,13 +71,20 @@ def test_rhs_uses_post_switch_graph_at_switch_instant():
     assert abs(at_switch[0]) > 0.5 and abs(at_switch[1]) < 1e-6
 
 
-def catalog_terms(m):
-    """Single catalog terms of dimension ``m``; the flat bottom exists only in 1-D."""
-    center = st.lists(st.floats(-2, 2), min_size=m, max_size=m)
+def catalog_kinds(m, reach=2.0):
+    """One strategy per catalog kind of dimension ``m``, zero sets in [-reach, reach]; the
+    flat bottom exists only in 1-D."""
+    center = st.lists(st.floats(-reach, reach), min_size=m, max_size=m)
     kinds = [st.builds(Quadratic, center, st.floats(0.1, 3.0)), st.builds(QuarticWell, center)]
     if m == 1:
-        kinds.append(st.tuples(st.floats(-2, 0), st.floats(0, 2)).map(lambda b: FlatBottom1D(*b)))
-    return st.one_of(kinds)
+        bounds = st.tuples(st.floats(-reach, 0), st.floats(0, reach))
+        kinds.append(bounds.map(lambda b: FlatBottom1D(*b)))
+    return kinds
+
+
+def catalog_terms(m):
+    """Single catalog terms of dimension ``m``."""
+    return st.one_of(catalog_kinds(m))
 
 
 @st.composite
@@ -215,9 +222,10 @@ def test_guard_reports_a_nan_state_as_an_infinite_sup_norm():
     # the wells' cubes overflow to +-inf within the first step, and inf - inf is NaN
     pots = [QuarticWell(center=[1e100]), QuarticWell(center=[-1e100])]
     g = two_node_graph()
+    net = compile_network(pots, 2)
+    KL = 1.0 * g.laplacian_matrix[np.ix_(net.order, net.order)]
     with np.errstate(over="ignore", invalid="ignore"):
-        X = simulator._rk4_step(compile_network(pots, 2), g.laplacian_matrix, 1.0,
-                                np.zeros((2, 1)), 0.01)
+        X = simulator._rk4_step(net, KL, np.zeros((2, 1)), 0.01)
     assert np.isnan(X).any()
     with pytest.raises(FiniteEscapeError) as caught:
         integrate(pots, fixed_signal(g), 1.0, [0.0, 0.0], dt=0.01, t_end=1.0)
@@ -307,30 +315,6 @@ def test_sample_every_defaults_to_ten_steps():
     assert traj.meta["sample_every"] == 10 * dt
 
 
-def per_node_rk4(pots, signal, K, x0, dt, times):
-    """RK4 over the recorded sample times, one oracle gradient call per node and stage."""
-
-    def field(lap, x):
-        X = x.reshape(len(pots), -1)
-        drift = np.array([-oracle_gradient(p, xi) for p, xi in zip(pots, X)])
-        return (drift - K * (lap @ X)).ravel()
-
-    x = np.asarray(x0, dtype=float)
-    states = [x]
-    for t0, t1 in zip(times, times[1:]):
-        lap = signal.graph_at(t0).laplacian_matrix
-        nsteps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
-        h = (t1 - t0) / nsteps
-        for _ in range(nsteps):
-            k1 = field(lap, x)
-            k2 = field(lap, x + 0.5 * h * k1)
-            k3 = field(lap, x + 0.5 * h * k2)
-            k4 = field(lap, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(x)
-    return np.array(states)
-
-
 def test_integrate_matches_per_node_reference_on_switching_mixed_network():
     n = 6
     fwd = WeightedDigraph(n, tuple((i, (i + 1) % n, 1.0 + 0.1 * i) for i in range(n)))
@@ -347,9 +331,63 @@ def test_integrate_matches_per_node_reference_on_switching_mixed_network():
     ]
     x0 = np.linspace(-2.0, 2.0, n)
     traj = integrate(pots, sig, 1.5, x0, dt=0.05, t_end=4.0, sample_every=0.25)
-    ref = per_node_rk4(pots, sig, 1.5, x0, 0.05, traj.times)
-    ref = ref.reshape(traj.states.shape)
+    ref = node_order_rk4(pots, sig, 1.5, x0, 0.05, traj.times)
     np.testing.assert_allclose(traj.states, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def interleaved(pots) -> bool:
+    """Whether the network's block order moves a node: its kinds are interleaved."""
+    return not np.array_equal(compile_network(pots, len(pots)).order, np.arange(len(pots)))
+
+
+@st.composite
+def block_order_runs(draw):
+    """A network of catalog terms and sums whose block order is not the node order, on a
+    fixed graph or a two-graph switching signal, with a start in its stable range."""
+    m, n = draw(st.sampled_from([1, 2])), draw(st.integers(2, 6))
+    kinds = catalog_kinds(m, reach=1.0)  # three quartics curve at most 36 on [-1, 1]
+    term = st.one_of(kinds)
+    sums = st.lists(term, min_size=1, max_size=3).map(lambda t: SumPotential(tuple(t)))
+    # a sum led by one kind, ahead of a lone term of that kind, whose signature sorts first
+    kind = draw(st.sampled_from(kinds))
+    pots = [SumPotential((draw(kind), draw(term))),
+            *draw(st.lists(st.one_of(term, sums), min_size=n - 2, max_size=n - 2)), draw(kind)]
+    arcs = st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           st.floats(0.1, 1.5), max_size=2 * n)
+    a, b = (WeightedDigraph(n, tuple((j, i, w) for (j, i), w in draw(arcs).items() if j != i))
+            for _ in range(2))
+    durations = st.sampled_from([0.25, 0.5, 0.75])
+    segments = draw(st.one_of(st.just(()), st.lists(st.tuples(st.sampled_from("ab"), durations),
+                                                    min_size=2, max_size=4)))
+    if segments:
+        dwell = min(d for _, d in segments)
+        sig = SwitchingSignal({"a": a, "b": b}, tuple(segments), dwell)
+        dt = dwell / draw(st.integers(13, 20))
+    else:
+        sig, dt = fixed_signal(a), draw(st.sampled_from([0.01, 0.02]))
+    K = draw(st.floats(0.0, 2.0))
+    x0 = draw(arrays(np.float64, (n * m,), elements=st.floats(-1.0, 1.0)))
+    return pots, sig, K, x0, dt, draw(st.sampled_from([0.1, 0.25, 0.3]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_order_runs())
+def test_integrate_in_block_order_matches_the_node_order_reference(run):
+    pots, sig, K, x0, dt, sample_every = run
+    assert interleaved(pots)
+    traj = integrate(pots, sig, K, x0, dt, 1.0, sample_every)
+    ref = node_order_rk4(pots, sig, K, x0, dt, traj.times)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_first_sample_is_x0_bit_for_bit_with_interleaved_kinds():
+    pots = [SumPotential((Quadratic(center=[0.0]), QuarticWell(center=[1.0]))),
+            QuarticWell(center=[0.5]), Quadratic(center=[0.2]), FlatBottom1D(-1.0, 1.0),
+            Quadratic(center=[1.0])]
+    assert interleaved(pots)
+    x0 = np.array([0.1, -0.0, 5e-324, -0.3, 2.5])
+    traj = integrate(pots, fixed_signal(ring_graph(5)), 1.0, x0, dt=0.01, t_end=0.1)
+    assert traj.states[0].tobytes() == x0.reshape(5, 1).tobytes()
 
 
 def test_event_count_is_capped_before_the_grid_is_built():
@@ -402,9 +440,9 @@ def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
     steps = []
     rk4_step = simulator._rk4_step
 
-    def recorded(net, lap, K, x, h):
-        steps.append((lap, h))
-        return rk4_step(net, lap, K, x, h)
+    def recorded(net, KL, x, h):
+        steps.append((net.order, KL, h))
+        return rk4_step(net, KL, x, h)
 
     with mock.patch.object(simulator, "_rk4_step", recorded):
         traj = integrate(pots, sig, 1.0, [1.0, -1.0], dwell / steps_per_dwell, t_end, sample_every)
@@ -418,13 +456,14 @@ def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
     # each switch takes effect at the sample that records it, the recorded time nearest it
     takes_effect = [(traj.times[np.argmin(np.abs(traj.times - s))], g) for s, g in switches]
     t0 = 0.0
-    for lap, h in steps:
+    for order, KL, h in steps:
         assert not any(t0 + 2 * tol < s < t0 + h - 2 * tol for s, _ in switches)
-        # the step runs on the graph of the last switch to take effect before its midpoint
+        # the step runs on the graph of the last switch to take effect before its midpoint,
+        # as K·L in the network's block order
         gid = sig.graph_id_at(0.0)
         for e, g in takes_effect:
             if e < t0 + 0.5 * h:
                 gid = g
-        np.testing.assert_array_equal(lap, library[gid].laplacian_matrix)
+        np.testing.assert_array_equal(KL, 1.0 * library[gid].laplacian_matrix[np.ix_(order, order)])
         t0 += h
     assert t0 == pytest.approx(t_end, abs=tol)

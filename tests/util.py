@@ -81,12 +81,12 @@ def hull_projection_oracle(vertices, x):
     ``Hull.project`` replaced, kept as its reference.
     """
     vertices = np.asarray(vertices, dtype=float)
-    x = np.asarray(x, dtype=float)
+    given = np.asarray(x, dtype=float)
     nverts = vertices.shape[0]
-    # unscaled, so relative only down to the square root of the smallest normal, below which
-    # cert_tol's square would underflow; the solver scales each row by a power of two instead
-    scale = max(float(np.sqrt(np.finfo(float).tiny)), float(np.max(np.abs(vertices))),
-                float(np.max(np.abs(x))))
+    # as the solver does for each row: one power of two puts scale, the larger of max |vertices|
+    # and max |x|, in [0.5, 1), so the tolerances are relative at every size
+    scale, e = np.frexp(max(np.max(np.abs(vertices)), np.max(np.abs(given))))
+    vertices, x = np.ldexp(vertices, -e), np.ldexp(given, -e)
     cert_tol = 5e-13 * scale * scale
     member_tol = 1e-11 * scale
 
@@ -104,8 +104,8 @@ def hull_projection_oracle(vertices, x):
         worst = float(slack[j])
         if worst >= -cert_tol:
             if np.linalg.norm(p - x) <= member_tol:
-                return np.array(x, dtype=float)  # x is (numerically) a member
-            return p
+                return given.copy()  # x is (numerically) a member
+            return np.ldexp(p, e)
         if j in support:
             break  # stalled: affine solve already optimal over support
         support.append(j)
@@ -129,9 +129,10 @@ def hull_projection_oracle(vertices, x):
             support = [s for s, k in zip(support, keep) if k]
             lam = lam[keep]
             lam = lam / lam.sum()
+    worst, tol = np.ldexp([worst, -cert_tol], 2 * e)  # in the caller's units
     raise NumericalError(
         f"hull projection failed to certify optimality: worst vertex slack "
-        f"{worst:.3e} (tolerance {-cert_tol:.3e})"
+        f"{worst:.3e} (tolerance {tol:.3e})"
     )
 
 
@@ -300,6 +301,36 @@ def gradient_consistency_check(spec, samples, h: float, tol: float) -> CheckRepo
         location=where,
         params={"h": h, "tol": tol, "samples": int(pts.shape[0])},
     )
+
+
+# -- the integrator's reference: RK4 in node order, one oracle call per node and stage
+
+
+def node_order_rk4(pots, signal, K, x0, dt, times) -> np.ndarray:
+    """States (S, N, m) at the sample ``times`` of a run, by RK4 in node order on the dense
+    Laplacian with ``oracle_gradient`` per node; each span between samples takes the graph
+    active at its midpoint in equal steps of at most ``dt``, as ``integrate`` does."""
+    n = len(pots)
+
+    def field(lap, x):
+        X = x.reshape(n, -1)
+        drift = np.array([-oracle_gradient(p, xi) for p, xi in zip(pots, X)])
+        return (drift - K * (lap @ X)).ravel()
+
+    x = np.asarray(x0, dtype=float).ravel()
+    states = [x]
+    for t0, t1 in zip(times, times[1:]):
+        lap = signal.graph_at(0.5 * t0 + 0.5 * t1).laplacian_matrix
+        nsteps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+        h = (t1 - t0) / nsteps
+        for _ in range(nsteps):
+            k1 = field(lap, x)
+            k2 = field(lap, x + 0.5 * h * k1)
+            k3 = field(lap, x + 0.5 * h * k2)
+            k4 = field(lap, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.array(states).reshape(len(times), n, -1)
 
 
 # -- the all-quadratic equilibrium: a linear solve, independent of the integrator
