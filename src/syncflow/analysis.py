@@ -26,9 +26,9 @@ import numpy as np
 from . import convex_geometry as cg
 from .errors import InputError, NumericalError, PreconditionError
 from .graphs import SwitchingSignal, WeightedDigraph, lambda2, require_undirected
-from .potentials import common_zero_set
+from .potentials import NetworkPotential, common_zero_set
 from .report import CheckReport
-from .simulator import Trajectory, compile_network, fixed_signal, integrate, network_field
+from .simulator import Trajectory, fixed_signal, integrate
 
 __all__ = [
     "DiagnosticsSeries",
@@ -277,9 +277,9 @@ def minimize_aggregate(
 ) -> np.ndarray:
     """Minimize the aggregate potential by Newton's method; returns (N, m) blocks.
 
-    The gradient is the negated coupled vector field (exactly the gradient of
-    the aggregate potential on an undirected graph), so agreement between this
-    routine and the simulator is a structural identity, not a coincidence.
+    The gradient is the integrator's ``NetworkPotential.negated_drift`` on K·L built
+    once, in the block order the iterates live in, so agreement between this routine
+    and the simulator is a structural identity, not a coincidence.
 
     The catalog is separable by component, so the Hessian is one N x N block
     per component, H_k = diag(F_i''(x_ik)) + K L, and one stacked solve gives
@@ -296,8 +296,8 @@ def minimize_aggregate(
     if K < 0:
         raise InputError(f"K must be nonnegative, got {K}")
     validate_grad_tol(tol)
-    net = compile_network(potentials, g.node_count)
-    lap = g.laplacian_matrix
+    net = NetworkPotential(potentials)
+    KL = net.coupling(g.laplacian_matrix, K)
     n, m = net.node_count, net.dimension
     diag, tiny = np.arange(n), np.finfo(float).tiny
 
@@ -305,15 +305,15 @@ def minimize_aggregate(
         # an overflowed iterate stops here instead of spending the budget on NaNs
         if not np.all(np.isfinite(y)):
             raise InputError("state entries must be finite")
-        return -network_field(net, lap, K, y)
+        return net.negated_drift(KL, y)
 
-    x = np.array(x_init, dtype=float).reshape(n, m)
+    x = np.array(x_init, dtype=float).reshape(n, m).take(net.order, axis=0)
     grad = grad_at(x)
     gnorm = float(np.linalg.norm(grad))
     for _ in range(max_iter):
         if gnorm <= tol:
-            return x
-        H = np.repeat((K * lap)[None], m, axis=0)  # (m, N, N), one block per component
+            return x.take(net.inverse, axis=0)
+        H = np.repeat(KL[None], m, axis=0)  # (m, N, N), one block per component
         H[:, diag, diag] += net.curvature(x).T
         H[:, diag, diag] += np.maximum(1e-14 / n * np.trace(H, axis1=1, axis2=2), tiny)[:, None]
         # the right side as (m, N, 1), which numpy 1 and 2 both read as m vectors
@@ -332,7 +332,7 @@ def minimize_aggregate(
             )
         x, grad, gnorm = x_next, grad_next, gnorm_next
     if gnorm <= tol:
-        return x
+        return x.take(net.inverse, axis=0)
     raise NumericalError(
         f"minimize_aggregate exhausted {max_iter} iterations; final gradient norm "
         f"{gnorm:.3e} (target {tol:.1e})"
@@ -358,18 +358,17 @@ def check_spectral_bound(
     if K <= 0:
         raise PreconditionError("spectral bound needs K > 0")
     require_undirected(g, "check_spectral_bound")
-    net = compile_network(potentials, g.node_count)
-    lap = g.laplacian_matrix
+    net = NetworkPotential(potentials)
+    KL = net.coupling(g.laplacian_matrix, K)
     P = np.asarray(p, dtype=float).reshape(g.node_count, net.dimension)
-    grad = -network_field(net, lap, K, P)
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = float(np.linalg.norm(net.negated_drift(KL, P.take(net.order, axis=0))))
     if gnorm > grad_tol:
         raise PreconditionError(
             f"p is not a minimizer: |grad F_G(p)| = {gnorm:.3e} > {grad_tol:.1e}"
         )
     p_ave = P.mean(axis=0)
     lhs = float(np.sum((P - p_ave) ** 2))
-    l0 = float(np.linalg.norm(network_field(net, lap, 0.0, P)))
+    l0 = float(np.linalg.norm(net.gradient(P)))
     lam2 = lambda2(g)
     bound = (l0 / (K * lam2)) ** 2
     return CheckReport(

@@ -109,7 +109,16 @@ def _integer(value, key: str) -> int:
     return int(v)
 
 
-_KINDS = {"quadratic", "quartic", "flat_bottom", "sum"}
+def _only(obj: dict, accepted: tuple, what: str):
+    """Refuses any key of the scenario object ``obj`` outside ``accepted``."""
+    for key in obj:
+        if key not in accepted:
+            _fail(f"{what} has no field {key!r}; it accepts: {', '.join(accepted)}")
+
+
+# each potential kind and the fields its object accepts
+_KINDS = {"quadratic": ("kind", "center", "weight"), "quartic": ("kind", "center"),
+          "flat_bottom": ("kind", "left", "right"), "sum": ("kind", "terms")}
 MAX_SUM_DEPTH = 32  # "sum" potentials nested inside one another
 
 
@@ -120,6 +129,7 @@ def potential_from_dict(d: dict, depth: int = 0) -> Potential:
     kind = d["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
         _fail(f"unknown potential kind {kind!r}; expected one of {sorted(_KINDS)}")
+    _only(d, _KINDS[kind], f"potential kind {kind!r}")
     try:
         if kind == "quadratic":
             weight = _number(d.get("weight", 1.0), "weight")
@@ -202,12 +212,14 @@ def load_scenario(path) -> Scenario:
         _fail(f"field 'signal' must be an object, got {sig_raw!r}")
     stype = _require(sig_raw, "type", "signal")
     if stype == "fixed":
+        _only(sig_raw, ("type", "graph", "dwell_floor"), "fixed signal")
         gid = str(_require(sig_raw, "graph", "fixed signal"))
         if gid not in library:
             _fail(f"signal references unknown graph id {gid!r}")
         dwell = _number(sig_raw.get("dwell_floor", 1.0), "dwell_floor", positive=True)
         segs = [(gid, dwell)]  # a fixed graph is a one-segment cycle
     elif stype == "periodic":
+        _only(sig_raw, ("type", "segments", "dwell_floor"), "periodic signal")
         segs_raw = _require(sig_raw, "segments", "periodic signal")
         if not isinstance(segs_raw, list) or not segs_raw:
             _fail("periodic signal needs a nonempty 'segments' list of [graph_id, duration]")

@@ -12,9 +12,10 @@ hypotheses of the synchronization analysis stay machine-checkable:
 * ``SumPotential``   pointwise sum of catalog terms sharing one dimension
 
 ``NetworkPotential`` compiles a network's potentials into one kernel per run of like
-terms in a block order of the nodes, so one call evaluates every node.  Each kind's
-kernel, a static method of its class, is the only formula for its gradient and
-curvature (``Potential.gradient`` evaluates a one-node network; ``tests/util.py``
+terms in a block order of the nodes, so one call evaluates every node; its ``coupling``
+(K·L) and ``negated_drift`` (grad F + K L X) are the one evaluator of the coupled network.
+Each kind's kernel, a static method of its class, is the only formula for its gradient
+and curvature (``Potential.gradient`` evaluates a one-node network; ``tests/util.py``
 holds the per-kind oracle), but for the argmin bisection's scalar derivative (see
 ``_component_zero_interval``).
 
@@ -303,8 +304,8 @@ class NetworkPotential:
     ``order`` sorts the nodes by the kinds of their flattened terms, each kind ranked by
     its first appearance (``inverse`` undoes it), so the k-th terms of one kind form runs
     of this block order: one slot each, a kernel over stacked centers, weights or bounds,
-    term k's slots after term k - 1's.  ``add_gradient`` adds every slot on states in
-    block order; ``gradient`` and ``curvature`` gather (..., N, m) in once and out once.
+    term k's slots after term k - 1's.  ``negated_drift`` and ``curvature`` take states
+    in block order; ``gradient`` gathers node states (..., N, m) in once and out once.
     A sum thus adds its flattened terms left to right: the bits of ``sum()`` for flat and
     left-nested sums; a right-nested sum associates differently from its nesting."""
 
@@ -348,27 +349,42 @@ class NetworkPotential:
             )
         return X
 
-    def add_gradient(self, G: np.ndarray, Xb: np.ndarray) -> None:
+    def coupling(self, lap, K: float) -> np.ndarray:
+        """K·L in block order for ``negated_drift``, from the N x N Laplacian ``lap``."""
+        if np.shape(lap) != (self.node_count, self.node_count):
+            raise InputError(f"{self.node_count} potentials for {len(lap)} graph nodes")
+        return K * lap[np.ix_(self.order, self.order)]
+
+    def negated_drift(self, KL: np.ndarray, Xb: np.ndarray) -> np.ndarray:
+        """grad F(X) + K L X, the negated network drift, with K·L from ``coupling``, states
+        Xb (..., N, m) and the result in block order: on an undirected graph, the gradient
+        of the aggregate potential sum F_i + (K/2) x^T (L kron I) x."""
+        S = KL @ Xb
+        self._add_gradient(S, Xb)
+        return S
+
+    def _add_gradient(self, G: np.ndarray, Xb: np.ndarray) -> None:
         """G += grad F_i(x_i) in place, for G and states Xb (..., N, m) both in block order."""
         for run, grad, _ in self._slots:
             g = G[..., run, :]  # += on the view adds in place; on G[...] it copies back
             g += grad(Xb[..., run, :])
 
     def gradient(self, X) -> np.ndarray:
-        """grad F_i(x_i) for every node, shape ``X.shape``."""
+        """grad F_i(x_i) for every node, shape ``X.shape``, in node order."""
         X = self._check(X).take(self.order, axis=-2)
         G = np.empty(X.shape)
         G[...] = self._start
-        self.add_gradient(G, X)
+        self._add_gradient(G, X)
         return G.take(self.inverse, axis=-2)
 
-    def curvature(self, X) -> np.ndarray:
-        """d^2 F_i / dx_ik^2, shape ``X.shape``; separable, so each node's Hessian is diagonal."""
-        X = self._check(X).take(self.order, axis=-2)
-        H = np.zeros(X.shape)
+    def curvature(self, Xb) -> np.ndarray:
+        """d^2 F_i / dx_ik^2 for states Xb (..., N, m), both in block order; separable, so each
+        node's Hessian is diagonal."""
+        Xb = self._check(Xb)
+        H = np.zeros(Xb.shape)
         for run, _, curv in self._slots:
-            H[..., run, :] += curv(X[..., run, :])
-        return H.take(self.inverse, axis=-2)
+            H[..., run, :] += curv(Xb[..., run, :])
+        return H
 
 
 # -- catalog operations -----------------------------------------------------

@@ -12,8 +12,8 @@ exactly on every switch instant and sample instant; that keeps fourth-order
 accuracy piecewise and makes runs bit-reproducible.
 
 A run keeps its states in the compiled potentials' block order, with K·L permuted
-into it once per graph, so each RK4 stage is one matmul plus one in-place kernel add
-per slot; ``network_field`` is the same drift in node order.
+into it once per graph by ``NetworkPotential.coupling``, so each RK4 stage is one
+``NetworkPotential.negated_drift``: one matmul plus one in-place kernel add per slot.
 
 The exact flow stays in the box spanned by x0 and the zero sets (gradients
 nondecreasing per component, diffusive coupling), so a state past 1e8 times that
@@ -30,13 +30,7 @@ from .errors import ConfigurationError, FiniteEscapeError, InputError
 from .graphs import SwitchingSignal, WeightedDigraph
 from .potentials import NetworkPotential
 
-__all__ = [
-    "Trajectory",
-    "fixed_signal",
-    "compile_network",
-    "network_field",
-    "integrate",
-]
+__all__ = ["Trajectory", "fixed_signal", "integrate"]
 
 # sample instants plus switch instants one integration may hold in memory
 MAX_EVENTS = 1_000_000
@@ -74,9 +68,9 @@ class Trajectory:
         return self.states.shape[2]
 
 
-def fixed_signal(g: WeightedDigraph, dwell_floor: float = 1.0) -> SwitchingSignal:
-    """Wrap a single graph as a constant switching signal: one segment of ``dwell_floor``."""
-    return SwitchingSignal({"g": g}, (("g", dwell_floor),), dwell_floor)
+def fixed_signal(g: WeightedDigraph) -> SwitchingSignal:
+    """Wrap a single graph as a constant switching signal: one segment of dwell floor 1."""
+    return SwitchingSignal({"g": g}, (("g", 1.0),), 1.0)
 
 
 def validate_dt(signal: SwitchingSignal, dt: float):
@@ -88,34 +82,12 @@ def validate_dt(signal: SwitchingSignal, dt: float):
         )
 
 
-def compile_network(potentials, node_count: int) -> NetworkPotential:
-    """The potentials of a graph's ``node_count`` nodes, compiled once for many field calls."""
-    net = NetworkPotential(potentials)
-    if net.node_count != node_count:
-        raise InputError(f"{net.node_count} potentials for {node_count} graph nodes")
-    return net
-
-
-def _negated_drift(net: NetworkPotential, KL: np.ndarray, Xb: np.ndarray) -> np.ndarray:
-    """grad F(X) + K L X, the negated network drift, with K·L, Xb and the result in block order."""
-    S = KL @ Xb
-    net.add_gradient(S, Xb)
-    return S
-
-
-def network_field(net: NetworkPotential, lap: np.ndarray, K: float, X: np.ndarray) -> np.ndarray:
-    """The network drift -grad F(X) - K L X on node states X of shape (..., N, m)."""
-    o = net.order
-    S = _negated_drift(net, K * lap[np.ix_(o, o)], net._check(X).take(o, axis=-2))
-    return np.negative(S, out=S).take(net.inverse, axis=-2)
-
-
 def _rk4_step(net, KL, X, h):
-    """One RK4 step of X' = -S(X) with S = ``_negated_drift``, on states X in block order."""
-    S1 = _negated_drift(net, KL, X)
-    S2 = _negated_drift(net, KL, X - (0.5 * h) * S1)
-    S3 = _negated_drift(net, KL, X - (0.5 * h) * S2)
-    S4 = _negated_drift(net, KL, X - h * S3)
+    """One RK4 step of X' = -S(X) with S = ``net.negated_drift``, on states X in block order."""
+    S1 = net.negated_drift(KL, X)
+    S2 = net.negated_drift(KL, X - (0.5 * h) * S1)
+    S3 = net.negated_drift(KL, X - (0.5 * h) * S2)
+    S4 = net.negated_drift(KL, X - h * S3)
     S2 += S3  # S1 + 2 (S2 + S3) + S4, in place
     S2 *= 2.0
     S2 += S1
@@ -198,7 +170,13 @@ def integrate(
     if dt <= 0 or t_end <= 0 or sample_every <= 0:
         raise InputError("dt, t_end and sample_every must be positive")
     validate_dt(signal, dt)
-    net = compile_network(potentials, signal.node_count)
+    net = NetworkPotential(potentials)
+    validate_event_count(signal, t_end, sample_every, dt)
+    events = _event_grid(signal, t_end, sample_every)
+    # K·L in block order, built once for each graph the run visits
+    first = signal.graph_id_at(0.0)
+    visited = {first, *(gid for *_, gid in events if gid is not None)}
+    ops = {g: net.coupling(signal.library[g].laplacian_matrix, K) for g in visited}
     X = np.asarray(x0, dtype=float)
     if X.size != net.node_count * net.dimension:
         raise InputError(f"x0 length {X.size} != node_count*dim = {net.node_count * net.dimension}")
@@ -210,14 +188,7 @@ def integrate(
     # 1e8 times the invariant box's sup norm, capped at the largest float so that an
     # overflowed (inf) state still trips it
     guard = min(1e8 * max(1.0, float(np.abs(box).max())), float(np.finfo(float).max))
-
-    validate_event_count(signal, t_end, sample_every, dt)
-    events = _event_grid(signal, t_end, sample_every)
-    # K·L in block order, built once for each graph the run visits
-    o, first = net.order, signal.graph_id_at(0.0)
-    visited = {first, *(gid for *_, gid in events if gid is not None)}
-    ops = {g: K * signal.library[g].laplacian_matrix[np.ix_(o, o)] for g in visited}
-    X = X.take(o, axis=0)  # the run keeps its states in block order
+    X = X.take(net.order, axis=0)  # the run keeps its states in block order
     times = [0.0]
     states = [X]  # RK4 steps build new arrays, so recorded states need no copies
     KL = ops[first]

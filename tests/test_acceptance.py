@@ -29,8 +29,7 @@ from syncflow import (
     minimize_aggregate,
 )
 from syncflow.analysis import cube_containment, diameter_series
-from syncflow.simulator import compile_network, network_field
-from util import complete_graph, five_topologies, path_graph, ring_graph
+from util import complete_graph, five_topologies, network_drift, path_graph, ring_graph
 
 
 def _criterion(num: int, desc: str, ok: bool, extra: str = ""):
@@ -274,7 +273,6 @@ def test_criterion_7_minimizer_structure_and_gradient_identity():
     # gradient of the aggregate potential == negated vector field, to 1e-12
     rng = np.random.default_rng(11)
     g = ring_graph(4)
-    net = compile_network(pots, 4)
     pairs = [(i, (i + 1) % 4, 1.0) for i in range(4)]
     worst = 0.0
     for _ in range(100):
@@ -283,13 +281,13 @@ def test_criterion_7_minimizer_structure_and_gradient_identity():
         for i, j, w in pairs:
             grad[i] += 1.0 * w * (x[i] - x[j])
             grad[j] += 1.0 * w * (x[j] - x[i])
-        field = network_field(net, g.laplacian_matrix, 1.0, x.reshape(4, 1))[:, 0]
+        field = network_drift(pots, g.laplacian_matrix, 1.0, x.reshape(4, 1))[:, 0]
         worst = max(worst, np.abs(grad + field).max())
     ok &= worst <= 1e-12
     _criterion(
         7,
         "common-zero minimizers lie on the consensus manifold inside the intersection; "
-        "grad == -network_field",
+        "grad == -drift",
         ok,
         f"worst spread/dev {spread_worst:.1e}, worst gradient dev {worst:.1e}",
     )

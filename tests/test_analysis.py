@@ -29,15 +29,15 @@ from syncflow import (
     minimize_aggregate,
     sweep_K,
 )
-from syncflow import analysis
 from syncflow.analysis import check_no_sync, check_sync, cube_containment, diameter_series
-from syncflow.simulator import compile_network, network_field
 from syncflow.convex_geometry import zero_set_hull
+from syncflow.potentials import NetworkPotential
 from util import (
     aggregate_value_oracle,
     equilibrium_oracle_quadratic,
     extreme_points_oracle,
     hull_projection_oracle,
+    network_drift,
     path_graph,
     ring_graph,
     squared_polygon_distance_oracle,
@@ -312,7 +312,7 @@ def test_node_optimum_fails_off_argmin_equilibrium():
 
 
 def test_gradient_identity_against_rhs():
-    # independent edge-loop assembly of grad F_G must equal -network_field to 1e-12
+    # independent edge-loop assembly of grad F_G must equal minus the drift to 1e-12
     rng = np.random.default_rng(42)
     pots = [
         Quadratic(center=[0.3], weight=1.5),
@@ -323,7 +323,6 @@ def test_gradient_identity_against_rhs():
     pairs = [(0, 1, 1.3), (1, 2, 0.7), (2, 3, 2.0), (0, 3, 1.1)]
     arcs = tuple((i, j, w) for i, j, w in pairs) + tuple((j, i, w) for i, j, w in pairs)
     g = WeightedDigraph(4, arcs)
-    net = compile_network(pots, 4)
     K = 1.7
     for _ in range(100):
         x = rng.uniform(-5, 5, 4)
@@ -333,7 +332,7 @@ def test_gradient_identity_against_rhs():
         for i, j, w in pairs:
             grad[i] += K * w * (x[i] - x[j])
             grad[j] += K * w * (x[j] - x[i])
-        from_field = -network_field(net, g.laplacian_matrix, K, x.reshape(4, 1))
+        from_field = -network_drift(pots, g.laplacian_matrix, K, x.reshape(4, 1))
         assert np.abs(grad - from_field[:, 0]).max() <= 1e-12
 
 
@@ -344,8 +343,7 @@ def test_aggregate_potential_finite_difference():
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.uniform(-2, 2, 3)
-        net = compile_network(pots, 3)
-        grad = -network_field(net, g.laplacian_matrix, K, x.reshape(3, 1))[:, 0]
+        grad = -network_drift(pots, g.laplacian_matrix, K, x.reshape(3, 1))[:, 0]
         h = 1e-6
         for k in range(3):
             e = np.zeros(3)
@@ -426,7 +424,7 @@ def aggregate_problems(draw):
 def test_minimize_aggregate_reaches_the_gradient_tolerance(case):
     pots, g, K, x0 = case
     p = minimize_aggregate(pots, g, K, x0, tol=1e-10)
-    grad = network_field(compile_network(pots, g.node_count), g.laplacian_matrix, K, p)
+    grad = network_drift(pots, g.laplacian_matrix, K, p)
     assert np.linalg.norm(grad) <= 1e-10
     if all(isinstance(q, Quadratic) for q in pots):
         np.testing.assert_allclose(p, equilibrium_oracle_quadratic(pots, g, K), rtol=0, atol=1e-8)
@@ -440,7 +438,7 @@ def test_minimize_aggregate_settles_a_node_pulled_across_a_flat_bottom_edge():
             FlatBottom1D(-1.0, 0.0)]
     g, K = undirected(4, [(0, 1), (0, 2), (0, 3)]), 1.8939431562421724e-18
     p = minimize_aggregate(pots, g, K, np.full((4, 1), -1e4), tol=1e-10)
-    assert np.linalg.norm(network_field(compile_network(pots, 4), g.laplacian_matrix, K, p)) <= 1e-10
+    assert np.linalg.norm(network_drift(pots, g.laplacian_matrix, K, p)) <= 1e-10
 
 
 def test_minimize_aggregate_names_a_stall(monkeypatch):
@@ -451,12 +449,38 @@ def test_minimize_aggregate_names_a_stall(monkeypatch):
             SumPotential((Quadratic(center=[0.1 * i]), QuarticWell(center=[-0.1 * i])))
             for i in range(n)]
     calls = []
-    field = analysis.network_field
-    monkeypatch.setattr(analysis, "network_field", lambda *a: calls.append(1) or field(*a))
+    drift = NetworkPotential.negated_drift
+    monkeypatch.setattr(NetworkPotential, "negated_drift",
+                        lambda *a: calls.append(1) or drift(*a))
     with pytest.raises(NumericalError, match="stalled"):
         minimize_aggregate(pots, ring_graph(n), 8.0, [float(i % 5) - 2.0 for i in range(n)],
                            tol=1e-300)
     assert len(calls) <= 500
+
+
+def test_minimize_aggregate_builds_the_coupling_once(monkeypatch):
+    # K·L is permuted into block order once per call, not once per gradient or Newton step
+    pots = [Quadratic(center=[0.0]), QuarticWell(center=[1.0]), Quadratic(center=[-1.0]),
+            SumPotential((Quadratic(center=[0.5]), QuarticWell(center=[0.0])))]
+    calls = []
+    coupling = NetworkPotential.coupling
+    monkeypatch.setattr(NetworkPotential, "coupling", lambda *a: calls.append(1) or coupling(*a))
+    for x0 in ([0.0] * 4, [5.0, -3.0, 2.0, 1.0]):
+        calls.clear()
+        p = minimize_aggregate(pots, ring_graph(4), 1.3, x0, tol=1e-10)
+        assert len(calls) == 1
+        assert np.linalg.norm(network_drift(pots, ring_graph(4).laplacian_matrix, 1.3, p)) <= 1e-10
+
+
+def test_aggregate_evaluators_name_both_counts_when_a_node_has_no_potential():
+    pots, g = [Quadratic(center=[0.0])] * 2, ring_graph(3)
+    message = r"^2 potentials for 3 graph nodes$"
+    with pytest.raises(InputError, match=message):
+        minimize_aggregate(pots, g, 1.0, [0.0, 0.0])
+    # the count is checked before p is reshaped, so a short p is no numpy ValueError
+    with pytest.raises(InputError, match=message) as caught:
+        check_spectral_bound([0.0, 0.0], pots, g, 1.0)
+    assert not isinstance(caught.value, ValueError)
 
 
 def test_minimize_aggregate_names_an_exhausted_budget():

@@ -432,6 +432,41 @@ def test_unknown_top_level_field_is_named_with_the_accepted_ones(tmp_path, capsy
     assert "the accepted fields are: " + ", ".join(cli.FIELDS) in err
 
 
+UNKNOWN_OBJECT_FIELDS = {
+    "quadratic_typo": ({"nodes": [{"kind": "quadratic", "center": [1.0], "wieght": 5.0},
+                                  BASE["nodes"][1]]},
+                       "potential kind 'quadratic' has no field 'wieght'; "
+                       "it accepts: kind, center, weight"),
+    "quartic_weight": ({"nodes": [{"kind": "quartic", "center": [0.0], "weight": 2.0},
+                                  BASE["nodes"][1]]},
+                       "potential kind 'quartic' has no field 'weight'; it accepts: kind, center"),
+    "flat_bottom_center": ({"nodes": [{"kind": "flat_bottom", "left": 0.0, "right": 1.0,
+                                       "center": [0.5]}, BASE["nodes"][1]]},
+                           "potential kind 'flat_bottom' has no field 'center'; "
+                           "it accepts: kind, left, right"),
+    "nested_sum_term": ({"nodes": [{"kind": "sum", "terms": [
+                             {"kind": "sum", "terms": [{"kind": "quartic", "centre": [0.0]}]}]},
+                         BASE["nodes"][1]]},
+                        "potential kind 'quartic' has no field 'centre'; it accepts: kind, center"),
+    "sum_weight": ({"nodes": [{"kind": "sum", "terms": [BASE["nodes"][0]], "weight": 2.0},
+                              BASE["nodes"][1]]},
+                   "potential kind 'sum' has no field 'weight'; it accepts: kind, terms"),
+    "fixed_segments": ({"signal": {"type": "fixed", "graph": "g0", "segmnets": [["g0", 1.0]]}},
+                       "fixed signal has no field 'segmnets'; it accepts: type, graph, dwell_floor"),
+    "periodic_graph": ({"signal": {"type": "periodic", "segments": [["g0", 1.0]],
+                                   "dwell_floor": 1.0, "graph": "g0"}},
+                       "periodic signal has no field 'graph'; "
+                       "it accepts: type, segments, dwell_floor"),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_OBJECT_FIELDS.values(), ids=UNKNOWN_OBJECT_FIELDS.keys())
+def test_unknown_potential_or_signal_field_is_named_with_the_accepted_ones(tmp_path, capsys, case):
+    overrides, message = case
+    assert main(["verify", str(write(tmp_path, dict(BASE, **overrides)))]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def nested_sum_scenario(depth: int) -> str:
     """BASE with a first node of ``depth`` nested sums, as text: too deep for ``json.dumps``."""
     node = '{"kind": "sum", "terms": [' * depth + json.dumps(BASE["nodes"][0]) + "]}" * depth

@@ -23,8 +23,14 @@ from syncflow import (
     fixed_signal,
     integrate,
 )
-from syncflow.simulator import compile_network, network_field
-from util import equilibrium_oracle_quadratic, node_order_rk4, ring_graph, undirected
+from syncflow.potentials import NetworkPotential
+from util import (
+    equilibrium_oracle_quadratic,
+    network_drift,
+    node_order_rk4,
+    ring_graph,
+    undirected,
+)
 
 
 def two_node_graph():
@@ -33,8 +39,7 @@ def two_node_graph():
 
 def rhs_at(pots, sig, K, t, X):
     """The right-hand side, the network drift, at time ``t`` on the graph active then."""
-    X = np.asarray(X, dtype=float)
-    return network_field(compile_network(pots, len(pots)), sig.graph_at(t).laplacian_matrix, K, X)
+    return network_drift(pots, sig.graph_at(t).laplacian_matrix, K, X)
 
 
 def test_rhs_two_node_quadratic():
@@ -103,24 +108,26 @@ def lane_stacks(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(lane_stacks())
-def test_network_field_on_a_lane_stack_equals_one_call_per_lane(case):
+def test_negated_drift_on_a_lane_stack_equals_one_call_per_lane(case):
     pots, g, K, X = case
-    net, lap = compile_network(pots, g.node_count), g.laplacian_matrix
-    stacked = network_field(net, lap, K, X)
+    net = NetworkPotential(pots)
+    KL = net.coupling(g.laplacian_matrix, K)
+    stacked = net.negated_drift(KL, X)
     assert stacked.shape == X.shape
     for lane in range(X.shape[0]):
-        np.testing.assert_array_equal(stacked[lane], network_field(net, lap, K, X[lane]))
+        np.testing.assert_array_equal(stacked[lane], net.negated_drift(KL, X[lane]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(lane_stacks())
-def test_network_field_neither_writes_nor_aliases_its_input(case):
+def test_negated_drift_neither_writes_nor_aliases_its_input(case):
     pots, g, K, stack = case
-    net, lap = compile_network(pots, g.node_count), g.laplacian_matrix
+    net = NetworkPotential(pots)
+    KL = net.coupling(g.laplacian_matrix, K)
     for X in (stack[0].copy(), stack):  # one state (N, m) and a lane stack (B, N, m)
         before = X.tobytes()
-        first = network_field(net, lap, K, X)
-        second = network_field(net, lap, K, X)
+        first = net.negated_drift(KL, X)
+        second = net.negated_drift(KL, X)
         assert X.tobytes() == before
         assert not np.shares_memory(first, X) and not np.shares_memory(second, X)
         assert not np.shares_memory(second, first)
@@ -222,7 +229,7 @@ def test_guard_reports_a_nan_state_as_an_infinite_sup_norm():
     # the wells' cubes overflow to +-inf within the first step, and inf - inf is NaN
     pots = [QuarticWell(center=[1e100]), QuarticWell(center=[-1e100])]
     g = two_node_graph()
-    net = compile_network(pots, 2)
+    net = NetworkPotential(pots)
     KL = 1.0 * g.laplacian_matrix[np.ix_(net.order, net.order)]
     with np.errstate(over="ignore", invalid="ignore"):
         X = simulator._rk4_step(net, KL, np.zeros((2, 1)), 0.01)
@@ -242,6 +249,12 @@ def test_input_validation():
         integrate(pots, sig, -1.0, [1.0, 0.0], dt=0.01, t_end=1.0, sample_every=0.1)
     with pytest.raises(InputError):
         integrate(pots[:1], sig, 1.0, [1.0, 0.0], dt=0.01, t_end=1.0, sample_every=0.1)
+
+
+def test_integrate_names_both_counts_when_a_node_has_no_potential():
+    sig = fixed_signal(two_node_graph())
+    with pytest.raises(InputError, match=r"^1 potentials for 2 graph nodes$"):
+        integrate([Quadratic(center=[0.0])], sig, 1.0, [1.0, 0.0], dt=0.01, t_end=1.0)
 
 
 def test_equilibrium_oracle_two_node():
@@ -337,7 +350,7 @@ def test_integrate_matches_per_node_reference_on_switching_mixed_network():
 
 def interleaved(pots) -> bool:
     """Whether the network's block order moves a node: its kinds are interleaved."""
-    return not np.array_equal(compile_network(pots, len(pots)).order, np.arange(len(pots)))
+    return not np.array_equal(NetworkPotential(pots).order, np.arange(len(pots)))
 
 
 @st.composite

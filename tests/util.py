@@ -18,7 +18,7 @@ from syncflow import (
     WeightedDigraph,
 )
 from syncflow.convex_geometry import row_dot
-from syncflow.simulator import compile_network
+from syncflow.potentials import NetworkPotential
 
 
 def undirected(n, pairs, weight=1.0):
@@ -303,6 +303,17 @@ def gradient_consistency_check(spec, samples, h: float, tol: float) -> CheckRepo
     )
 
 
+# -- the network drift in node order
+
+
+def network_drift(potentials, lap, K, X) -> np.ndarray:
+    """The network drift -grad F(X) - K L X on node states X (..., N, m), in node order:
+    ``NetworkPotential.negated_drift`` with the states permuted into block order and back."""
+    net = NetworkPotential(potentials)
+    Xb = np.asarray(X, dtype=float).take(net.order, axis=-2)
+    return -net.negated_drift(net.coupling(lap, K), Xb).take(net.inverse, axis=-2)
+
+
 # -- the integrator's reference: RK4 in node order, one oracle call per node and stage
 
 
@@ -345,7 +356,7 @@ def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np
     """
     if any(not isinstance(p, Quadratic) for p in potentials):
         raise PreconditionError("equilibrium oracle requires all-quadratic potentials")
-    eye = np.eye(compile_network(potentials, g.node_count).dimension)
+    eye = np.eye(potentials[0].dimension)
     w_diag = np.kron(np.diag([p.weight for p in potentials]), eye)
     lap = np.kron(np.array(g.laplacian_matrix), eye)
     b = np.concatenate([p.weight * p.center for p in potentials])
