@@ -36,7 +36,6 @@ from .graphs import (
     WeightedDigraph,
     certify_ujsc,
     is_strongly_connected,
-    joint_graph,
     lambda2,
 )
 from .potentials import (

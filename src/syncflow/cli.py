@@ -335,8 +335,9 @@ class Check:
 def _fixed_symmetric_connected(sc: Scenario):
     if sc.signal.has_switches():
         _fail("check 'spectral_bound' requires a fixed signal")
+    g = sc.signal.library[sc.signal.segments[0][0]]  # a fixed signal names one graph
     try:
-        graphs.require_undirected(sc.signal.graph_at(0.0), "check 'spectral_bound'")
+        graphs.require_undirected(g, "check 'spectral_bound'")
     except PreconditionError as e:
         _fail(str(e))
     if sc.primary_K <= 0:
@@ -354,7 +355,7 @@ def _common_zero(sc: Scenario):
 
 
 def _spectral_bound(sc: Scenario, traj, diag, p):
-    g = sc.signal.graph_at(0.0)
+    g = sc.signal.library[sc.signal.segments[0][0]]
     # on a fixed symmetric graph the primary run is the gradient flow of this
     # aggregate at this K, so its last sample is already near the minimizer
     x = analysis.minimize_aggregate(

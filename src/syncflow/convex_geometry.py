@@ -336,19 +336,16 @@ def _project_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
 # -- zero-set geometry ------------------------------------------------------
 
 
-def intersect(bodies: list[Box | Hull], tol: float = 1e-9) -> Box | None:
+def intersect(bodies: list[Box], tol: float = 1e-9) -> Box | None:
     """Intersection of boxes, or ``None`` when empty; a width within ``tol`` collapses to a point.
 
-    Hulls are not supported: every catalog zero set is a box, and boxes are
-    closed under intersection.
+    Every catalog zero set is a box, and boxes are closed under intersection.
     """
     if not bodies:
         raise InputError("intersect requires at least one body")
     for b in bodies:
         if b.dimension != bodies[0].dimension:
             raise InputError("bodies must share one dimension")
-        if not isinstance(b, Box):
-            raise RepresentationError(f"intersection unsupported for {type(b).__name__}")
     lo = np.maximum.reduce([b.lo for b in bodies])
     hi = np.minimum.reduce([b.hi for b in bodies])
     if (lo > hi + tol).any():

@@ -5,16 +5,16 @@ j is a neighbor of node i, so information flows j -> i and the adjacency
 entry A[i, j] = w.  A ``SwitchingSignal`` maps time to snapshots as a
 piecewise-constant, right-continuous cycle of ``(graph_id, duration)``
 segments repeated over [0, inf); a one-segment cycle is a fixed graph.  The
-segment table alone says which graph holds from when: ``switch_times`` pairs
-each switch with the next segment's graph, and the uniform joint connectivity
-certificate reads the segments from each start of one period.
+segment table is the one map from time to graph: the first segment's graph
+holds from 0, ``switch_times`` pairs each later switch with the next segment's
+graph, and the uniform joint connectivity certificate reads the segments from
+each start of one period.
 
 The algebraic side provides the graph Laplacian D - A, strong connectivity
 via double reachability sweeps, and the second-smallest Laplacian eigenvalue
 of symmetric graphs (``numpy.linalg.eigvalsh``).
 """
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +29,6 @@ __all__ = [
     "WeightedDigraph",
     "SwitchingSignal",
     "is_strongly_connected",
-    "joint_graph",
     "certify_ujsc",
     "lambda2",
     "require_undirected",
@@ -163,6 +162,8 @@ class SwitchingSignal:
         missing = [g for g, _ in segs if g not in self.library]
         if missing:
             raise InputError(f"signal references unknown graph ids {missing}")
+        if self.has_switches() and self.period <= _TIME_TOL:
+            raise InputError(f"switching period {self.period:g} must exceed {_TIME_TOL:g}")
 
     @property
     def node_count(self) -> int:
@@ -173,61 +174,28 @@ class SwitchingSignal:
         """End time of each segment within the period."""
         return tuple(itertools.accumulate(d for _, d in self.segments))
 
-    @cached_property
-    def _marks(self) -> tuple:
-        # a time within _TIME_TOL of a segment's end already belongs to the next segment
-        return tuple(end - _TIME_TOL for end in self._ends)
-
     @property
     def period(self) -> float:
         return self._ends[-1]
 
-    def graph_id_at(self, t: float) -> str:
-        if t < 0:
-            raise InputError(f"time must be nonnegative, got {t}")
-        tau = t - math.floor(t / self.period) * self.period
-        # past the last mark, tau wraps to the first segment
-        return self.segments[bisect.bisect_right(self._marks, tau) % len(self.segments)][0]
-
-    def graph_at(self, t: float) -> WeightedDigraph:
-        return self.library[self.graph_id_at(t)]
-
-    def switch_times(self, t0: float, t1: float) -> list[tuple[float, str]]:
-        """``(instant, graph_id)`` per switch in (t0, t1]: the next segment's graph from then on."""
+    def switch_times(self, t_end: float) -> list[tuple[float, str]]:
+        """``(instant, graph_id)`` per switch in (0, t_end]: graph_id holds from the instant on."""
         ids = [g for g, _ in self.segments]
         # a segment end is a switch only if the ids differ across it
         changing = [(e, nxt) for e, g, nxt in zip(self._ends, ids, ids[1:] + ids[:1]) if g != nxt]
-        if not changing or t1 <= t0:
-            return []
-        period = self.period
         out = []
-        k = max(0, math.floor(t0 / period) - 1)
-        while True:
-            base = k * period
-            if base > t1 + _TIME_TOL:
-                break
+        k = 0
+        while changing and k * self.period <= t_end + _TIME_TOL:
             for c, g in changing:
-                t = base + c
-                if t0 + _TIME_TOL < t <= t1 + _TIME_TOL:
-                    out.append((min(t, t1), g))
+                t = k * self.period + c
+                if t <= t_end + _TIME_TOL:
+                    out.append((min(t, t_end), g))
             k += 1
         return out
 
     def has_switches(self) -> bool:
         """True when the segments name more than one distinct graph."""
         return len({g for g, _ in self.segments}) > 1
-
-
-def joint_graph(signal: SwitchingSignal, t1: float, t2: float) -> frozenset:
-    """The ``(j, i)`` arcs of every graph active in [t1, t2), weights ignored."""
-    if not t1 < t2:
-        raise InputError(f"window requires t1 < t2, got [{t1}, {t2})")
-    if t2 - t1 >= signal.period - _TIME_TOL:
-        ids = {g for g, _ in signal.segments}
-    else:
-        ids = {signal.graph_id_at(t1)}
-        ids |= {g for t, g in signal.switch_times(t1, t2) if t < t2 - _TIME_TOL}
-    return frozenset().union(*(signal.library[g].arc_set for g in ids))
 
 
 def validate_window(T):

@@ -16,7 +16,7 @@ terms in a block order of the nodes, so one call evaluates every node; its ``cou
 (K·L) and ``negated_drift`` (grad F + K L X) are the one evaluator of the coupled network.
 Each kind's kernel, a static method of its class, is the only formula for its gradient
 and curvature (``Potential.gradient`` evaluates a one-node network; ``tests/util.py``
-holds the per-kind oracle), but for the argmin bisection's scalar derivative (see
+holds the per-kind oracle), but for the argmin search's scalar derivative (see
 ``_component_zero_interval``).
 
 The quartic well is deliberately non-Lipschitz and evaluated in double precision
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convex_geometry as cg
-from .errors import InputError, RepresentationError
+from .errors import InputError, NumericalError, RepresentationError
 
 __all__ = [
     "Potential",
@@ -212,7 +212,7 @@ class SumPotential(Potential):
             c = sum(t.weight * t.center for t in flat) / wsum
             return cg.Box(c, c)
         # catalog gradients are componentwise separable, so the argmin box
-        # follows from m independent one-dimensional bisections
+        # follows from m independent one-dimensional interval halvings
         lo = np.empty(self.dimension)
         hi = np.empty(self.dimension)
         for k in range(self.dimension):
@@ -242,7 +242,7 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
     copy outside the kernels: over its ~55 calls per edge to the float fixed point,
     a numpy call per point measured 8x slower (zero sets take 1.5-2.7 ms of a bench
     run; 2 vCPUs, Python 3.11, numpy 2.4).  Its cube is pow, up to 1 ulp from the
-    kernel's d * d * d, which can flip deriv's sign (all the bisection reads) only near 0.
+    kernel's d * d * d, which can flip deriv's sign (all the halving reads) only near 0.
     """
 
     def deriv(s: float) -> float:
@@ -263,7 +263,7 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
                 )
         return total
 
-    def bisect(predicate) -> tuple[float, float]:
+    def halve(predicate) -> tuple[float, float]:
         # predicate flips once from False to True on [a, b]; it stays False at
         # lo_ and True at hi_, so once mid is an endpoint no later step moves one
         lo_, hi_ = a, b
@@ -287,8 +287,8 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
     with np.errstate(over="ignore", invalid="ignore"):
         if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
             raise RepresentationError("failed to bracket the argmin of a sum potential")
-        _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
-        right_edge, _ = bisect(lambda s: deriv(s) > 0.0)
+        _, left_edge = halve(lambda s: deriv(s) >= 0.0)
+        right_edge, _ = halve(lambda s: deriv(s) > 0.0)
     if right_edge < left_edge:
         mid = 0.5 * left_edge + 0.5 * right_edge
         return mid, mid
@@ -350,10 +350,18 @@ class NetworkPotential:
         return X
 
     def coupling(self, lap, K: float) -> np.ndarray:
-        """K·L in block order for ``negated_drift``, from the N x N Laplacian ``lap``."""
+        """K·L in block order for ``negated_drift``, from the N x N Laplacian ``lap``; raises
+        NumericalError when the product overflows."""
         if np.shape(lap) != (self.node_count, self.node_count):
             raise InputError(f"{self.node_count} potentials for {len(lap)} graph nodes")
-        return K * lap[np.ix_(self.order, self.order)]
+        with np.errstate(over="ignore"):
+            KL = K * lap[np.ix_(self.order, self.order)]
+        if not np.isfinite(KL).all():
+            raise NumericalError(
+                f"K·L overflows: K = {K:g} times the largest |L| entry {np.abs(lap).max():g} "
+                "is not a finite float"
+            )
+        return KL
 
     def negated_drift(self, KL: np.ndarray, Xb: np.ndarray) -> np.ndarray:
         """grad F(X) + K L X, the negated network drift, with K·L from ``coupling``, states

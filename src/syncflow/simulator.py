@@ -9,7 +9,9 @@ with f_i = -grad(F_i) from the potential catalog and sigma(t) a switching
 signal.  Between switches the right-hand side is autonomous, so integration
 runs classical fixed-step RK4 segment by segment with steps shortened to land
 exactly on every switch instant and sample instant; that keeps fourth-order
-accuracy piecewise and makes runs bit-reproducible.
+accuracy piecewise and makes runs bit-reproducible.  The graphs come from the
+segment table alone: the event at 0 carries the first segment's graph and each
+switch event the next one's, so no time is ever looked up.
 
 A run keeps its states in the compiled potentials' block order, with K·L permuted
 into it once per graph by ``NetworkPotential.coupling``, so each RK4 stage is one
@@ -125,11 +127,13 @@ def validate_event_count(signal: SwitchingSignal, t_end: float, sample_every: fl
 
 def _event_grid(signal: SwitchingSignal, t_end: float, sample_every: float):
     """Merged, deduplicated events ``[time, record, graph_id]``: graph_id is the graph from
-    the event on, None if unchanged, taken from a switch merged into the event, so a switch
-    up to the merge tolerance after a sample takes effect at that sample."""
+    the event on, None if unchanged.  The event at 0 carries the first segment's graph; a
+    switch merged into an event overrides it, so a switch up to the merge tolerance after a
+    sample takes effect at that sample."""
     n_samples = int(math.floor(t_end / sample_every + 1e-9))
     events = [(k * sample_every, True, None) for k in range(n_samples + 1)]
-    events += [(t, True, g) for t, g in signal.switch_times(0.0, t_end)]
+    events[0] = (0.0, True, signal.segments[0][0])
+    events += [(t, True, g) for t, g in signal.switch_times(t_end)]
     events.append((t_end, False, None))
     events.sort(key=lambda e: e[0])
     tol = 1e-9 * max(1.0, t_end)
@@ -162,7 +166,8 @@ def integrate(
     then resumes.  Samples are recorded at every multiple of ``sample_every``
     and at every switch instant (by default every ten steps); events closer
     than 1e-9 * max(1, t_end) merge, and the run ends at t_end exactly.  Each
-    span runs on the graph its event carries: the last switch's, or the graph at 0.
+    span runs on the graph of the last event that carries one; the first event,
+    at 0, carries the graph that holds from 0.
     """
     if K < 0:
         raise InputError(f"coupling gain K must be nonnegative, got {K}")
@@ -174,8 +179,7 @@ def integrate(
     validate_event_count(signal, t_end, sample_every, dt)
     events = _event_grid(signal, t_end, sample_every)
     # K·L in block order, built once for each graph the run visits
-    first = signal.graph_id_at(0.0)
-    visited = {first, *(gid for *_, gid in events if gid is not None)}
+    visited = {gid for *_, gid in events} - {None}
     ops = {g: net.coupling(signal.library[g].laplacian_matrix, K) for g in visited}
     X = np.asarray(x0, dtype=float)
     if X.size != net.node_count * net.dimension:
@@ -191,7 +195,7 @@ def integrate(
     X = X.take(net.order, axis=0)  # the run keeps its states in block order
     times = [0.0]
     states = [X]  # RK4 steps build new arrays, so recorded states need no copies
-    KL = ops[first]
+    KL = ops[events[0][2]]
     t_prev = 0.0
     # overflow on the way out is reported by the divergence guard, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):

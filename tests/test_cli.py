@@ -24,6 +24,7 @@ from syncflow import (
 )
 from syncflow.cli import MAX_SUM_DEPTH, load_scenario, main, run, verify
 from syncflow.simulator import validate_event_count
+from util import graph_id_at
 
 BASE = {
     "version": 1,
@@ -54,7 +55,7 @@ def test_load_minimal_two_node(tmp_path):
     sc = load_scenario(write(tmp_path, BASE))
     assert sc.node_count == 2
     assert sc.dim == 1
-    assert sc.signal.graph_at(0.0).node_count == 2
+    assert sc.signal.library[graph_id_at(sc.signal, 0.0)].node_count == 2
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -355,6 +356,36 @@ def test_escape_prints_no_overflow_warning(tmp_path, capfd):
     assert "numerical error: RK4 step h=0.05 became unstable" in err and "RuntimeWarning" not in err
 
 
+# K·L = 1e308 * 2 is beyond the float range
+OVERFLOWING_GAIN = dict(BASE, graphs={"g0": [[0, 1, 2.0], [1, 0, 2.0]]}, K=1e308, checks=[])
+GAIN_OVERFLOW = "K·L overflows: K = 1e+308 times the largest |L| entry 2 is not a finite float"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_an_overflowing_gain_names_its_cause_and_prints_no_warning(tmp_path, capfd, command):
+    out = tmp_path / "out"
+    args = [command, str(write(tmp_path, OVERFLOWING_GAIN))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as an exception
+        assert main(args + (["--out", str(out)] if command == "simulate" else [])) == 3
+    assert capfd.readouterr().err == f"numerical error: {GAIN_OVERFLOW}\n"
+    if command == "simulate":
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error == {"type": "NumericalError", "message": GAIN_OVERFLOW}
+
+
+def test_a_sweep_lane_whose_gain_overflows_is_an_error_row(tmp_path, capfd):
+    out = tmp_path / "sw"
+    args = ["sweep", str(write(tmp_path, dict(OVERFLOWING_GAIN, K=1.0))), "--k", "1,1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--out", str(out)]) == 1
+    captured = capfd.readouterr()
+    assert f"K=1e+308: error: {GAIN_OVERFLOW}\n" in captured.out and captured.err == ""
+    last = (out / "sweep.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 1e308 and last[1] == "nan"
+
+
 def test_huge_states_print_no_warning_from_diagnostics_or_checks(tmp_path, capfd):
     # x0 near the float maximum, under a guard at 1e8 times it: the theta square
     # and the V norm overflow, and the monotone check's inf - inf rise is nan
@@ -556,7 +587,7 @@ def test_spectral_bound_minimizer_starts_from_the_last_sample(tmp_path, monkeypa
     (got,) = json.loads((out / "report.json").read_text())["checks"]
     (traj,), (start,) = trajs, starts
     assert start.tobytes() == traj.states[-1].tobytes()  # the warm start is the last sample
-    g = sc.signal.graph_at(0.0)
+    g = sc.signal.library[graph_id_at(sc.signal, 0.0)]
     x = minimize(sc.potentials, g, sc.primary_K, sc.x0, tol=1e-10)
     want = analysis.check_spectral_bound(x, sc.potentials, g, sc.primary_K, tol=1e-8)
     assert got["params"]["lhs"] == pytest.approx(want.params["lhs"], rel=1e-8)
@@ -584,6 +615,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
     bad = write(tmp_path, dict(BASE, graphs={"g0": [[0, 1, 9.0]]}), "bad.json")
     assert main(["verify", str(bad)]) == 2
+
+
+def test_a_switching_period_within_the_time_tolerance_exits_2(tmp_path, capsys):
+    bad = dict(
+        BASE,
+        graphs={"a": [[0, 1, 1.0]], "b": [[1, 0, 1.0]]},
+        signal={"type": "periodic", "segments": [["a", 4e-10], ["b", 4e-10]],
+                "dwell_floor": 4e-10},
+    )
+    assert main(["verify", str(write(tmp_path, bad))]) == 2
+    assert capsys.readouterr().err == "input error: switching period 8e-10 must exceed 1e-09\n"
 
 
 def test_dt_above_quarter_dwell_fails_at_load(tmp_path, capsys):

@@ -269,13 +269,6 @@ def test_invalid_bodies():
         Hull(np.zeros((0, 2)))
 
 
-def test_intersect_rejects_hull_representation():
-    from syncflow import RepresentationError
-
-    with pytest.raises(RepresentationError):
-        intersect([Hull([[0.0, 0.0], [1.0, 0.0]]), Box([0.0, 0.0], [1.0, 1.0])])
-
-
 def test_report_json_schema():
     rep = check_drift_alignment([Quadratic(center=[0.0]), Quadratic(center=[1.0])], [[2.0]])
     d = rep.as_dict()

@@ -12,11 +12,10 @@ from syncflow import (
     WeightedDigraph,
     certify_ujsc,
     is_strongly_connected,
-    joint_graph,
     lambda2,
 )
 from syncflow import graphs
-from util import complete_graph, path_graph, ring_graph, undirected
+from util import complete_graph, graph_id_at, joint_graph, path_graph, ring_graph, undirected
 
 
 def chain(n, reverse=False):
@@ -36,6 +35,12 @@ def alternating_chains(n=3, seg=1.0, dwell=None):
 def connected(n, arcs):
     """Strong connectivity of the ``(j, i)`` arc set ``arcs`` on n nodes."""
     return is_strongly_connected(WeightedDigraph(n, tuple((j, i, 1.0) for j, i in arcs)))
+
+
+def switched_graph(sig, t):
+    """The graph from t on as the segment table gives it: the first segment's, then that
+    of each switch up to t."""
+    return [sig.segments[0][0], *(g for _, g in sig.switch_times(t))][-1]
 
 
 def test_laplacian_undirected_pair():
@@ -89,20 +94,30 @@ def test_graph_validation():
 
 def test_signal_right_continuity_and_graph_at():
     sig = alternating_chains()
-    assert sig.graph_id_at(0.0) == "fwd"
-    assert sig.graph_id_at(1.0) == "rev"  # post-switch graph at the instant
-    assert sig.graph_id_at(2.0) == "fwd"
-    assert sig.graph_id_at(0.999999) == "fwd"
+    assert switched_graph(sig, 0.0) == graph_id_at(sig, 0.0) == "fwd"
+    # post-switch graph at the instant
+    assert switched_graph(sig, 1.0) == graph_id_at(sig, 1.0) == "rev"
+    assert switched_graph(sig, 2.0) == graph_id_at(sig, 2.0) == "fwd"
+    assert switched_graph(sig, 0.999999) == graph_id_at(sig, 0.999999) == "fwd"
     assert sig.period == 2.0
 
 
 def test_switch_times_skip_noop_boundaries():
     g = chain(3)
     sig = SwitchingSignal({"a": g}, (("a", 1.0), ("a", 1.0)), 1.0)
-    assert sig.switch_times(0.0, 5.0) == []
+    assert sig.switch_times(5.0) == []
     assert not sig.has_switches()
     sig2 = alternating_chains()
-    assert sig2.switch_times(0.0, 4.0) == [(1.0, "rev"), (2.0, "fwd"), (3.0, "rev"), (4.0, "fwd")]
+    assert sig2.switch_times(4.0) == [(1.0, "rev"), (2.0, "fwd"), (3.0, "rev"), (4.0, "fwd")]
+
+
+def test_switching_period_must_exceed_the_time_tolerance():
+    lib = {"a": chain(2), "b": chain(2, reverse=True)}
+    with pytest.raises(InputError, match="switching period 8e-10 must exceed 1e-09"):
+        SwitchingSignal(lib, (("a", 4e-10), ("b", 4e-10)), 4e-10)
+    # a fixed graph has no switch to resolve, however short its one segment
+    assert not SwitchingSignal(lib, (("a", 4e-10),), 4e-10).has_switches()
+    assert not SwitchingSignal(lib, (("a", 4e-10), ("a", 4e-10)), 4e-10).has_switches()
 
 
 def test_dwell_floor_enforced():
@@ -322,19 +337,6 @@ def former_ends(segs):
     return out
 
 
-def former_graph_id_at(segs, t):
-    period = sum(d for _, d in segs)
-    tau = t - math.floor(t / period) * period
-    if tau >= period:
-        tau = 0.0
-    start = 0.0
-    for end, (gid, _) in zip(former_ends(segs), segs):
-        if start - _TOL <= tau < end - _TOL:
-            return gid
-        start = end
-    return segs[0][0]
-
-
 def former_switch_times(segs, t0, t1):
     ids = [g for g, _ in segs]
     ends = former_ends(segs)
@@ -353,13 +355,14 @@ def former_switch_times(segs, t0, t1):
     return out
 
 
-def former_joint_ids(segs, t1, t2):
+def former_joint_ids(sig, t1, t2):
+    segs = sig.segments
     period = sum(d for _, d in segs)
     if t2 - t1 >= period - _TOL:
         return {g for g, _ in segs}
     ids, t = set(), t1
     while t < t2 - _TOL:
-        ids.add(former_graph_id_at(segs, t))
+        ids.add(graph_id_at(sig, t))
         tau = t - math.floor(t / period) * period
         t = t - tau + next((end for end in former_ends(segs) if end > tau + _TOL), period)
     return ids
@@ -389,27 +392,40 @@ def test_segment_cycle_matches_the_former_scan_and_walk(case):
     segs, (t1, t2) = case
     sig = SwitchingSignal(CYCLE_LIBRARY, segs, dwell_floor=0.5)
     for t in (t1, t2):
-        assert sig.graph_id_at(t) == former_graph_id_at(segs, t)
-    switches = sig.switch_times(t1, t2)
+        assert switched_graph(sig, t) == graph_id_at(sig, t)
+    switches = [(t, g) for t, g in sig.switch_times(t2) if t > t1 + _TOL]
     assert [t for t, _ in switches] == former_switch_times(segs, t1, t2)
     # each switch names the graph from its instant on
-    assert all(g == former_graph_id_at(segs, t) for t, g in switches)
+    assert all(g == graph_id_at(sig, t) for t, g in switches)
     period = sum(d for _, d in segs)
     assert sig.has_switches() == bool(former_switch_times(segs, 0.0, 2.0 * period))
     if t2 - t1 > _TOL:
-        arcs = {a for g in former_joint_ids(segs, t1, t2) for a in CYCLE_LIBRARY[g].arc_set}
+        arcs = {a for g in former_joint_ids(sig, t1, t2) for a in CYCLE_LIBRARY[g].arc_set}
         assert joint_graph(sig, t1, t2) == arcs
     elif t1 < t2:  # the former walk saw no graph in a window within the time tolerance
-        assert joint_graph(sig, t1, t2) == sig.graph_at(t1).arc_set
+        assert joint_graph(sig, t1, t2) == CYCLE_LIBRARY[graph_id_at(sig, t1)].arc_set
 
 
 @given(st.sampled_from("abc"), st.floats(0.5, 2.0), st.floats(0.0, 50.0), st.floats(0.0, 50.0))
 def test_one_segment_cycle_is_the_former_fixed_graph(gid, dwell, t1, t2):
     sig = SwitchingSignal(CYCLE_LIBRARY, ((gid, dwell),), dwell)
-    assert sig.graph_id_at(t1) == gid
-    assert sig.switch_times(t1, t2) == [] and not sig.has_switches()
+    assert switched_graph(sig, t1) == graph_id_at(sig, t1) == gid
+    assert sig.switch_times(t2) == [] and not sig.has_switches()
     if t1 < t2:
         assert joint_graph(sig, t1, t2) == CYCLE_LIBRARY[gid].arc_set
+
+
+def test_joint_graph_agrees_with_certify_ujsc_just_past_T_min():
+    # the four graphs of a directed 4-ring, 1 s each: T_min = 3
+    sig = SwitchingSignal(CYCLE_LIBRARY, tuple((g, 1.0) for g in "abcd"), 1.0)
+    T = 3.0 + 1.5 * _TOL
+    assert certify_ujsc(sig, T).passed
+    assert connected(4, joint_graph(sig, 1.0 - 0.5 * _TOL, 4.0 + _TOL))
+    # every start up to the time tolerance before a segment start sees all four graphs
+    starts = [s - f * _TOL for s in (1.0, 2.0, 3.0, 4.0) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    assert all(connected(4, joint_graph(sig, t, t + T)) for t in starts)
+    assert not certify_ujsc(sig, 3.0).passed
+    assert not all(connected(4, joint_graph(sig, t, t + 3.0)) for t in starts)
 
 
 @st.composite
@@ -467,3 +483,17 @@ def test_certify_ujsc_fails_at_T_min_and_passes_just_beyond_it(case, dropped):
     for window in (T, t_min + 2 * graphs._TIME_TOL, sig.period, 10.0 * sig.period):
         rep = certify_ujsc(rest, window)
         assert rep.params["T_min"] == math.inf and not rep.passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles_and_window_lengths(), st.floats(0.0, 1.0))
+def test_joint_graph_just_before_segment_starts_agrees_with_certify_ujsc(case, frac):
+    segs, _ = case
+    sig = SwitchingSignal(CYCLE_LIBRARY, segs, dwell_floor=0.5)
+    t_min = certify_ujsc(sig, 1.0).params["T_min"]
+    # each segment start (the period's end for the first) and a start up to _TOL before it
+    ends = former_ends(segs)
+    starts = ends + [e - frac * _TOL for e in ends]
+    for T, passes in ((t_min, False), (t_min + 1.5 * _TOL, True)):
+        assert certify_ujsc(sig, T).passed == passes
+        assert all(connected(4, joint_graph(sig, t, t + T)) for t in starts) == passes

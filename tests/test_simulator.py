@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,6 +26,7 @@ from syncflow import (
 from syncflow.potentials import NetworkPotential
 from util import (
     equilibrium_oracle_quadratic,
+    graph_id_at,
     network_drift,
     node_order_rk4,
     ring_graph,
@@ -39,7 +40,7 @@ def two_node_graph():
 
 def rhs_at(pots, sig, K, t, X):
     """The right-hand side, the network drift, at time ``t`` on the graph active then."""
-    return network_drift(pots, sig.graph_at(t).laplacian_matrix, K, X)
+    return network_drift(pots, sig.library[graph_id_at(sig, t)].laplacian_matrix, K, X)
 
 
 def test_rhs_two_node_quadratic():
@@ -463,7 +464,7 @@ def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
     # events closer than the merge tolerance are one event; step starts
     # rebuilt by summing steps get a second tolerance of slack
     tol = 1e-9 * max(1.0, t_end)
-    switches = sig.switch_times(0.0, t_end)
+    switches = sig.switch_times(t_end)
     for s, _ in switches:
         assert np.min(np.abs(traj.times - s)) <= tol
     # each switch takes effect at the sample that records it, the recorded time nearest it
@@ -473,10 +474,47 @@ def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
         assert not any(t0 + 2 * tol < s < t0 + h - 2 * tol for s, _ in switches)
         # the step runs on the graph of the last switch to take effect before its midpoint,
         # as K·L in the network's block order
-        gid = sig.graph_id_at(0.0)
+        gid = graph_id_at(sig, 0.0)
         for e, g in takes_effect:
             if e < t0 + 0.5 * h:
                 gid = g
         np.testing.assert_array_equal(KL, 1.0 * library[gid].laplacian_matrix[np.ix_(order, order)])
         t0 += h
     assert t0 == pytest.approx(t_end, abs=tol)
+
+
+@st.composite
+def segment_tables(draw):
+    """A segment table over three graphs whose period exceeds 1e-9, its first segments
+    often shorter than that, a horizon and a sampling interval."""
+    n = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    tiny = st.floats(1e-10, 3e-9) | st.sampled_from([5e-10, 1e-9, 2e-9])
+    durs = draw(st.lists(tiny | st.floats(0.05, 2.0), min_size=n, max_size=n))
+    period = sum(durs)
+    assume(period > 1e-9)
+    # at most about 1000 periods, so the grid stays small
+    if period < 0.05:
+        t_end = draw(st.floats(10.0, 1000.0)) * period
+    else:
+        t_end = draw(st.floats(0.1, 30.0))
+    sample_every = t_end / draw(st.floats(1.0, 300.0) | st.sampled_from([1.0, 4.0, 10.0]))
+    return tuple(zip(ids, durs)), t_end, sample_every
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_tables())
+def test_every_span_of_the_event_grid_runs_on_the_graph_at_its_start(case):
+    segments, t_end, sample_every = case
+    library = {g: WeightedDigraph(2, ((0, 1, w),)) for g, w in zip("abc", (1.0, 2.0, 3.0))}
+    sig = SwitchingSignal(library, segments, min(d for _, d in segments))
+    events = simulator._event_grid(sig, t_end, sample_every)
+    assert events[0][0] == 0.0 and events[0][2] is not None
+    # a switch up to the merge tolerance after an event takes effect at that event; one
+    # the tolerance away, up to rounding, may fall on either side of it
+    tol = 1e-9 * max(1.0, t_end)
+    gid = None
+    for t, _, g in events[:-1]:
+        gid = gid if g is None else g
+        early, late = (graph_id_at(sig, t, snap=tol * f) for f in (1 - 1e-6, 1 + 1e-6))
+        assert gid in {early, late} and (early != late or gid == graph_id_at(sig, t, snap=tol))

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: standard topologies, catalogs and reference solvers."""
 
+import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from syncflow import (
     WeightedDigraph,
 )
 from syncflow.convex_geometry import row_dot
+from syncflow.graphs import _TIME_TOL as TIME_TOL
 from syncflow.potentials import NetworkPotential
 
 
@@ -303,6 +306,44 @@ def gradient_consistency_check(spec, samples, h: float, tol: float) -> CheckRepo
     )
 
 
+# -- switching signals: time lookups by a walk over the segment table -------
+
+
+def graph_id_at(signal, t: float, snap: float = TIME_TOL) -> str:
+    """The graph from ``t`` on: the segment holding t + snap, by a linear scan.
+
+    A switch up to ``snap`` after t thus already holds at t, as ``integrate`` merges
+    a switch into an event up to its merge tolerance before it."""
+    ends = list(itertools.accumulate(d for _, d in signal.segments))
+    tau = (t + snap) % ends[-1]
+    return next(gid for (gid, _), end in zip(signal.segments, ends) if tau < end)
+
+
+def joint_graph(signal, t1: float, t2: float) -> frozenset:
+    """The ``(j, i)`` arcs of every graph active in [t1, t2), weights ignored, by a walk
+    over the segments from t1: ``certify_ujsc``'s brute-force reference.
+
+    Time resolves to TIME_TOL, half of it at each end: a switch up to TIME_TOL / 2 after
+    t1 already holds at t1, and a graph that starts less than TIME_TOL / 2 before t2 is
+    not seen.  A window thus gives up TIME_TOL in all, the margin by which
+    ``certify_ujsc`` needs T to exceed T_min."""
+    if not t1 < t2:
+        raise InputError(f"window requires t1 < t2, got [{t1}, {t2})")
+    half = 0.5 * TIME_TOL
+    segs = signal.segments
+    ends = list(itertools.accumulate(d for _, d in segs))
+    k, tau = divmod(t1 + half, ends[-1])
+    j = bisect.bisect_right(ends, tau)  # the segment holding t1 + half
+    ids, every = set(), {g for g, _ in segs}
+    while True:
+        k, j = k + j // len(segs), j % len(segs)
+        ids.add(segs[j][0])
+        # the next segment starts at the end of this one, as in ``switch_times``
+        if ids == every or k * ends[-1] + ends[j] >= t2 - half:
+            return frozenset().union(*(signal.library[g].arc_set for g in ids))
+        j += 1
+
+
 # -- the network drift in node order
 
 
@@ -331,7 +372,7 @@ def node_order_rk4(pots, signal, K, x0, dt, times) -> np.ndarray:
     x = np.asarray(x0, dtype=float).ravel()
     states = [x]
     for t0, t1 in zip(times, times[1:]):
-        lap = signal.graph_at(0.5 * t0 + 0.5 * t1).laplacian_matrix
+        lap = signal.library[graph_id_at(signal, 0.5 * t0 + 0.5 * t1)].laplacian_matrix
         nsteps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
         h = (t1 - t0) / nsteps
         for _ in range(nsteps):
