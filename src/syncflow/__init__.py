@@ -23,13 +23,10 @@ from .convex_geometry import (
     zero_set_hull,
 )
 from .errors import (
-    ConfigurationError,
     FiniteEscapeError,
     InputError,
     NumericalError,
-    PreconditionError,
     SyncflowError,
-    RepresentationError,
 )
 from .graphs import (
     SwitchingSignal,

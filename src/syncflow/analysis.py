@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convex_geometry as cg
-from .errors import InputError, NumericalError, PreconditionError
+from .errors import InputError, NumericalError
 from .graphs import SwitchingSignal, WeightedDigraph, lambda2, require_undirected
 from .potentials import NetworkPotential, common_zero_set
 from .report import CheckReport
@@ -217,10 +217,10 @@ def check_common_limit(
     tail mean of V.
     """
     if diag.v_nodes is None:
-        raise PreconditionError("check_common_limit needs the V series (zero sets sharing a point)")
+        raise InputError("check_common_limit needs the V series (zero sets sharing a point)")
     tail = _tail_indices(diag.times, tail_fraction)
     if tail.shape[0] < 10:
-        raise PreconditionError(
+        raise InputError(
             f"tail window holds {tail.shape[0]} samples; need >= 10 for a limit estimate"
         )
     vt = diag.v_nodes[tail]
@@ -293,8 +293,6 @@ def minimize_aggregate(
     naming the budget when ``max_iter`` steps run out.
     """
     require_undirected(g, "minimize_aggregate", connected=False)
-    if K < 0:
-        raise InputError(f"K must be nonnegative, got {K}")
     validate_grad_tol(tol)
     net = NetworkPotential(potentials)
     KL = net.coupling(g.laplacian_matrix, K)
@@ -356,14 +354,14 @@ def check_spectral_bound(
     second-smallest Laplacian eigenvalue of the (symmetric, connected) graph.
     """
     if K <= 0:
-        raise PreconditionError("spectral bound needs K > 0")
+        raise InputError("spectral bound needs K > 0")
     require_undirected(g, "check_spectral_bound")
     net = NetworkPotential(potentials)
     KL = net.coupling(g.laplacian_matrix, K)
     P = np.asarray(p, dtype=float).reshape(g.node_count, net.dimension)
     gnorm = float(np.linalg.norm(net.negated_drift(KL, P.take(net.order, axis=0))))
     if gnorm > grad_tol:
-        raise PreconditionError(
+        raise InputError(
             f"p is not a minimizer: |grad F_G(p)| = {gnorm:.3e} > {grad_tol:.1e}"
         )
     p_ave = P.mean(axis=0)

@@ -27,12 +27,12 @@ import numpy as np
 
 from . import analysis, graphs
 from .convex_geometry import check_drift_alignment
-from .errors import FiniteEscapeError, InputError, NumericalError, PreconditionError, SyncflowError
+from .errors import FiniteEscapeError, InputError, NumericalError
 from .graphs import SwitchingSignal, WeightedDigraph
 from .potentials import FlatBottom1D, Potential, Quadratic, QuarticWell, SumPotential
 from .potentials import common_zero_set
 from .report import CheckReport, jsonable
-from .simulator import default_sample_every, integrate, validate_dt, validate_event_count
+from .simulator import default_sample_every, integrate, validate_grid
 
 SCHEMA_VERSION = 1
 # every top-level scenario field; load_scenario refuses any other
@@ -41,7 +41,7 @@ FIELDS = tuple("version name nodes weight_bounds graphs signal K K_list epsilon 
 
 @dataclass
 class Scenario:
-    """Fully validated run description loaded from a JSON scenario file."""
+    """Run description loaded from a JSON scenario file; see ``load_scenario``."""
 
     name: str
     potentials: list
@@ -80,17 +80,16 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(value, key: str, positive: bool = False) -> float:
-    """Every number in a scenario is read here: a finite float, positive if asked."""
+def _number(value, key: str) -> float:
+    """Every number in a scenario is read here, as a finite float; its range is its owner's."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"field {key!r} must be a number, got {value!r}")
     try:
         v = float(value)
     except OverflowError:  # an integer literal beyond the float range
         v = math.inf
-    if not math.isfinite(v) or (positive and v <= 0):
-        what = "positive finite" if positive else "finite"
-        _fail(f"field {key!r} must be a {what} number, got {value!r}")
+    if not math.isfinite(v):
+        _fail(f"field {key!r} must be a finite number, got {value!r}")
     return v
 
 
@@ -149,7 +148,10 @@ def potential_from_dict(d: dict, depth: int = 0) -> Potential:
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario file; every invariant is checked here."""
+    """Load a scenario file.  The loader checks JSON types and structure; each domain rule
+    is raised by the library code that owns it (the signal's by ``SwitchingSignal``, the
+    run grid's by ``simulator.validate_grid``, a check's by its range or precondition), and
+    K >= 0 by ``NetworkPotential.coupling`` when the run builds K·L."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -214,9 +216,7 @@ def load_scenario(path) -> Scenario:
     if stype == "fixed":
         _only(sig_raw, ("type", "graph", "dwell_floor"), "fixed signal")
         gid = str(_require(sig_raw, "graph", "fixed signal"))
-        if gid not in library:
-            _fail(f"signal references unknown graph id {gid!r}")
-        dwell = _number(sig_raw.get("dwell_floor", 1.0), "dwell_floor", positive=True)
+        dwell = _number(sig_raw.get("dwell_floor", 1.0), "dwell_floor")
         segs = [(gid, dwell)]  # a fixed graph is a one-segment cycle
     elif stype == "periodic":
         _only(sig_raw, ("type", "segments", "dwell_floor"), "periodic signal")
@@ -227,13 +227,8 @@ def load_scenario(path) -> Scenario:
         for s in segs_raw:
             if not (isinstance(s, list) and len(s) == 2):
                 _fail(f"segment must be [graph_id, duration], got {s!r}")
-            gid = str(s[0])
-            if gid not in library:
-                _fail(f"segment references unknown graph id {gid!r}")
-            segs.append((gid, _number(s[1], "segment duration", positive=True)))
-        dwell = _number(
-            _require(sig_raw, "dwell_floor", "periodic signal"), "dwell_floor", positive=True
-        )
+            segs.append((str(s[0]), _number(s[1], "segment duration")))
+        dwell = _number(_require(sig_raw, "dwell_floor", "periodic signal"), "dwell_floor")
     else:
         _fail(f"signal type must be 'fixed' or 'periodic', got {stype!r}")
     signal = SwitchingSignal(library, segs, dwell)
@@ -245,20 +240,17 @@ def load_scenario(path) -> Scenario:
     K = K_list = None
     if has_k:
         K = _number(raw["K"], "K")
-        if K < 0:
-            _fail(f"K must be nonnegative, got {K}")
     else:
         K_list = analysis.validate_K_list(_numbers(raw["K_list"], "K_list"))
 
-    dt = _number(raw["dt"], "dt", positive=True) if "dt" in raw else signal.dwell_floor / 10.0
-    t_end = _number(_require(raw, "t_end", "scenario"), "t_end", positive=True)
+    dt = _number(raw["dt"], "dt") if "dt" in raw else signal.dwell_floor / 10.0
+    t_end = _number(_require(raw, "t_end", "scenario"), "t_end")
     sample_every = (
-        _number(raw["sample_every"], "sample_every", positive=True)
+        _number(raw["sample_every"], "sample_every")
         if "sample_every" in raw
         else default_sample_every(dt)
     )
-    validate_dt(signal, dt)
-    validate_event_count(signal, t_end, sample_every, dt)
+    validate_grid(signal, dt, t_end, sample_every)
 
     x0 = _parse_x0(raw, n, m)
 
@@ -336,10 +328,7 @@ def _fixed_symmetric_connected(sc: Scenario):
     if sc.signal.has_switches():
         _fail("check 'spectral_bound' requires a fixed signal")
     g = sc.signal.library[sc.signal.segments[0][0]]  # a fixed signal names one graph
-    try:
-        graphs.require_undirected(g, "check 'spectral_bound'")
-    except PreconditionError as e:
-        _fail(str(e))
+    graphs.require_undirected(g, "check 'spectral_bound'")
     if sc.primary_K <= 0:
         _fail("check 'spectral_bound' requires K > 0")
 
@@ -365,10 +354,7 @@ def _spectral_bound(sc: Scenario, traj, diag, p):
 
 
 def _drift_alignment(sc: Scenario, traj, diag, p):
-    samples = traj.states.reshape(-1, sc.dim)
-    if samples.shape[0] > 512:
-        samples = samples[:: samples.shape[0] // 512 + 1]
-    return check_drift_alignment(sc.potentials, samples, **p)
+    return check_drift_alignment(sc.potentials, traj.states.reshape(-1, sc.dim), **p)
 
 
 CHECKS = {
@@ -531,18 +517,20 @@ def _report_json(sc: Scenario, reports, error=None) -> str:
 
 
 def run(scenario: Scenario, out_dir) -> int:
-    """Simulate, check, and write artifacts; returns the process exit code."""
+    """Simulate, check, and write artifacts; returns the process exit code.  The output
+    directory is made after the run, so an input error raised by the run leaves no files."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         traj, diag, reports, sweep = _execute(scenario)
     except NumericalError as e:
         error = {"type": type(e).__name__, "message": str(e)}
         if isinstance(e, FiniteEscapeError):
             error.update(time=e.time, sup_norm=e.sup_norm, bound=e.bound, step=e.step)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(_report_json(scenario, [], error=error))
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
+    out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out / "trajectory.csv", scenario, traj, diag)
     _write_plot_script(out / "plot.gp", scenario)
     if sweep is not None:
@@ -607,15 +595,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return verify(scenario)
         return sweep_command(scenario, args.k, args.out)
-    except (InputError, PreconditionError) as e:
+    except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
-    except SyncflowError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, RepresentationError
+from .errors import InputError, NumericalError
 from .report import CheckReport
 
 __all__ = [
@@ -121,7 +121,7 @@ class Box:
         """The distinct corners in lexicographic order: a product over {lo_k} or {lo_k, hi_k}."""
         axes = [(a,) if a == b else (a, b) for a, b in zip(self.lo.tolist(), self.hi.tolist())]
         if sum(len(ax) == 2 for ax in axes) > 12:
-            raise RepresentationError(f"box corner enumeration infeasible for m={self.dimension}")
+            raise InputError(f"box corner enumeration infeasible for m={self.dimension}")
         return np.array(list(itertools.product(*axes)))
 
     def as_dict(self) -> dict:
@@ -169,7 +169,7 @@ class Hull:
             left, right = edge[:, 0] * d[..., 1], edge[:, 1] * d[..., 0]
             inside = (left - right > _orient_error(np.abs(left) + np.abs(right))).all(axis=1)
             todo = np.flatnonzero(~inside)
-        step = max(1, _HULL_CHUNK_ENTRIES // v.size)
+        step = max(1, _CHUNK_ENTRIES // v.size)
         for i in range(0, todo.size, step):
             out[todo[i : i + step]] = _project_hull(v, rows[todo[i : i + step]])
         return out.reshape(x.shape)
@@ -219,9 +219,10 @@ def _convex_polygon(points: np.ndarray) -> np.ndarray:
     return np.array(h or pts)  # one point leaves both chains empty
 
 
-# (rows, k, m) entries one solve may hold in a temporary; on a 20-vertex hull,
-# larger chunks raised the peak memory of 2420 rows by 2 MiB and saved no time
-_HULL_CHUNK_ENTRIES = 1 << 14
+# entries one batch may hold in a temporary: (rows, k, m) for a hull solve, (rows, N, m)
+# for drift alignment; on a 20-vertex hull, larger chunks raised the peak memory of
+# 2420 rows by 2 MiB and saved no time
+_CHUNK_ENTRIES = 1 << 14
 
 
 def _affine_weights(vertices: np.ndarray, x: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -381,8 +382,10 @@ def check_drift_alignment(potentials, samples, tol: float = 1e-10) -> CheckRepor
 
     For every node self-dynamics f_i and every sample x it evaluates
     ``<x - P(x), f_i(x)>`` against the hull of the union of zero sets and
-    passes iff no value exceeds ``tol``.  A sampled pass is evidence, not a
-    proof; the report records the checked sample count.
+    passes iff no value exceeds ``tol``.  A sample that is its own projection
+    has gap 0 and value 0 for every node, so the drifts are evaluated only at
+    the other samples, a bounded chunk at a time.  A sampled pass is evidence,
+    not a proof; the report records the checked sample count.
     """
     from .potentials import NetworkPotential  # potentials imports this module
 
@@ -391,18 +394,24 @@ def check_drift_alignment(potentials, samples, tol: float = 1e-10) -> CheckRepor
     if pts.shape[0] == 0:
         raise InputError("drift alignment needs at least one sample")
     gaps = pts - body.project(pts)
-    # every node's drift at every sample: (samples, nodes, m)
-    drift = -NetworkPotential(potentials).gradient(
-        np.broadcast_to(pts[:, None, :], (pts.shape[0], len(potentials), pts.shape[1]))
-    )
-    # (samples, nodes); the first maximum in sample-major order is the location
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = row_dot(gaps[:, None, :], drift)
-        # redo each overflowed product on its rows, each scaled by its own power of two
-        lost = ~np.isfinite(vals)
-        g, d = np.broadcast_to(gaps[:, None, :], drift.shape)[lost], drift[lost]
-        eg, ed = (np.frexp(np.abs(a).max(axis=1, initial=0.0))[1][:, None] for a in (g, d))
-        vals[lost] = np.ldexp(row_dot(np.ldexp(g, -eg), np.ldexp(d, -ed)), (eg + ed)[:, 0])
+    net = NetworkPotential(potentials)
+    n, m = net.node_count, net.dimension
+    vals = np.zeros((pts.shape[0], n))  # (samples, nodes)
+    outside = np.flatnonzero(gaps.any(axis=1))
+    step = max(1, _CHUNK_ENTRIES // (n * m))
+    for i in range(0, outside.size, step):
+        rows = outside[i : i + step]
+        gap = gaps[rows][:, None, :]
+        drift = -net.gradient(np.broadcast_to(pts[rows, None, :], (rows.size, n, m)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = row_dot(gap, drift)
+            # redo each overflowed product on its rows, each scaled by its own power of two
+            lost = ~np.isfinite(v)
+            g, d = np.broadcast_to(gap, drift.shape)[lost], drift[lost]
+            eg, ed = (np.frexp(np.abs(a).max(axis=1, initial=0.0))[1][:, None] for a in (g, d))
+            v[lost] = np.ldexp(row_dot(np.ldexp(g, -eg), np.ldexp(d, -ed)), (eg + ed)[:, 0])
+        vals[rows] = v
+    # the first maximum in sample-major order is the location
     si, ni = np.unravel_index(np.argmax(vals), vals.shape)
     worst = float(vals[si, ni])
     where = {"node": int(ni), "sample_index": int(si), "sample": pts[si].tolist()}

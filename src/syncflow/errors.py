@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all syncflow modules."""
+"""Exception hierarchy shared by all syncflow modules: one class per exit code.
+
+``InputError`` is exit code 2 and ``NumericalError`` (with ``FiniteEscapeError``)
+exit code 3; the command line tells no other classes apart.
+"""
 
 
 class SyncflowError(Exception):
@@ -6,30 +10,21 @@ class SyncflowError(Exception):
 
 
 class InputError(SyncflowError):
-    """Malformed or inconsistent input: bad dimensions, unknown ids, schema violations."""
-
-
-class ConfigurationError(SyncflowError):
-    """Individually valid settings that combine into an unusable configuration."""
-
-
-class PreconditionError(SyncflowError):
-    """An operation was invoked outside its documented preconditions."""
-
-
-class RepresentationError(SyncflowError):
-    """The requested object cannot be represented in the supported vocabulary."""
+    """Input outside what the program accepts (exit code 2): malformed scenario JSON,
+    a value outside the range of its owner (K, the run grid, a signal, a check), an
+    operation outside its documented preconditions, or an object the supported
+    vocabulary cannot represent."""
 
 
 class NumericalError(SyncflowError):
-    """An iterative numerical procedure failed to reach its target accuracy."""
+    """An iterative numerical procedure failed to reach its target accuracy (exit code 3)."""
 
 
 class FiniteEscapeError(NumericalError):
     """An RK4 step of length ``step`` became unstable at ``time``: |x|_inf
     (``sup_norm``) passed ``bound``, 1e8 times the sup norm (at least 1) of the box
     spanned by x0 and the zero sets.  The exact flow stays in that box, so no
-    network of the catalog escapes, and a smaller step cures it.
+    network of the catalog escapes: the runaway is the fixed-step integrator's.
     """
 
     def __init__(self, time: float, sup_norm: float, bound: float, step: float):
@@ -40,5 +35,5 @@ class FiniteEscapeError(NumericalError):
         super().__init__(
             f"RK4 step h={step:.6g} became unstable at t={time:.6g}: |x|_inf = {sup_norm:.3e} "
             f"passed the guard {bound:.3e}, 1e8 times the invariant box's sup norm (at least 1); "
-            "the exact flow stays in the box, so a smaller dt cures it"
+            "the exact flow stays in the box"
         )

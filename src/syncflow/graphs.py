@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .report import CheckReport
 
 __all__ = [
@@ -154,8 +154,9 @@ class SwitchingSignal:
             raise InputError(f"library graphs must share one node count, got {sorted(counts)}")
         if not segs:
             raise InputError("signal needs at least one segment")
-        if not all(0 < d < math.inf for _, d in segs):
-            raise InputError("segment durations must be positive and finite")
+        bad = [d for _, d in segs if not 0 < d < math.inf]
+        if bad:
+            raise InputError(f"segment durations must be positive and finite, got {bad[0]}")
         bad = [d for _, d in segs if d < self.dwell_floor - 1e-12]
         if bad:
             raise InputError(f"segment duration {min(bad)} is below the dwell floor {self.dwell_floor}")
@@ -238,18 +239,18 @@ def certify_ujsc(signal: SwitchingSignal, T: float) -> CheckReport:
 
 
 def require_undirected(g: WeightedDigraph, what: str, connected: bool = True):
-    """Raises PreconditionError naming ``what`` unless g is symmetric (paired
+    """Raises InputError naming ``what`` unless g is symmetric (paired
     equal-weight arcs) and, when ``connected``, connected."""
     if not g.is_symmetric():
-        raise PreconditionError(f"{what} requires a symmetric graph")
+        raise InputError(f"{what} requires a symmetric graph")
     if connected and not is_strongly_connected(g):
-        raise PreconditionError(f"{what} requires a connected graph")
+        raise InputError(f"{what} requires a connected graph")
 
 
 def lambda2(g: WeightedDigraph) -> float:
     """Second-smallest eigenvalue of the Laplacian of a symmetric connected graph."""
     if g.node_count < 2:
-        raise PreconditionError("lambda2 needs at least two nodes")
+        raise InputError("lambda2 needs at least two nodes")
     require_undirected(g, "lambda2")
     # eigvalsh reads one triangle only; the symmetry check above keeps that exact
     return float(np.linalg.eigvalsh(g.laplacian_matrix)[1])

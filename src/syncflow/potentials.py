@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convex_geometry as cg
-from .errors import InputError, NumericalError, RepresentationError
+from .errors import InputError, NumericalError
 
 __all__ = [
     "Potential",
@@ -258,7 +258,7 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
                 elif s < t.left:
                     total += s - t.left
             else:
-                raise RepresentationError(
+                raise InputError(
                     f"zero set not representable for sum containing {type(t).__name__}"
                 )
         return total
@@ -286,7 +286,7 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
     # far-apart centers overflow deriv to +-inf (NaN once both meet); both are only compared
     with np.errstate(over="ignore", invalid="ignore"):
         if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
-            raise RepresentationError("failed to bracket the argmin of a sum potential")
+            raise InputError("failed to bracket the argmin of a sum potential")
         _, left_edge = halve(lambda s: deriv(s) >= 0.0)
         right_edge, _ = halve(lambda s: deriv(s) > 0.0)
     if right_edge < left_edge:
@@ -336,7 +336,7 @@ class NetworkPotential:
                 run = list(run)
                 if run[0] is not None:
                     if "_kernel" not in vars(kind):  # a subclass may change the formula
-                        raise RepresentationError(f"cannot compile a {kind.__name__} term")
+                        raise InputError(f"cannot compile a {kind.__name__} term")
                     self._slots.append((slice(b, b + len(run)), *kind._kernel(run)))
                 b += len(run)
 
@@ -350,8 +350,11 @@ class NetworkPotential:
         return X
 
     def coupling(self, lap, K: float) -> np.ndarray:
-        """K·L in block order for ``negated_drift``, from the N x N Laplacian ``lap``; raises
-        NumericalError when the product overflows."""
+        """K·L in block order for ``negated_drift``, from the N x N Laplacian ``lap``: the one
+        place a gain meets a Laplacian.  Raises InputError unless K >= 0, and NumericalError
+        when the product overflows."""
+        if K < 0:
+            raise InputError(f"K must be nonnegative, got {K}")
         if np.shape(lap) != (self.node_count, self.node_count):
             raise InputError(f"{self.node_count} potentials for {len(lap)} graph nodes")
         with np.errstate(over="ignore"):

@@ -20,7 +20,7 @@ into it once per graph by ``NetworkPotential.coupling``, so each RK4 stage is on
 The exact flow stays in the box spanned by x0 and the zero sets (gradients
 nondecreasing per component, diffusive coupling), so a state past 1e8 times that
 box's sup norm (at least 1) is fixed-step RK4 leaving its stability region: the
-run aborts with an explicit error instead of overflowing, and a smaller step cures it.
+run aborts with an explicit error instead of overflowing.
 """
 
 import math
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FiniteEscapeError, InputError
+from .errors import FiniteEscapeError, InputError
 from .graphs import SwitchingSignal, WeightedDigraph
 from .potentials import NetworkPotential
 
@@ -75,15 +75,6 @@ def fixed_signal(g: WeightedDigraph) -> SwitchingSignal:
     return SwitchingSignal({"g": g}, (("g", 1.0),), 1.0)
 
 
-def validate_dt(signal: SwitchingSignal, dt: float):
-    """A switching run needs dt <= dwell_floor/4: at least four steps per dwell segment."""
-    if signal.has_switches() and dt > signal.dwell_floor / 4.0 + 1e-12:
-        raise ConfigurationError(
-            f"dt={dt} exceeds dwell_floor/4 = {signal.dwell_floor / 4.0}; "
-            "a switching run needs at least four steps per dwell segment"
-        )
-
-
 def _rk4_step(net, KL, X, h):
     """One RK4 step of X' = -S(X) with S = ``net.negated_drift``, on states X in block order."""
     S1 = net.negated_drift(KL, X)
@@ -103,23 +94,32 @@ def default_sample_every(dt: float) -> float:
     return 10.0 * dt
 
 
-def validate_event_count(signal: SwitchingSignal, t_end: float, sample_every: float, dt: float):
-    """At most MAX_EVENTS sample and switch instants and MAX_STEPS RK4 steps.
-
-    Both are counted from the arguments, before any event is built or any step taken.
+def validate_grid(signal: SwitchingSignal, dt: float, t_end: float, sample_every: float):
+    """Raises InputError, naming the field at fault, unless the run grid is usable: dt, t_end
+    and sample_every positive; dt <= dwell_floor/4 on a switching signal, so every dwell
+    segment gets at least four steps; at most MAX_EVENTS sample and switch instants and
+    MAX_STEPS RK4 steps, both counted from the arguments before any event is built.
     """
+    for name, value in (("dt", dt), ("t_end", t_end), ("sample_every", sample_every)):
+        if not value > 0:
+            raise InputError(f"{name} must be positive, got {value}")
+    if signal.has_switches() and dt > signal.dwell_floor / 4.0 + 1e-12:
+        raise InputError(
+            f"dt={dt} exceeds dwell_floor/4 = {signal.dwell_floor / 4.0}; "
+            "a switching run needs at least four steps per dwell segment"
+        )
     samples = t_end / sample_every + 1.0
     # every segment lasts at least the dwell floor, which bounds the switches
     switches = t_end / signal.dwell_floor if signal.has_switches() else 0.0
     if samples + switches > MAX_EVENTS:
-        raise ConfigurationError(
+        raise InputError(
             f"t_end={t_end} with sample_every={sample_every} gives about {samples:.3g} samples "
             f"and up to {switches:.3g} switches; at most {MAX_EVENTS} events are allowed"
         )
     # t_end/dt full steps plus at most one shortened step per event
     steps = t_end / dt + samples + switches
     if steps > MAX_STEPS:
-        raise ConfigurationError(
+        raise InputError(
             f"t_end={t_end} with dt={dt} and {samples + switches:.3g} events needs about "
             f"{steps:.3g} RK4 steps; at most {MAX_STEPS} are allowed"
         )
@@ -169,14 +169,9 @@ def integrate(
     span runs on the graph of the last event that carries one; the first event,
     at 0, carries the graph that holds from 0.
     """
-    if K < 0:
-        raise InputError(f"coupling gain K must be nonnegative, got {K}")
     sample_every = default_sample_every(dt) if sample_every is None else sample_every
-    if dt <= 0 or t_end <= 0 or sample_every <= 0:
-        raise InputError("dt, t_end and sample_every must be positive")
-    validate_dt(signal, dt)
+    validate_grid(signal, dt, t_end, sample_every)
     net = NetworkPotential(potentials)
-    validate_event_count(signal, t_end, sample_every, dt)
     events = _event_grid(signal, t_end, sample_every)
     # K·L in block order, built once for each graph the run visits
     visited = {gid for *_, gid in events} - {None}

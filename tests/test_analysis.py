@@ -10,7 +10,6 @@ from syncflow import (
     FlatBottom1D,
     InputError,
     NumericalError,
-    PreconditionError,
     Quadratic,
     QuarticWell,
     SumPotential,
@@ -282,7 +281,7 @@ def test_common_limit_needs_tail_samples():
     pots = [Quadratic(center=[0.0])]
     traj = integrate(pots, fixed_signal(WeightedDigraph(1)), 0.0, [1.0], dt=0.05, t_end=1.0, sample_every=0.5)
     diag = diagnostics(traj, pots)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError, match="need >= 10"):
         check_common_limit(diag, tail_fraction=0.2, tol=1e-6)
 
 
@@ -380,7 +379,7 @@ def test_minimize_aggregate_K_zero_separable():
 
 
 def test_minimize_aggregate_requires_symmetric_graph():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError, match="symmetric"):
         minimize_aggregate([Quadratic(center=[0.0])] * 2, WeightedDigraph(2, ((0, 1, 1.0),)), 1.0, [0.0, 0.0])
 
 
@@ -543,7 +542,7 @@ def test_spectral_bound_lhs_shrinks_quadratically_in_K():
 
 def test_spectral_bound_rejects_nonminimizer():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError, match="not a minimizer"):
         check_spectral_bound([5.0, -5.0], pots, two_node(), 1.0)
 
 

@@ -1,11 +1,13 @@
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import math
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncflow import (
-    ConfigurationError,
     InputError,
     NumericalError,
     WeightedDigraph,
@@ -23,7 +24,7 @@ from syncflow import (
     simulator,
 )
 from syncflow.cli import MAX_SUM_DEPTH, load_scenario, main, run, verify
-from syncflow.simulator import validate_event_count
+from syncflow.simulator import validate_grid
 from util import graph_id_at
 
 BASE = {
@@ -374,6 +375,21 @@ def test_an_overflowing_gain_names_its_cause_and_prints_no_warning(tmp_path, cap
         assert error == {"type": "NumericalError", "message": GAIN_OVERFLOW}
 
 
+def test_a_gain_no_step_can_stabilize_names_the_step_and_time(tmp_path, capsys):
+    # bench/scenarios.py's ring_switch_1d at smoke size with K = 1e307: K·L stays finite,
+    # but a stable RK4 step would be ~1e-307, far below what MAX_STEPS allows
+    spec = importlib.util.spec_from_file_location(
+        "bench_scenarios", Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+    )
+    scenarios = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenarios)
+    obj = dict(scenarios.make("ring_switch_1d", 7, "smoke").scenario, K=1e307)
+    assert main(["verify", str(write(tmp_path, obj))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: RK4 step h=0.05 became unstable at t=0.05: ")
+    assert err.endswith("the exact flow stays in the box\n") and "dt" not in err
+
+
 def test_a_sweep_lane_whose_gain_overflows_is_an_error_row(tmp_path, capfd):
     out = tmp_path / "sw"
     args = ["sweep", str(write(tmp_path, dict(OVERFLOWING_GAIN, K=1.0))), "--k", "1,1e308"]
@@ -439,6 +455,26 @@ def test_quadratics_near_1e200_align_with_their_hull_in_2d(tmp_path, capfd):
     assert captured.out == ("[PASS] drift_alignment (worst=0.000e+00)\n"
                             "[PASS] assumption_feasibility (worst=0.000e+00)\n")
     assert captured.err == ""
+
+
+def test_drift_alignment_checks_every_node(tmp_path):
+    # 201 samples of 4 nodes: a stride of 2 over the 804 rows sees nodes 0 and 2 only, which
+    # rest at their own centers; nodes 1 and 3 pass outside the hull's long edge near the sum
+    # node's zero set (2.62, 0), where that node's drift points away from the hull
+    obj = dict(BASE, nodes=[
+        {"kind": "quadratic", "center": [0.0, 0.0]},
+        {"kind": "quadratic", "center": [1.0, 0.0]},
+        {"kind": "quadratic", "center": [0.0, 1.0]},
+        {"kind": "sum", "terms": [{"kind": "quadratic", "center": [0.0, 0.0]},
+                                  {"kind": "quartic", "center": [4.0, 0.0]}]},
+    ], K=0.0, x0=[0.0, 0.0, 2.5, 0.1, 0.0, 1.0, 0.5, 0.25], t_end=20.0, sample_every=0.1,
+        checks=[{"name": "drift_alignment"}])
+    out = tmp_path / "out"
+    assert main(["simulate", str(write(tmp_path, obj)), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())["checks"][0]
+    assert report["pass"] is False and report["worst_value"] > 1e-3
+    assert report["params"]["samples"] == 201 * 4
+    assert report["location"]["node"] == 3 and report["location"]["sample_index"] % 2 == 1
 
 
 def test_a_step_that_overflows_trips_a_guard_at_the_largest_float(tmp_path):
@@ -642,6 +678,13 @@ def test_dt_above_quarter_dwell_fails_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_negative_gain_exits_2_and_writes_no_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", str(write(tmp_path, dict(BASE, K=-1.0))), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: K must be nonnegative, got -1.0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [0, 1.5])
 @pytest.mark.parametrize("where", ["scenario", "check"])
 def test_tail_fraction_outside_unit_interval_fails_at_load(tmp_path, capsys, where, value):
@@ -667,18 +710,18 @@ def test_event_count_cap_fails_at_load(tmp_path, capsys):
 def test_rk4_step_cap_fails_at_load(tmp_path):
     # few events, but 1e13 steps: the cap refuses it before anything runs
     huge = dict(BASE, t_end=1e12, dt=0.1, sample_every=1e11)
-    with pytest.raises(ConfigurationError, match=r"about 1e\+13 RK4 steps; at most 10000000"):
+    with pytest.raises(InputError, match=r"about 1e\+13 RK4 steps; at most 10000000"):
         load_scenario(write(tmp_path, huge))
 
 
 def test_step_cap_counts_full_and_shortened_steps():
     sig = fixed_signal(WeightedDigraph(1))
     # t_end/dt full steps plus one shortened step per sample and switch instant
-    validate_event_count(sig, t_end=9_990_000.0, sample_every=1000.0, dt=1.0)  # 9,999,991
-    with pytest.raises(ConfigurationError, match="RK4 steps"):
-        validate_event_count(sig, t_end=9_990_000.0, sample_every=100.0, dt=1.0)  # 10,089,901
-    with pytest.raises(ConfigurationError, match="RK4 steps"):
-        validate_event_count(sig, t_end=1e7, sample_every=1e7, dt=1.0)  # 10,000,002
+    validate_grid(sig, dt=1.0, t_end=9_990_000.0, sample_every=1000.0)  # 9,999,991
+    with pytest.raises(InputError, match="RK4 steps"):
+        validate_grid(sig, dt=1.0, t_end=9_990_000.0, sample_every=100.0)  # 10,089,901
+    with pytest.raises(InputError, match="RK4 steps"):
+        validate_grid(sig, dt=1.0, t_end=1e7, sample_every=1e7)  # 10,000,002
     assert simulator.MAX_STEPS == 10_000_000
 
 
@@ -826,6 +869,22 @@ MALFORMED = {
     "center_bool": _set(["nodes", 0, "center"], [True]),
     "center_numeric_string": _set(["nodes", 0, "center"], "1"),
     "version_bool": _set(["version"], True),
+    # each rule's owner refuses a well-typed value outside its range
+    "K_negative": _set(["K"], -1.0),
+    "dt_zero": _set(["dt"], 0.0),
+    "t_end_negative": _set(["t_end"], -1.0),
+    "sample_every_zero": _set(["sample_every"], 0.0),
+    "segment_negative": _set(["signal"], {"type": "periodic", "segments": [["g0", -0.5]],
+                                          "dwell_floor": 0.5}),
+    "dwell_floor_zero": _set(["signal", "dwell_floor"], 0.0),
+    "fixed_unknown_graph": _set(["signal", "graph"], "nope"),
+    "periodic_unknown_graph": _set(["signal"], {"type": "periodic", "dwell_floor": 1.0,
+                                                "segments": [["g0", 1.0], ["nope", 1.0]]}),
+    "dt_above_quarter_dwell": lambda obj: obj.update(
+        graphs={"ga": [[0, 1, 1.0]], "gb": [[1, 0, 1.0]]}, dt=0.2,
+        signal={"type": "periodic", "segments": [["ga", 0.4], ["gb", 0.4]], "dwell_floor": 0.4},
+    ),
+    "events_beyond_max": lambda obj: obj.update(t_end=1e6, sample_every=1e-3),
 }
 
 
@@ -835,7 +894,7 @@ def test_malformed_number_exits_2(tmp_path, capsys, mutate):
     mutate(obj)
     assert main(["verify", str(write(tmp_path, obj))]) == 2
     err = capsys.readouterr().err
-    assert "input error" in err and "Traceback" not in err
+    assert err.startswith("input error: ") and "Traceback" not in err
 
 
 def _scalar_leaves(obj, path=()):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from syncflow import (
     InputError,
-    PreconditionError,
     SwitchingSignal,
     WeightedDigraph,
     certify_ujsc,
@@ -245,18 +244,18 @@ def test_lambda2_path_graph():
 
 
 def test_lambda2_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError, match="symmetric"):
         lambda2(chain(3))  # asymmetric
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError, match="connected"):
         lambda2(undirected(4, [(0, 1), (2, 3)]))  # disconnected
 
 
 def test_require_undirected_names_the_rule_a_graph_breaks():
     split = undirected(4, [(0, 1), (2, 3)])
-    with pytest.raises(PreconditionError) as err:
+    with pytest.raises(InputError) as err:
         graphs.require_undirected(chain(3), "op")
     assert str(err.value) == "op requires a symmetric graph"
-    with pytest.raises(PreconditionError) as err:
+    with pytest.raises(InputError) as err:
         graphs.require_undirected(split, "op")
     assert str(err.value) == "op requires a connected graph"
     graphs.require_undirected(split, "op", connected=False)
@@ -307,13 +306,13 @@ def test_laplacian_spectrum_psd_and_lambda2_positive_iff_connected(g):
     if connected:
         assert lambda2(g) == eig[1]
     else:
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="connected"):
             lambda2(g)
 
 
 def test_lambda2_rejects_unequal_pair_weights():
     # strongly connected, but eigvalsh would read only one triangle of L
-    with pytest.raises(PreconditionError, match="symmetric"):
+    with pytest.raises(InputError, match="symmetric"):
         lambda2(WeightedDigraph(2, ((0, 1, 1.0), (1, 0, 2.0))))
 
 

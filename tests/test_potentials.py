@@ -10,7 +10,6 @@ from syncflow import (
     InputError,
     Quadratic,
     QuarticWell,
-    RepresentationError,
     SumPotential,
     common_zero_set,
     potentials,
@@ -234,8 +233,8 @@ def test_sum_zero_set_equals_the_full_200_step_bisection(terms):
     assume(not all(isinstance(t, Quadratic) for t in terms))
     try:
         lo, hi = sum_zero_set_oracle(terms)
-    except RepresentationError:  # a bracket edge that overflows to +-inf
-        with pytest.raises(RepresentationError, match="failed to bracket"):
+    except InputError:  # a bracket edge that overflows to +-inf
+        with pytest.raises(InputError, match="failed to bracket"):
             SumPotential(tuple(terms)).zero_set()
         return
     body = SumPotential(tuple(terms)).zero_set()
@@ -259,7 +258,7 @@ def test_sum_zero_set_brackets_a_component_beyond_2_to_the_53():
 
 def test_sum_zero_set_bracket_edge_that_overflows_fails_to_bracket():
     far = np.finfo(float).max  # widened by 2^-50 of itself, the edge is inf
-    with pytest.raises(RepresentationError, match="failed to bracket"):
+    with pytest.raises(InputError, match="failed to bracket"):
         SumPotential((Quadratic(center=[0.0]), QuarticWell(center=[far]))).zero_set()
 
 
@@ -553,9 +552,9 @@ def test_kind_without_a_kernel_of_its_own_is_rejected():
     class Shifted(Quadratic):
         pass
 
-    with pytest.raises(RepresentationError, match="cannot compile a Shifted term"):
+    with pytest.raises(InputError, match="cannot compile a Shifted term"):
         NetworkPotential([Quadratic(center=[0.0]), Shifted(center=[1.0])])
-    with pytest.raises(RepresentationError):
+    with pytest.raises(InputError, match="cannot compile a Shifted term"):
         Shifted(center=[1.0]).gradient([0.0])
 
 

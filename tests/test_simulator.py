@@ -9,11 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 import syncflow.simulator as simulator
 from syncflow import (
-    ConfigurationError,
     FiniteEscapeError,
     FlatBottom1D,
     InputError,
-    PreconditionError,
     Quadratic,
     QuarticWell,
     SumPotential,
@@ -216,7 +214,7 @@ def test_dt_must_resolve_dwell():
     gb = WeightedDigraph(2, ((1, 0, 1.0),))
     sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 1.0), ("b", 1.0)), 1.0)
     pots = [Quadratic(center=[0.0]), Quadratic(center=[0.0])]
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match="dwell_floor/4"):
         integrate(pots, sig, 1.0, [1.0, 0.0], dt=0.5, t_end=5.0, sample_every=1.0)
 
 
@@ -246,8 +244,10 @@ def test_input_validation():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[0.0])]
     with pytest.raises(InputError):
         integrate(pots, sig, 1.0, [1.0], dt=0.01, t_end=1.0, sample_every=0.1)  # wrong length
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="K must be nonnegative, got -1.0"):
         integrate(pots, sig, -1.0, [1.0, 0.0], dt=0.01, t_end=1.0, sample_every=0.1)
+    with pytest.raises(InputError, match="sample_every must be positive, got 0.0"):
+        integrate(pots, sig, 1.0, [1.0, 0.0], dt=0.01, t_end=1.0, sample_every=0.0)
     with pytest.raises(InputError):
         integrate(pots[:1], sig, 1.0, [1.0, 0.0], dt=0.01, t_end=1.0, sample_every=0.1)
 
@@ -282,7 +282,7 @@ def test_equilibrium_oracle_common_center_fixed_point():
 
 
 def test_equilibrium_oracle_rejects_non_quadratic():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError, match="all-quadratic"):
         equilibrium_oracle_quadratic(
             [Quadratic(center=[0.0]), QuarticWell(center=[0.0])], two_node_graph(), 1.0
         )
@@ -407,7 +407,7 @@ def test_first_sample_is_x0_bit_for_bit_with_interleaved_kinds():
 def test_event_count_is_capped_before_the_grid_is_built():
     # two million sample instants, twice the cap: small enough to survive a broken cap
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
-    with pytest.raises(ConfigurationError, match="events"):
+    with pytest.raises(InputError, match="events"):
         integrate(pots, fixed_signal(two_node_graph()), 1.0, [0.0, 1.0], dt=0.1, t_end=2e3,
                   sample_every=1e-3)
 

@@ -12,10 +12,8 @@ from syncflow import (
     FlatBottom1D,
     InputError,
     NumericalError,
-    PreconditionError,
     Quadratic,
     QuarticWell,
-    RepresentationError,
     SumPotential,
     WeightedDigraph,
 )
@@ -396,7 +394,7 @@ def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np
     oracle for acceptance tests.
     """
     if any(not isinstance(p, Quadratic) for p in potentials):
-        raise PreconditionError("equilibrium oracle requires all-quadratic potentials")
+        raise InputError("equilibrium oracle requires all-quadratic potentials")
     eye = np.eye(potentials[0].dimension)
     w_diag = np.kron(np.diag([p.weight for p in potentials]), eye)
     lap = np.kron(np.array(g.laplacian_matrix), eye)
@@ -445,7 +443,7 @@ def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
 
     with np.errstate(over="ignore", invalid="ignore"):
         if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
-            raise RepresentationError("failed to bracket the argmin of a sum potential")
+            raise InputError("failed to bracket the argmin of a sum potential")
         _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
         right_edge, _ = bisect(lambda s: deriv(s) > 0.0)
     if right_edge < left_edge:
