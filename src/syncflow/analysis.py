@@ -19,7 +19,7 @@ Finite-horizon proxies: a "tail" quantity is taken over the last
 """
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,20 +50,42 @@ __all__ = [
 DEFAULT_TAIL_FRACTION = 0.2
 
 
-@dataclass(frozen=True, eq=False)
 class DiagnosticsSeries:
-    """Per-sample diagnostic series aligned with a trajectory.
+    """Per-sample diagnostic series aligned with a trajectory, from ``diagnostics``.
 
-    ``v_nodes``/``v`` are present only when the zero sets share a point;
-    ``theta`` needs only bounded zero sets and is always computed.
+    ``times`` and ``diameter`` come with it; ``theta``, ``argmin_dist`` and ``v_nodes``/``v``
+    read the zero sets, so each is computed on its first read and kept.  ``v_nodes``/``v``
+    are None unless the zero sets share a point; ``theta`` needs only bounded zero sets.
     """
 
-    times: np.ndarray
-    diameter: np.ndarray
-    theta: np.ndarray
-    argmin_dist: np.ndarray  # (n_samples, N)
-    v_nodes: np.ndarray | None = None  # (n_samples, N)
-    v: np.ndarray | None = None
+    def __init__(self, traj: Trajectory, potentials):
+        self.times, self.diameter = traj.times, diameter_series(traj)
+        self._states, self._potentials = traj.states, list(potentials)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan series, no warnings
+    def theta(self) -> np.ndarray:
+        """Per sample, the largest squared node distance to the hull of the union of zero sets."""
+        return (cg.zero_set_hull(self._potentials).distance(self._states) ** 2).max(axis=1)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def argmin_dist(self) -> np.ndarray:
+        """(n_samples, N) node distances to their own zero sets: one clip against the boxes."""
+        corners = np.array([(z.lo, z.hi) for z in (p.zero_set() for p in self._potentials)])
+        return cg.box_distance(self._states, corners[:, 0], corners[:, 1])
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def v_nodes(self) -> np.ndarray | None:
+        """(n_samples, N) squared node distances to the center of the zero sets' intersection."""
+        common = common_zero_set(self._potentials)
+        return None if common is None else np.linalg.norm(self._states - common.center(), axis=2) ** 2
+
+    @cached_property
+    def v(self) -> np.ndarray | None:
+        """Per sample, the largest of ``v_nodes``: the max-type Lyapunov series V."""
+        return None if self.v_nodes is None else self.v_nodes.max(axis=1)
 
 
 def validate_tail_fraction(tail_fraction) -> float:
@@ -92,11 +114,15 @@ def validate_grad_tol(grad_tol):
         raise InputError(f"grad_tol must be positive, got {grad_tol}")
 
 
+def validate_spectral_gain(K):
+    """Raises InputError unless K > 0: the spectral bound divides by K."""
+    if not K > 0:
+        raise InputError(f"spectral bound needs K > 0, got {K}")
+
+
 def _tail_indices(times: np.ndarray, tail_fraction: float) -> np.ndarray:
     validate_tail_fraction(tail_fraction)
-    horizon = times[-1]
-    idx = np.nonzero(times >= horizon * (1.0 - tail_fraction) - 1e-12)[0]
-    return idx
+    return np.nonzero(times >= times[-1] * (1.0 - tail_fraction) - 1e-12)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan, no warnings
@@ -112,38 +138,9 @@ def diameter_series(traj: Trajectory) -> np.ndarray:
     return diam
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan series, no warnings
 def diagnostics(traj: Trajectory, potentials) -> DiagnosticsSeries:
-    """Compute all diagnostic series for a completed trajectory.
-
-    The V series is computed exactly when the zero sets share a point, about
-    the center of their intersection.
-    """
-    X = traj.states
-    diam = diameter_series(traj)
-
-    # every node at every sample in one projection: (samples, N) distances
-    theta = (cg.zero_set_hull(potentials).distance(X) ** 2).max(axis=1)
-
-    # every zero set is a box: one clip of all nodes against their stacked corners
-    zsets = [p.zero_set() for p in potentials]
-    lo, hi = np.array([z.lo for z in zsets]), np.array([z.hi for z in zsets])
-    argmin_dist = cg.box_distance(X, lo, hi)
-
-    v_nodes = v = None
-    common = common_zero_set(potentials)
-    if common is not None:
-        v_nodes = np.linalg.norm(X - common.center(), axis=2) ** 2
-        v = v_nodes.max(axis=1)
-
-    return DiagnosticsSeries(
-        times=traj.times,
-        diameter=diam,
-        theta=theta,
-        argmin_dist=argmin_dist,
-        v_nodes=v_nodes,
-        v=v,
-    )
+    """The diagnostic series of a completed trajectory; see ``DiagnosticsSeries``."""
+    return DiagnosticsSeries(traj, potentials)
 
 
 def check_sync(
@@ -353,8 +350,7 @@ def check_spectral_bound(
     is the norm of the stacked self-gradients at p and lambda2 the
     second-smallest Laplacian eigenvalue of the (symmetric, connected) graph.
     """
-    if K <= 0:
-        raise InputError("spectral bound needs K > 0")
+    validate_spectral_gain(K)
     require_undirected(g, "check_spectral_bound")
     net = NetworkPotential(potentials)
     KL = net.coupling(g.laplacian_matrix, K)

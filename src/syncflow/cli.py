@@ -329,8 +329,7 @@ def _fixed_symmetric_connected(sc: Scenario):
         _fail("check 'spectral_bound' requires a fixed signal")
     g = sc.signal.library[sc.signal.segments[0][0]]  # a fixed signal names one graph
     graphs.require_undirected(g, "check 'spectral_bound'")
-    if sc.primary_K <= 0:
-        _fail("check 'spectral_bound' requires K > 0")
+    analysis.validate_spectral_gain(sc.primary_K)
 
 
 def _one_dimensional(sc: Scenario):
@@ -439,9 +438,8 @@ def _load_check(c, tail_fraction: float) -> tuple[str, dict]:
 # -- execution ----------------------------------------------------------------
 
 
-def _write_trajectory_csv(path: Path, sc: Scenario, traj, diag):
-    series = {"diameter": diag.diameter, "V": diag.v, "theta": diag.theta}
-    series = {name: v for name, v in series.items() if v is not None}
+def _write_trajectory_csv(path: Path, sc: Scenario, traj, series: dict):
+    series = {name: v for name, v in series.items() if v is not None}  # no V without a common zero
     cols = ["t"] + [f"x_{i}_{k}" for i in range(sc.node_count) for k in range(sc.dim)]
     cols += list(series)
     table = np.column_stack([traj.times, traj.states.reshape(len(traj), -1), *series.values()])
@@ -522,6 +520,7 @@ def run(scenario: Scenario, out_dir) -> int:
     out = Path(out_dir)
     try:
         traj, diag, reports, sweep = _execute(scenario)
+        series = {"diameter": diag.diameter, "V": diag.v, "theta": diag.theta}  # theta may raise
     except NumericalError as e:
         error = {"type": type(e).__name__, "message": str(e)}
         if isinstance(e, FiniteEscapeError):
@@ -531,7 +530,7 @@ def run(scenario: Scenario, out_dir) -> int:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
     out.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out / "trajectory.csv", scenario, traj, diag)
+    _write_trajectory_csv(out / "trajectory.csv", scenario, traj, series)
     _write_plot_script(out / "plot.gp", scenario)
     if sweep is not None:
         _write_sweep_csv(out / "sweep.csv", sweep)

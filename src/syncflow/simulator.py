@@ -19,8 +19,9 @@ into it once per graph by ``NetworkPotential.coupling``, so each RK4 stage is on
 
 The exact flow stays in the box spanned by x0 and the zero sets (gradients
 nondecreasing per component, diffusive coupling), so a state past 1e8 times that
-box's sup norm (at least 1) is fixed-step RK4 leaving its stability region: the
-run aborts with an explicit error instead of overflowing.
+box's sup norm (at least 1) is fixed-step RK4 leaving its stability region: the run
+aborts with an explicit error instead of overflowing.  The zero sets are read only once
+a state passes the bound from x0 alone, never larger, so a run within it reads none.
 """
 
 import math
@@ -182,11 +183,10 @@ def integrate(
     X = X.reshape(net.node_count, net.dimension)
     if not np.all(np.isfinite(X)):
         raise InputError("x0 entries must be finite")
-    zs = [p.zero_set() for p in potentials]
-    box = np.concatenate([X.ravel(), *(z.lo for z in zs), *(z.hi for z in zs)])
-    # 1e8 times the invariant box's sup norm, capped at the largest float so that an
-    # overflowed (inf) state still trips it
-    guard = min(1e8 * max(1.0, float(np.abs(box).max())), float(np.finfo(float).max))
+    def bound(*parts):  # 1e8 times their sup norm (at least 1), capped so that inf trips it
+        sup = max(1.0, *(float(np.abs(p).max()) for p in parts))
+        return min(1e8 * sup, float(np.finfo(float).max))
+    x0, guard, boxed = X, bound(X), False  # from x0 alone until a state passes it
     X = X.take(net.order, axis=0)  # the run keeps its states in block order
     times = [0.0]
     states = [X]  # RK4 steps build new arrays, so recorded states need no copies
@@ -202,6 +202,9 @@ def integrate(
                 for k in range(nsteps):
                     X = _rk4_step(net, KL, X, h)
                     sup = float(np.abs(X).max())  # NaN if any entry is NaN
+                    if not sup <= guard and not boxed:  # the zero sets join the box
+                        zs = [p.zero_set() for p in potentials]
+                        guard, boxed = bound(x0, *(z.lo for z in zs), *(z.hi for z in zs)), True
                     if not sup <= guard:
                         sup = math.inf if math.isnan(sup) else sup
                         raise FiniteEscapeError(t_prev + (k + 1) * h, sup, guard, h)

@@ -546,6 +546,13 @@ def test_spectral_bound_rejects_nonminimizer():
         check_spectral_bound([5.0, -5.0], pots, two_node(), 1.0)
 
 
+def test_spectral_bound_refuses_a_gain_that_is_not_positive():
+    # the scenario loader's precondition calls the same rule (tests/test_cli.py)
+    pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
+    with pytest.raises(InputError, match=r"^spectral bound needs K > 0, got 0\.0$"):
+        check_spectral_bound([0.5, 0.5], pots, two_node(), 0.0)
+
+
 # -- exact-sync iff-check ------------------------------------------------------
 
 

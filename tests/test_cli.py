@@ -21,6 +21,7 @@ from syncflow import (
     analysis,
     cli,
     fixed_signal,
+    potentials,
     simulator,
 )
 from syncflow.cli import MAX_SUM_DEPTH, load_scenario, main, run, verify
@@ -126,7 +127,7 @@ PRECONDITIONS = {
     "spectral_disconnected": ({"graphs": {"g0": []}}, {"name": "spectral_bound"},
                               "check 'spectral_bound' requires a connected graph"),
     "spectral_K_zero": ({"K": 0.0}, {"name": "spectral_bound"},
-                        "check 'spectral_bound' requires K > 0"),
+                        "spectral bound needs K > 0, got 0.0"),
     "cube_planar": (PLANAR, {"name": "invariant_cube"},
                     "check 'invariant_cube' requires one-dimensional node states"),
     "common_limit_apart": (
@@ -593,6 +594,50 @@ def test_far_apart_sum_zero_set_prints_no_warning(tmp_path, capfd):
             assert main(["verify", str(write(tmp_path, far))]) == 2
         err = capfd.readouterr().err
         assert "nonempty intersection of zero sets" in err and "RuntimeWarning" not in err
+
+
+# gain_sweep's shape at four nodes: quadratics and quadratic-plus-quartic sums with distinct
+# centers on a symmetric ring, a K_list, and checks that read no zero set
+RING4 = [[i, (i + 1) % 4, 1.0] for i in range(4)] + [[(i + 1) % 4, i, 1.0] for i in range(4)]
+SUM_RING = dict(
+    BASE,
+    nodes=[{"kind": "quadratic", "center": [-1.0]},
+           {"kind": "sum", "terms": [{"kind": "quadratic", "center": [0.5]},
+                                     {"kind": "quartic", "center": [1.5]}]},
+           {"kind": "quadratic", "center": [1.0]},
+           {"kind": "sum", "terms": [{"kind": "quadratic", "center": [-0.5]},
+                                     {"kind": "quartic", "center": [-1.5]}]}],
+    graphs={"g0": RING4}, K_list=[1.0, 2.0], epsilon=10.0, x0=[1.0, -1.0, 0.5, -0.5],
+    dt=0.025, t_end=2.0, sample_every=0.1,
+    checks=[{"name": "spectral_bound"}, {"name": "feasibility"}, {"name": "no_sync", "floor": 1e-4}],
+)
+del SUM_RING["K"]
+
+
+def test_zero_sets_are_bisected_only_where_a_result_reads_them(tmp_path, monkeypatch, capsys):
+    calls = []
+    bisect = potentials._component_zero_interval
+    monkeypatch.setattr(
+        potentials, "_component_zero_interval", lambda terms, k: calls.append(k) or bisect(terms, k)
+    )
+    p = write(tmp_path, SUM_RING)
+    assert main(["verify", str(p)]) == 0
+    assert calls == []  # no check reads a zero set, and no state passes the guard
+    assert main(["simulate", str(p), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [0, 0]  # the CSV's theta reads both sums' zero sets
+
+
+UNBRACKETABLE = dict(SUM_RING, nodes=[*SUM_RING["nodes"][:3], {"kind": "sum", "terms": [
+    {"kind": "quadratic", "center": [0.0]}, {"kind": "quartic", "center": [1.7976931348623157e308]}]}])
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_a_sum_whose_argmin_cannot_be_bracketed_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, str(write(tmp_path, UNBRACKETABLE))]
+    assert main(argv + ([] if command == "verify" else ["--out", str(out)])) == 2
+    assert capsys.readouterr().err == "input error: failed to bracket the argmin of a sum potential\n"
+    assert not out.exists()
 
 
 def test_spectral_bound_minimizer_starts_from_the_last_sample(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from syncflow import convex_geometry as cg
 from syncflow.cli import potential_from_dict
 from syncflow.potentials import NetworkPotential
 from util import (
+    component_zero_interval_oracle,
     gradient_consistency_check,
     oracle_curvature,
     oracle_gradient,
@@ -227,10 +228,20 @@ def far_apart_sum(draw):
 # midpoints of brackets past ~9e307 overflowed when their ends were added first
 @example([Quadratic(center=[1.0]), QuarticWell(center=[1e308])])
 @example([Quadratic(center=[1.0]), QuarticWell(center=[-1e308])])
+# the first midpoint 0.0 has deriv -1 + 1 = 0 exactly, so the two edges split at once
+@example([Quadratic(center=[1.0]), QuarticWell(center=[-1.0])])
 def test_sum_zero_set_equals_the_full_200_step_bisection(terms):
-    # only the bisection branch: no shared minimizer and not all quadratics
-    assume(cg.intersect([t.zero_set() for t in terms], tol=0.0) is None)
-    assume(not all(isinstance(t, Quadratic) for t in terms))
+    assume(takes_the_bisection(terms))
+    assert_sum_zero_set_is_the_oracle_s(terms)
+
+
+def takes_the_bisection(terms) -> bool:
+    """No shared minimizer and not all quadratics: the sum's zero set is bisected."""
+    shared = cg.intersect([t.zero_set() for t in terms], tol=0.0) is not None
+    return not shared and not all(isinstance(t, Quadratic) for t in terms)
+
+
+def assert_sum_zero_set_is_the_oracle_s(terms):
     try:
         lo, hi = sum_zero_set_oracle(terms)
     except InputError:  # a bracket edge that overflows to +-inf
@@ -240,6 +251,40 @@ def test_sum_zero_set_equals_the_full_200_step_bisection(terms):
     body = SumPotential(tuple(terms)).zero_set()
     # bit for bit, the sign of a zero included
     assert body.lo.tobytes() == lo.tobytes() and body.hi.tobytes() == hi.tobytes()
+
+
+def test_2000_seeded_sums_match_the_full_bisection_bit_for_bit():
+    # far_apart_sum's distribution, drawn without hypothesis: 2-4 terms, centers from
+    # 1e-300 to 1e150 in magnitude, flat bottoms in 1-D.  In 580 of their components a
+    # midpoint has deriv exactly 0, where the two edges' halvings split.
+    rng = np.random.default_rng(20141223)
+
+    def point(m):
+        return rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-300.0, 150.0, size=m)
+
+    for _ in range(2000):
+        m = int(rng.integers(1, 4))
+        terms = []
+        for _ in range(int(rng.integers(2, 5))):
+            kind = rng.choice(["quadratic", "quartic"] + (["flat_bottom"] if m == 1 else []))
+            if kind == "quadratic":
+                terms.append(Quadratic(center=point(m), weight=rng.uniform(0.1, 5.0)))
+            elif kind == "quartic":
+                terms.append(QuarticWell(center=point(m)))
+            else:
+                terms.append(FlatBottom1D(*sorted(point(2))))
+        if not takes_the_bisection(terms):
+            continue
+        try:
+            intervals = [component_zero_interval_oracle(terms, k) for k in range(m)]
+        except InputError:  # a bracket edge that overflows to +-inf
+            assert_sum_zero_set_is_the_oracle_s(terms)
+            continue
+        # each edge before the box collapses them to their midpoint, the sign of a zero included
+        got = [potentials._component_zero_interval(terms, k) for k in range(m)]
+        assert np.array(got).tobytes() == np.array(intervals).tobytes()
+        body, (lo, hi) = SumPotential(tuple(terms)).zero_set(), sum_zero_set_oracle(terms, intervals)
+        assert body.lo.tobytes() == lo.tobytes() and body.hi.tobytes() == hi.tobytes()
 
 
 @pytest.mark.parametrize("c", [1e308, -1e308])
@@ -258,8 +303,17 @@ def test_sum_zero_set_brackets_a_component_beyond_2_to_the_53():
 
 def test_sum_zero_set_bracket_edge_that_overflows_fails_to_bracket():
     far = np.finfo(float).max  # widened by 2^-50 of itself, the edge is inf
+    # refused at construction: no result need read the zero set for the sum to be refused
     with pytest.raises(InputError, match="failed to bracket"):
-        SumPotential((Quadratic(center=[0.0]), QuarticWell(center=[far]))).zero_set()
+        SumPotential((Quadratic(center=[0.0]), QuarticWell(center=[far])))
+    # a term that far out whose zero set needs no bracket is kept
+    assert SumPotential((Quadratic(center=[far]), QuarticWell(center=[far]))).zero_set().lo[0] == far
+
+
+def test_quadratics_whose_weighted_mean_overflows_are_refused_at_construction():
+    # the argmin (about 1.0000000009e307) is finite, but 100 * 1e307 is not
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="box corners must be finite"):
+        SumPotential((Quadratic(center=[1e307], weight=100.0), Quadratic(center=[1.0000001e307])))
 
 
 def test_gradient_consistency_quadratic_tight():

@@ -239,6 +239,21 @@ def test_guard_reports_a_nan_state_as_an_infinite_sup_norm():
     assert caught.value.sup_norm == math.inf
 
 
+def test_a_state_past_the_x0_bound_runs_on_under_the_bound_of_the_zero_sets():
+    # x0 = 0 bounds states by 1e8 until the centers at +-1e9 join the box: 1e17
+    pots = [Quadratic(center=[1e9]), Quadratic(center=[-1e9])]
+    traj = integrate(pots, fixed_signal(two_node_graph()), 1.0, [0.0, 0.0], dt=0.05, t_end=5.0)
+    assert np.abs(traj.states).max() > 1e8
+
+
+def test_a_trip_reports_the_bound_of_the_box_with_the_zero_sets():
+    sig = fixed_signal(WeightedDigraph(1))
+    with pytest.raises(FiniteEscapeError) as caught:
+        integrate([QuarticWell(center=[1e3])], sig, 0.0, [0.0], dt=0.05, t_end=5.0)
+    assert caught.value.bound == 1e11  # 1e8 times the center, not 1e8 from x0 = 0
+    assert caught.value.time == 0.05
+
+
 def test_input_validation():
     sig = fixed_signal(two_node_graph())
     pots = [Quadratic(center=[0.0]), Quadratic(center=[0.0])]

@@ -452,13 +452,13 @@ def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
     return left_edge, right_edge
 
 
-def sum_zero_set_oracle(terms) -> tuple[np.ndarray, np.ndarray]:
+def sum_zero_set_oracle(terms, intervals=None) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of a sum's argmin box when its terms share no minimizer and are not all
-    quadratic: one oracle interval per component, a box thinner than 1e-9 of its
-    scale collapsed to its midpoint."""
-    m = terms[0].dimension
-    lo, hi = (np.array(e) for e in zip(*(component_zero_interval_oracle(terms, k)
-                                         for k in range(m))))
+    quadratic: one oracle interval per component (``intervals``, when the caller holds
+    them), a box thinner than 1e-9 of its scale collapsed to its midpoint."""
+    if intervals is None:
+        intervals = [component_zero_interval_oracle(terms, k) for k in range(terms[0].dimension)]
+    lo, hi = (np.array(e) for e in zip(*intervals))
     scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
     if np.all(hi - lo <= 1e-9 * scale):
         lo = hi = 0.5 * lo + 0.5 * hi
