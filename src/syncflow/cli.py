@@ -349,7 +349,7 @@ def _spectral_bound(sc: Scenario, traj, diag, p):
     x = analysis.minimize_aggregate(
         sc.potentials, g, sc.primary_K, traj.states[-1], tol=p["grad_tol"]
     )
-    return analysis.check_spectral_bound(x, sc.potentials, g, sc.primary_K, tol=p["tol"])
+    return analysis.check_spectral_bound(x, sc.potentials, g, sc.primary_K, **p)
 
 
 def _drift_alignment(sc: Scenario, traj, diag, p):

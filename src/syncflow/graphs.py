@@ -76,7 +76,8 @@ class WeightedDigraph:
         a = np.zeros((self.node_count, self.node_count))
         for j, i, w in self.arcs:
             a[i, j] = w
-        lap = np.diag(a.sum(axis=1)) - a
+        with np.errstate(over="ignore"):  # NetworkPotential.coupling refuses an infinite K·L
+            lap = np.diag(a.sum(axis=1)) - a
         lap.setflags(write=False)
         return lap
 

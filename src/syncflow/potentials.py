@@ -9,7 +9,10 @@ hypotheses of the synchronization analysis stay machine-checkable:
 * ``Quadratic``      F(x) = (w/2)|x - c|^2
 * ``QuarticWell``    F(x) = sum_k (x_k - c_k)^4 / 4, so f(x) = -(x - c)^3
 * ``FlatBottom1D``   zero on [left, right], quadratic halves outside (1-D)
-* ``SumPotential``   pointwise sum of catalog terms sharing one dimension
+* ``SumPotential``   pointwise sum of catalog terms sharing one dimension, kept flat
+
+A zero set is computed where it is first read, never when a potential is built, so a sum
+whose argmin cannot be found (see ``_component_zero_interval``) is refused there.
 
 ``NetworkPotential`` compiles a network's potentials into one kernel per run of like
 terms in a block order of the nodes, so one call evaluates every node; its ``coupling``
@@ -194,52 +197,43 @@ class SumPotential(Potential):
         dims = {t.dimension for t in terms}
         if len(dims) != 1:
             raise InputError(f"sum terms must share one dimension, got {sorted(dims)}")
-        object.__setattr__(self, "terms", terms)
-        # a zero set that may fail (quadratics' weighted mean or, past 2^1023, the halving's
-        # bracket may overflow) is found now, so that such a sum is refused whatever reads it
-        flat = _flatten_terms(self)
-        if all(isinstance(t, Quadratic) for t in flat) or max(abs(v) for t in flat for v in
-               ((t.left, t.right) if isinstance(t, FlatBottom1D) else t.center.tolist())) >= 2.0**1023:
-            self.zero_set()
+        # a nested sum's terms are already flat, so one level of splicing keeps the sum flat
+        object.__setattr__(self, "terms", tuple(
+            leaf for t in terms for leaf in (t.terms if isinstance(t, SumPotential) else (t,))))
 
     @property
     def dimension(self) -> int:
         return self.terms[0].dimension
 
     def _argmin_set(self) -> cg.Box:
-        flat = _flatten_terms(self)
+        terms = self.terms
         # shared minimizer: the argmin of the sum is exactly the intersection
-        common = cg.intersect([t.zero_set() for t in flat], tol=0.0)
+        common = cg.intersect([t.zero_set() for t in terms], tol=0.0)
         if common is not None:
             return common
-        if all(isinstance(t, Quadratic) for t in flat):
-            c = sum(t.weight * t.center for t in flat) / sum(t.weight for t in flat)
+        if all(isinstance(t, Quadratic) for t in terms):
+            # a convex combination of the centers: no partial sum passes the largest |center|
+            v = np.array([t.weight for t in terms]) / max(t.weight for t in terms)
+            c = (v / v.sum()) @ np.array([t.center for t in terms])
             return cg.Box(c, c)
         # catalog gradients are componentwise separable, so the argmin box
         # follows from m independent one-dimensional interval halvings
-        lo, hi = np.array([_component_zero_interval(flat, k) for k in range(self.dimension)]).T
+        lo, hi = np.array([_component_zero_interval(terms, k) for k in range(self.dimension)]).T
         scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
         if np.all(hi - lo <= 1e-9 * scale):
             lo = hi = 0.5 * lo + 0.5 * hi  # no overflow near the largest floats
         return cg.Box(lo, hi)
 
 
-def _flatten_terms(spec: Potential) -> list[Potential]:
-    if isinstance(spec, SumPotential):
-        out: list[Potential] = []
-        for t in spec.terms:
-            out.extend(_flatten_terms(t))
-        return out
-    return [spec]
-
-
-def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, float]:
+def _component_zero_interval(terms, k: int) -> tuple[float, float]:
     """Zero interval of the k-th gradient component of a separable sum.
 
     The component derivative is non-decreasing, so {deriv = 0} is an interval bracketed by
     the union of the terms' per-component argmin ranges.  Its left edge is where deriv >= 0
     starts to hold and its right edge where deriv > 0 does: the two halvings share one path
     until a midpoint has deriv exactly 0, and split there, each with its remaining budget.
+    An InputError refuses a bracket that overflows, and a midpoint whose deriv is NaN (a
+    term's +inf meets another's -inf), where the side of the argmin is unknown.
 
     ``deriv`` repeats each kind's gradient component in scalar arithmetic on coefficients
     read once as Python floats, the one copy outside the kernels: a bench sum's component
@@ -280,8 +274,10 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
                 return halve(lo_, mid, rest, True)[0], halve(mid, hi_, rest, False)[1]
             if d > 0.0 or (d == 0.0 and zero_up):
                 hi_ = mid
-            else:
+            elif d <= 0.0:
                 lo_ = mid
+            else:  # NaN
+                raise InputError(f"the derivative of a sum potential overflows at {mid}")
             if fixed:  # after the assignment, which may still flip the sign of a zero
                 break
         return hi_, lo_
@@ -289,7 +285,7 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
     lo, hi = min(c[1] for c in coef), max(c[2] for c in coef)
     # each edge widens by 1, or by 2^-50 of it beyond 2^50, where its ulp would swallow 1
     a, b = lo - max(1.0, 2.0**-50 * abs(lo)), hi + max(1.0, 2.0**-50 * abs(hi))
-    # far-apart centers overflow deriv to +-inf (NaN once both meet); both are only compared
+    # far-apart centers overflow deriv to +-inf, which compares, or NaN, which fails here
     if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
         raise InputError("failed to bracket the argmin of a sum potential")
     left_edge, right_edge = halve(a, b, 200, None)
@@ -305,13 +301,12 @@ def _component_zero_interval(terms: list[Potential], k: int) -> tuple[float, flo
 class NetworkPotential:
     """The node potentials F_1..F_N of a network, compiled into slots of kernels.
 
-    ``order`` sorts the nodes by the kinds of their flattened terms, each kind ranked by
+    ``order`` sorts the nodes by the kinds of their terms, each kind ranked by
     its first appearance (``inverse`` undoes it), so the k-th terms of one kind form runs
     of this block order: one slot each, a kernel over stacked centers, weights or bounds,
     term k's slots after term k - 1's.  ``negated_drift`` and ``curvature`` take states
     in block order; ``gradient`` gathers node states (..., N, m) in once and out once.
-    A sum thus adds its flattened terms left to right: the bits of ``sum()`` for flat and
-    left-nested sums; a right-nested sum associates differently from its nesting."""
+    A sum's terms are flat, so a node adds them left to right: the bits of ``sum()``."""
 
     def __init__(self, potentials):
         potentials = list(potentials)
@@ -325,7 +320,7 @@ class NetworkPotential:
         # a sum starts from 0 as ``sum()`` does, which turns a first -0.0
         # into +0.0; a single term keeps its sign (-0.0 + g is g)
         start = np.array([[0.0 if isinstance(p, SumPotential) else -0.0] for p in potentials])
-        flat = [_flatten_terms(p) for p in potentials]
+        flat = [p.terms if isinstance(p, SumPotential) else (p,) for p in potentials]
         kinds = list(dict.fromkeys(type(t) for terms in flat for t in terms))  # first seen first
         signature = [tuple(kinds.index(type(t)) for t in terms) for terms in flat]
         self.order = np.array(sorted(range(self.node_count), key=signature.__getitem__))

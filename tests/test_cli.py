@@ -376,19 +376,37 @@ def test_an_overflowing_gain_names_its_cause_and_prints_no_warning(tmp_path, cap
         assert error == {"type": "NumericalError", "message": GAIN_OVERFLOW}
 
 
-def test_a_gain_no_step_can_stabilize_names_the_step_and_time(tmp_path, capsys):
-    # bench/scenarios.py's ring_switch_1d at smoke size with K = 1e307: K·L stays finite,
-    # but a stable RK4 step would be ~1e-307, far below what MAX_STEPS allows
+def smoke_scenario(workload: str) -> dict:
+    """bench/scenarios.py's ``workload`` at smoke size and seed 7, as a scenario object."""
     spec = importlib.util.spec_from_file_location(
         "bench_scenarios", Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
     )
     scenarios = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scenarios)
-    obj = dict(scenarios.make("ring_switch_1d", 7, "smoke").scenario, K=1e307)
+    return scenarios.make(workload, 7, "smoke").scenario
+
+
+def test_a_gain_no_step_can_stabilize_names_the_step_and_time(tmp_path, capsys):
+    # ring_switch_1d with K = 1e307: K·L stays finite, but a stable RK4 step would be
+    # ~1e-307, far below what MAX_STEPS allows
+    obj = dict(smoke_scenario("ring_switch_1d"), K=1e307)
     assert main(["verify", str(write(tmp_path, obj))]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: RK4 step h=0.05 became unstable at t=0.05: ")
     assert err.endswith("the exact flow stays in the box\n") and "dt" not in err
+
+
+def test_a_laplacian_whose_row_sum_overflows_names_its_cause_and_prints_no_warning(tmp_path, capfd):
+    # node 2's two in-arcs of 1e308 sum to inf on the Laplacian's diagonal
+    arcs = [[0, 2, 1e308], [1, 2, 1e308], [0, 1, 1.0], [1, 0, 1.0], [2, 0, 1.0]]
+    obj = dict(BASE, nodes=[BASE["nodes"][0]] * 3, weight_bounds=[0.5, 1.7e308],
+               graphs={"g0": arcs}, x0=[1.0, 0.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as an exception
+        assert main(["verify", str(write(tmp_path, obj))]) == 3
+    assert capfd.readouterr().err == (
+        "numerical error: K·L overflows: K = 1 times the largest |L| entry inf is not a finite float\n"
+    )
 
 
 def test_a_sweep_lane_whose_gain_overflows_is_an_error_row(tmp_path, capfd):
@@ -638,6 +656,35 @@ def test_a_sum_whose_argmin_cannot_be_bracketed_exits_2(tmp_path, capsys, comman
     assert main(argv + ([] if command == "verify" else ["--out", str(out)])) == 2
     assert capsys.readouterr().err == "input error: failed to bracket the argmin of a sum potential\n"
     assert not out.exists()
+
+
+# both cubes overflow near the argmin 5e103 of this sum, one to +inf and the other to -inf
+FAR_QUARTICS = [{"kind": "quartic", "center": [0.0]}, {"kind": "quartic", "center": [1e104]}]
+OVERFLOWING_DERIVATIVE = "input error: the derivative of a sum potential overflows at 5.000000000000005e+103\n"
+
+
+@pytest.mark.parametrize("reader", ["guard", "precondition"])
+def test_a_sum_whose_derivative_overflows_exits_2_where_its_zero_set_is_read(tmp_path, capsys,
+                                                                             reader):
+    if reader == "guard":
+        # node 0's state overflows in the first step, so the guard reads the zero sets; a
+        # wrong argmin of 9.4e103 made the guard 9.4e111 and the run a numerical error
+        obj = dict(BASE, nodes=[{"kind": "sum", "terms": FAR_QUARTICS}, BASE["nodes"][1]],
+                   x0=[0.0, 1.0])
+    else:
+        # monotone_V's precondition reads every zero set; a wrong argmin made it report
+        # that they do not intersect
+        obj = smoke_scenario("ring_switch_1d")
+        obj["nodes"][-1]["terms"] = FAR_QUARTICS
+    assert main(["verify", str(write(tmp_path, obj))]) == 2
+    assert capsys.readouterr().err == OVERFLOWING_DERIVATIVE
+
+
+def test_spectral_bound_tests_its_minimizer_against_the_scenario_s_grad_tol(tmp_path, capsys):
+    # the minimizer stops at |grad F_G| = 6.6e-06, inside the scenario's 1e-3
+    obj = dict(SUM_RING, checks=[{"name": "spectral_bound", "grad_tol": 1e-3}])
+    assert main(["verify", str(write(tmp_path, obj))]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] spectral_bound")
 
 
 def test_spectral_bound_minimizer_starts_from_the_last_sample(tmp_path, monkeypatch):

@@ -205,7 +205,7 @@ def _point(x) -> np.ndarray:
 
 def oracle_gradient(spec, x) -> np.ndarray:
     """grad F(x) for a point (m,), a stack (..., m) or a bare number, by each kind's
-    closed form; a sum adds its terms with ``sum()``, nesting kept."""
+    closed form; a sum adds its terms, which are flat, with ``sum()``."""
     x = _point(x)
     if isinstance(spec, Quadratic):
         return spec.weight * (x - spec.center)
@@ -409,8 +409,9 @@ def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np
 
 
 def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
-    """Zero interval of the k-th gradient component of the flattened sum ``terms``, by
-    200 halvings per edge with no early exit; overflow to inf is silent, as in ``src/``."""
+    """Zero interval of the k-th gradient component of the flat sum ``terms``, by 200
+    halvings per edge with no early exit.  A midpoint whose derivative is NaN (a term's +inf
+    met another's -inf) is refused with ``src/``'s message."""
 
     def deriv(s: float) -> float:
         total = 0.0
@@ -435,6 +436,8 @@ def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
         lo_, hi_ = a, b
         for _ in range(200):
             mid = 0.5 * lo_ + 0.5 * hi_
+            if math.isnan(deriv(mid)):
+                raise InputError(f"the derivative of a sum potential overflows at {mid}")
             if predicate(mid):
                 hi_ = mid
             else:
