@@ -10,7 +10,7 @@ simulated trajectories:
 * the minimizer of the aggregate potential over a fixed undirected graph via
   Newton's method (its gradient is exactly the negated coupled vector
   field, which doubles as a cross-module identity), and the spectral
-  disagreement bound at a minimizer;
+  disagreement bound at the minimizer it finds;
 * exact-synchronization iff-checks, coupling-gain sweeps, assumption
   feasibility certification, and the one-dimensional invariant-cube test.
 
@@ -335,35 +335,27 @@ def minimize_aggregate(
 
 
 def check_spectral_bound(
-    p,
     potentials,
     g: WeightedDigraph,
     K: float,
+    x_init,
+    grad_tol: float = 1e-10,
     tol: float = 1e-8,
-    grad_tol: float = 1e-6,
 ) -> CheckReport:
-    """Disagreement of a minimizer against the spectral-gap bound.
+    """Disagreement of the aggregate potential's minimizer against the spectral-gap bound.
 
-    With p a minimizer of the aggregate potential, the blockwise deviation
-    from the block average must satisfy
-    sum_i |p_i - p_ave|^2 <= (drift_norm / (K * lambda2))^2, where drift_norm
-    is the norm of the stacked self-gradients at p and lambda2 the
-    second-smallest Laplacian eigenvalue of the (symmetric, connected) graph.
+    The minimizer p is ``minimize_aggregate``'s, from ``x_init`` down to a gradient norm of
+    at most ``grad_tol``.  Its blockwise deviation from the block average must satisfy
+    sum_i |p_i - p_ave|^2 <= (drift_norm / (K * lambda2))^2 within ``tol``, where drift_norm
+    is the norm of the stacked self-gradients at p and lambda2 the second-smallest Laplacian
+    eigenvalue of the graph, whose gate refuses a graph that is not symmetric and connected.
     """
     validate_spectral_gain(K)
-    require_undirected(g, "check_spectral_bound")
-    net = NetworkPotential(potentials)
-    KL = net.coupling(g.laplacian_matrix, K)
-    P = np.asarray(p, dtype=float).reshape(g.node_count, net.dimension)
-    gnorm = float(np.linalg.norm(net.negated_drift(KL, P.take(net.order, axis=0))))
-    if gnorm > grad_tol:
-        raise InputError(
-            f"p is not a minimizer: |grad F_G(p)| = {gnorm:.3e} > {grad_tol:.1e}"
-        )
+    lam2 = lambda2(g)
+    P = minimize_aggregate(potentials, g, K, x_init, tol=grad_tol)
     p_ave = P.mean(axis=0)
     lhs = float(np.sum((P - p_ave) ** 2))
-    l0 = float(np.linalg.norm(net.gradient(P)))
-    lam2 = lambda2(g)
+    l0 = float(np.linalg.norm(NetworkPotential(potentials).gradient(P)))
     bound = (l0 / (K * lam2)) ** 2
     return CheckReport(
         check="spectral_bound",
@@ -528,7 +520,7 @@ def check_feasibility(potentials) -> CheckReport:
 
 
 def cube_containment(
-    traj: Trajectory, potentials, eta: float, slack: float = 1e-8
+    traj: Trajectory, potentials, eta: float = 0.5, slack: float = 1e-8
 ) -> CheckReport:
     """A 1-D trajectory stays in the cube spanned by argmin representatives.
 

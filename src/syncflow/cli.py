@@ -25,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, graphs
-from .convex_geometry import check_drift_alignment
+from . import analysis, convex_geometry as cg, graphs
 from .errors import FiniteEscapeError, InputError, NumericalError
 from .graphs import SwitchingSignal, WeightedDigraph
 from .potentials import FlatBottom1D, Potential, Quadratic, QuarticWell, SumPotential
@@ -342,20 +341,6 @@ def _common_zero(sc: Scenario):
         _fail("checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets")
 
 
-def _spectral_bound(sc: Scenario, traj, diag, p):
-    g = sc.signal.library[sc.signal.segments[0][0]]
-    # on a fixed symmetric graph the primary run is the gradient flow of this
-    # aggregate at this K, so its last sample is already near the minimizer
-    x = analysis.minimize_aggregate(
-        sc.potentials, g, sc.primary_K, traj.states[-1], tol=p["grad_tol"]
-    )
-    return analysis.check_spectral_bound(x, sc.potentials, g, sc.primary_K, **p)
-
-
-def _drift_alignment(sc: Scenario, traj, diag, p):
-    return check_drift_alignment(sc.potentials, traj.states.reshape(-1, sc.dim), **p)
-
-
 CHECKS = {
     "sync": Check(
         {"tol": 1e-6, "tail_fraction": TAIL},
@@ -388,10 +373,19 @@ CHECKS = {
         lambda sc, traj, diag, p: analysis.cube_containment(traj, sc.potentials, **p),
         _one_dimensional,
     ),
-    "drift_alignment": Check({"tol": 1e-10}, _drift_alignment),
+    "drift_alignment": Check(
+        {"tol": 1e-10},
+        lambda sc, traj, diag, p: cg.check_drift_alignment(sc.potentials, traj.states, **p),
+    ),
     "feasibility": Check({}, lambda sc, traj, diag, p: analysis.check_feasibility(sc.potentials)),
+    # on a fixed symmetric graph the primary run is the gradient flow of the aggregate at
+    # this K, so its last sample, the minimizer's start, is already near the minimizer
     "spectral_bound": Check(
-        {"grad_tol": 1e-10, "tol": 1e-8}, _spectral_bound, _fixed_symmetric_connected
+        {"grad_tol": 1e-10, "tol": 1e-8},
+        lambda sc, traj, diag, p: analysis.check_spectral_bound(
+            sc.potentials, sc.signal.library[sc.signal.segments[0][0]], sc.primary_K,
+            traj.states[-1], **p),
+        _fixed_symmetric_connected,
     ),
     "ujsc": Check(
         {"T": Required("a window length")},

@@ -382,15 +382,16 @@ def check_drift_alignment(potentials, samples, tol: float = 1e-10) -> CheckRepor
 
     For every node self-dynamics f_i and every sample x it evaluates
     ``<x - P(x), f_i(x)>`` against the hull of the union of zero sets and
-    passes iff no value exceeds ``tol``.  A sample that is its own projection
-    has gap 0 and value 0 for every node, so the drifts are evaluated only at
-    the other samples, a bounded chunk at a time.  A sampled pass is evidence,
-    not a proof; the report records the checked sample count.
+    passes iff no value exceeds ``tol``.  Samples are a point (m,) or a stack
+    (..., m), whose flattened rows ``sample_index`` counts.  A sample that is
+    its own projection has gap 0 and value 0 for every node, so the drifts are
+    evaluated only at the other samples, a bounded chunk at a time.  A sampled
+    pass is evidence, not a proof; the report records the checked sample count.
     """
     from .potentials import NetworkPotential  # potentials imports this module
 
     body = zero_set_hull(potentials)
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    pts = _points(samples, body.dimension, "samples").reshape(-1, body.dimension)
     if pts.shape[0] == 0:
         raise InputError("drift alignment needs at least one sample")
     gaps = pts - body.project(pts)

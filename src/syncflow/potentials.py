@@ -225,7 +225,7 @@ class SumPotential(Potential):
         return cg.Box(lo, hi)
 
 
-def _component_zero_interval(terms, k: int) -> tuple[float, float]:
+def _component_zero_interval(terms, k: int, e: int = 0) -> tuple[float, float]:
     """Zero interval of the k-th gradient component of a separable sum.
 
     The component derivative is non-decreasing, so {deriv = 0} is an interval bracketed by
@@ -240,11 +240,14 @@ def _component_zero_interval(terms, k: int) -> tuple[float, float]:
     takes ~45 us, against ~200 us on np.float64 scalars with two halvings (2 vCPUs, Python
     3.11).  Its cube is pow like numpy's scalar ``**`` (``np.power`` is not, on AVX-512),
     within 1 ulp of the kernel's d * d * d, so deriv's sign can differ only near 0.
+    A NaN midpoint where a weight is 2 or more reruns the halvings on terms times 2^-e, e >= 1
+    that weight's exponent less one (exact unless one underflows), so heavy pulls cancel; as a
+    term may overflow before its scale, the rerun also refuses inf, with the first message.
     """
-    # (kind, argmin lo, argmin hi, weight) per term, in the terms' order, which fixes the bits
-    coef = [(0, float(t.center[k]), float(t.center[k]), t.weight) if isinstance(t, Quadratic)
-            else (1, float(t.center[k]), float(t.center[k]), 0.0) if isinstance(t, QuarticWell)
-            else (2, t.left, t.right, 0.0) for t in terms]  # SumPotential admits no other kind
+    # (kind, argmin lo, argmin hi, weight or 1, times 2^-e) per term, in the terms' order
+    coef = [(0, float(t.center[k]), float(t.center[k]), t.weight * 2.0**-e) if isinstance(t, Quadratic)
+            else (1, float(t.center[k]), float(t.center[k]), 2.0**-e) if isinstance(t, QuarticWell)
+            else (2, t.left, t.right, 2.0**-e) for t in terms]  # SumPotential admits no other kind
 
     def deriv(s: float) -> float:
         total = 0.0
@@ -253,14 +256,14 @@ def _component_zero_interval(terms, k: int) -> tuple[float, float]:
                 total += w * (s - left)
             elif kind == 1:
                 try:
-                    total += (s - left) ** 3
+                    total += (s - left) ** 3 * w
                 except OverflowError:  # where numpy's pow gives +-inf, Python's raises
                     total += math.copysign(math.inf, s - left)
             elif s > right:
-                total += s - right
+                total += (s - right) * w
             elif s < left:
-                total += s - left
-        return total
+                total += (s - left) * w
+        return total if not e or math.isfinite(total) else math.nan
 
     def halve(lo_, hi_, steps: int, zero_up) -> tuple[float, float]:
         # (hi_, lo_) of deriv >= 0 (zero_up True) or deriv > 0 (False), False at lo_ and True
@@ -288,7 +291,16 @@ def _component_zero_interval(terms, k: int) -> tuple[float, float]:
     # far-apart centers overflow deriv to +-inf, which compares, or NaN, which fails here
     if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
         raise InputError("failed to bracket the argmin of a sum potential")
-    left_edge, right_edge = halve(a, b, 200, None)
+    try:
+        left_edge, right_edge = halve(a, b, 200, None)
+    except InputError as err:  # a NaN midpoint
+        heavy = max([0] + [math.frexp(t.weight)[1] - 1 for t in terms if isinstance(t, Quadratic)])
+        if e or not heavy:
+            raise
+        try:
+            return _component_zero_interval(terms, k, heavy)
+        except InputError:
+            raise err from None
     if right_edge < left_edge:
         mid = 0.5 * left_edge + 0.5 * right_edge
         return mid, mid

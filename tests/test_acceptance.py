@@ -117,15 +117,13 @@ def test_criterion_3_spectral_bound_matrix():
                     for _ in range(n)
                 ]
                 x_init = np.array([p.center[0] for p in pots])
-                p = minimize_aggregate(pots, build(n), K, x_init, tol=1e-10)
-                rep = check_spectral_bound(p, pots, build(n), K, tol=1e-8)
+                rep = check_spectral_bound(pots, build(n), K, x_init, grad_tol=1e-10, tol=1e-8)
                 ok &= rep.passed
                 worst_excess = max(worst_excess, rep.worst_value)
     # hand-derived two-node instance: equality at 1/18
     pots2 = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     g2 = WeightedDigraph(2, ((0, 1, 1.0), (1, 0, 1.0)))
-    p2 = minimize_aggregate(pots2, g2, 1.0, [0.3, 0.4], tol=1e-12)
-    rep2 = check_spectral_bound(p2, pots2, g2, 1.0)
+    rep2 = check_spectral_bound(pots2, g2, 1.0, [0.3, 0.4], grad_tol=1e-12)
     eq_dev = max(abs(rep2.params["lhs"] - 1.0 / 18.0), abs(rep2.params["bound"] - 1.0 / 18.0))
     ok &= eq_dev < 1e-9
     _criterion(

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -20,7 +21,9 @@ from syncflow import (
     WeightedDigraph,
     analysis,
     cli,
+    convex_geometry,
     fixed_signal,
+    graphs,
     potentials,
     simulator,
 )
@@ -716,11 +719,55 @@ def test_spectral_bound_minimizer_starts_from_the_last_sample(tmp_path, monkeypa
     (traj,), (start,) = trajs, starts
     assert start.tobytes() == traj.states[-1].tobytes()  # the warm start is the last sample
     g = sc.signal.library[graph_id_at(sc.signal, 0.0)]
-    x = minimize(sc.potentials, g, sc.primary_K, sc.x0, tol=1e-10)
-    want = analysis.check_spectral_bound(x, sc.potentials, g, sc.primary_K, tol=1e-8)
+    want = analysis.check_spectral_bound(sc.potentials, g, sc.primary_K, sc.x0)
     assert got["params"]["lhs"] == pytest.approx(want.params["lhs"], rel=1e-8)
     assert got["params"]["bound"] == pytest.approx(want.params["bound"], rel=1e-8)
     assert got["pass"]
+
+
+def test_the_spectral_bound_check_builds_the_coupling_once(tmp_path, monkeypatch):
+    # the check's minimizer builds K·L; the bound itself reads no second copy
+    sc = load_scenario(write(tmp_path, dict(SUM_RING, checks=[{"name": "spectral_bound"}])))
+    traj = cli.integrate(sc.potentials, sc.signal, sc.primary_K, sc.x0, sc.dt, sc.t_end,
+                         sc.sample_every)
+    calls = []
+    coupling = potentials.NetworkPotential.coupling
+    monkeypatch.setattr(potentials.NetworkPotential, "coupling",
+                        lambda *a: calls.append(1) or coupling(*a))
+    ((name, params),) = sc.checks
+    assert cli.CHECKS[name].run(sc, traj, analysis.diagnostics(traj, sc.potentials), params).passed
+    assert len(calls) == 1
+
+
+# the library function each scenario check calls
+CHECK_FUNCTIONS = {
+    "sync": analysis.check_sync,
+    "no_sync": analysis.check_no_sync,
+    "monotone_V": analysis.check_monotone,
+    "monotone_theta": analysis.check_monotone,
+    "common_limit": analysis.check_common_limit,
+    "node_optimum": analysis.check_node_optimum,
+    "invariant_cube": analysis.cube_containment,
+    "drift_alignment": convex_geometry.check_drift_alignment,
+    "feasibility": analysis.check_feasibility,
+    "spectral_bound": analysis.check_spectral_bound,
+    "ujsc": graphs.certify_ujsc,
+}
+
+
+@pytest.mark.parametrize("name", cli.CHECKS)
+def test_each_check_parameter_defaults_as_its_library_function_does(name):
+    fn = CHECK_FUNCTIONS[name]
+    assert fn.__name__ in cli.CHECKS[name].run.__code__.co_names  # the table names the call
+    library = inspect.signature(fn).parameters
+    for key, default in cli.CHECKS[name].params.items():
+        want = library[key].default
+        if default is cli.TAIL:
+            assert want == analysis.DEFAULT_TAIL_FRACTION, key
+        elif isinstance(default, cli.Required):
+            assert want is inspect.Parameter.empty, key
+        else:
+            assert want == default, key
 
 
 def test_spectral_bound_passes_where_the_aggregate_has_no_curvature(tmp_path, capsys):
@@ -989,6 +1036,64 @@ def test_malformed_number_exits_2(tmp_path, capsys, mutate):
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
+# one case per loader or sweep refusal: (mutation of BASE, the command and its options,
+# the message after "input error: ")
+REFUSALS = {
+    "edge_source_not_integer": (_set(["graphs", "g0", 0, 0], 1.5), ["verify"],
+                                "field 'edge source' must be an integer, got 1.5"),
+    "node_without_kind": (_set(["nodes", 0], {"center": [0.0]}), ["verify"],
+                          "potential entry must be an object with a 'kind' field, "
+                          "got {'center': [0.0]}"),
+    "sum_terms_not_list": (_set(["nodes", 0], {"kind": "sum", "terms": {}}), ["verify"],
+                           "field 'terms' must be a list of potential objects, got {}"),
+    "scenario_not_object": (lambda obj: [obj], ["verify"],
+                            "scenario file must contain a JSON object"),
+    "nodes_empty": (_set(["nodes"], []), ["verify"],
+                    "field 'nodes' must be a nonempty list of potential objects"),
+    "mixed_dimensions": (_set(["nodes", 1, "center"], [0.0, 0.0]), ["verify"],
+                         "all node potentials must share one dimension, got [1, 2]"),
+    "weight_bounds_reversed": (_set(["weight_bounds"], [2.0, 1.0]), ["verify"],
+                               "weight bounds require 0 < a_lo <= a_hi, got [2.0, 1.0]"),
+    "graphs_not_object": (_set(["graphs"], []), ["verify"],
+                          "field 'graphs' must map graph ids to edge-triple lists"),
+    "graph_not_list": (_set(["graphs", "g0"], 1), ["verify"],
+                       "graph 'g0' must be a list of edge triples, got 1"),
+    "edge_pair": (_set(["graphs", "g0", 0], [0, 1]), ["verify"],
+                  "graph 'g0': edge must be [source, target, weight], got [0, 1]"),
+    "signal_not_object": (_set(["signal"], "fixed"), ["verify"],
+                          "field 'signal' must be an object, got 'fixed'"),
+    "segments_empty": (_set(["signal"], {"type": "periodic", "segments": [], "dwell_floor": 1.0}),
+                       ["verify"],
+                       "periodic signal needs a nonempty 'segments' list of [graph_id, duration]"),
+    "segment_without_duration": (_set(["signal"], {"type": "periodic", "segments": [["g0"]],
+                                                   "dwell_floor": 1.0}),
+                                 ["verify"], "segment must be [graph_id, duration], got ['g0']"),
+    "checks_not_list": (_set(["checks"], {}), ["verify"],
+                        "field 'checks' must be a list of check objects, got {}"),
+    "x0_unknown_generator": (_set(["x0"], "zeros"), ["verify"],
+                             "x0 must be a list of numbers, 'grid', or 'random:<seed>', "
+                             "got 'zeros'"),
+    "check_not_object": (_set(["checks", 0], "sync"), ["verify"],
+                         "each check must be an object with a 'name', got 'sync'"),
+    "sweep_k_not_numbers": (lambda obj: None, ["sweep", "--k", "1,x"],
+                            "--k expects comma-separated numbers, got '1,x'"),
+    "sweep_without_gains": (lambda obj: None, ["sweep"], "sweep needs --k or a scenario K_list"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS.values(), ids=REFUSALS.keys())
+def test_each_loader_and_sweep_refusal_exits_2_with_its_message(tmp_path, capsys, case):
+    mutate, (command, *options), message = case
+    obj = copy.deepcopy(BASE)
+    obj = mutate(obj) or obj
+    scen, out = str(write(tmp_path, obj)), tmp_path / "out"
+    if command == "sweep":
+        options += ["--out", str(out)]
+    assert main([command, scen, *options]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
 def _scalar_leaves(obj, path=()):
     if isinstance(obj, dict):
         items = obj.items()
@@ -1051,3 +1156,42 @@ def test_deleted_or_unknown_top_level_field_never_escapes(tmp_path_factory, muta
     assert "Traceback" not in err.getvalue()
     if action == "add":
         assert code == 2, f"unknown field {key!r} was accepted"
+
+
+def _fields(obj, path=()):
+    """The path of every field of every object in ``obj``, at any depth."""
+    if isinstance(obj, dict):
+        return [path + (k,) for k in obj] + [
+            p for k, v in obj.items() for p in _fields(v, path + (k,))]
+    if isinstance(obj, list):
+        return [p for i, v in enumerate(obj) for p in _fields(v, path + (i,))]
+    return []
+
+
+SMOKE = {w: smoke_scenario(w) for w in ("ring_switch_1d", "hull_2d", "gain_sweep")}
+# small numbers keep a run that still loads as short as the smoke run it replaces
+SWAPS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([-1, 0, 0.5, 3]),
+    st.text(max_size=3),
+    st.lists(st.sampled_from([-1, 0.5, 3]), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.sampled_from([0, 0.5]), max_size=2),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.sampled_from([(w, p) for w, obj in SMOKE.items() for p in _fields(obj)]), SWAPS)
+def test_any_field_of_a_smoke_scenario_swapped_for_another_type_never_escapes(
+        tmp_path_factory, field, value):
+    workload, path = field
+    obj = copy.deepcopy(SMOKE[workload])
+    _set(list(path), value)(obj)
+    scen = write(tmp_path_factory.mktemp("swap"), obj)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", str(scen)])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()

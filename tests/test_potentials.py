@@ -240,6 +240,14 @@ def far_apart_sum(draw):
 @example([Quadratic(center=[1.0]), QuarticWell(center=[-1e308])])
 # the first midpoint 0.0 has deriv -1 + 1 = 0 exactly, so the two edges split at once
 @example([Quadratic(center=[1.0]), QuarticWell(center=[-1.0])])
+# heavy pulls whose NaN midpoint 5 reruns the halvings scaled by 2^-1023, and cancel there
+@example([Quadratic(center=[0.0], weight=1e308), Quadratic(center=[10.0], weight=1e308),
+          QuarticWell(center=[5.0])])
+# the rerun's cube overflows before its scale at 2.5e102: refused, not settled near 4.35e102
+@example([Quadratic(center=[0.0], weight=1e308), QuarticWell(center=[1e103])])
+# the rerun's light pull overflows before its scale: refused, not settled near 1e307
+@example([Quadratic(center=[1.5e308], weight=1e308), Quadratic(center=[-1.7e308], weight=2.0),
+          FlatBottom1D(-1.0, 1.0)])
 def test_sum_zero_set_equals_the_full_200_step_bisection(terms):
     assume(takes_the_bisection(terms))
     assert_sum_zero_set_is_the_oracle_s(terms)
@@ -325,14 +333,42 @@ def test_sum_zero_set_bracket_edge_that_overflows_fails_to_bracket():
     # by symmetry the argmin is 5e103 (and 5e149), where both cubes overflow, to +inf and -inf
     (QuarticWell(center=[0.0]), QuarticWell(center=[1e104])),
     (QuarticWell(center=[0.0]), QuarticWell(center=[1e150])),
-    # the argmin is 5, where the weighted pulls are +inf and -inf
-    (Quadratic(center=[0.0], weight=1e308), Quadratic(center=[10.0], weight=1e308),
-     QuarticWell(center=[5.0])),
 ])
 def test_a_sum_whose_derivative_overflows_is_refused(terms):
     s = SumPotential(terms)
     with pytest.raises(InputError, match="^the derivative of a sum potential overflows at "):
         s.zero_set()
+
+
+@pytest.mark.parametrize("terms, mid", [
+    # the argmin is about 10: unscaled, the pull +inf meets the cube's -inf at 2.5e102; scaled
+    # by 2^-1023 the pull is finite but the cube still overflows, to an inf of the wrong sign,
+    # and a search that read it would settle near 4.35e102
+    ((Quadratic(center=[0.0], weight=1e308), QuarticWell(center=[1e103])), 2.500000000000002e102),
+    # the argmin is about 1.5e308: scaled, the light pull's s - c overflows at ~7e307 before
+    # its scale, to an inf of the wrong sign, and a search that read it would settle near 1e307
+    ((Quadratic(center=[1.5e308], weight=1e308), Quadratic(center=[-1.7e308], weight=2.0),
+      FlatBottom1D(-1.0, 1.0)), -1.0000000000000006e307),
+])
+def test_a_rerun_whose_term_overflows_before_its_scale_refuses_with_the_first_message(terms, mid):
+    message = f"the derivative of a sum potential overflows at {mid}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        SumPotential(terms).zero_set()
+
+
+@pytest.mark.parametrize("terms, argmin", [
+    # unscaled, the pulls of 5e308 and -5e308 at 5 overflow to +inf and -inf before they
+    # cancel; rerun scaled by 2^-1023 they cancel
+    ((Quadratic(center=[0.0], weight=1e308), Quadratic(center=[10.0], weight=1e308),
+      QuarticWell(center=[5.0])), 5.0),
+    # weights below 2 scale nothing: scaled up by 2^1000, the cubes +-1e9 at 0 would be
+    # +inf and -inf
+    ((Quadratic(center=[0.0], weight=2.0**-1000), QuarticWell(center=[-1e3]),
+      QuarticWell(center=[1e3])), 0.0),
+])
+def test_a_nan_midpoint_reruns_the_argmin_search_scaled_by_the_largest_weight(terms, argmin):
+    body = SumPotential(terms).zero_set()
+    assert body.lo.tolist() == body.hi.tolist() == [argmin]
 
 
 def test_quadratics_whose_weighted_products_overflow_have_a_finite_mean():

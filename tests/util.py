@@ -408,24 +408,26 @@ def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np
 # -- the argmin bisection as it ran before its early exit: all 200 halvings ----
 
 
-def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
+def component_zero_interval_oracle(terms, k: int, e: int = 0) -> tuple[float, float]:
     """Zero interval of the k-th gradient component of the flat sum ``terms``, by 200
     halvings per edge with no early exit.  A midpoint whose derivative is NaN (a term's +inf
-    met another's -inf) is refused with ``src/``'s message."""
+    met another's -inf) is refused with ``src/``'s message.  Like ``src/``, a sum refused so
+    whose largest weight w is 2 or more is halved again with every term times 2^-e,
+    e = frexp(w)[1] - 1, where an infinite derivative is refused too, with the first message."""
 
     def deriv(s: float) -> float:
         total = 0.0
         for t in terms:
             if isinstance(t, Quadratic):
-                total += t.weight * (s - t.center[k])
+                total += t.weight * 2.0**-e * (s - t.center[k])
             elif isinstance(t, QuarticWell):
-                total += (s - t.center[k]) ** 3
+                total += (s - t.center[k]) ** 3 * 2.0**-e
             elif isinstance(t, FlatBottom1D):
                 if s > t.right:
-                    total += s - t.right
+                    total += (s - t.right) * 2.0**-e
                 elif s < t.left:
-                    total += s - t.left
-        return total
+                    total += (s - t.left) * 2.0**-e
+        return total if e == 0 or math.isfinite(total) else math.nan
 
     zsets = [t.zero_set() for t in terms]
     lo = min(float(z.lo[k]) for z in zsets)
@@ -447,8 +449,17 @@ def component_zero_interval_oracle(terms, k: int) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
             raise InputError("failed to bracket the argmin of a sum potential")
-        _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
-        right_edge, _ = bisect(lambda s: deriv(s) > 0.0)
+        try:
+            _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
+            right_edge, _ = bisect(lambda s: deriv(s) > 0.0)
+        except InputError as first:
+            w = max((t.weight for t in terms if isinstance(t, Quadratic)), default=0.0)
+            if e > 0 or w < 2.0:
+                raise
+            try:
+                return component_zero_interval_oracle(terms, k, math.frexp(w)[1] - 1)
+            except InputError:
+                raise first from None
     if right_edge < left_edge:
         mid = 0.5 * left_edge + 0.5 * right_edge
         return mid, mid
