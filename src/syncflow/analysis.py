@@ -125,6 +125,15 @@ def _tail_indices(times: np.ndarray, tail_fraction: float) -> np.ndarray:
     return np.nonzero(times >= times[-1] * (1.0 - tail_fraction) - 1e-12)[0]
 
 
+def limit_tail(times: np.ndarray, tail_fraction: float) -> np.ndarray:
+    """The tail window's indices for a limit estimate; InputError unless it holds >= 10.  The
+    times follow from the run grid (``simulator.sample_times``), so the loader checks it too."""
+    tail = _tail_indices(times, tail_fraction)
+    if tail.shape[0] < 10:
+        raise InputError(f"tail window holds {len(tail)} samples; need >= 10 for a limit estimate")
+    return tail
+
+
 @np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan, no warnings
 def diameter_series(traj: Trajectory) -> np.ndarray:
     """max_{i,j} |x_i - x_j| per sample.  For m = 1 it is max - min, exact as rounding is
@@ -215,11 +224,7 @@ def check_common_limit(
     """
     if diag.v_nodes is None:
         raise InputError("check_common_limit needs the V series (zero sets sharing a point)")
-    tail = _tail_indices(diag.times, tail_fraction)
-    if tail.shape[0] < 10:
-        raise InputError(
-            f"tail window holds {tail.shape[0]} samples; need >= 10 for a limit estimate"
-        )
+    tail = limit_tail(diag.times, tail_fraction)
     vt = diag.v_nodes[tail]
     spread = float((vt.max(axis=1) - vt.min(axis=1)).max())
     osc = vt.max(axis=0) - vt.min(axis=0)

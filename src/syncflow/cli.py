@@ -31,7 +31,7 @@ from .graphs import SwitchingSignal, WeightedDigraph
 from .potentials import FlatBottom1D, Potential, Quadratic, QuarticWell, SumPotential
 from .potentials import common_zero_set
 from .report import CheckReport, jsonable
-from .simulator import default_sample_every, integrate, validate_grid
+from .simulator import default_sample_every, integrate, sample_times, validate_grid
 
 SCHEMA_VERSION = 1
 # every top-level scenario field; load_scenario refuses any other
@@ -275,8 +275,8 @@ def load_scenario(path) -> Scenario:
         epsilon=_number(raw.get("epsilon", 0.05), "epsilon"),
         tail_fraction=tail_fraction,
     )
-    for name, _ in checks:
-        CHECKS[name].precondition(scenario)
+    for name, params in checks:
+        CHECKS[name].precondition(scenario, params)
     return scenario
 
 
@@ -313,17 +313,17 @@ class Required:
 @dataclass(frozen=True)
 class Check:
     """A scenario check: its parameters with their defaults, a load-time
-    precondition ``(scenario)`` that raises InputError, and its run
+    precondition ``(scenario, params)`` that raises InputError, and its run
     ``(scenario, traj, diag, params) -> CheckReport``, which calls the library
     through its modules so that a function patched there is the one that runs.
     """
 
     params: dict
     run: Callable
-    precondition: Callable = lambda scenario: None
+    precondition: Callable = lambda scenario, params: None
 
 
-def _fixed_symmetric_connected(sc: Scenario):
+def _fixed_symmetric_connected(sc: Scenario, params: dict):
     if sc.signal.has_switches():
         _fail("check 'spectral_bound' requires a fixed signal")
     g = sc.signal.library[sc.signal.segments[0][0]]  # a fixed signal names one graph
@@ -331,14 +331,19 @@ def _fixed_symmetric_connected(sc: Scenario):
     analysis.validate_spectral_gain(sc.primary_K)
 
 
-def _one_dimensional(sc: Scenario):
+def _one_dimensional(sc: Scenario, params: dict):
     if sc.dim != 1:
         _fail("check 'invariant_cube' requires one-dimensional node states")
 
 
-def _common_zero(sc: Scenario):
+def _common_zero(sc: Scenario, params: dict):
     if common_zero_set(sc.potentials) is None:
         _fail("checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets")
+
+
+def _common_limit(sc: Scenario, params: dict):
+    _common_zero(sc, params)
+    analysis.limit_tail(sample_times(sc.signal, sc.t_end, sc.sample_every), params["tail_fraction"])
 
 
 CHECKS = {
@@ -362,7 +367,7 @@ CHECKS = {
     "common_limit": Check(
         {"tol": 1e-6, "tail_fraction": TAIL},
         lambda sc, traj, diag, p: analysis.check_common_limit(diag, **p),
-        _common_zero,
+        _common_limit,
     ),
     "node_optimum": Check(
         {"tol": 1e-6, "tail_fraction": TAIL},

@@ -12,7 +12,7 @@ hypotheses of the synchronization analysis stay machine-checkable:
 * ``SumPotential``   pointwise sum of catalog terms sharing one dimension, kept flat
 
 A zero set is computed where it is first read, never when a potential is built, so a sum
-whose argmin cannot be found (see ``_component_zero_interval``) is refused there.
+whose argmin cannot be resolved or evaluated (see ``_component_argmin``) is refused there.
 
 ``NetworkPotential`` compiles a network's potentials into one kernel per run of like
 terms in a block order of the nodes, so one call evaluates every node; its ``coupling``
@@ -20,7 +20,7 @@ terms in a block order of the nodes, so one call evaluates every node; its ``cou
 Each kind's kernel, a static method of its class, is the only formula for its gradient
 and curvature (``Potential.gradient`` evaluates a one-node network; ``tests/util.py``
 holds the per-kind oracle), but for the argmin search's scalar derivative (see
-``_component_zero_interval``).
+``_component_argmin``).
 
 The quartic well is deliberately non-Lipschitz and evaluated in double precision
 with no clamping; boundedness along trajectories is the simulator's (divergence
@@ -31,6 +31,7 @@ the cube is normal, with pow's inf, NaN, signed zero and overflow.
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,18 +53,20 @@ __all__ = [
 
 class Potential:
     """Immutable, pure base class.  ``gradient`` takes a point (m,), a stack (..., m) or,
-    in 1-D, a bare number, and returns shape ``x.shape``."""
+    in 1-D, a bare number, and returns shape ``x.shape``.  A kind with a ``center``
+    (quadratic, quartic well) has its dimension from it and its argmin at it."""
 
     @property
     def dimension(self) -> int:
-        raise NotImplementedError
+        return self.center.shape[0]
 
     def gradient(self, x) -> np.ndarray:
         """grad F(x), from the kernels as a one-node network; the node drift is its negative."""
         return self._network.gradient(self._check(x)[..., None, :])[..., 0, :]
 
     def zero_set(self) -> cg.Box:
-        """Exact argmin set {z : grad F(z) = 0} as a box, computed on the first call."""
+        """Argmin set {z : grad F(z) = 0} as a box, computed on the first call; exact but for
+        a sum whose terms share no minimizer, whose argmin point is found to adjacent floats."""
         return self._zero_set
 
     @cached_property
@@ -75,7 +78,7 @@ class Potential:
         return NetworkPotential([self])
 
     def _argmin_set(self) -> cg.Box:
-        raise NotImplementedError
+        return cg.Box(self.center, self.center)
 
     def _check(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float)
@@ -107,19 +110,12 @@ class Quadratic(Potential):
         if not (self.weight > 0 and np.isfinite(self.weight)):
             raise InputError(f"quadratic weight must be positive, got {self.weight}")
 
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
-
     @staticmethod
     def _kernel(terms):
         """(gradient, curvature) of stacked quadratics on node blocks (..., n, m)."""
         c = np.array([t.center for t in terms])
         w = np.array([[t.weight] for t in terms])
         return (lambda x: w * (x - c)), (lambda x: np.broadcast_to(w, x.shape))
-
-    def _argmin_set(self) -> cg.Box:
-        return cg.Box(self.center, self.center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +124,6 @@ class QuarticWell(Potential):
 
     def __post_init__(self):
         object.__setattr__(self, "center", _center(self.center, "quartic"))
-
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
 
     @staticmethod
     def _kernel(terms):
@@ -142,9 +134,6 @@ class QuarticWell(Potential):
             d = x - c  # two multiplies, not libm pow: see the module docstring
             return d * d * d
         return gradient, (lambda x: 3.0 * (x - c) * (x - c))
-
-    def _argmin_set(self) -> cg.Box:
-        return cg.Box(self.center, self.center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,96 +204,94 @@ class SumPotential(Potential):
             # a convex combination of the centers: no partial sum passes the largest |center|
             v = np.array([t.weight for t in terms]) / max(t.weight for t in terms)
             c = (v / v.sum()) @ np.array([t.center for t in terms])
-            return cg.Box(c, c)
-        # catalog gradients are componentwise separable, so the argmin box
-        # follows from m independent one-dimensional interval halvings
-        lo, hi = np.array([_component_zero_interval(terms, k) for k in range(self.dimension)]).T
-        scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-        if np.all(hi - lo <= 1e-9 * scale):
-            lo = hi = 0.5 * lo + 0.5 * hi  # no overflow near the largest floats
-        return cg.Box(lo, hi)
+        else:
+            # catalog gradients are separable: one search per component
+            c = np.array([_component_argmin(terms, k) for k in range(self.dimension)])
+        total = 0.0  # the node's kernel adds its terms' gradients in this order
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, t in enumerate(terms):
+                total = total + type(t)._kernel([t])[0](c)
+                if not np.all(np.isfinite(total)):  # no run can settle at this argmin
+                    raise InputError(f"the gradient of a sum potential overflows at its argmin "
+                                     f"{c.tolist()}, from term {i}, a {type(t).__name__}")
+        return cg.Box(c, c)
 
 
-def _component_zero_interval(terms, k: int, e: int = 0) -> tuple[float, float]:
-    """Zero interval of the k-th gradient component of a separable sum.
+_F64, _I64, _F64_PAIR, _I64_PAIR = (struct.Struct(f) for f in ("<d", "<q", "<2d", "<2q"))
+_SIGN = 1 << 63
 
-    The component derivative is non-decreasing, so {deriv = 0} is an interval bracketed by
-    the union of the terms' per-component argmin ranges.  Its left edge is where deriv >= 0
-    starts to hold and its right edge where deriv > 0 does: the two halvings share one path
-    until a midpoint has deriv exactly 0, and split there, each with its remaining budget.
-    An InputError refuses a bracket that overflows, and a midpoint whose deriv is NaN (a
-    term's +inf meets another's -inf), where the side of the argmin is unknown.
 
-    ``deriv`` repeats each kind's gradient component in scalar arithmetic on coefficients
-    read once as Python floats, the one copy outside the kernels: a bench sum's component
-    takes ~45 us, against ~200 us on np.float64 scalars with two halvings (2 vCPUs, Python
-    3.11).  Its cube is pow like numpy's scalar ``**`` (``np.power`` is not, on AVX-512),
-    within 1 ulp of the kernel's d * d * d, so deriv's sign can differ only near 0.
-    A NaN midpoint where a weight is 2 or more reruns the halvings on terms times 2^-e, e >= 1
-    that weight's exponent less one (exact unless one underflows), so heavy pulls cancel; as a
-    term may overflow before its scale, the rerun also refuses inf, with the first message.
+def _component_argmin(terms, k: int) -> float:
+    """Argmin of the k-th gradient component of a separable sum whose terms share no minimizer.
+
+    The derivative is non-decreasing and its zero set one point: a convex sum constant on an
+    interval has every term affine there, and only a flat bottom is affine anywhere.  Each step
+    halves the count of floats between the ends, so the search reaches adjacent floats in about
+    64 steps.  Its edges p, where deriv >= 0 starts to hold, and q, the last float where
+    deriv <= 0 does, share one path until deriv is exactly 0; the argmin is their midpoint.
+    InputError refuses a bracket that overflows, and a zero interval [p, q] wider than
+    1e-9 * max(1, |p|, |q|), where rounding hides the argmin (s - c absorbs into -c where s is
+    below c's ulp).  ``deriv`` repeats each kind's gradient on Python floats, the one copy
+    outside the kernels (~35 us a bench component on 2 vCPUs, Python 3.11; np.float64 scalars
+    cost several times more), its cube pow within 1 ulp of the kernel's d * d * d.  Where a
+    term or the sum overflows, each term is a ``math.frexp`` mantissa and exponent, summed by
+    ``math.fsum`` at the largest exponent: it cannot overflow, so no step meets a NaN.
     """
-    # (kind, argmin lo, argmin hi, weight or 1, times 2^-e) per term, in the terms' order
-    coef = [(0, float(t.center[k]), float(t.center[k]), t.weight * 2.0**-e) if isinstance(t, Quadratic)
-            else (1, float(t.center[k]), float(t.center[k]), 2.0**-e) if isinstance(t, QuarticWell)
-            else (2, t.left, t.right, 2.0**-e) for t in terms]  # SumPotential admits no other kind
+    # (argmin lo, argmin hi, weight or 1, cubed) per term, in the terms' order
+    coef = [(t.left, t.right, 1.0, False) if isinstance(t, FlatBottom1D)
+            else (*[float(t.center[k])] * 2, getattr(t, "weight", 1.0), isinstance(t, QuarticWell))
+            for t in terms]
 
     def deriv(s: float) -> float:
         total = 0.0
-        for kind, left, right, w in coef:
-            if kind == 0:
-                total += w * (s - left)
-            elif kind == 1:
-                try:
-                    total += (s - left) ** 3 * w
-                except OverflowError:  # where numpy's pow gives +-inf, Python's raises
-                    total += math.copysign(math.inf, s - left)
-            elif s > right:
-                total += (s - right) * w
-            elif s < left:
-                total += (s - left) * w
-        return total if not e or math.isfinite(total) else math.nan
+        try:
+            for left, right, w, cubed in coef:
+                d = s - (left if s < left else right if s > right else s)
+                total += d ** 3 if cubed else w * d
+        except OverflowError:  # where numpy's pow gives +-inf, Python's raises
+            total = math.inf
+        return total if math.isfinite(total) else rescaled(s)
 
-    def halve(lo_, hi_, steps: int, zero_up) -> tuple[float, float]:
-        # (hi_, lo_) of deriv >= 0 (zero_up True) or deriv > 0 (False), False at lo_ and True
-        # at hi_ (None: both, until deriv is 0); once mid is an endpoint no step moves one
-        for i in range(steps):
-            mid = 0.5 * lo_ + 0.5 * hi_  # 0.5 * (lo_ + hi_) overflows past ~9e307
-            fixed = mid == lo_ or mid == hi_
+    def rescaled(s: float) -> float:
+        parts = []  # (mantissa, exponent) per term, of s - c = 2 (s/2 - c/2), which is finite
+        for left, right, w, cubed in coef:
+            m, e = math.frexp(0.5 * s - 0.5 * (left if s < left else right if s > right else s))
+            wm, we = math.frexp(w)
+            parts.append((m * m * m, 3 * e + 3) if cubed else (m * wm, e + 1 + we))
+        top = max(e for m, e in parts if m)
+        return math.fsum(math.ldexp(m, e - top) for m, e in parts)
+
+    def halve(lo_, hi_, zero_up) -> tuple[float, float]:
+        # (hi_, lo_): adjacent floats where deriv >= 0 (zero_up True) or deriv > 0 (False)
+        # starts to hold, False at lo_ and True at hi_ (None: both, until deriv is 0)
+        while True:
+            if 0.0 < lo_ and hi_ < 2.0 * lo_ or hi_ < 0.0 and 2.0 * hi_ < lo_:
+                # floats within a factor 2 are evenly spaced but for one change of binade
+                mid = 0.5 * lo_ + 0.5 * hi_  # 0.5 * (lo_ + hi_) overflows past ~9e307
+            else:  # the midpoint of the places: bit patterns as int64s, negatives mirrored
+                i, j = _I64_PAIR.unpack(_F64_PAIR.pack(lo_, hi_))
+                i = ((i if i >= 0 else -_SIGN - i) + (j if j >= 0 else -_SIGN - j)) // 2
+                mid = _F64.unpack(_I64.pack(i if i >= 0 else -_SIGN - i))[0]
+            if mid == lo_ or mid == hi_:
+                return hi_, lo_
             d = deriv(mid)
             if d == 0.0 and zero_up is None:
-                rest = 0 if fixed else steps - i - 1
-                return halve(lo_, mid, rest, True)[0], halve(mid, hi_, rest, False)[1]
+                return halve(lo_, mid, True)[0], halve(mid, hi_, False)[1]
             if d > 0.0 or (d == 0.0 and zero_up):
                 hi_ = mid
-            elif d <= 0.0:
+            else:
                 lo_ = mid
-            else:  # NaN
-                raise InputError(f"the derivative of a sum potential overflows at {mid}")
-            if fixed:  # after the assignment, which may still flip the sign of a zero
-                break
-        return hi_, lo_
 
-    lo, hi = min(c[1] for c in coef), max(c[2] for c in coef)
-    # each edge widens by 1, or by 2^-50 of it beyond 2^50, where its ulp would swallow 1
+    lo, hi = min(c[0] for c in coef), max(c[1] for c in coef)
+    # each edge widens by max(1, 2^-50 |edge|), past its ulp: every term's deriv is <= -1 at a
     a, b = lo - max(1.0, 2.0**-50 * abs(lo)), hi + max(1.0, 2.0**-50 * abs(hi))
-    # far-apart centers overflow deriv to +-inf, which compares, or NaN, which fails here
-    if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise InputError("failed to bracket the argmin of a sum potential")
-    try:
-        left_edge, right_edge = halve(a, b, 200, None)
-    except InputError as err:  # a NaN midpoint
-        heavy = max([0] + [math.frexp(t.weight)[1] - 1 for t in terms if isinstance(t, Quadratic)])
-        if e or not heavy:
-            raise
-        try:
-            return _component_zero_interval(terms, k, heavy)
-        except InputError:
-            raise err from None
-    if right_edge < left_edge:
-        mid = 0.5 * left_edge + 0.5 * right_edge
-        return mid, mid
-    return left_edge, right_edge
+    p, q = halve(a, b, None)
+    if q - p > 1e-9 * max(1.0, abs(p), abs(q)):
+        raise InputError("double precision cannot resolve the argmin of a sum potential: "
+                         f"its derivative rounds to 0 on [{p}, {q}]")
+    return 0.5 * p + 0.5 * q  # no overflow near the largest floats
 
 
 # -- the network's potentials compiled into arrays ---------------------------

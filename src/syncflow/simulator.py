@@ -150,6 +150,11 @@ def _event_grid(signal: SwitchingSignal, t_end: float, sample_every: float):
     return merged
 
 
+def sample_times(signal: SwitchingSignal, t_end: float, sample_every: float) -> np.ndarray:
+    """The times ``integrate`` records, switch instants included: the event grid's records."""
+    return np.array([t for t, record, _ in _event_grid(signal, t_end, sample_every) if record])
+
+
 def integrate(
     potentials,
     signal: SwitchingSignal,
@@ -188,7 +193,6 @@ def integrate(
         return min(1e8 * sup, float(np.finfo(float).max))
     x0, guard, boxed = X, bound(X), False  # from x0 alone until a state passes it
     X = X.take(net.order, axis=0)  # the run keeps its states in block order
-    times = [0.0]
     states = [X]  # RK4 steps build new arrays, so recorded states need no copies
     KL = ops[events[0][2]]
     t_prev = 0.0
@@ -210,12 +214,11 @@ def integrate(
                         raise FiniteEscapeError(t_prev + (k + 1) * h, sup, guard, h)
                 t_prev = t_next
                 if record:
-                    times.append(t_next)
                     states.append(X)
             if graph_id is not None:
                 KL = ops[graph_id]
     return Trajectory(
-        times=np.array(times),
+        times=np.array([t for t, record, _ in events if record]),
         states=np.array(states).take(net.inverse, axis=1),
         meta={
             "K": float(K),

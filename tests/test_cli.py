@@ -137,6 +137,11 @@ PRECONDITIONS = {
         APART, {"name": "common_limit"},
         "checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets",
     ),
+    # t_end 12 sampled every 0.3: the last 1% of the horizon holds one sample
+    "common_limit_short_tail": ({"tail_fraction": 0.01}, {"name": "common_limit"},
+                                "tail window holds 1 samples; need >= 10 for a limit estimate"),
+    "common_limit_own_short_tail": ({}, {"name": "common_limit", "tail_fraction": 0.01},
+                                    "tail window holds 1 samples; need >= 10 for a limit estimate"),
     "ujsc_without_T": ({}, {"name": "ujsc"}, "check 'ujsc' needs a window length 'T'"),
     "cube_eta_zero": ({}, {"name": "invariant_cube", "eta": 0}, "eta must be positive, got 0.0"),
     "ujsc_T_negative": ({}, {"name": "ujsc", "T": -1},
@@ -149,7 +154,8 @@ PRECONDITIONS = {
 
 
 @pytest.mark.parametrize("case", PRECONDITIONS.values(), ids=PRECONDITIONS.keys())
-def test_check_precondition_fails_at_load(tmp_path, capsys, case):
+def test_check_precondition_fails_at_load(tmp_path, capsys, case, monkeypatch):
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: pytest.fail("the run started"))
     overrides, check, message = case
     p, out = write(tmp_path, dict(BASE, **overrides, checks=[check])), tmp_path / "out"
     with pytest.raises(InputError) as err:
@@ -637,9 +643,9 @@ del SUM_RING["K"]
 
 def test_zero_sets_are_bisected_only_where_a_result_reads_them(tmp_path, monkeypatch, capsys):
     calls = []
-    bisect = potentials._component_zero_interval
+    search = potentials._component_argmin
     monkeypatch.setattr(
-        potentials, "_component_zero_interval", lambda terms, k: calls.append(k) or bisect(terms, k)
+        potentials, "_component_argmin", lambda terms, k: calls.append(k) or search(terms, k)
     )
     p = write(tmp_path, SUM_RING)
     assert main(["verify", str(p)]) == 0
@@ -661,9 +667,10 @@ def test_a_sum_whose_argmin_cannot_be_bracketed_exits_2(tmp_path, capsys, comman
     assert not out.exists()
 
 
-# both cubes overflow near the argmin 5e103 of this sum, one to +inf and the other to -inf
+# both cubes overflow at the argmin 5e103 of this sum, one to +inf and the other to -inf
 FAR_QUARTICS = [{"kind": "quartic", "center": [0.0]}, {"kind": "quartic", "center": [1e104]}]
-OVERFLOWING_DERIVATIVE = "input error: the derivative of a sum potential overflows at 5.000000000000005e+103\n"
+OVERFLOWING_DERIVATIVE = ("input error: the gradient of a sum potential overflows at its argmin "
+                          "[5e+103], from term 0, a QuarticWell\n")
 
 
 @pytest.mark.parametrize("reader", ["guard", "precondition"])
@@ -681,6 +688,61 @@ def test_a_sum_whose_derivative_overflows_exits_2_where_its_zero_set_is_read(tmp
         obj["nodes"][-1]["terms"] = FAR_QUARTICS
     assert main(["verify", str(write(tmp_path, obj))]) == 2
     assert capsys.readouterr().err == OVERFLOWING_DERIVATIVE
+
+
+def test_a_sum_whose_derivative_rounds_to_0_around_its_argmin_exits_2(tmp_path, capsys):
+    # s + 1e20 rounds to 1e20 wherever |s| <= 8192, so node 0's float derivative is 0 on
+    # [-8192, 8192]; taken for its zero set, that interval met node 1's {100} and monotone_V
+    # passed, though the true zero sets {0} and {100} are disjoint
+    obj = dict(BASE, nodes=[{"kind": "sum", "terms": [{"kind": "quartic", "center": [-1e20]},
+                                                      {"kind": "quartic", "center": [1e20]}]},
+                            {"kind": "quadratic", "center": [100.0]}],
+               x0=[0.0, 100.0], dt=0.01, t_end=1.0, checks=[{"name": "monotone_V"}])
+    assert main(["verify", str(write(tmp_path, obj))]) == 2
+    assert capsys.readouterr() == ("", "input error: double precision cannot resolve the argmin "
+                                       "of a sum potential: its derivative rounds to 0 on "
+                                       "[-8192.0, 8192.0]\n")
+
+
+def test_a_sum_whose_gradient_overflows_at_its_argmin_exits_2_naming_the_term(tmp_path, capsys):
+    # the pulls of weight 1e308 at 0 and 10 cancel at the argmin 5, but node 0's kernel adds
+    # 5e308 = inf and -inf there: the first RK4 step went NaN, and the guard's exit 3 blamed it
+    obj = dict(BASE, nodes=[{"kind": "sum", "terms": [
+        {"kind": "quadratic", "center": [0.0], "weight": 1e308},
+        {"kind": "quadratic", "center": [10.0], "weight": 1e308},
+        {"kind": "quartic", "center": [5.0]}]}, {"kind": "quadratic", "center": [5.0]}],
+        x0=[5.0, 4.0], dt=0.01, t_end=1.0, checks=[])
+    assert main(["verify", str(write(tmp_path, obj))]) == 2
+    assert capsys.readouterr() == ("", "input error: the gradient of a sum potential overflows at "
+                                       "its argmin [5.0], from term 0, a Quadratic\n")
+
+
+# a magnitude from 1e-300 to 1e308, either sign, or 0
+EXTREME = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                    st.floats(-300.0, 308.0)) | st.just(0.0)
+EXTREME_TERM = st.one_of(
+    st.builds(lambda c, e: {"kind": "quadratic", "center": [c], "weight": 10.0**e},
+              EXTREME, st.floats(-300.0, 308.0)),
+    st.builds(lambda c: {"kind": "quartic", "center": [c]}, EXTREME),
+    st.builds(lambda a, b: {"kind": "flat_bottom", "left": min(a, b), "right": max(a, b)},
+              EXTREME, EXTREME),
+)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(st.lists(EXTREME_TERM, min_size=2, max_size=4), st.sampled_from(["monotone_V", "node_optimum"]))
+def test_a_sum_of_extreme_terms_never_escapes_verify(tmp_path_factory, terms, check):
+    # monotone_V reads the zero sets at load, node_optimum after the run; a run that passes the
+    # guard from x0 reads them there
+    obj = dict(BASE, nodes=[{"kind": "sum", "terms": terms}, BASE["nodes"][1]], x0=[0.0, 0.0],
+               dt=0.01, t_end=0.1, sample_every=0.05, checks=[{"name": check}])
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", str(write(tmp_path_factory.mktemp("extreme"), obj))])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
 
 
 def test_spectral_bound_tests_its_minimizer_against_the_scenario_s_grad_tol(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,13 +21,15 @@ from syncflow import convex_geometry as cg
 from syncflow.cli import potential_from_dict
 from syncflow.potentials import NetworkPotential
 from util import (
-    component_zero_interval_oracle,
+    exact_argmin_bracket,
+    exact_derivative,
+    float_at_place,
+    float_place,
     gradient_consistency_check,
     oracle_curvature,
     oracle_gradient,
     oracle_value,
     potential_to_dict,
-    sum_zero_set_oracle,
 )
 
 CATALOG_1D = [
@@ -183,9 +186,9 @@ def test_sum_zero_set_common_minimizer_is_intersection():
 
 def test_zero_set_is_computed_once(monkeypatch):
     calls = []
-    bisect = potentials._component_zero_interval
+    search = potentials._component_argmin
     monkeypatch.setattr(
-        potentials, "_component_zero_interval", lambda terms, k: calls.append(k) or bisect(terms, k)
+        potentials, "_component_argmin", lambda terms, k: calls.append(k) or search(terms, k)
     )
     s = SumPotential((Quadratic(center=[0.0, 1.0]), QuarticWell(center=[2.0, -1.0])))
     body = s.zero_set()
@@ -229,53 +232,105 @@ def far_apart_sum(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(far_apart_sum())
-# 200 halvings of a bracket ~2 wide stop short of the ulp of 1e-300: no early exit
+# a bracket ~2 wide around an argmin near 1e-300
 @example([Quadratic(center=[1e-300]), QuarticWell(center=[-1e-300])])
-# reaches its float fixed point after ~60 halvings
 @example([Quadratic(center=[0.0, 3.0]), QuarticWell(center=[1e100, -2.0])])
 # a bracket widened by a fixed 1.0 was lost in the ulp of -1e16
 @example([Quadratic(center=[-1.0, -1e16]), QuarticWell(center=[-10.0, -1e16])])
 # midpoints of brackets past ~9e307 overflowed when their ends were added first
 @example([Quadratic(center=[1.0]), QuarticWell(center=[1e308])])
 @example([Quadratic(center=[1.0]), QuarticWell(center=[-1e308])])
-# the first midpoint 0.0 has deriv -1 + 1 = 0 exactly, so the two edges split at once
+# a midpoint has deriv -1 + 1 = 0 exactly, so the two edges split
 @example([Quadratic(center=[1.0]), QuarticWell(center=[-1.0])])
-# heavy pulls whose NaN midpoint 5 reruns the halvings scaled by 2^-1023, and cancel there
+# the cubes +-1e9 cancel at 0 beside a pull of weight 2^-1000
+@example([Quadratic(center=[0.0], weight=2.0**-1000), QuarticWell(center=[-1e3]),
+          QuarticWell(center=[1e3])])
+# 200 arithmetic halvings stopped at 3.11e39, for an argmin near 2.154e33
+@example([QuarticWell(center=[0.0]), Quadratic(center=[1e100])])
+# the derivative rounds to 0 on [-8192, 8192]: refused, as no float resolves the argmin 0
+@example([QuarticWell(center=[-1e20]), QuarticWell(center=[1e20])])
+# cubes of size 1 cancel at the argmin -1.66e-4: their rounding hides the derivative's sign
+# within ~1e-17 of it, hundreds of floats (the search's point is 138 floats off)
+@example([QuarticWell(center=[-1.0]), QuarticWell(center=[-0.1]), QuarticWell(center=[1.0])])
+# terms that overflow on the way to the argmin, with opposite signs, and whose kernel
+# gradient is not finite there: refused
 @example([Quadratic(center=[0.0], weight=1e308), Quadratic(center=[10.0], weight=1e308),
           QuarticWell(center=[5.0])])
-# the rerun's cube overflows before its scale at 2.5e102: refused, not settled near 4.35e102
 @example([Quadratic(center=[0.0], weight=1e308), QuarticWell(center=[1e103])])
-# the rerun's light pull overflows before its scale: refused, not settled near 1e307
 @example([Quadratic(center=[1.5e308], weight=1e308), Quadratic(center=[-1.7e308], weight=2.0),
           FlatBottom1D(-1.0, 1.0)])
-def test_sum_zero_set_equals_the_full_200_step_bisection(terms):
-    assume(takes_the_bisection(terms))
-    assert_sum_zero_set_is_the_oracle_s(terms)
+def test_sum_zero_set_is_within_4_ulps_of_the_exact_argmin(terms):
+    assume(takes_the_search(terms))
+    assert_sum_zero_set_is_near_the_exact_argmin(terms)
 
 
-def takes_the_bisection(terms) -> bool:
-    """No shared minimizer and not all quadratics: the sum's zero set is bisected."""
+def takes_the_search(terms) -> bool:
+    """No shared minimizer and not all quadratics: the sum's zero set is searched for."""
     shared = cg.intersect([t.zero_set() for t in terms], tol=0.0) is not None
     return not shared and not all(isinstance(t, Quadratic) for t in terms)
 
 
-def assert_sum_zero_set_is_the_oracle_s(terms):
+UNDERFLOW = 1.7e-108  # about the cube root of the smallest subnormal: a cube below it is 0
+
+
+def assert_sum_zero_set_is_near_the_exact_argmin(terms, strict: bool = False):
+    """The zero set of a sum whose terms share no minimizer is a point, each component within
+    4 floats of the exact argmin; or within UNDERFLOW of it, where a quartic's cube underflows
+    there; or, unless ``strict``, where the exact derivative 4 floats either side of it is
+    within what rounding hides from the float derivative.  Or the sum is refused, for a cause
+    that the exact argmin confirms."""
     try:
-        lo, hi = sum_zero_set_oracle(terms)
-    except InputError as e:  # a bracket edge that overflows, or a derivative that does
-        with pytest.raises(InputError, match=f"^{re.escape(str(e))}$"):
-            SumPotential(tuple(terms)).zero_set()
+        body = SumPotential(tuple(terms)).zero_set()
+    except InputError as e:
+        assert_the_exact_argmin_confirms(terms, str(e))
         return
-    body = SumPotential(tuple(terms)).zero_set()
-    # bit for bit, the sign of a zero included
-    assert body.lo.tobytes() == lo.tobytes() and body.hi.tobytes() == hi.tobytes()
+    assert body.lo.tobytes() == body.hi.tobytes()
+    for k, z in enumerate(body.lo.tolist()):
+        below, above = exact_argmin_bracket(terms, k, guess=z)
+        if float_place(below) - 4 <= float_place(z) <= float_place(above) + 4:
+            continue
+        underflow = below - UNDERFLOW <= z <= above + UNDERFLOW and any(
+            isinstance(t, QuarticWell) and abs(z - t.center[k]) < UNDERFLOW for t in terms)
+        assert underflow or not strict and rounding_hides_the_sign(terms, k, z), (k, z, below, above)
 
 
-def test_2000_seeded_sums_match_the_full_bisection_bit_for_bit():
+def rounding_hides_the_sign(terms, k: int, z: float) -> bool:
+    """Whether the exact derivative 4 floats below z is at most, and 4 floats above z at
+    least, the bound on the float derivative's rounding error: (n + 4) 2^-52 of the terms'
+    absolute sum plus n of the smallest subnormal, for n terms.  Where the terms cancel near
+    the argmin, as cubes of size 1 at an argmin near 1e-4, the float derivative's sign is
+    noise across many floats."""
+    n, derivative, size = len(terms), exact_derivative(terms, k), exact_derivative(terms, k, True)
+    below, above = (float_at_place(float_place(z) + i) for i in (-4, 4))
+    slack = [Fraction(n + 4, 2**52) * size(s) + Fraction(n, 2**1074) for s in (below, above)]
+    return derivative(below) <= slack[0] and derivative(above) >= -slack[1]
+
+
+def assert_the_exact_argmin_confirms(terms, message: str):
+    flat = re.fullmatch(r"double precision cannot resolve the argmin of a sum potential: "
+                        r"its derivative rounds to 0 on \[(.+), (.+)\]", message)
+    heavy = re.fullmatch(r"the gradient of a sum potential overflows at its argmin \[.+\], "
+                         r"from term (\d+), a (\w+)", message)
+    if flat:  # a flat float interval, wider than 1e-9 of its scale, around the exact argmin
+        p, q = float(flat[1]), float(flat[2])
+        assert q - p > 1e-9 * max(1.0, abs(p), abs(q))
+        assert any(p <= exact_argmin_bracket(terms, k)[0] <= q for k in range(terms[0].dimension))
+    elif heavy:  # the sum of the terms up to the named one is past the floats at the argmin
+        i = int(heavy[1])
+        assert type(terms[i]).__name__ == heavy[2]
+        assert any(abs(exact_derivative(terms[: i + 1], k)(v)) > 2.0**1023
+                   for k in range(terms[0].dimension) for v in exact_argmin_bracket(terms, k))
+    else:
+        assert message == "failed to bracket the argmin of a sum potential"
+        assert max(abs(float(c)) for t in terms for c in t.zero_set().lo) > 2.0**1023
+
+
+def test_2000_seeded_sums_lie_within_4_ulps_of_the_exact_argmin():
     # far_apart_sum's distribution, drawn without hypothesis: 2-4 terms, centers from
-    # 1e-300 to 1e150 in magnitude, flat bottoms in 1-D.  1742 sums take the bisection; in
-    # 350 a midpoint's derivative is NaN, and both refuse the sum with one message.  In 441
-    # components of the rest a midpoint has deriv exactly 0, where the two edges' halvings split.
+    # 1e-300 to 1e150 in magnitude, flat bottoms in 1-D.  1742 sums take the search: 398 are
+    # refused as their gradient overflows at the argmin, and in 71 of the 2502 components of
+    # the rest a quartic's cube underflows at the argmin.  200 arithmetic halvings left 1225
+    # of their components further than 4 floats from the exact argmin.
     rng = np.random.default_rng(20141223)
 
     def point(m):
@@ -292,18 +347,23 @@ def test_2000_seeded_sums_match_the_full_bisection_bit_for_bit():
                 terms.append(QuarticWell(center=point(m)))
             else:
                 terms.append(FlatBottom1D(*sorted(point(2))))
-        if not takes_the_bisection(terms):
-            continue
-        try:
-            intervals = [component_zero_interval_oracle(terms, k) for k in range(m)]
-        except InputError:  # a derivative that overflows to NaN at a midpoint
-            assert_sum_zero_set_is_the_oracle_s(terms)
-            continue
-        # each edge before the box collapses them to their midpoint, the sign of a zero included
-        got = [potentials._component_zero_interval(terms, k) for k in range(m)]
-        assert np.array(got).tobytes() == np.array(intervals).tobytes()
-        body, (lo, hi) = SumPotential(tuple(terms)).zero_set(), sum_zero_set_oracle(terms, intervals)
-        assert body.lo.tobytes() == lo.tobytes() and body.hi.tobytes() == hi.tobytes()
+        if takes_the_search(terms):
+            assert_sum_zero_set_is_near_the_exact_argmin(terms, strict=True)
+
+
+def test_the_oracle_s_places_step_through_adjacent_floats():
+    for x in (-np.inf, -1e308, -1.0, -5e-324, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e308):
+        assert float_at_place(float_place(x) + 1) == np.nextafter(x, np.inf)
+    assert float_place(-0.0) == float_place(0.0) == 0
+
+
+def test_a_sum_whose_argmin_200_halvings_missed_reaches_adjacent_floats():
+    # x^3 + x = 1e100 has the root cbrt(1e100) - 1/(3 cbrt(1e100)); 200 arithmetic halvings of
+    # the bracket [-1, 1e100 + 1] ended at 3.11e39
+    terms = (QuarticWell(center=[0.0]), Quadratic(center=[1e100]))
+    z = SumPotential(terms).zero_set().lo[0]
+    below, above = exact_argmin_bracket(terms, 0)
+    assert below <= z <= above and z == pytest.approx(2.154434690031884e33, rel=1e-15)
 
 
 @pytest.mark.parametrize("c", [1e308, -1e308])
@@ -336,39 +396,40 @@ def test_sum_zero_set_bracket_edge_that_overflows_fails_to_bracket():
 ])
 def test_a_sum_whose_derivative_overflows_is_refused(terms):
     s = SumPotential(terms)
-    with pytest.raises(InputError, match="^the derivative of a sum potential overflows at "):
+    with pytest.raises(InputError, match=r"^the gradient of a sum potential overflows at its "
+                                         r"argmin \[5e\+1(03|49)\], from term 0, a QuarticWell$"):
         s.zero_set()
 
 
-@pytest.mark.parametrize("terms, mid", [
-    # the argmin is about 10: unscaled, the pull +inf meets the cube's -inf at 2.5e102; scaled
-    # by 2^-1023 the pull is finite but the cube still overflows, to an inf of the wrong sign,
-    # and a search that read it would settle near 4.35e102
-    ((Quadratic(center=[0.0], weight=1e308), QuarticWell(center=[1e103])), 2.500000000000002e102),
-    # the argmin is about 1.5e308: scaled, the light pull's s - c overflows at ~7e307 before
-    # its scale, to an inf of the wrong sign, and a search that read it would settle near 1e307
+@pytest.mark.parametrize("terms, argmin, term", [
+    # pulls of 5e308 and -5e308 at 5 overflow before they cancel: the kernel is NaN there
+    ((Quadratic(center=[0.0], weight=1e308), Quadratic(center=[10.0], weight=1e308),
+      QuarticWell(center=[5.0])), 5.0, "term 0, a Quadratic"),
+    # so is the weighted mean of the two pulls alone
+    ((Quadratic(center=[0.0], weight=1e308), Quadratic(center=[10.0], weight=1e308)),
+     5.0, "term 0, a Quadratic"),
+    # the argmin solves 1e308 s = (1e103 - s)^3, where the pull is 1e309
+    ((Quadratic(center=[0.0], weight=1e308), QuarticWell(center=[1e103])), 10.0,
+     "term 0, a Quadratic"),
+    # the light pull at -1.7e308 is 2 * 3.2e308 at the argmin 1.5e308 of the heavy one
     ((Quadratic(center=[1.5e308], weight=1e308), Quadratic(center=[-1.7e308], weight=2.0),
-      FlatBottom1D(-1.0, 1.0)), -1.0000000000000006e307),
+      FlatBottom1D(-1.0, 1.0)), 1.5e308, "term 1, a Quadratic"),
 ])
-def test_a_rerun_whose_term_overflows_before_its_scale_refuses_with_the_first_message(terms, mid):
-    message = f"the derivative of a sum potential overflows at {mid}"
+def test_a_sum_whose_gradient_overflows_at_its_argmin_is_refused_naming_the_term(terms, argmin,
+                                                                                   term):
+    message = f"the gradient of a sum potential overflows at its argmin [{argmin!r}], from {term}"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         SumPotential(terms).zero_set()
 
 
-@pytest.mark.parametrize("terms, argmin", [
-    # unscaled, the pulls of 5e308 and -5e308 at 5 overflow to +inf and -inf before they
-    # cancel; rerun scaled by 2^-1023 they cancel
-    ((Quadratic(center=[0.0], weight=1e308), Quadratic(center=[10.0], weight=1e308),
-      QuarticWell(center=[5.0])), 5.0),
-    # weights below 2 scale nothing: scaled up by 2^1000, the cubes +-1e9 at 0 would be
-    # +inf and -inf
-    ((Quadratic(center=[0.0], weight=2.0**-1000), QuarticWell(center=[-1e3]),
-      QuarticWell(center=[1e3])), 0.0),
-])
-def test_a_nan_midpoint_reruns_the_argmin_search_scaled_by_the_largest_weight(terms, argmin):
-    body = SumPotential(terms).zero_set()
-    assert body.lo.tolist() == body.hi.tolist() == [argmin]
+def test_a_sum_whose_derivative_rounds_to_0_around_its_argmin_is_refused():
+    # s + 1e20 rounds to 1e20 wherever |s| <= 8192, so the cubes cancel exactly there; the
+    # argmin is 0, but no float search can tell it from any other point of that interval
+    s = SumPotential((QuarticWell(center=[-1e20]), QuarticWell(center=[1e20])))
+    message = ("double precision cannot resolve the argmin of a sum potential: its derivative "
+               "rounds to 0 on [-8192.0, 8192.0]")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        s.zero_set()
 
 
 def test_quadratics_whose_weighted_products_overflow_have_a_finite_mean():

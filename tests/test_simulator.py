@@ -22,6 +22,7 @@ from syncflow import (
     integrate,
 )
 from syncflow.potentials import NetworkPotential
+from syncflow.simulator import sample_times
 from util import (
     equilibrium_oracle_quadratic,
     graph_id_at,
@@ -533,3 +534,16 @@ def test_every_span_of_the_event_grid_runs_on_the_graph_at_its_start(case):
         gid = gid if g is None else g
         early, late = (graph_id_at(sig, t, snap=tol * f) for f in (1 - 1e-6, 1 + 1e-6))
         assert gid in {early, late} and (early != late or gid == graph_id_at(sig, t, snap=tol))
+
+
+@pytest.mark.parametrize("segments, t_end, sample_every", [
+    ([("a", 0.5)], 12.0, 0.3),  # a fixed graph, t_end no multiple of sample_every
+    ([("a", 0.25), ("b", 0.25)], 1.0, 0.249999999),  # switches within the merge tolerance
+    ([("a", 0.7), ("b", 0.45)], 5.0, 0.4),  # switches between samples
+])
+def test_sample_times_are_the_times_integrate_records(segments, t_end, sample_every):
+    library = {gid: ring_graph(3) for gid, _ in segments}
+    signal = SwitchingSignal(library, segments, min(d for _, d in segments))
+    traj = integrate([Quadratic(center=[0.0])] * 3, signal, 1.0, [1.0, 0.0, -1.0], dt=0.05,
+                     t_end=t_end, sample_every=sample_every)
+    assert sample_times(signal, t_end, sample_every).tobytes() == traj.times.tobytes()

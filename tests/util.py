@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -405,75 +406,63 @@ def equilibrium_oracle_quadratic(potentials, g: WeightedDigraph, K: float) -> np
         raise NumericalError(f"equilibrium system is singular: {e}") from None
 
 
-# -- the argmin bisection as it ran before its early exit: all 200 halvings ----
+# -- the exact argmin of a sum's component: Fraction signs under a bisection of the floats
 
 
-def component_zero_interval_oracle(terms, k: int, e: int = 0) -> tuple[float, float]:
-    """Zero interval of the k-th gradient component of the flat sum ``terms``, by 200
-    halvings per edge with no early exit.  A midpoint whose derivative is NaN (a term's +inf
-    met another's -inf) is refused with ``src/``'s message.  Like ``src/``, a sum refused so
-    whose largest weight w is 2 or more is halved again with every term times 2^-e,
-    e = frexp(w)[1] - 1, where an infinite derivative is refused too, with the first message."""
+def float_place(x: float) -> int:
+    """x's index in the order of the floats, both zeros at 0: adjacent floats differ by 1."""
+    bits = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return bits if x > 0 else -bits
 
-    def deriv(s: float) -> float:
-        total = 0.0
-        for t in terms:
-            if isinstance(t, Quadratic):
-                total += t.weight * 2.0**-e * (s - t.center[k])
-            elif isinstance(t, QuarticWell):
-                total += (s - t.center[k]) ** 3 * 2.0**-e
-            elif isinstance(t, FlatBottom1D):
-                if s > t.right:
-                    total += (s - t.right) * 2.0**-e
-                elif s < t.left:
-                    total += (s - t.left) * 2.0**-e
-        return total if e == 0 or math.isfinite(total) else math.nan
 
-    zsets = [t.zero_set() for t in terms]
-    lo = min(float(z.lo[k]) for z in zsets)
-    hi = max(float(z.hi[k]) for z in zsets)
-    a, b = lo - max(1.0, 2.0**-50 * abs(lo)), hi + max(1.0, 2.0**-50 * abs(hi))
+def float_at_place(i: int) -> float:
+    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(i)))[0], i)
 
-    def bisect(predicate) -> tuple[float, float]:
-        lo_, hi_ = a, b
-        for _ in range(200):
-            mid = 0.5 * lo_ + 0.5 * hi_
-            if math.isnan(deriv(mid)):
-                raise InputError(f"the derivative of a sum potential overflows at {mid}")
-            if predicate(mid):
-                hi_ = mid
+
+def exact_derivative(terms, k: int, absolute: bool = False):
+    """The k-th gradient component of the flat sum ``terms`` as an exact function of a float;
+    with ``absolute``, the sum of its terms' absolute values."""
+    # (kind, argmin lo, argmin hi, weight) per term, as Fractions
+    coef = [(type(t), *map(Fraction, (t.center[k], t.center[k], t.weight)))
+            if isinstance(t, Quadratic)
+            else (type(t), *map(Fraction, (t.center[k], t.center[k], 1.0)))
+            if isinstance(t, QuarticWell)
+            else (type(t), *map(Fraction, (t.left, t.right, 1.0))) for t in terms]
+
+    def derivative(s: float) -> Fraction:
+        x, total = Fraction(s), 0
+        for kind, left, right, w in coef:
+            if kind is QuarticWell:
+                g = (x - left) ** 3
+            elif x > right:
+                g = w * (x - right)
+            elif x < left:
+                g = w * (x - left)
             else:
-                lo_ = mid
-        return lo_, hi_
+                continue
+            total += abs(g) if absolute else g
+        return total
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (math.isfinite(a) and math.isfinite(b) and deriv(a) < 0.0 < deriv(b)):
-            raise InputError("failed to bracket the argmin of a sum potential")
-        try:
-            _, left_edge = bisect(lambda s: deriv(s) >= 0.0)
-            right_edge, _ = bisect(lambda s: deriv(s) > 0.0)
-        except InputError as first:
-            w = max((t.weight for t in terms if isinstance(t, Quadratic)), default=0.0)
-            if e > 0 or w < 2.0:
-                raise
-            try:
-                return component_zero_interval_oracle(terms, k, math.frexp(w)[1] - 1)
-            except InputError:
-                raise first from None
-    if right_edge < left_edge:
-        mid = 0.5 * left_edge + 0.5 * right_edge
-        return mid, mid
-    return left_edge, right_edge
+    return derivative
 
 
-def sum_zero_set_oracle(terms, intervals=None) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of a sum's argmin box when its terms share no minimizer and are not all
-    quadratic: one oracle interval per component (``intervals``, when the caller holds
-    them), a box thinner than 1e-9 of its scale collapsed to its midpoint."""
-    if intervals is None:
-        intervals = [component_zero_interval_oracle(terms, k) for k in range(terms[0].dimension)]
-    lo, hi = (np.array(e) for e in zip(*intervals))
-    scale = max(1.0, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    if np.all(hi - lo <= 1e-9 * scale):
-        lo = hi = 0.5 * lo + 0.5 * hi
-    return lo, hi
+def exact_argmin_bracket(terms, k: int, guess: float | None = None) -> tuple[float, float]:
+    """(l, h), the floats nearest the argmin of the k-th component of ``terms`` from below and
+    from above (l == h where it is a float), for terms that share no minimizer: then the
+    argmin is one point, and the exact derivative is < 0 below it and > 0 above it.  The
+    bisection on the floats' places starts from the 4th float either side of ``guess`` where
+    those two bracket the argmin, and from all floats otherwise."""
+    derivative = exact_derivative(terms, k)
+    lo, hi = float_place(-math.inf), float_place(math.inf)  # ends no search evaluates
+    if guess is not None:
+        a, b = float_place(guess) - 4, float_place(guess) + 4
+        if lo < a and b < hi and derivative(float_at_place(a)) <= 0 < derivative(float_at_place(b)):
+            lo, hi = a, b
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if derivative(float_at_place(mid)) > 0:
+            hi = mid
+        else:
+            lo = mid
+    below = float_at_place(lo)
+    return (below, below) if derivative(below) == 0 else (below, float_at_place(hi))
