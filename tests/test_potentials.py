@@ -322,7 +322,8 @@ def assert_the_exact_argmin_confirms(terms, message: str):
                    for k in range(terms[0].dimension) for v in exact_argmin_bracket(terms, k))
     else:
         assert message == "failed to bracket the argmin of a sum potential"
-        assert max(abs(float(c)) for t in terms for c in t.zero_set().lo) > 2.0**1023
+        edges = [float(c) for t in terms for c in (*t.zero_set().lo, *t.zero_set().hi)]
+        assert max(map(abs, edges)) > 2.0**1023
 
 
 def test_2000_seeded_sums_lie_within_4_ulps_of_the_exact_argmin():
