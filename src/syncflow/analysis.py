@@ -51,36 +51,37 @@ DEFAULT_TAIL_FRACTION = 0.2
 
 
 class DiagnosticsSeries:
-    """Per-sample diagnostic series aligned with a trajectory, from ``diagnostics``.
+    """One run as the trajectory checks read it, from ``diagnostics``.
 
-    ``times`` and ``diameter`` come with it; ``theta``, ``argmin_dist`` and ``v_nodes``/``v``
-    read the zero sets, so each is computed on its first read and kept.  ``v_nodes``/``v``
-    are None unless the zero sets share a point; ``theta`` needs only bounded zero sets.
+    ``times``, ``states`` (n_samples, N, m), ``potentials`` and ``diameter`` come with it;
+    ``theta``, ``argmin_dist`` and ``v_nodes``/``v`` read the zero sets, so each is computed
+    on its first read and kept.  ``v_nodes``/``v`` are None unless the zero sets share a
+    point; ``theta`` needs only bounded zero sets.
     """
 
     def __init__(self, traj: Trajectory, potentials):
-        self.times, self.diameter = traj.times, diameter_series(traj)
-        self._states, self._potentials = traj.states, list(potentials)
+        self.times, self.states, self.potentials = traj.times, traj.states, list(potentials)
+        self.diameter = diameter_series(traj)
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan series, no warnings
     def theta(self) -> np.ndarray:
         """Per sample, the largest squared node distance to the hull of the union of zero sets."""
-        return (cg.zero_set_hull(self._potentials).distance(self._states) ** 2).max(axis=1)
+        return (cg.zero_set_hull(self.potentials).distance(self.states) ** 2).max(axis=1)
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def argmin_dist(self) -> np.ndarray:
         """(n_samples, N) node distances to their own zero sets: one clip against the boxes."""
-        corners = np.array([(z.lo, z.hi) for z in (p.zero_set() for p in self._potentials)])
-        return cg.box_distance(self._states, corners[:, 0], corners[:, 1])
+        corners = np.array([(z.lo, z.hi) for z in (p.zero_set() for p in self.potentials)])
+        return cg.box_distance(self.states, corners[:, 0], corners[:, 1])
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def v_nodes(self) -> np.ndarray | None:
         """(n_samples, N) squared node distances to the center of the zero sets' intersection."""
-        common = common_zero_set(self._potentials)
-        return None if common is None else np.linalg.norm(self._states - common.center(), axis=2) ** 2
+        common = common_zero_set(self.potentials)
+        return None if common is None else np.linalg.norm(self.states - common.center(), axis=2) ** 2
 
     @cached_property
     def v(self) -> np.ndarray | None:
@@ -153,21 +154,14 @@ def diagnostics(traj: Trajectory, potentials) -> DiagnosticsSeries:
 
 
 def check_sync(
-    traj: Trajectory,
-    tol: float = 1e-6,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    diameter: np.ndarray | None = None,
+    diag: DiagnosticsSeries, tol: float = 1e-6, tail_fraction: float = DEFAULT_TAIL_FRACTION
 ) -> CheckReport:
     """Exact synchronization: the tail-sup of the diameter, the disagreement
     estimate and ``worst_value``, is below ``tol``.  A pass records the final
     block average as the limit point.
-
-    ``diameter`` is the trajectory's ``diameter_series`` when the caller
-    already holds it (``diagnostics`` computes one); otherwise it is computed.
     """
-    diam = diameter_series(traj) if diameter is None else diameter
-    eps = float(diam[_tail_indices(traj.times, tail_fraction)].max())
-    limit = traj.states[-1].mean(axis=0).tolist() if eps < tol else None
+    eps = float(diag.diameter[_tail_indices(diag.times, tail_fraction)].max())
+    limit = diag.states[-1].mean(axis=0).tolist() if eps < tol else None
     return CheckReport(
         check="sync", passed=eps < tol, worst_value=eps, params={"tol": tol, "limit_point": limit}
     )
@@ -212,9 +206,7 @@ def check_monotone(series, rise_tol: float | None = None, label: str = "series")
 
 
 def check_common_limit(
-    diag: DiagnosticsSeries,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    tol: float = 1e-6,
+    diag: DiagnosticsSeries, tail_fraction: float = DEFAULT_TAIL_FRACTION, tol: float = 1e-6
 ) -> CheckReport:
     """All V_i settle to one common limit.
 
@@ -245,14 +237,9 @@ def check_common_limit(
 
 
 def check_node_optimum(
-    diag: DiagnosticsSeries,
-    potentials,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    tol: float = 1e-6,
+    diag: DiagnosticsSeries, tail_fraction: float = DEFAULT_TAIL_FRACTION, tol: float = 1e-6
 ) -> CheckReport:
     """Tail-sup of every node's distance to its own argmin set is below ``tol``."""
-    if diag.argmin_dist.shape[1] != len(potentials):
-        raise InputError("diagnostics and potentials disagree on node count")
     tail = _tail_indices(diag.times, tail_fraction)
     sup_per_node = diag.argmin_dist[tail].max(axis=0)
     worst_node = int(np.argmax(sup_per_node))
@@ -366,7 +353,6 @@ def check_spectral_bound(
         check="spectral_bound",
         passed=lhs <= bound + tol,
         worst_value=lhs - bound,
-        location=None,
         params={"lhs": lhs, "bound": bound, "drift_norm": l0, "lambda2": lam2, "K": K, "tol": tol},
     )
 
@@ -403,28 +389,25 @@ def check_sync_iff(
     all_pass = True
     worst = -math.inf
     for ridx, x0 in enumerate(x0_set):
-        traj = integrate(potentials, sig, K, x0, dt, horizon, sample_every)
-        diam = diameter_series(traj)
-        tail = _tail_indices(traj.times, tail_fraction)
+        diag = diagnostics(integrate(potentials, sig, K, x0, dt, horizon, sample_every), potentials)
         entry: dict = {"run": ridx}
         if body is not None:
-            tail_sup = float(diam[tail].max())
-            final_dev = float(body.distance(traj.states[-1]).max())
+            tail_sup = check_sync(diag, tol, tail_fraction).worst_value
+            final_dev = float(body.distance(diag.states[-1]).max())
             ok = tail_sup <= tol and final_dev <= tol
             entry.update({"tail_diameter": tail_sup, "final_deviation": final_dev, "pass": ok})
             worst = max(worst, tail_sup, final_dev)
         else:
-            floor = float(diam[tail].min())
-            ok = floor >= min_floor
-            entry.update({"observed_floor": floor, "pass": ok})
-            worst = max(worst, -floor)
+            rep = check_no_sync(diag, min_floor, tail_fraction)
+            ok = rep.passed
+            entry.update({"observed_floor": rep.worst_value, "pass": ok})
+            worst = max(worst, -rep.worst_value)
         all_pass = all_pass and ok
         runs.append(entry)
     return CheckReport(
         check="sync_iff_common_zero",
         passed=all_pass,
         worst_value=None if worst == -math.inf else worst,
-        location=None,
         params={
             "intersection_nonempty": body is not None,
             "tol": tol,
@@ -467,8 +450,8 @@ def sweep_K(
     for k in K_list:
         row = {"K": k, "epsilon_estimate": None, "error": None}
         try:
-            traj = integrate(potentials, signal, k, x0, dt, t_end, sample_every)
-            row["epsilon_estimate"] = check_sync(traj, tail_fraction=tail_fraction).worst_value
+            diag = diagnostics(integrate(potentials, signal, k, x0, dt, t_end, sample_every), potentials)
+            row["epsilon_estimate"] = check_sync(diag, tail_fraction=tail_fraction).worst_value
         except NumericalError as e:
             row["error"] = str(e)
         rows.append(row)
@@ -519,14 +502,11 @@ def check_feasibility(potentials) -> CheckReport:
         check="assumption_feasibility",
         passed=passed,
         worst_value=params.get("drift_alignment_worst"),
-        location=None,
         params=params,
     )
 
 
-def cube_containment(
-    traj: Trajectory, potentials, eta: float = 0.5, slack: float = 1e-8
-) -> CheckReport:
+def cube_containment(diag: DiagnosticsSeries, eta: float = 0.5, slack: float = 1e-8) -> CheckReport:
     """A 1-D trajectory stays in the cube spanned by argmin representatives.
 
     The cube is [y_lo - eta, y_hi + eta] per node, where y_lo/y_hi are the
@@ -534,13 +514,13 @@ def cube_containment(
     outside the cube the claim does not apply and the report marks the
     precondition unmet instead of failing the invariance itself.
     """
-    if traj.dim != 1:
+    if diag.states.shape[2] != 1:
         raise InputError("invariant cube applies to one-dimensional node states only")
     validate_eta(eta)
-    reps = [float(p.zero_set().center()[0]) for p in potentials]
+    reps = [float(p.zero_set().center()[0]) for p in diag.potentials]
     lo = min(reps) - eta
     hi = max(reps) + eta
-    x0 = traj.states[0]
+    x0 = diag.states[0]
     if np.any(x0 < lo - 1e-12) or np.any(x0 > hi + 1e-12):
         return CheckReport(
             check="invariant_cube",
@@ -553,14 +533,14 @@ def cube_containment(
                 "detail": "initial state outside the cube; the invariance claim does not apply",
             },
         )
-    overflow = np.maximum(traj.states - hi, lo - traj.states)
+    overflow = np.maximum(diag.states - hi, lo - diag.states)
     k = int(np.argmax(overflow.max(axis=(1, 2))))
     worst = float(overflow.max())
     return CheckReport(
         check="invariant_cube",
         passed=worst <= slack,
         worst_value=worst,
-        location={"time": float(traj.times[k])},
+        location={"time": float(diag.times[k])},
         params={"precondition_met": True, "cube": [lo, hi], "eta": eta, "slack": slack},
     )
 

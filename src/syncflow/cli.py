@@ -21,6 +21,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,11 @@ class Scenario:
     def primary_K(self) -> float:
         # a sweep scenario's primary trajectory uses its largest gain
         return self.K if self.K is not None else self.K_list[-1]
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The times the run will record, from its grid alone; computed once per load."""
+        return sample_times(self.signal, self.t_end, self.sample_every)
 
 
 def _fail(msg: str):
@@ -153,8 +159,8 @@ def load_scenario(path) -> Scenario:
     K >= 0 by ``NetworkPotential.coupling`` when the run builds K·L."""
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as e:
+        text = p.read_text(encoding="utf-8")  # JSON's encoding, whatever the locale's
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read scenario file {p}: {e}") from None
     try:
         raw = json.loads(text)
@@ -276,7 +282,8 @@ def load_scenario(path) -> Scenario:
         tail_fraction=tail_fraction,
     )
     for name, params in checks:
-        CHECKS[name].precondition(scenario, params)
+        for rule in CHECKS[name].preconditions:
+            rule(scenario, params)
     return scenario
 
 
@@ -312,15 +319,16 @@ class Required:
 
 @dataclass(frozen=True)
 class Check:
-    """A scenario check: its parameters with their defaults, a load-time
-    precondition ``(scenario, params)`` that raises InputError, and its run
-    ``(scenario, traj, diag, params) -> CheckReport``, which calls the library
-    through its modules so that a function patched there is the one that runs.
+    """A scenario check: its parameters with their defaults, its run
+    ``(scenario, diag, params) -> CheckReport`` on the run's ``DiagnosticsSeries``, which
+    calls the library through its modules so that a function patched there is the one
+    that runs, and its load-time preconditions, each ``(scenario, params)`` raising
+    InputError.
     """
 
     params: dict
     run: Callable
-    precondition: Callable = lambda scenario, params: None
+    preconditions: tuple = ()
 
 
 def _fixed_symmetric_connected(sc: Scenario, params: dict):
@@ -341,60 +349,66 @@ def _common_zero(sc: Scenario, params: dict):
         _fail("checks 'monotone_V'/'common_limit' need a nonempty intersection of zero sets")
 
 
-def _common_limit(sc: Scenario, params: dict):
-    _common_zero(sc, params)
-    analysis.limit_tail(sample_times(sc.signal, sc.t_end, sc.sample_every), params["tail_fraction"])
+def _limit_tail(sc: Scenario, params: dict):
+    analysis.limit_tail(sc.times, params["tail_fraction"])
+
+
+def _two_samples(sc: Scenario, params: dict):  # a monotone check compares neighbouring samples
+    if len(sc.times) < 2:
+        _fail(f"checks 'monotone_V'/'monotone_theta' need >= 2 recorded samples; t_end "
+              f"{sc.t_end} and sample_every {sc.sample_every} give {len(sc.times)}")
 
 
 CHECKS = {
     "sync": Check(
         {"tol": 1e-6, "tail_fraction": TAIL},
-        lambda sc, traj, diag, p: analysis.check_sync(traj, diameter=diag.diameter, **p),
+        lambda sc, diag, p: analysis.check_sync(diag, **p),
     ),
     "no_sync": Check(
         {"floor": 1e-3, "tail_fraction": TAIL},
-        lambda sc, traj, diag, p: analysis.check_no_sync(diag, **p),
+        lambda sc, diag, p: analysis.check_no_sync(diag, **p),
     ),
     "monotone_V": Check(
         {"rise_tol": None},
-        lambda sc, traj, diag, p: analysis.check_monotone(diag.v, label="V", **p),
-        _common_zero,
+        lambda sc, diag, p: analysis.check_monotone(diag.v, label="V", **p),
+        (_common_zero, _two_samples),
     ),
     "monotone_theta": Check(
         {"rise_tol": None},
-        lambda sc, traj, diag, p: analysis.check_monotone(diag.theta, label="theta", **p),
+        lambda sc, diag, p: analysis.check_monotone(diag.theta, label="theta", **p),
+        (_two_samples,),
     ),
     "common_limit": Check(
         {"tol": 1e-6, "tail_fraction": TAIL},
-        lambda sc, traj, diag, p: analysis.check_common_limit(diag, **p),
-        _common_limit,
+        lambda sc, diag, p: analysis.check_common_limit(diag, **p),
+        (_common_zero, _limit_tail),
     ),
     "node_optimum": Check(
         {"tol": 1e-6, "tail_fraction": TAIL},
-        lambda sc, traj, diag, p: analysis.check_node_optimum(diag, sc.potentials, **p),
+        lambda sc, diag, p: analysis.check_node_optimum(diag, **p),
     ),
     "invariant_cube": Check(
         {"eta": 0.5, "slack": 1e-8},
-        lambda sc, traj, diag, p: analysis.cube_containment(traj, sc.potentials, **p),
-        _one_dimensional,
+        lambda sc, diag, p: analysis.cube_containment(diag, **p),
+        (_one_dimensional,),
     ),
     "drift_alignment": Check(
         {"tol": 1e-10},
-        lambda sc, traj, diag, p: cg.check_drift_alignment(sc.potentials, traj.states, **p),
+        lambda sc, diag, p: cg.check_drift_alignment(sc.potentials, diag.states, **p),
     ),
-    "feasibility": Check({}, lambda sc, traj, diag, p: analysis.check_feasibility(sc.potentials)),
+    "feasibility": Check({}, lambda sc, diag, p: analysis.check_feasibility(sc.potentials)),
     # on a fixed symmetric graph the primary run is the gradient flow of the aggregate at
     # this K, so its last sample, the minimizer's start, is already near the minimizer
     "spectral_bound": Check(
         {"grad_tol": 1e-10, "tol": 1e-8},
-        lambda sc, traj, diag, p: analysis.check_spectral_bound(
+        lambda sc, diag, p: analysis.check_spectral_bound(
             sc.potentials, sc.signal.library[sc.signal.segments[0][0]], sc.primary_K,
-            traj.states[-1], **p),
-        _fixed_symmetric_connected,
+            diag.states[-1], **p),
+        (_fixed_symmetric_connected,),
     ),
     "ujsc": Check(
         {"T": Required("a window length")},
-        lambda sc, traj, diag, p: graphs.certify_ujsc(sc.signal, **p),
+        lambda sc, diag, p: graphs.certify_ujsc(sc.signal, **p),
     ),
 }
 
@@ -437,11 +451,11 @@ def _load_check(c, tail_fraction: float) -> tuple[str, dict]:
 # -- execution ----------------------------------------------------------------
 
 
-def _write_trajectory_csv(path: Path, sc: Scenario, traj, series: dict):
+def _write_trajectory_csv(path: Path, sc: Scenario, diag, series: dict):
     series = {name: v for name, v in series.items() if v is not None}  # no V without a common zero
     cols = ["t"] + [f"x_{i}_{k}" for i in range(sc.node_count) for k in range(sc.dim)]
     cols += list(series)
-    table = np.column_stack([traj.times, traj.states.reshape(len(traj), -1), *series.values()])
+    table = np.column_stack([diag.times, diag.states.reshape(len(diag.times), -1), *series.values()])
     row = ",".join(["%.17g"] * len(cols)) + "\n"  # 17 digits round-trip; one format call per row
     with path.open("w") as f:  # row by row: neither the text nor the floats are held whole
         f.write(",".join(cols) + "\n")
@@ -470,37 +484,21 @@ def _write_sweep_csv(path: Path, sweep: CheckReport):
 
 def _execute(sc: Scenario):
     """Simulate the primary trajectory, run checks, optionally sweep."""
-    traj = integrate(
-        sc.potentials,
-        sc.signal,
-        sc.primary_K,
-        sc.x0,
-        sc.dt,
-        sc.t_end,
-        sc.sample_every,
-        scenario_id=sc.name,
-    )
+    traj = integrate(sc.potentials, sc.signal, sc.primary_K, sc.x0, sc.dt, sc.t_end,
+                     sc.sample_every, scenario_id=sc.name)
     diag = analysis.diagnostics(traj, sc.potentials)
-    reports = [CHECKS[name].run(sc, traj, diag, params) for name, params in sc.checks]
+    reports = [CHECKS[name].run(sc, diag, params) for name, params in sc.checks]
     sweep = None
     if sc.K_list is not None:
         sweep = _sweep(sc, sc.K_list)
         reports.append(sweep)
-    return traj, diag, reports, sweep
+    return diag, reports, sweep
 
 
 def _sweep(sc: Scenario, K_list) -> CheckReport:
-    return analysis.sweep_K(
-        sc.potentials,
-        sc.signal,
-        sc.x0,
-        K_list,
-        epsilon=sc.epsilon,
-        dt=sc.dt,
-        t_end=sc.t_end,
-        sample_every=sc.sample_every,
-        tail_fraction=sc.tail_fraction,
-    )
+    return analysis.sweep_K(sc.potentials, sc.signal, sc.x0, K_list, epsilon=sc.epsilon, dt=sc.dt,
+                            t_end=sc.t_end, sample_every=sc.sample_every,
+                            tail_fraction=sc.tail_fraction)
 
 
 def _report_json(sc: Scenario, reports, error=None) -> str:
@@ -518,7 +516,7 @@ def run(scenario: Scenario, out_dir) -> int:
     directory is made after the run, so an input error raised by the run leaves no files."""
     out = Path(out_dir)
     try:
-        traj, diag, reports, sweep = _execute(scenario)
+        diag, reports, sweep = _execute(scenario)
         series = {"diameter": diag.diameter, "V": diag.v, "theta": diag.theta}  # theta may raise
     except NumericalError as e:
         error = {"type": type(e).__name__, "message": str(e)}
@@ -529,7 +527,7 @@ def run(scenario: Scenario, out_dir) -> int:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
     out.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out / "trajectory.csv", scenario, traj, series)
+    _write_trajectory_csv(out / "trajectory.csv", scenario, diag, series)
     _write_plot_script(out / "plot.gp", scenario)
     if sweep is not None:
         _write_sweep_csv(out / "sweep.csv", sweep)
@@ -541,7 +539,7 @@ def run(scenario: Scenario, out_dir) -> int:
 
 def verify(scenario: Scenario) -> int:
     """Run checks only (no files); prints one line per check."""
-    _, _, reports, _ = _execute(scenario)
+    _, reports, _ = _execute(scenario)
     for r in reports:
         worst = "" if r.worst_value is None else f" (worst={r.worst_value:.3e})"
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.check}{worst}")
@@ -599,6 +597,9 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # load_scenario owns the reads, so this is an unwritable output
+        print(f"input error: cannot write the output: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

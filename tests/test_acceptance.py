@@ -304,7 +304,7 @@ def test_criterion_8_invariant_cube_corner_runs():
         corner = np.where(rng.random(5) < 0.5, lo, hi)
         signal = fixed_signal(ring) if run < 10 else sig_switch
         traj = integrate(pots, signal, 1.0, corner, dt=0.05, t_end=10.0)
-        rep = cube_containment(traj, pots, eta, slack=1e-8)
+        rep = cube_containment(diagnostics(traj, pots), eta, slack=1e-8)
         ok &= rep.passed
     _criterion(8, "20 corner-started 1-D runs stay inside the eta-cube (slack 1e-8)", ok)
 

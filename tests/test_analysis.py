@@ -120,15 +120,13 @@ def test_diagnostics_auto_zstar_requires_intersection():
 def test_check_sync_fields():
     pots = [Quadratic(center=[1.0]), Quadratic(center=[1.0], weight=0.5)]
     traj = integrate(pots, fixed_signal(two_node()), 1.0, [3.0, -1.0], dt=0.02, t_end=30.0, sample_every=0.5)
-    rep = check_sync(traj, tol=1e-6)
+    diag = diagnostics(traj, pots)
+    rep = check_sync(diag, tol=1e-6)
     assert rep.passed and rep.worst_value < 1e-6
     np.testing.assert_allclose(rep.params["limit_point"], [1.0], atol=1e-6)
-    given = check_sync(traj, tol=1e-6, diameter=diameter_series(traj))
-    assert given.worst_value == rep.worst_value
-    assert given.params == rep.params
     # the estimate is the tail-sup of the diameter over the last tail_fraction of the horizon
     tail = traj.times >= 30.0 * 0.7 - 1e-12
-    loose = check_sync(traj, tol=1.0, tail_fraction=0.3)
+    loose = check_sync(diag, tol=1.0, tail_fraction=0.3)
     assert loose.worst_value == float(diameter_series(traj)[tail].max())
 
 
@@ -138,7 +136,7 @@ def test_sync_and_no_sync_reports():
 
     same = [Quadratic(center=[1.0]), Quadratic(center=[1.0], weight=0.5)]
     traj = run(same)
-    rep = check_sync(traj, tol=1e-6)
+    rep = check_sync(diagnostics(traj, same), tol=1e-6)
     assert (rep.check, rep.passed) == ("sync", True)
     assert rep.worst_value == float(diameter_series(traj)[traj.times >= 24.0 - 1e-12].max())
     assert rep.params == {"tol": 1e-6, "limit_point": traj.states[-1].mean(axis=0).tolist()}
@@ -146,7 +144,7 @@ def test_sync_and_no_sync_reports():
     apart = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     traj = run(apart)
     diag = diagnostics(traj, apart)
-    rep = check_sync(traj, tol=1e-6, diameter=diag.diameter)
+    rep = check_sync(diag, tol=1e-6)
     assert not rep.passed and rep.params["limit_point"] is None
     rep = check_no_sync(diag, floor=0.3)
     assert (rep.check, rep.passed) == ("no_sync", True)
@@ -289,11 +287,11 @@ def test_node_optimum_ujsc_and_decoupled():
     pots = [Quadratic(center=[1.0]), QuarticWell(center=[1.0]), Quadratic(center=[1.0], weight=2.0)]
     sig = alternating_chain_signal()
     traj = integrate(pots, sig, 1.0, [3.0, -2.0, 0.0], dt=0.05, t_end=80.0, sample_every=0.5)
-    assert check_node_optimum(diagnostics(traj, pots), pots, tol=1e-4).passed
+    assert check_node_optimum(diagnostics(traj, pots), tol=1e-4).passed
     # K = 0: every node descends its own potential
     pots_d = [Quadratic(center=[-1.0]), Quadratic(center=[2.0]), Quadratic(center=[0.0])]
     traj_d = integrate(pots_d, fixed_signal(ring_graph(3)), 0.0, [4.0, -4.0, 1.0], dt=0.02, t_end=30.0, sample_every=0.5)
-    assert check_node_optimum(diagnostics(traj_d, pots_d), pots_d, tol=1e-6).passed
+    assert check_node_optimum(diagnostics(traj_d, pots_d), tol=1e-6).passed
 
 
 def test_node_optimum_fails_off_argmin_equilibrium():
@@ -301,7 +299,7 @@ def test_node_optimum_fails_off_argmin_equilibrium():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
     g = two_node()
     traj = integrate(pots, fixed_signal(g), 1.0, [0.5, 0.5], dt=0.02, t_end=30.0, sample_every=0.5)
-    rep = check_node_optimum(diagnostics(traj, pots), pots, tol=1e-3)
+    rep = check_node_optimum(diagnostics(traj, pots), tol=1e-3)
     assert not rep.passed
     x_star = equilibrium_oracle_quadratic(pots, g, 1.0)
     assert abs(x_star[0] - 0.0) > 1e-2 and abs(x_star[1] - 1.0) > 1e-2
@@ -548,19 +546,23 @@ def test_spectral_bound_refuses_a_gain_that_is_not_positive():
 
 def test_sync_iff_sufficiency_and_necessity():
     g = ring_graph(4)
+
+    def run_diag(pots, x0):  # one run of the check, read by the library's own sync checks
+        return diagnostics(integrate(pots, fixed_signal(g), 1.0, x0, 0.02, 40.0), pots)
+
     common = [Quadratic(center=[0.3], weight=w) for w in (0.5, 1.0, 1.5, 2.0)]
-    rep = check_sync_iff(
-        common, g, 1.0, [np.array([2.0, -1.0, 0.0, 3.0]), np.zeros(4)], horizon=40.0, tol=1e-5, dt=0.02
-    )
+    x0s = [np.array([2.0, -1.0, 0.0, 3.0]), np.zeros(4)]
+    rep = check_sync_iff(common, g, 1.0, x0s, horizon=40.0, tol=1e-5, dt=0.02)
     assert rep.passed and rep.params["intersection_nonempty"]
+    for run, x0 in zip(rep.params["runs"], x0s):
+        assert run["tail_diameter"] == check_sync(run_diag(common, x0), tol=1e-5).worst_value
 
     disjoint = [QuarticWell(center=[c]) for c in (-1.5, -0.5, 0.5, 1.5)]
-    rep2 = check_sync_iff(
-        disjoint, g, 1.0, [np.array([2.0, -2.0, 1.0, -1.0])], horizon=40.0, tol=1e-5,
-        dt=0.02, min_floor=1e-3,
-    )
+    x0 = np.array([2.0, -2.0, 1.0, -1.0])
+    rep2 = check_sync_iff(disjoint, g, 1.0, [x0], horizon=40.0, tol=1e-5, dt=0.02, min_floor=1e-3)
     assert rep2.passed and not rep2.params["intersection_nonempty"]
     assert rep2.params["runs"][0]["observed_floor"] > 1e-3
+    assert rep2.params["runs"][0]["observed_floor"] == check_no_sync(run_diag(disjoint, x0)).worst_value
 
 
 def test_sync_iff_single_node_trivially_synced():
@@ -633,7 +635,8 @@ def test_sweep_rows_equal_direct_runs():
                   tail_fraction=0.3)
 
     def estimate(k):
-        return check_sync(integrate(pots, sig, k, x0, 0.05, 6.0, 0.25), tail_fraction=0.3).worst_value
+        diag = diagnostics(integrate(pots, sig, k, x0, 0.05, 6.0, 0.25), pots)
+        return check_sync(diag, tail_fraction=0.3).worst_value
 
     assert rep.params["rows"] == [{"K": k, "epsilon_estimate": estimate(k), "error": None} for k in K_list]
 
@@ -669,21 +672,21 @@ def test_invariant_cube_corner_starts():
     eta = 0.5
     for x0 in ([-0.5, 2.5, -0.5], [2.5, 2.5, 2.5], [-0.5, -0.5, 2.5]):
         traj = integrate(pots, fixed_signal(g), 1.0, x0, dt=0.02, t_end=15.0)
-        rep = cube_containment(traj, pots, eta)
+        rep = cube_containment(diagnostics(traj, pots), eta)
         assert rep.passed, rep.as_dict()
 
 
 def test_invariant_cube_center_starts():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0]), Quadratic(center=[2.0])]
     traj = integrate(pots, fixed_signal(ring_graph(3)), 2.0, [0.0, 1.0, 2.0], dt=0.02, t_end=10.0)
-    rep = cube_containment(traj, pots, 0.5)
+    rep = cube_containment(diagnostics(traj, pots), 0.5)
     assert rep.passed
 
 
 def test_invariant_cube_precondition_unmet():
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0]), Quadratic(center=[2.0])]
     traj = integrate(pots, fixed_signal(ring_graph(3)), 1.0, [5.0, 0.0, 0.0], dt=0.02, t_end=5.0)
-    rep = cube_containment(traj, pots, 0.5)
+    rep = cube_containment(diagnostics(traj, pots), 0.5)
     assert not rep.passed
     assert rep.params["precondition_met"] is False
 
@@ -692,7 +695,7 @@ def test_cube_containment_requires_1d():
     pots = [Quadratic(center=[0.0, 0.0])]
     traj = integrate(pots, fixed_signal(WeightedDigraph(1)), 0.0, [0.1, 0.1], dt=0.05, t_end=1.0, sample_every=0.2)
     with pytest.raises(InputError):
-        cube_containment(traj, pots, 0.5)
+        cube_containment(diagnostics(traj, pots), 0.5)
 
 
 # -- randomized Lyapunov battery (small here; the acceptance suite runs 50) ----

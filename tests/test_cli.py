@@ -3,6 +3,7 @@ import copy
 import importlib.util
 import inspect
 import io
+import itertools
 import json
 import math
 import time
@@ -120,6 +121,9 @@ PLANAR = {
     "x0": [1.0, 0.0, -1.0, 0.0],
 }
 APART = {"nodes": [{"kind": "quadratic", "center": [0.0]}, {"kind": "quadratic", "center": [1.0]}]}
+ONE_SAMPLE = {"dt": 0.01, "t_end": 0.1, "sample_every": 0.3}
+ONE_SAMPLE_MESSAGE = ("checks 'monotone_V'/'monotone_theta' need >= 2 recorded samples; "
+                      "t_end 0.1 and sample_every 0.3 give 1")
 
 # one case per load-time check precondition or parameter range: (scenario overrides, check, message)
 PRECONDITIONS = {
@@ -150,6 +154,9 @@ PRECONDITIONS = {
                                    "rise_tol must be nonnegative, got -1e-09"),
     "spectral_grad_tol_negative": ({}, {"name": "spectral_bound", "grad_tol": -1},
                                    "grad_tol must be positive, got -1.0"),
+    # t_end 0.1 sampled every 0.3 records one sample, at 0, and a monotone check compares two
+    "monotone_V_one_sample": (ONE_SAMPLE, {"name": "monotone_V"}, ONE_SAMPLE_MESSAGE),
+    "monotone_theta_one_sample": (ONE_SAMPLE, {"name": "monotone_theta"}, ONE_SAMPLE_MESSAGE),
 }
 
 
@@ -797,7 +804,7 @@ def test_the_spectral_bound_check_builds_the_coupling_once(tmp_path, monkeypatch
     monkeypatch.setattr(potentials.NetworkPotential, "coupling",
                         lambda *a: calls.append(1) or coupling(*a))
     ((name, params),) = sc.checks
-    assert cli.CHECKS[name].run(sc, traj, analysis.diagnostics(traj, sc.potentials), params).passed
+    assert cli.CHECKS[name].run(sc, analysis.diagnostics(traj, sc.potentials), params).passed
     assert len(calls) == 1
 
 
@@ -1154,6 +1161,97 @@ def test_each_loader_and_sweep_refusal_exits_2_with_its_message(tmp_path, capsys
     assert main([command, scen, *options]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
     assert not out.exists()
+
+
+def _main_quietly(argv):
+    """``main(argv)``'s exit code and stderr, with every warning the command raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), caught
+
+
+# a scenario file that cannot be decoded, and output paths that cannot be made: (the file's
+# bytes, the command and its options with {file} for an existing file, the path it names)
+UNREADABLE_OR_UNWRITABLE = {
+    "scenario_not_utf8": (b'{"version": 1, "name": "\xff\xfe"}', ["verify"], "scen.json"),
+    "simulate_out_is_a_file": (None, ["simulate", "--out", "{file}"], "a_file"),
+    "sweep_out_under_a_file": (None, ["sweep", "--k", "1,2", "--out", "{file}/sub"], "a_file/sub"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_OR_UNWRITABLE.values(),
+                         ids=UNREADABLE_OR_UNWRITABLE.keys())
+def test_an_undecodable_scenario_or_an_unwritable_out_exits_2(tmp_path, case):
+    data, (command, *options), named = case
+    scen = tmp_path / "scen.json"
+    scen.write_bytes(json.dumps(BASE).encode() if data is None else data)
+    (tmp_path / "a_file").write_text("not a directory")
+    options = [o.format(file=tmp_path / "a_file") for o in options]
+    code, err, caught = _main_quietly([command, str(scen), *options])
+    assert code == 2 and err.startswith("input error: ") and str(tmp_path / named) in err
+    assert "Traceback" not in err and not caught
+
+
+def _at(*path):
+    """Sets the scenario leaf at ``path`` to the value given."""
+    return lambda obj, value: _set(list(path), value)(obj)
+
+
+# a 2-node switching scenario with a sum node, and a check for each check parameter below
+EXTREME_BASE = {
+    "version": 1,
+    "name": "extreme",
+    "nodes": [
+        {"kind": "sum", "terms": [{"kind": "quadratic", "center": [0.5], "weight": 1.0},
+                                  {"kind": "flat_bottom", "left": 0.0, "right": 1.0}]},
+        {"kind": "quartic", "center": [0.25]},
+    ],
+    "weight_bounds": [0.5, 2.0],
+    "graphs": {"ga": [[0, 1, 1.0]], "gb": [[1, 0, 1.0]]},
+    "signal": {"type": "periodic", "segments": [["ga", 0.5], ["gb", 0.5]], "dwell_floor": 0.5},
+    "K": 1.0, "epsilon": 0.05, "x0": "grid", "x0_range": [-1.0, 2.0],
+    "dt": 0.05, "t_end": 2.0, "sample_every": 0.25, "tail_fraction": 0.5,
+    "checks": [{"name": "sync", "tol": 1e-4}, {"name": "invariant_cube", "eta": 0.5},
+               {"name": "monotone_theta", "rise_tol": 1e-8}, {"name": "ujsc", "T": 1.5}],
+}
+# each field the grid sets, one at a time, to each extreme but well-typed number
+EXTREME_FIELDS = {
+    "K": _at("K"),
+    "K_list": lambda obj, value: obj.update(K_list=[value]) or obj.pop("K"),
+    "dt": _at("dt"),
+    "t_end": _at("t_end"),
+    "sample_every": _at("sample_every"),
+    "tail_fraction": _at("tail_fraction"),
+    "epsilon": _at("epsilon"),
+    "x0": lambda obj, value: obj.update(x0=[value, 0.5]),
+    "x0_range": _at("x0_range", 0),
+    "weight_bounds": _at("weight_bounds", 0),
+    "dwell_floor": _at("signal", "dwell_floor"),
+    "center": _at("nodes", 0, "terms", 0, "center", 0),
+    "weight": _at("nodes", 0, "terms", 0, "weight"),
+    "flat_bottom_edge": _at("nodes", 0, "terms", 1, "left"),
+    "tol": _at("checks", 0, "tol"),
+    "eta": _at("checks", 1, "eta"),
+    "rise_tol": _at("checks", 2, "rise_tol"),
+    "T": _at("checks", 3, "T"),
+}
+EXTREMES = (0.0, -0.0, -1.0, 1e308, -1e308, 5e-324, 1e-300, 1e-12)
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify"], ["sweep", "--k", "1,2"]],
+                         ids=["simulate", "verify", "sweep"])
+def test_an_extreme_number_in_any_field_never_escapes_a_command(tmp_path, command):
+    if command[0] != "verify":
+        command = [*command, "--out", str(tmp_path / "out")]
+    for (field, mutate), value in itertools.product(EXTREME_FIELDS.items(), EXTREMES):
+        obj = copy.deepcopy(EXTREME_BASE)
+        mutate(obj, value)
+        code, err, caught = _main_quietly([command[0], str(write(tmp_path, obj)), *command[1:]])
+        assert code in {0, 1, 2, 3}, (field, value)
+        assert "Traceback" not in err and not caught, (field, value, err, caught)
 
 
 def _scalar_leaves(obj, path=()):
