@@ -266,15 +266,17 @@ def minimize_aggregate(
 ) -> np.ndarray:
     """Minimize the aggregate potential by Newton's method; returns (N, m) blocks.
 
-    The gradient is the integrator's ``NetworkPotential.negated_drift`` on K·L built
-    once, in the block order the iterates live in, so agreement between this routine
-    and the simulator is a structural identity, not a coincidence.
+    The gradient is the integrator's ``NetworkPotential.negated_drift`` on the operator
+    A = K·L + diag(quadratic weights) built once, in the block order the iterates live in,
+    so agreement between this routine and the simulator is a structural identity, not a
+    coincidence.
 
     The catalog is separable by component, so the Hessian is one N x N block
-    per component, H_k = diag(F_i''(x_ik)) + K L, and one stacked solve gives
-    the Newton step of every component.  A ridge of 1e-14 * trace(H_k) / N, at
-    least the smallest normal float, keeps each block regular where the
-    aggregate has no curvature, as at a quartic's center inside flat bottoms.
+    per component, H_k = diag(F_i''(x_ik)) + K L: ``NetworkPotential.hessian`` adds the
+    curvature of the terms that are not quadratic to A, whose weights it counts once.
+    One stacked solve gives the Newton step of every component.  A ridge of
+    1e-14 * trace(H_k) / N, at least the smallest normal float, keeps each block regular
+    where the aggregate has no curvature, as at a quartic's center inside flat bottoms.
     The full step is taken when it lowers the gradient norm and is otherwise
     halved until it does; no function values are used.  The loop returns once
     the gradient norm is at most ``tol``, raises NumericalError naming a stall
@@ -284,7 +286,7 @@ def minimize_aggregate(
     require_undirected(g, "minimize_aggregate", connected=False)
     validate_grad_tol(tol)
     net = NetworkPotential(potentials)
-    KL = net.coupling(g.laplacian_matrix, K)
+    A = net.coupling(g.laplacian_matrix, K)
     n, m = net.node_count, net.dimension
     diag, tiny = np.arange(n), np.finfo(float).tiny
 
@@ -292,7 +294,7 @@ def minimize_aggregate(
         # an overflowed iterate stops here instead of spending the budget on NaNs
         if not np.all(np.isfinite(y)):
             raise InputError("state entries must be finite")
-        return net.negated_drift(KL, y)
+        return net.negated_drift(A, y)
 
     x = np.array(x_init, dtype=float).reshape(n, m).take(net.order, axis=0)
     grad = grad_at(x)
@@ -300,8 +302,7 @@ def minimize_aggregate(
     for _ in range(max_iter):
         if gnorm <= tol:
             return x.take(net.inverse, axis=0)
-        H = np.repeat(KL[None], m, axis=0)  # (m, N, N), one block per component
-        H[:, diag, diag] += net.curvature(x).T
+        H = net.hessian(A, x)  # (m, N, N), one block per component
         H[:, diag, diag] += np.maximum(1e-14 / n * np.trace(H, axis1=1, axis2=2), tiny)[:, None]
         # the right side as (m, N, 1), which numpy 1 and 2 both read as m vectors
         step = -np.linalg.solve(H, grad.T[:, :, None])[:, :, 0].T

@@ -16,11 +16,14 @@ whose argmin cannot be resolved or evaluated (see ``_component_argmin``) is refu
 
 ``NetworkPotential`` compiles a network's potentials into one kernel per run of like
 terms in a block order of the nodes, so one call evaluates every node; its ``coupling``
-(K·L) and ``negated_drift`` (grad F + K L X) are the one evaluator of the coupled network.
-Each kind's kernel, a static method of its class, is the only formula for its gradient
-and curvature (``Potential.gradient`` evaluates a one-node network; ``tests/util.py``
-holds the per-kind oracle), but for the argmin search's scalar derivative (see
-``_component_argmin``).
+and ``negated_drift`` are the one evaluator of the coupled network.  A quadratic's
+gradient w x - w c is affine, so ``coupling`` folds every quadratic term into the linear
+map, A = K·L + diag(a) with a each node's summed weights, and ``negated_drift`` is
+A X - b (b each node's summed w c) plus the slots of the other kinds.  Each kind's
+kernel, a static method of its class, is the only formula for its gradient and curvature
+(the quadratic's also gives its coefficients w and w c; ``Potential.gradient`` evaluates
+a one-node network; ``tests/util.py`` holds the per-kind oracle), but for the argmin
+search's scalar derivative (see ``_component_argmin``).
 
 The quartic well is deliberately non-Lipschitz and evaluated in double precision
 with no clamping; boundedness along trajectories is the simulator's (divergence
@@ -112,10 +115,11 @@ class Quadratic(Potential):
 
     @staticmethod
     def _kernel(terms):
-        """(gradient, curvature) of stacked quadratics on node blocks (..., n, m)."""
+        """(gradient, curvature, pull) of stacked quadratics on node blocks (..., n, m); the
+        gradient is affine, w x - w c, and ``pull()`` gives its coefficients (w (n, 1), w c)."""
         c = np.array([t.center for t in terms])
         w = np.array([[t.weight] for t in terms])
-        return (lambda x: w * (x - c)), (lambda x: np.broadcast_to(w, x.shape))
+        return (lambda x: w * (x - c)), (lambda x: np.broadcast_to(w, x.shape)), (lambda: (w, w * c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,9 +307,10 @@ class NetworkPotential:
     ``order`` sorts the nodes by the kinds of their terms, each kind ranked by
     its first appearance (``inverse`` undoes it), so the k-th terms of one kind form runs
     of this block order: one slot each, a kernel over stacked centers, weights or bounds,
-    term k's slots after term k - 1's.  ``negated_drift`` and ``curvature`` take states
-    in block order; ``gradient`` gathers node states (..., N, m) in once and out once.
-    A sum's terms are flat, so a node adds them left to right: the bits of ``sum()``."""
+    term k's slots after term k - 1's.  ``negated_drift``, ``curvature`` and ``hessian``
+    take states in block order; ``gradient`` gathers node states (..., N, m) in once and
+    out once.  A sum's terms are flat, so a node adds them left to right: the bits of
+    ``sum()``.  ``coupling`` folds the quadratic slots into the linear map."""
 
     def __init__(self, potentials):
         potentials = list(potentials)
@@ -326,7 +331,7 @@ class NetworkPotential:
         self.inverse = np.empty_like(self.order)  # np.argsort would page in its sort code
         self.inverse[self.order] = np.arange(self.node_count)
         self._start = start[self.order]
-        self._slots = []  # (run, gradient, curvature)
+        self._slots = []  # (run, gradient, curvature, a quadratic's pull or None)
         for k in range(max(map(len, flat))):
             b = 0  # the k-th terms in block order, None where a node has fewer
             kth = [flat[i][k] if k < len(flat[i]) else None for i in self.order]
@@ -335,8 +340,11 @@ class NetworkPotential:
                 if run[0] is not None:
                     if "_kernel" not in vars(kind):  # a subclass may change the formula
                         raise InputError(f"cannot compile a {kind.__name__} term")
-                    self._slots.append((slice(b, b + len(run)), *kind._kernel(run)))
+                    gradient, curvature, *pull = kind._kernel(run)
+                    self._slots.append((slice(b, b + len(run)), gradient, curvature,
+                                        pull[0] if pull else None))
                 b += len(run)
+        self._nonlinear = [s for s in self._slots if s[3] is None]  # the slots the drift adds
 
     def _check(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -345,43 +353,72 @@ class NetworkPotential:
                              f"expected (..., {self.node_count}, {self.dimension})")
         return X
 
+    @cached_property
+    def _affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) in block order: each node's quadratic weights (N,) and weights times centers
+        (N, m), summed in term order, on first use: a network that never couples pays nothing.
+        ``coupling`` refuses an overflow."""
+        a, b = np.zeros(self.node_count), np.zeros((self.node_count, self.dimension))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run, *_, pull in self._slots:
+                if pull is not None:
+                    w, wc = pull()
+                    a[run] += w[:, 0]
+                    b[run] += wc
+        return a, b
+
     def coupling(self, lap, K: float) -> np.ndarray:
-        """K·L in block order for ``negated_drift``, from the N x N Laplacian ``lap``: the one
-        place a gain meets a Laplacian.  Raises InputError unless K >= 0, and NumericalError
-        when the product overflows."""
+        """A = K·L + diag(a) in block order for ``negated_drift``, from the N x N Laplacian
+        ``lap``, with a each node's summed quadratic weights: the one place a gain meets a
+        Laplacian.  Raises InputError unless K >= 0, and NumericalError when K·L overflows or
+        a node's quadratic pulls (A's diagonal, or their weights times centers) do."""
         if K < 0:
             raise InputError(f"K must be nonnegative, got {K}")
         if np.shape(lap) != (self.node_count, self.node_count):
             raise InputError(f"{self.node_count} potentials for {len(lap)} graph nodes")
-        with np.errstate(over="ignore"):
-            KL = K * lap[np.ix_(self.order, self.order)]
-        if not np.isfinite(KL).all():
+        a, b = self._affine
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = lap[np.ix_(self.order, self.order)]  # a copy, scaled in place
+            A *= K
+            if not np.isfinite(A).all():
+                raise NumericalError(
+                    f"K·L overflows: K = {K:g} times the largest |L| entry {np.abs(lap).max():g} "
+                    "is not a finite float"
+                )
+            np.fill_diagonal(A, A.diagonal() + a)
+        bad = ~(np.isfinite(A.diagonal()) & np.isfinite(b).all(axis=-1))
+        if bad.any():
+            j = int(np.argmax(bad))
             raise NumericalError(
-                f"K·L overflows: K = {K:g} times the largest |L| entry {np.abs(lap).max():g} "
-                "is not a finite float"
-            )
-        return KL
+                f"node {self.order[j]}'s quadratic pulls overflow: K·L's diagonal plus their "
+                f"weights is {A[j, j]:g} and their weights times centers sum to {b[j].tolist()}, "
+                "which must be finite floats")
+        return A
 
-    def negated_drift(self, KL: np.ndarray, Xb: np.ndarray) -> np.ndarray:
-        """grad F(X) + K L X, the negated network drift, with K·L from ``coupling``, states
-        Xb (..., N, m) and the result in block order: on an undirected graph, the gradient
-        of the aggregate potential sum F_i + (K/2) x^T (L kron I) x."""
-        S = KL @ Xb
-        self._add_gradient(S, Xb)
+    def negated_drift(self, A: np.ndarray, Xb: np.ndarray) -> np.ndarray:
+        """grad F(X) + K L X, the negated network drift, as A Xb - b plus each non-quadratic
+        slot added in place, with A from ``coupling``, states Xb (..., N, m) and the result in
+        block order: on an undirected graph, the gradient of the aggregate potential
+        sum F_i + (K/2) x^T (L kron I) x."""
+        S = A @ Xb
+        S -= self._affine[1]
+        self._add(S, Xb, self._nonlinear, 1)
         return S
 
-    def _add_gradient(self, G: np.ndarray, Xb: np.ndarray) -> None:
-        """G += grad F_i(x_i) in place, for G and states Xb (..., N, m) both in block order."""
-        for run, grad, _ in self._slots:
-            g = G[..., run, :]  # += on the view adds in place; on G[...] it copies back
-            g += grad(Xb[..., run, :])
+    @staticmethod
+    def _add(out: np.ndarray, Xb: np.ndarray, slots, k: int) -> None:
+        """out += each slot's gradient (k = 1) or curvature (k = 2) in place, for ``out`` and
+        states Xb (..., N, m) both in block order."""
+        for slot in slots:
+            o = out[..., slot[0], :]  # += on the view adds in place; on out[...] it copies back
+            o += slot[k](Xb[..., slot[0], :])
 
     def gradient(self, X) -> np.ndarray:
         """grad F_i(x_i) for every node, shape ``X.shape``, in node order."""
         X = self._check(X).take(self.order, axis=-2)
         G = np.empty(X.shape)
         G[...] = self._start
-        self._add_gradient(G, X)
+        self._add(G, X, self._slots, 1)
         return G.take(self.inverse, axis=-2)
 
     def curvature(self, Xb) -> np.ndarray:
@@ -389,8 +426,18 @@ class NetworkPotential:
         node's Hessian is diagonal."""
         Xb = self._check(Xb)
         H = np.zeros(Xb.shape)
-        for run, _, curv in self._slots:
-            H[..., run, :] += curv(Xb[..., run, :])
+        self._add(H, Xb, self._slots, 2)
+        return H
+
+    def hessian(self, A: np.ndarray, Xb: np.ndarray) -> np.ndarray:
+        """The Hessian of the aggregate potential at states Xb (N, m) in block order, one N x N
+        block per component (m, N, N): A from ``coupling``, which holds the quadratic weights,
+        plus the other slots' curvature on the diagonal, so K·L + diag(F_i'')."""
+        C = np.zeros(self._check(Xb).shape)
+        self._add(C, Xb, self._nonlinear, 2)
+        H = np.repeat(A[None], self.dimension, axis=0)
+        i = np.arange(self.node_count)
+        H[:, i, i] += C.T
         return H
 
 

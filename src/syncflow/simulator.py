@@ -13,15 +13,20 @@ accuracy piecewise and makes runs bit-reproducible.  The graphs come from the
 segment table alone: the event at 0 carries the first segment's graph and each
 switch event the next one's, so no time is ever looked up.
 
-A run keeps its states in the compiled potentials' block order, with K·L permuted
-into it once per graph by ``NetworkPotential.coupling``, so each RK4 stage is one
-``NetworkPotential.negated_drift``: one matmul plus one in-place kernel add per slot.
+A run keeps its states in the compiled potentials' block order.  Once per graph,
+``NetworkPotential.coupling`` permutes K·L into it and folds in every quadratic term,
+whose gradient w x - w c is affine: A = K·L + diag(a), with a each node's summed
+weights.  So each RK4 stage is one ``NetworkPotential.negated_drift``: one matmul
+A @ X, one subtraction of the summed w c, and one in-place kernel add per slot of the
+other kinds.
 
 The exact flow stays in the box spanned by x0 and the zero sets (gradients
 nondecreasing per component, diffusive coupling), so a state past 1e8 times that
 box's sup norm (at least 1) is fixed-step RK4 leaving its stability region: the run
 aborts with an explicit error instead of overflowing.  The zero sets are read only once
-a state passes the bound from x0 alone, never larger, so a run within it reads none.
+a state passes the bound from x0 alone, never larger, so a run within it reads none, or
+when a quadratic pull overflows the operator: a sum that no run can settle (see
+``potentials``) is then refused, exit 2, before the overflow, exit 3.
 """
 
 import math
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FiniteEscapeError, InputError
+from .errors import FiniteEscapeError, InputError, NumericalError
 from .graphs import SwitchingSignal, WeightedDigraph
 from .potentials import NetworkPotential
 
@@ -76,12 +81,12 @@ def fixed_signal(g: WeightedDigraph) -> SwitchingSignal:
     return SwitchingSignal({"g": g}, (("g", 1.0),), 1.0)
 
 
-def _rk4_step(net, KL, X, h):
+def _rk4_step(net, A, X, h):
     """One RK4 step of X' = -S(X) with S = ``net.negated_drift``, on states X in block order."""
-    S1 = net.negated_drift(KL, X)
-    S2 = net.negated_drift(KL, X - (0.5 * h) * S1)
-    S3 = net.negated_drift(KL, X - (0.5 * h) * S2)
-    S4 = net.negated_drift(KL, X - h * S3)
+    S1 = net.negated_drift(A, X)
+    S2 = net.negated_drift(A, X - (0.5 * h) * S1)
+    S3 = net.negated_drift(A, X - (0.5 * h) * S2)
+    S4 = net.negated_drift(A, X - h * S3)
     S2 += S3  # S1 + 2 (S2 + S3) + S4, in place
     S2 *= 2.0
     S2 += S1
@@ -179,9 +184,14 @@ def integrate(
     validate_grid(signal, dt, t_end, sample_every)
     net = NetworkPotential(potentials)
     events = _event_grid(signal, t_end, sample_every)
-    # K·L in block order, built once for each graph the run visits
+    # K·L + diag(a) in block order, built once for each graph the run visits
     visited = {gid for *_, gid in events} - {None}
-    ops = {g: net.coupling(signal.library[g].laplacian_matrix, K) for g in visited}
+    try:
+        ops = {g: net.coupling(signal.library[g].laplacian_matrix, K) for g in visited}
+    except NumericalError:
+        for p in potentials:  # an unsettleable sum is the cause to name, as on a guard trip
+            p.zero_set()
+        raise
     X = np.asarray(x0, dtype=float)
     if X.size != net.node_count * net.dimension:
         raise InputError(f"x0 length {X.size} != node_count*dim = {net.node_count * net.dimension}")
@@ -194,7 +204,7 @@ def integrate(
     x0, guard, boxed = X, bound(X), False  # from x0 alone until a state passes it
     X = X.take(net.order, axis=0)  # the run keeps its states in block order
     states = [X]  # RK4 steps build new arrays, so recorded states need no copies
-    KL = ops[events[0][2]]
+    A = ops[events[0][2]]
     t_prev = 0.0
     # overflow on the way out is reported by the divergence guard, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -204,7 +214,7 @@ def integrate(
                 nsteps = max(1, math.ceil(span / dt - 1e-9))
                 h = span / nsteps
                 for k in range(nsteps):
-                    X = _rk4_step(net, KL, X, h)
+                    X = _rk4_step(net, A, X, h)
                     sup = float(np.abs(X).max())  # NaN if any entry is NaN
                     if not sup <= guard and not boxed:  # the zero sets join the box
                         zs = [p.zero_set() for p in potentials]
@@ -216,7 +226,7 @@ def integrate(
                 if record:
                     states.append(X)
             if graph_id is not None:
-                KL = ops[graph_id]
+                A = ops[graph_id]
     return Trajectory(
         times=np.array([t for t, record, _ in events if record]),
         states=np.array(states).take(net.inverse, axis=1),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -425,6 +425,42 @@ def test_minimize_aggregate_reaches_the_gradient_tolerance(case):
     assert np.linalg.norm(grad) <= 1e-10
     if all(isinstance(q, Quadratic) for q in pots):
         np.testing.assert_allclose(p, equilibrium_oracle_quadratic(pots, g, K), rtol=0, atol=1e-8)
+
+
+@st.composite
+def quadratic_networks(draw):
+    """An all-quadratic network of at most 4 nodes, some sums of two quadratics, on an
+    undirected graph, and a start (N, m)."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    quadratic = st.builds(Quadratic, st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m),
+                          st.floats(1.0, 2.0))
+    summed = st.tuples(quadratic, quadratic).map(SumPotential)
+    pots = draw(st.lists(quadratic | summed, min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    arcs = []
+    for i, j in sorted(set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else ()):
+        w = draw(st.floats(0.1, 1.0))
+        arcs += [(i, j, w), (j, i, w)]
+    K = draw(st.floats(0.0, 1.0))
+    x0 = draw(arrays(np.float64, (n, m), elements=st.floats(-3.0, 3.0)))
+    return pots, WeightedDigraph(n, tuple(arcs)), K, x0
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_networks())
+def test_one_newton_step_lands_on_the_all_quadratic_equilibrium(case):
+    # the aggregate is quadratic with Hessian H = K·L + diag(summed weights) per component, so
+    # one Newton step reaches its minimizer x* but for the ridge r = 1e-14 trace(H) / N <= 7e-14:
+    # it lands r (H + r)^-1 (x0 - x*) away, at most 7e-14 * 2 * 6 = 8.4e-13 with H >= 1 and
+    # |x0 - x*|_2 <= 2 * 6.  A weight counted twice would step elsewhere
+    pots, g, K, x0 = case
+    assume(np.linalg.norm(network_drift(pots, g.laplacian_matrix, K, x0)) > 1e-10)  # a step is due
+    # a sum of quadratics is one quadratic: weight sum w_t, center sum w_t c_t / sum w_t
+    single = [Quadratic(sum(t.weight * t.center for t in p.terms) / sum(t.weight for t in p.terms),
+                        sum(t.weight for t in p.terms)) if isinstance(p, SumPotential) else p
+              for p in pots]
+    p = minimize_aggregate(pots, g, K, x0, tol=1e-10, max_iter=1)
+    np.testing.assert_allclose(p, equilibrium_oracle_quadratic(single, g, K), rtol=0, atol=1e-12)
 
 
 def test_minimize_aggregate_settles_a_node_pulled_across_a_flat_bottom_edge():

@@ -425,6 +425,29 @@ def test_a_laplacian_whose_row_sum_overflows_names_its_cause_and_prints_no_warni
     )
 
 
+# node 0, a sum that block order puts second, with quadratic pulls past the float range: its
+# weights sum to 2e308, or its weight 1e300 times its center 1e10 is 1e310
+HEAVY_PULLS = {
+    "summed_weights": ([{"kind": "quadratic", "center": [0.0], "weight": 1e308}] * 2,
+                       "K·L's diagonal plus their weights is inf and their weights times centers "
+                       "sum to [0.0]"),
+    "weight_times_center": ([{"kind": "quadratic", "center": [1e10], "weight": 1e300},
+                             {"kind": "quadratic", "center": [1e10]}],
+                            "K·L's diagonal plus their weights is 1e+300 and their weights times "
+                            "centers sum to [inf]"),
+}
+
+
+@pytest.mark.parametrize("terms, cause", HEAVY_PULLS.values(), ids=HEAVY_PULLS.keys())
+def test_a_quadratic_pull_that_overflows_exits_3_naming_the_node(tmp_path, terms, cause):
+    obj = dict(BASE, nodes=[{"kind": "sum", "terms": terms}, {"kind": "quartic", "center": [0.0]},
+                            BASE["nodes"][0]],
+               graphs={"g0": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}, x0=[1.0, 0.0, -1.0])
+    code, err, caught = _main_quietly(["verify", str(write(tmp_path, obj))])
+    assert code == 3 and not caught
+    assert err == f"numerical error: node 0's quadratic pulls overflow: {cause}, which must be finite floats\n"
+
+
 def test_a_sweep_lane_whose_gain_overflows_is_an_error_row(tmp_path, capfd):
     out = tmp_path / "sw"
     args = ["sweep", str(write(tmp_path, dict(OVERFLOWING_GAIN, K=1.0))), "--k", "1,1e308"]

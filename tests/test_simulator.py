@@ -28,6 +28,7 @@ from util import (
     graph_id_at,
     network_drift,
     node_order_rk4,
+    oracle_gradient,
     ring_graph,
     undirected,
 )
@@ -116,6 +117,49 @@ def test_negated_drift_on_a_lane_stack_equals_one_call_per_lane(case):
     assert stacked.shape == X.shape
     for lane in range(X.shape[0]):
         np.testing.assert_array_equal(stacked[lane], net.negated_drift(KL, X[lane]))
+
+
+@st.composite
+def folded_networks(draw):
+    """A network whose nodes hold several quadratics, in flat and nested sums, and a state
+    (N, m) or lane stack (B, N, m), with signed zeros among the coordinates."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3))
+    quadratic = st.builds(Quadratic, st.lists(coord, min_size=m, max_size=m), st.floats(0.1, 3.0))
+    term = st.one_of(quadratic, *catalog_kinds(m))
+    flat = st.lists(term, min_size=1, max_size=3).map(lambda t: SumPotential(tuple(t)))
+    pulls = st.lists(quadratic, min_size=2, max_size=3).map(lambda t: SumPotential(tuple(t)))
+    nested = st.lists(st.one_of(term, flat, pulls), min_size=2, max_size=3).map(
+        lambda t: SumPotential(tuple(t)))
+    pots = draw(st.lists(st.one_of(term, flat, pulls, nested), min_size=n, max_size=n))
+    arcs = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                st.floats(0.1, 2.0), max_size=3 * n))
+    g = WeightedDigraph(n, tuple((j, i, w) for (j, i), w in arcs.items() if j != i))
+    K = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 5.0)))
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    return pots, g, K, draw(arrays(np.float64, (*lead, n, m), elements=coord))
+
+
+@settings(max_examples=200, deadline=None)
+@given(folded_networks())
+def test_negated_drift_equals_a_node_order_reference(case):
+    # K (L X) + sum_i grad F_i(x_i), one oracle call per node, against the folded operator
+    # A X - b plus the other kinds' slots, in block order and back
+    pots, g, K, X = case
+    lap, n, net = g.laplacian_matrix, len(pots), NetworkPotential(pots)
+    got = net.negated_drift(net.coupling(lap, K), X.take(net.order, axis=-2)).take(net.inverse, axis=-2)
+    want = K * (lap @ X) + np.stack([oracle_gradient(p, X[..., i, :]) for i, p in enumerate(pots)],
+                                    axis=-2)
+    # each side sums at most n + 9 products (n coupling terms, up to 9 leaf terms a node), each
+    # of magnitude at most K |L| |X| or a term's |w| (|x| + |c|) or |grad|, each rounded once
+    scale = K * (np.abs(lap) @ np.abs(X))
+    for i, p in enumerate(pots):
+        x = X[..., i, :]
+        for t in (p.terms if isinstance(p, SumPotential) else (p,)):
+            scale[..., i, :] += (t.weight * (np.abs(x) + np.abs(t.center)) if isinstance(t, Quadratic)
+                                 else np.abs(oracle_gradient(t, x)))
+    assert got.shape == X.shape
+    assert np.all(np.abs(got - want) <= 2 * (n + 9) * np.finfo(float).eps * scale)
 
 
 @settings(max_examples=100, deadline=None)
@@ -470,9 +514,9 @@ def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
     steps = []
     rk4_step = simulator._rk4_step
 
-    def recorded(net, KL, x, h):
-        steps.append((net.order, KL, h))
-        return rk4_step(net, KL, x, h)
+    def recorded(net, A, x, h):
+        steps.append((net, A, h))
+        return rk4_step(net, A, x, h)
 
     with mock.patch.object(simulator, "_rk4_step", recorded):
         traj = integrate(pots, sig, 1.0, [1.0, -1.0], dwell / steps_per_dwell, t_end, sample_every)
@@ -486,15 +530,15 @@ def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
     # each switch takes effect at the sample that records it, the recorded time nearest it
     takes_effect = [(traj.times[np.argmin(np.abs(traj.times - s))], g) for s, g in switches]
     t0 = 0.0
-    for order, KL, h in steps:
+    for net, A, h in steps:
         assert not any(t0 + 2 * tol < s < t0 + h - 2 * tol for s, _ in switches)
         # the step runs on the graph of the last switch to take effect before its midpoint,
-        # as K·L in the network's block order
+        # as that graph's operator K·L + diag(weights) in the network's block order
         gid = graph_id_at(sig, 0.0)
         for e, g in takes_effect:
             if e < t0 + 0.5 * h:
                 gid = g
-        np.testing.assert_array_equal(KL, 1.0 * library[gid].laplacian_matrix[np.ix_(order, order)])
+        np.testing.assert_array_equal(A, net.coupling(library[gid].laplacian_matrix, 1.0))
         t0 += h
     assert t0 == pytest.approx(t_end, abs=tol)
 
