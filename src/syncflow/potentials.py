@@ -16,14 +16,17 @@ whose argmin cannot be resolved or evaluated (see ``_component_argmin``) is refu
 
 ``NetworkPotential`` compiles a network's potentials into one kernel per run of like
 terms in a block order of the nodes, so one call evaluates every node; its ``coupling``
-and ``negated_drift`` are the one evaluator of the coupled network.  A quadratic's
-gradient w x - w c is affine, so ``coupling`` folds every quadratic term into the linear
-map, A = K·L + diag(a) with a each node's summed weights, and ``negated_drift`` is
-A X - b (b each node's summed w c) plus the slots of the other kinds.  Each kind's
-kernel, a static method of its class, is the only formula for its gradient and curvature
-(the quadratic's also gives its coefficients w and w c; ``Potential.gradient`` evaluates
-a one-node network; ``tests/util.py`` holds the per-kind oracle), but for the argmin
-search's scalar derivative (see ``_component_argmin``).
+and ``negated_drift`` are the one evaluator of the coupled network.  The block order
+sorts the nodes by the kinds of their non-quadratic terms, then by the kinds of all
+their terms.  A quadratic's gradient w x - w c is affine, so ``coupling`` folds every
+quadratic term into the linear map, A = K·L + diag(a) with a each node's summed weights,
+and ``negated_drift`` is A X - b (b each node's summed w c) plus the drift's table, one
+slot per run of the k-th non-quadratic terms of one kind: a quartic is one kernel call
+whether a node holds it alone or beside a quadratic.  Each kind's kernel, a static
+method of its class, is the only formula for its gradient and curvature (the quadratic's
+gives its coefficients w and w c instead of a curvature; ``Potential.gradient``
+evaluates a one-node network; ``tests/util.py`` holds the per-kind oracle), but for the
+argmin search's scalar derivative (see ``_component_argmin``).
 
 The quartic well is deliberately non-Lipschitz and evaluated in double precision
 with no clamping; boundedness along trajectories is the simulator's (divergence
@@ -115,11 +118,11 @@ class Quadratic(Potential):
 
     @staticmethod
     def _kernel(terms):
-        """(gradient, curvature, pull) of stacked quadratics on node blocks (..., n, m); the
-        gradient is affine, w x - w c, and ``pull()`` gives its coefficients (w (n, 1), w c)."""
+        """(gradient, pull) of stacked quadratics on node blocks (..., n, m); the gradient is
+        affine, w x - w c, and ``pull()`` gives its coefficients (w (n, 1), w c)."""
         c = np.array([t.center for t in terms])
         w = np.array([[t.weight] for t in terms])
-        return (lambda x: w * (x - c)), (lambda x: np.broadcast_to(w, x.shape)), (lambda: (w, w * c))
+        return (lambda x: w * (x - c)), (lambda: (w, w * c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,16 +304,33 @@ def _component_argmin(terms, k: int) -> float:
 # -- the network's potentials compiled into arrays ---------------------------
 
 
+def _slots(rows) -> list:
+    """(run, kernel outputs...) per run of like k-th terms in ``rows``, each node's terms in
+    block order: one kernel over the run's stacked centers, weights or bounds, sliced by
+    ``run``, with term k's slots after term k - 1's."""
+    slots = []
+    for k in range(max(map(len, rows))):
+        b = 0  # the k-th terms in block order, None where a node has fewer
+        for kind, run in itertools.groupby([r[k] if k < len(r) else None for r in rows], type):
+            run = list(run)
+            if run[0] is not None:
+                slots.append((slice(b, b + len(run)), *kind._kernel(run)))
+            b += len(run)
+    return slots
+
+
 class NetworkPotential:
     """The node potentials F_1..F_N of a network, compiled into slots of kernels.
 
-    ``order`` sorts the nodes by the kinds of their terms, each kind ranked by
-    its first appearance (``inverse`` undoes it), so the k-th terms of one kind form runs
-    of this block order: one slot each, a kernel over stacked centers, weights or bounds,
-    term k's slots after term k - 1's.  ``negated_drift``, ``curvature`` and ``hessian``
-    take states in block order; ``gradient`` gathers node states (..., N, m) in once and
-    out once.  A sum's terms are flat, so a node adds them left to right: the bits of
-    ``sum()``.  ``coupling`` folds the quadratic slots into the linear map."""
+    ``order`` sorts the nodes by the kinds of their non-quadratic terms, then by the kinds
+    of all their terms, each kind ranked by its first appearance (``inverse`` undoes it), so
+    the k-th non-quadratic terms of one kind form runs of this block order, one slot each,
+    and so do the k-th quadratics.  The drift's table holds only the non-quadratic slots:
+    ``coupling`` folds the quadratic ones into the linear map.  ``negated_drift`` and
+    ``hessian`` take states in block order; ``gradient`` gathers node states (..., N, m) in
+    once and out once and adds every term in term order, the bits of ``sum()``, from a
+    table of all the terms.  Each table is compiled on its first read, so ``integrate``
+    builds only what ``negated_drift`` and ``hessian`` read."""
 
     def __init__(self, potentials):
         potentials = list(potentials)
@@ -321,30 +341,24 @@ class NetworkPotential:
             raise InputError(f"potentials must share one dimension, got {sorted(dims)}")
         self.node_count = len(potentials)
         self.dimension = dims.pop()
-        # a sum starts from 0 as ``sum()`` does, which turns a first -0.0
-        # into +0.0; a single term keeps its sign (-0.0 + g is g)
-        start = np.array([[0.0 if isinstance(p, SumPotential) else -0.0] for p in potentials])
         flat = [p.terms if isinstance(p, SumPotential) else (p,) for p in potentials]
         kinds = list(dict.fromkeys(type(t) for terms in flat for t in terms))  # first seen first
-        signature = [tuple(kinds.index(type(t)) for t in terms) for terms in flat]
-        self.order = np.array(sorted(range(self.node_count), key=signature.__getitem__))
+        for kind in kinds:
+            if "_kernel" not in vars(kind):  # a subclass may change the formula
+                raise InputError(f"cannot compile a {kind.__name__} term")
+        rank = {kind: i for i, kind in enumerate(kinds)}
+        signature = [tuple(map(rank.__getitem__, map(type, terms))) for terms in flat]
+        # the block order's key, (the kinds of the non-quadratic terms, the kinds of all
+        # terms), is ranked once per signature and the nodes sorted by that rank
+        q = rank.get(Quadratic)
+        keys = sorted(set(signature), key=lambda s: ([r for r in s if r != q], s))
+        place = {s: i for i, s in enumerate(keys)}
+        self.order = np.array(sorted(range(self.node_count),
+                                     key=[place[s] for s in signature].__getitem__))
         self.inverse = np.empty_like(self.order)  # np.argsort would page in its sort code
         self.inverse[self.order] = np.arange(self.node_count)
-        self._start = start[self.order]
-        self._slots = []  # (run, gradient, curvature, a quadratic's pull or None)
-        for k in range(max(map(len, flat))):
-            b = 0  # the k-th terms in block order, None where a node has fewer
-            kth = [flat[i][k] if k < len(flat[i]) else None for i in self.order]
-            for kind, run in itertools.groupby(kth, type):
-                run = list(run)
-                if run[0] is not None:
-                    if "_kernel" not in vars(kind):  # a subclass may change the formula
-                        raise InputError(f"cannot compile a {kind.__name__} term")
-                    gradient, curvature, *pull = kind._kernel(run)
-                    self._slots.append((slice(b, b + len(run)), gradient, curvature,
-                                        pull[0] if pull else None))
-                b += len(run)
-        self._nonlinear = [s for s in self._slots if s[3] is None]  # the slots the drift adds
+        self._potentials = potentials
+        self._rows = [flat[i] for i in self.order]  # in block order, each in term order
 
     def _check(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -354,17 +368,23 @@ class NetworkPotential:
         return X
 
     @cached_property
+    def _drift(self) -> list:
+        """(run, gradient, curvature) per run of like k-th non-quadratic terms: the slots
+        ``negated_drift`` and ``hessian`` add, each node's in term order."""
+        return _slots([[t for t in r if type(t) is not Quadratic] for r in self._rows])
+
+    @cached_property
     def _affine(self) -> tuple[np.ndarray, np.ndarray]:
         """(a, b) in block order: each node's quadratic weights (N,) and weights times centers
         (N, m), summed in term order, on first use: a network that never couples pays nothing.
         ``coupling`` refuses an overflow."""
         a, b = np.zeros(self.node_count), np.zeros((self.node_count, self.dimension))
+        quadratics = [[t for t in r if type(t) is Quadratic] for r in self._rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            for run, *_, pull in self._slots:
-                if pull is not None:
-                    w, wc = pull()
-                    a[run] += w[:, 0]
-                    b[run] += wc
+            for run, _, pull in _slots(quadratics):
+                w, wc = pull()
+                a[run] += w[:, 0]
+                b[run] += wc
         return a, b
 
     def coupling(self, lap, K: float) -> np.ndarray:
@@ -402,7 +422,7 @@ class NetworkPotential:
         sum F_i + (K/2) x^T (L kron I) x."""
         S = A @ Xb
         S -= self._affine[1]
-        self._add(S, Xb, self._nonlinear, 1)
+        self._add(S, Xb, self._drift, 1)
         return S
 
     @staticmethod
@@ -413,28 +433,30 @@ class NetworkPotential:
             o = out[..., slot[0], :]  # += on the view adds in place; on out[...] it copies back
             o += slot[k](Xb[..., slot[0], :])
 
+    @cached_property
+    def _terms(self) -> tuple[np.ndarray, list]:
+        """(start, slots) for ``gradient``: a sum starts from 0 as ``sum()`` does, which turns
+        a first -0.0 into +0.0, and a single term keeps its sign (-0.0 + g is g); the slots
+        run over every term, so a node adds its terms in term order."""
+        start = np.array([[0.0 if isinstance(self._potentials[i], SumPotential) else -0.0]
+                          for i in self.order])
+        return start, _slots(self._rows)
+
     def gradient(self, X) -> np.ndarray:
         """grad F_i(x_i) for every node, shape ``X.shape``, in node order."""
         X = self._check(X).take(self.order, axis=-2)
+        start, slots = self._terms
         G = np.empty(X.shape)
-        G[...] = self._start
-        self._add(G, X, self._slots, 1)
+        G[...] = start
+        self._add(G, X, slots, 1)
         return G.take(self.inverse, axis=-2)
-
-    def curvature(self, Xb) -> np.ndarray:
-        """d^2 F_i / dx_ik^2 for states Xb (..., N, m), both in block order; separable, so each
-        node's Hessian is diagonal."""
-        Xb = self._check(Xb)
-        H = np.zeros(Xb.shape)
-        self._add(H, Xb, self._slots, 2)
-        return H
 
     def hessian(self, A: np.ndarray, Xb: np.ndarray) -> np.ndarray:
         """The Hessian of the aggregate potential at states Xb (N, m) in block order, one N x N
         block per component (m, N, N): A from ``coupling``, which holds the quadratic weights,
-        plus the other slots' curvature on the diagonal, so K·L + diag(F_i'')."""
+        plus the non-quadratic slots' curvature on the diagonal, so K·L + diag(F_i'')."""
         C = np.zeros(self._check(Xb).shape)
-        self._add(C, Xb, self._nonlinear, 2)
+        self._add(C, Xb, self._drift, 2)
         H = np.repeat(A[None], self.dimension, axis=0)
         i = np.arange(self.node_count)
         H[:, i, i] += C.T

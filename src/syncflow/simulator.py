@@ -17,8 +17,8 @@ A run keeps its states in the compiled potentials' block order.  Once per graph,
 ``NetworkPotential.coupling`` permutes K·L into it and folds in every quadratic term,
 whose gradient w x - w c is affine: A = K·L + diag(a), with a each node's summed
 weights.  So each RK4 stage is one ``NetworkPotential.negated_drift``: one matmul
-A @ X, one subtraction of the summed w c, and one in-place kernel add per slot of the
-other kinds.
+A @ X, one subtraction of the summed w c, and one in-place kernel add per run of like
+non-quadratic terms (a quartic held alone and one beside a quadratic share a run).
 
 The exact flow stays in the box spanned by x0 and the zero sets (gradients
 nondecreasing per component, diffusive coupling), so a state past 1e8 times that

@@ -30,6 +30,7 @@ from util import (
     oracle_gradient,
     oracle_value,
     potential_to_dict,
+    same_bits,
 )
 
 CATALOG_1D = [
@@ -657,11 +658,6 @@ def test_flat_bottom_equals_piecewise_reference(ends, pts, degenerate):
         assert np.array_equal(spec.gradient([s]), [ref_grad])
 
 
-def same_bits(a, b) -> bool:
-    """Equal values and equal zero signs."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @st.composite
 def network_case(draw):
     """Random catalog networks, their sums built flat, left- or right-nested, and a state stack."""
@@ -712,9 +708,15 @@ def test_single_potential_equals_oracle(case, data):
     assert same_bits(grads, oracle_gradient(spec, x))
 
 
-def node_curvature(net, X):
-    """``net.curvature`` on node states X (..., N, m), permuted into block order and back."""
-    return net.curvature(X.take(net.order, axis=-2)).take(net.inverse, axis=-2)
+def hessian_diagonal(net, X):
+    """(A's diagonal (N,), the Hessian's diagonal (..., N, m)), both in node order, for node
+    states X (..., N, m): ``net.hessian`` at K = 0, where A = diag(a) holds each node's summed
+    quadratic weights, one sample (N, m) of X at a time, in block order and back."""
+    A = net.coupling(np.zeros((net.node_count, net.node_count)), 0.0)
+    Xb, H = X.take(net.order, axis=-2), np.empty(X.shape)
+    for lane in np.ndindex(X.shape[:-2]):
+        H[lane] = np.diagonal(net.hessian(A, Xb[lane]), axis1=1, axis2=2).T
+    return A.diagonal()[net.inverse], H.take(net.inverse, axis=-2)
 
 
 def test_kind_without_a_kernel_of_its_own_is_rejected():
@@ -734,7 +736,8 @@ def test_network_potential_commutes_with_node_permutations(case, data):
     perm = data.draw(st.permutations(range(len(nodes))))
     net, permuted = NetworkPotential(nodes), NetworkPotential([nodes[i] for i in perm])
     assert same_bits(permuted.gradient(X[..., perm, :]), net.gradient(X)[..., perm, :])
-    assert same_bits(node_curvature(permuted, X[..., perm, :]), node_curvature(net, X)[..., perm, :])
+    assert same_bits(hessian_diagonal(permuted, X[..., perm, :])[1],
+                     hessian_diagonal(net, X)[1][..., perm, :])
 
 
 def test_network_potential_rejects_mismatched_states():
@@ -742,7 +745,7 @@ def test_network_potential_rejects_mismatched_states():
     with pytest.raises(InputError):
         net.gradient(np.zeros((3, 2)))
     with pytest.raises(InputError):
-        net.curvature(np.zeros((2, 1)))
+        net.hessian(net.coupling(np.zeros((2, 2)), 0.0), np.zeros((2, 1)))
     with pytest.raises(InputError):
         NetworkPotential([Quadratic(center=[0.0]), Quadratic(center=[0.0, 1.0])])
 
@@ -751,11 +754,18 @@ def test_network_potential_rejects_mismatched_states():
 @given(network_case())
 @example(([FlatBottom1D(-1.0, 2.0)], np.array([[[-1.0]], [[2.0]]])))  # on both edges
 def test_network_curvature_equals_the_oracle(case):
+    # A's diagonal holds each node's quadratic weights, summed in term order, and the Hessian
+    # adds the other terms' curvature, summed in term order, to it
     nodes, X = case
-    H = node_curvature(NetworkPotential(nodes), X)
+    a, H = hessian_diagonal(NetworkPotential(nodes), X)
     assert H.shape == X.shape
     for i, spec in enumerate(nodes):
-        assert same_bits(H[..., i, :], oracle_curvature(spec, X[..., i, :]))
+        terms = spec.terms if isinstance(spec, SumPotential) else (spec,)
+        assert a[i] == sum(t.weight for t in terms if isinstance(t, Quadratic))
+        x = X[..., i, :]
+        other = sum((oracle_curvature(t, x) for t in terms if not isinstance(t, Quadratic)),
+                    np.zeros(x.shape))
+        assert same_bits(H[..., i, :], a[i] + other)
 
 
 @settings(max_examples=100, deadline=None)
@@ -765,7 +775,7 @@ def test_curvature_matches_central_differences_of_the_gradient(case):
     nodes, X = case
     net, h = NetworkPotential(nodes), 1e-5
     fd = (net.gradient(X + h) - net.gradient(X - h)) / (2 * h)
-    H = node_curvature(net, X)
+    H = hessian_diagonal(net, X)[1]
     for i, spec in enumerate(nodes):
         x = X[..., i, :]
         # a flat bottom's curvature jumps at its edges: keep the stencil off them

@@ -1,4 +1,6 @@
+import collections
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from syncflow import (
     fixed_signal,
     integrate,
 )
+from syncflow.cli import load_scenario
 from syncflow.potentials import NetworkPotential
 from syncflow.simulator import sample_times
 from util import (
@@ -30,6 +33,7 @@ from util import (
     node_order_rk4,
     oracle_gradient,
     ring_graph,
+    same_bits,
     undirected,
 )
 
@@ -160,6 +164,70 @@ def test_negated_drift_equals_a_node_order_reference(case):
                                  else np.abs(oracle_gradient(t, x)))
     assert got.shape == X.shape
     assert np.all(np.abs(got - want) <= 2 * (n + 9) * np.finfo(float).eps * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(folded_networks())
+@example(([SumPotential((QuarticWell([0.5]), Quadratic([1.0], 2.0))), QuarticWell([-1.0])],
+          undirected(2, [(0, 1)]), 1.5, np.array([[0.25], [-0.0]])))
+@example(([SumPotential((FlatBottom1D(-1.0, 0.0), Quadratic([0.5], 1.5), FlatBottom1D(0.0, 1.0))),
+           SumPotential((SumPotential((Quadratic([-0.0], 0.5), QuarticWell([2.0]))),
+                         Quadratic([1.0], 3.0))),
+           FlatBottom1D(-2.0, -1.0)],
+          undirected(3, [(0, 1), (1, 2)]), 0.0, np.linspace(-2.0, 2.0, 9).reshape(3, 3, 1)))
+@example(([SumPotential((QuarticWell([0.0, 1.0]), Quadratic([1.0, -1.0], 2.0),
+                         QuarticWell([-1.0, 0.0]))), Quadratic([0.5, 0.5])],
+          undirected(2, [(0, 1)]), 2.0, np.array([[[0.5, -0.0], [1.5, 2.0]]])))
+def test_negated_drift_is_the_folded_operator_plus_the_other_terms_in_term_order(case):
+    # bit for bit: A Xb - b, with b each node's w c summed over its quadratics in term order,
+    # plus each node's other terms' gradients added in term order, in block order
+    pots, g, K, X = case
+    net = NetworkPotential(pots)
+    A, Xb = net.coupling(g.laplacian_matrix, K), X.take(net.order, axis=-2)
+    rows = [pots[i].terms if isinstance(pots[i], SumPotential) else (pots[i],) for i in net.order]
+    b = np.zeros((len(pots), X.shape[-1]))
+    for j, terms in enumerate(rows):
+        for t in terms:
+            if isinstance(t, Quadratic):
+                b[j] += t.weight * t.center
+    want = A @ Xb - b
+    for j, terms in enumerate(rows):
+        for t in terms:
+            if not isinstance(t, Quadratic):
+                want[..., j, :] += oracle_gradient(t, Xb[..., j, :])
+    assert same_bits(net.negated_drift(A, Xb), want)
+
+
+def test_negated_drift_calls_one_kernel_per_kind_of_non_quadratic_term(monkeypatch):
+    # the smoke-size ring_switch_1d catalog: quadratic, quartic and flat-bottom nodes and sums
+    # of a quadratic and a quartic; the quartics of both kinds of node share one kernel call,
+    # wherever a sum lists its quartic, and the quadratics are in the operator
+    calls = collections.Counter()
+    for kind in (Quadratic, QuarticWell, FlatBottom1D):
+        def counted(terms, kind=kind, kernel=kind._kernel):
+            gradient, *rest = kernel(terms)
+
+            def counted_gradient(x):
+                calls[kind.__name__] += 1
+                return gradient(x)
+            return (counted_gradient, *rest)
+        monkeypatch.setattr(kind, "_kernel", staticmethod(counted))
+    sc = load_scenario(Path(__file__).parent / "golden" / "ring_switch_1d_7" / "scenario.json")
+    pots, n = sc.potentials, sc.node_count
+    quartic_first = [SumPotential(p.terms[::-1]) if isinstance(p, SumPotential) else p
+                     for p in pots]
+    assert any(isinstance(p, QuarticWell) for p in pots)
+    assert any(isinstance(p, SumPotential) and isinstance(p.terms[0], Quadratic) for p in pots)
+    pulls = [SumPotential((Quadratic([0.0]), Quadratic([2.0], 0.5))) if i % 2 else Quadratic([1.0])
+             for i in range(n)]
+    lap = sc.signal.library["even"].laplacian_matrix
+    for catalog, want in ((pots, {"QuarticWell": 1, "FlatBottom1D": 1}),
+                          (quartic_first, {"QuarticWell": 1, "FlatBottom1D": 1}), (pulls, {})):
+        net = NetworkPotential(catalog)
+        A = net.coupling(lap, sc.K)
+        calls.clear()
+        net.negated_drift(A, sc.x0.take(net.order, axis=0))
+        assert calls == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -199,6 +199,11 @@ def squared_polygon_distance_oracle(vertices, x) -> Fraction:
 # -- potentials: closed forms one kind at a time, the kernels' reference ------
 
 
+def same_bits(a, b) -> bool:
+    """Equal values and equal zero signs."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def _point(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return x.reshape(1) if x.ndim == 0 else x
