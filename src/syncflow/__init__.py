@@ -3,7 +3,6 @@ coupled networks whose node self-dynamics are negative gradients of convex
 potentials, under fixed or switching directed communication graphs."""
 
 from .analysis import (
-    DiagnosticsSeries,
     check_common_limit,
     check_feasibility,
     check_monotone,
@@ -11,7 +10,6 @@ from .analysis import (
     check_spectral_bound,
     check_sync,
     check_sync_iff,
-    diagnostics,
     minimize_aggregate,
     sweep_K,
 )
@@ -45,7 +43,7 @@ from .potentials import (
 )
 from .report import CheckReport
 from .simulator import (
-    Trajectory,
+    DiagnosticsSeries,
     fixed_signal,
     integrate,
 )

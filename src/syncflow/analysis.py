@@ -1,12 +1,13 @@
-"""Trajectory diagnostics and executable synchronization checks.
+"""Executable synchronization checks.
 
 This module turns the synchronization theory into runtime verdicts on
-simulated trajectories:
+simulated trajectories.  Every trajectory check reads the run record that
+``simulator.integrate`` returns, a ``DiagnosticsSeries``, whose series (the
+pairwise diameter, the max-type Lyapunov series V, theta and the per-node
+argmin distances) are computed on first read:
 
-* diagnostics: pairwise diameter, the max-type Lyapunov series V (squared
-  distance to a common zero point) and theta (squared distance to the hull of
-  the union of zero sets), and per-node distance to each argmin set;
-* monotonicity, common-limit, and node-optimum checks on those series;
+* synchronization, monotonicity, common-limit, and node-optimum checks on
+  those series;
 * the minimizer of the aggregate potential over a fixed undirected graph via
   Newton's method (its gradient is exactly the negated coupled vector
   field, which doubles as a cross-module identity), and the spectral
@@ -19,7 +20,6 @@ Finite-horizon proxies: a "tail" quantity is taken over the last
 """
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -28,12 +28,9 @@ from .errors import InputError, NumericalError
 from .graphs import SwitchingSignal, WeightedDigraph, lambda2, require_undirected
 from .potentials import NetworkPotential, common_zero_set
 from .report import CheckReport
-from .simulator import Trajectory, fixed_signal, integrate
+from .simulator import DiagnosticsSeries, fixed_signal, integrate
 
 __all__ = [
-    "DiagnosticsSeries",
-    "diagnostics",
-    "diameter_series",
     "check_sync",
     "check_no_sync",
     "check_monotone",
@@ -48,45 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_FRACTION = 0.2
-
-
-class DiagnosticsSeries:
-    """One run as the trajectory checks read it, from ``diagnostics``.
-
-    ``times``, ``states`` (n_samples, N, m), ``potentials`` and ``diameter`` come with it;
-    ``theta``, ``argmin_dist`` and ``v_nodes``/``v`` read the zero sets, so each is computed
-    on its first read and kept.  ``v_nodes``/``v`` are None unless the zero sets share a
-    point; ``theta`` needs only bounded zero sets.
-    """
-
-    def __init__(self, traj: Trajectory, potentials):
-        self.times, self.states, self.potentials = traj.times, traj.states, list(potentials)
-        self.diameter = diameter_series(traj)
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan series, no warnings
-    def theta(self) -> np.ndarray:
-        """Per sample, the largest squared node distance to the hull of the union of zero sets."""
-        return (cg.zero_set_hull(self.potentials).distance(self.states) ** 2).max(axis=1)
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def argmin_dist(self) -> np.ndarray:
-        """(n_samples, N) node distances to their own zero sets: one clip against the boxes."""
-        corners = np.array([(z.lo, z.hi) for z in (p.zero_set() for p in self.potentials)])
-        return cg.box_distance(self.states, corners[:, 0], corners[:, 1])
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def v_nodes(self) -> np.ndarray | None:
-        """(n_samples, N) squared node distances to the center of the zero sets' intersection."""
-        common = common_zero_set(self.potentials)
-        return None if common is None else np.linalg.norm(self.states - common.center(), axis=2) ** 2
-
-    @cached_property
-    def v(self) -> np.ndarray | None:
-        """Per sample, the largest of ``v_nodes``: the max-type Lyapunov series V."""
-        return None if self.v_nodes is None else self.v_nodes.max(axis=1)
 
 
 def validate_tail_fraction(tail_fraction) -> float:
@@ -133,24 +91,6 @@ def limit_tail(times: np.ndarray, tail_fraction: float) -> np.ndarray:
     if tail.shape[0] < 10:
         raise InputError(f"tail window holds {len(tail)} samples; need >= 10 for a limit estimate")
     return tail
-
-
-@np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan, no warnings
-def diameter_series(traj: Trajectory) -> np.ndarray:
-    """max_{i,j} |x_i - x_j| per sample.  For m = 1 it is max - min, exact as rounding is
-    monotone: no square underflows below |d| ~ 1.5e-154 or overflows above ~ 1.3e154."""
-    X = traj.states
-    if traj.dim == 1:
-        return np.ptp(X[:, :, 0], axis=1)
-    diam = np.zeros(len(traj))
-    for i in range(traj.node_count - 1):
-        diam = np.maximum(diam, np.linalg.norm(X[:, i + 1 :] - X[:, i : i + 1], axis=2).max(axis=1))
-    return diam
-
-
-def diagnostics(traj: Trajectory, potentials) -> DiagnosticsSeries:
-    """The diagnostic series of a completed trajectory; see ``DiagnosticsSeries``."""
-    return DiagnosticsSeries(traj, potentials)
 
 
 def check_sync(
@@ -390,7 +330,7 @@ def check_sync_iff(
     all_pass = True
     worst = -math.inf
     for ridx, x0 in enumerate(x0_set):
-        diag = diagnostics(integrate(potentials, sig, K, x0, dt, horizon, sample_every), potentials)
+        diag = integrate(potentials, sig, K, x0, dt, horizon, sample_every)
         entry: dict = {"run": ridx}
         if body is not None:
             tail_sup = check_sync(diag, tol, tail_fraction).worst_value
@@ -451,7 +391,7 @@ def sweep_K(
     for k in K_list:
         row = {"K": k, "epsilon_estimate": None, "error": None}
         try:
-            diag = diagnostics(integrate(potentials, signal, k, x0, dt, t_end, sample_every), potentials)
+            diag = integrate(potentials, signal, k, x0, dt, t_end, sample_every)
             row["epsilon_estimate"] = check_sync(diag, tail_fraction=tail_fraction).worst_value
         except NumericalError as e:
             row["error"] = str(e)

@@ -484,9 +484,8 @@ def _write_sweep_csv(path: Path, sweep: CheckReport):
 
 def _execute(sc: Scenario):
     """Simulate the primary trajectory, run checks, optionally sweep."""
-    traj = integrate(sc.potentials, sc.signal, sc.primary_K, sc.x0, sc.dt, sc.t_end,
-                     sc.sample_every, scenario_id=sc.name)
-    diag = analysis.diagnostics(traj, sc.potentials)
+    diag = integrate(sc.potentials, sc.signal, sc.primary_K, sc.x0, sc.dt, sc.t_end,
+                     sc.sample_every)
     reports = [CHECKS[name].run(sc, diag, params) for name, params in sc.checks]
     sweep = None
     if sc.K_list is not None:

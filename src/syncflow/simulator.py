@@ -27,18 +27,23 @@ aborts with an explicit error instead of overflowing.  The zero sets are read on
 a state passes the bound from x0 alone, never larger, so a run within it reads none, or
 when a quadratic pull overflows the operator: a sum that no run can settle (see
 ``potentials``) is then refused, exit 2, before the overflow, exit 3.
+
+A run is recorded once, as the ``DiagnosticsSeries`` every check reads: the sample
+times, the (S, N, m) states and the potentials.  ``integrate`` only integrates; the
+diameter and the series that read the zero sets are each computed on their first read.
 """
 
 import math
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import convex_geometry as cg
 from .errors import FiniteEscapeError, InputError, NumericalError
 from .graphs import SwitchingSignal, WeightedDigraph
-from .potentials import NetworkPotential
+from .potentials import NetworkPotential, common_zero_set
 
-__all__ = ["Trajectory", "fixed_signal", "integrate"]
+__all__ = ["DiagnosticsSeries", "diameter_series", "fixed_signal", "integrate"]
 
 # sample instants plus switch instants one integration may hold in memory
 MAX_EVENTS = 1_000_000
@@ -46,34 +51,65 @@ MAX_EVENTS = 1_000_000
 MAX_STEPS = 10_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Time-sampled run: uniform sample grid plus every switching instant."""
+class DiagnosticsSeries:
+    """One run as the trajectory checks read it, from ``integrate``.
 
-    times: np.ndarray
-    states: np.ndarray  # (n_samples, N, m) node blocks
-    meta: dict = field(default_factory=dict)
+    ``times``, ``states`` (n_samples, N, m) and ``potentials`` come with it; ``diameter``,
+    ``theta``, ``argmin_dist`` and ``v_nodes``/``v`` are each computed on their first read
+    and kept.  ``v_nodes``/``v`` are None unless the zero sets share a point; ``theta`` needs
+    only bounded zero sets.
+    """
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or s.ndim != 3 or s.shape[0] != t.shape[0]:
-            raise InputError(f"times {t.shape} and states {s.shape} must be (S,) and (S, N, m)")
-        if np.any(np.diff(t) <= 0):
-            raise InputError("sample times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
+    def __init__(self, times: np.ndarray, states: np.ndarray, potentials):
+        self.times, self.states, self.potentials = times, states, list(potentials)
 
     @property
     def node_count(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
+    @cached_property
+    def diameter(self) -> np.ndarray:
+        """Per sample, the largest distance between two nodes; see ``diameter_series``."""
+        return diameter_series(self.states)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan series, no warnings
+    def theta(self) -> np.ndarray:
+        """Per sample, the largest squared node distance to the hull of the union of zero sets."""
+        return (cg.zero_set_hull(self.potentials).distance(self.states) ** 2).max(axis=1)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def argmin_dist(self) -> np.ndarray:
+        """(n_samples, N) node distances to their own zero sets: one clip against the boxes."""
+        corners = np.array([(z.lo, z.hi) for z in (p.zero_set() for p in self.potentials)])
+        return cg.box_distance(self.states, corners[:, 0], corners[:, 1])
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def v_nodes(self) -> np.ndarray | None:
+        """(n_samples, N) squared node distances to the center of the zero sets' intersection."""
+        common = common_zero_set(self.potentials)
+        return None if common is None else np.linalg.norm(self.states - common.center(), axis=2) ** 2
+
+    @cached_property
+    def v(self) -> np.ndarray | None:
+        """Per sample, the largest of ``v_nodes``: the max-type Lyapunov series V."""
+        return None if self.v_nodes is None else self.v_nodes.max(axis=1)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # huge states give inf or nan, no warnings
+def diameter_series(states: np.ndarray) -> np.ndarray:
+    """max_{i,j} |x_i - x_j| per sample of (S, N, m) states.  For m = 1 it is max - min, exact
+    as rounding is monotone: no square underflows below |d| ~ 1.5e-154 or overflows above
+    ~ 1.3e154."""
+    X = states
+    if X.shape[2] == 1:
+        return np.ptp(X[:, :, 0], axis=1)
+    diam = np.zeros(X.shape[0])
+    for i in range(X.shape[1] - 1):
+        diam = np.maximum(diam, np.linalg.norm(X[:, i + 1 :] - X[:, i : i + 1], axis=2).max(axis=1))
+    return diam
 
 
 def fixed_signal(g: WeightedDigraph) -> SwitchingSignal:
@@ -168,8 +204,7 @@ def integrate(
     dt: float,
     t_end: float,
     sample_every: float | None = None,
-    scenario_id: str | None = None,
-) -> Trajectory:
+) -> DiagnosticsSeries:
     """Integrate the network from ``x0``, any array of N*m numbers, over [0, t_end].
 
     Fixed-step RK4 whose steps never straddle a switching instant: the step
@@ -178,7 +213,8 @@ def integrate(
     and at every switch instant (by default every ten steps); events closer
     than 1e-9 * max(1, t_end) merge, and the run ends at t_end exactly.  Each
     span runs on the graph of the last event that carries one; the first event,
-    at 0, carries the graph that holds from 0.
+    at 0, carries the graph that holds from 0.  The samples come back as the
+    run record the checks read, a ``DiagnosticsSeries``.
     """
     sample_every = default_sample_every(dt) if sample_every is None else sample_every
     validate_grid(signal, dt, t_end, sample_every)
@@ -227,15 +263,5 @@ def integrate(
                     states.append(X)
             if graph_id is not None:
                 A = ops[graph_id]
-    return Trajectory(
-        times=np.array([t for t, record, _ in events if record]),
-        states=np.array(states).take(net.inverse, axis=1),
-        meta={
-            "K": float(K),
-            "dt": float(dt),
-            "sample_every": float(sample_every),
-            "t_end": float(t_end),
-            "scenario": scenario_id,
-        },
-    )
-
+    return DiagnosticsSeries(np.array([t for t, record, _ in events if record]),
+                             np.array(states).take(net.inverse, axis=1), potentials)

@@ -23,12 +23,12 @@ from syncflow import (
     check_spectral_bound,
     check_sync_iff,
     common_zero_set,
-    diagnostics,
     fixed_signal,
     integrate,
     minimize_aggregate,
 )
-from syncflow.analysis import cube_containment, diameter_series
+from syncflow.analysis import cube_containment
+from syncflow.simulator import diameter_series
 from util import complete_graph, five_topologies, network_drift, path_graph, ring_graph
 
 
@@ -57,7 +57,7 @@ def test_criterion_1_two_node_disagreement_law():
         traj = integrate(pots, sig, K, [2.0, -1.0], dt=0.01, t_end=15.0, sample_every=0.25)
         elapsed = time.perf_counter() - t0
         slowest = max(slowest, elapsed)
-        diam = diameter_series(traj)
+        diam = diameter_series(traj.states)
         tail = diam[traj.times >= 12.0].max()
         worst = max(worst, abs(tail - 1.0 / (1.0 + 2.0 * K)))
     _criterion(
@@ -84,7 +84,7 @@ def test_criterion_2_sync_iff():
     for name, g in five_topologies(5).items():
         x0 = rng.uniform(-2.0, 3.0, 5)
         traj = integrate(common, fixed_signal(g), 1.0, x0, dt=0.02, t_end=50.0, sample_every=0.5)
-        diam_end = diameter_series(traj)[-1]
+        diam_end = diameter_series(traj.states)[-1]
         final_dev = np.abs(traj.states[-1] - c).max()
         ok &= diam_end < 1e-6 and final_dev < 1e-5
         details.append(f"{name}: diam {diam_end:.1e}")
@@ -182,10 +182,9 @@ def test_criterion_4_lyapunov_monotonicity_battery():
     for trial in range(50):
         pots, sig, x0, K = _random_scenario(rng, trial)
         traj = integrate(pots, sig, K, x0, dt=0.01, t_end=6.0, sample_every=0.06)
-        diag = diagnostics(traj, pots)
-        ok_v = check_monotone(diag.v, rise_tol=1e-8 * max(1.0, diag.v[0]), label="V").passed
+        ok_v = check_monotone(traj.v, rise_tol=1e-8 * max(1.0, traj.v[0]), label="V").passed
         ok_t = check_monotone(
-            diag.theta, rise_tol=1e-8 * max(1.0, diag.theta[0]), label="theta"
+            traj.theta, rise_tol=1e-8 * max(1.0, traj.theta[0]), label="theta"
         ).passed
         # the box spanned by x0 and the zero sets is forward invariant (max principle)
         zero_sets = [p.zero_set() for p in pots]
@@ -211,13 +210,13 @@ def test_criterion_5_ujsc_switching_sync_and_control():
     sig = _alternating_chains(3, seg=0.5)
     assert certify_ujsc(sig, T=sig.period).passed
     traj = integrate(pots, sig, 1.0, [4.0, -3.0, 0.5], dt=0.1, t_end=100.0, sample_every=1.0)
-    diam = diameter_series(traj)
+    diam = diameter_series(traj.states)
     tail = diam[traj.times >= 80.0].max()
 
     pots_c = [Quadratic(center=[1.0]), Quadratic(center=[1.0]), Quadratic(center=[2.0])]
     sig_c = _alternating_chains(3, seg=0.5, isolate_last=True)
     traj_c = integrate(pots_c, sig_c, 1.0, [4.0, -3.0, 0.5], dt=0.1, t_end=100.0, sample_every=1.0)
-    floor_c = diameter_series(traj_c)[traj_c.times >= 80.0].min()
+    floor_c = diameter_series(traj_c.states)[traj_c.times >= 80.0].min()
     _criterion(
         5,
         "UJSC alternating chains sync below 1e-5 by t=100; isolated-node control stays above 1e-2",
@@ -304,7 +303,7 @@ def test_criterion_8_invariant_cube_corner_runs():
         corner = np.where(rng.random(5) < 0.5, lo, hi)
         signal = fixed_signal(ring) if run < 10 else sig_switch
         traj = integrate(pots, signal, 1.0, corner, dt=0.05, t_end=10.0)
-        rep = cube_containment(diagnostics(traj, pots), eta, slack=1e-8)
+        rep = cube_containment(traj, eta, slack=1e-8)
         ok &= rep.passed
     _criterion(8, "20 corner-started 1-D runs stay inside the eta-cube (slack 1e-8)", ok)
 

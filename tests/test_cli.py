@@ -240,17 +240,22 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     assert header == "t,x_0_0,x_1_0,diameter,V,theta"
 
 
-def test_sync_check_reuses_the_diagnostics_diameter(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, checks, computed", [
+    ("simulate", [{"name": "sync", "tol": 1e-4}], 1),  # the sync check and the CSV share one
+    ("verify", [{"name": "ujsc", "T": 1.0}, {"name": "feasibility"}], 0),  # no check reads it
+], ids=["simulate", "verify"])
+def test_sync_check_reuses_the_diagnostics_diameter(tmp_path, monkeypatch, command, checks, computed):
     calls = []
-    series = analysis.diameter_series
+    series = simulator.diameter_series
 
-    def counted(traj):
-        calls.append(traj)
-        return series(traj)
+    def counted(states):
+        calls.append(states)
+        return series(states)
 
-    monkeypatch.setattr(analysis, "diameter_series", counted)
-    assert run(load_scenario(write(tmp_path, BASE)), tmp_path / "out") == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(simulator, "diameter_series", counted)
+    sc = load_scenario(write(tmp_path, dict(BASE, checks=checks)))
+    assert (run(sc, tmp_path / "out") if command == "simulate" else verify(sc)) == 0
+    assert len(calls) == computed
 
 
 def test_csv_row_count_invariant(tmp_path):
@@ -827,7 +832,7 @@ def test_the_spectral_bound_check_builds_the_coupling_once(tmp_path, monkeypatch
     monkeypatch.setattr(potentials.NetworkPotential, "coupling",
                         lambda *a: calls.append(1) or coupling(*a))
     ((name, params),) = sc.checks
-    assert cli.CHECKS[name].run(sc, analysis.diagnostics(traj, sc.potentials), params).passed
+    assert cli.CHECKS[name].run(sc, traj, params).passed
     assert len(calls) == 1
 
 
