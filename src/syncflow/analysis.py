@@ -206,10 +206,10 @@ def minimize_aggregate(
 ) -> np.ndarray:
     """Minimize the aggregate potential by Newton's method; returns (N, m) blocks.
 
-    The gradient is the integrator's ``NetworkPotential.negated_drift`` on the operator
-    A = K·L + diag(quadratic weights) built once, in the block order the iterates live in,
-    so agreement between this routine and the simulator is a structural identity, not a
-    coincidence.
+    The gradient is the integrator's drift evaluator, ``NetworkPotential.drift_into``, built
+    once on the operator A = K·L + diag(quadratic weights), in the block order the iterates
+    live in, so agreement between this routine and the simulator is a structural identity,
+    not a coincidence.
 
     The catalog is separable by component, so the Hessian is one N x N block
     per component, H_k = diag(F_i''(x_ik)) + K L: ``NetworkPotential.hessian`` adds the
@@ -229,12 +229,14 @@ def minimize_aggregate(
     A = net.coupling(g.laplacian_matrix, K)
     n, m = net.node_count, net.dimension
     diag, tiny = np.arange(n), np.finfo(float).tiny
+    # one buffer: each gradient is read (its norm, its Newton step) before the next overwrites it
+    drift = net.drift_into(np.empty((n, m)))
 
     def grad_at(y: np.ndarray) -> np.ndarray:
         # an overflowed iterate stops here instead of spending the budget on NaNs
         if not np.all(np.isfinite(y)):
             raise InputError("state entries must be finite")
-        return net.negated_drift(A, y)
+        return drift(A, y)
 
     x = np.array(x_init, dtype=float).reshape(n, m).take(net.order, axis=0)
     grad = grad_at(x)

@@ -16,15 +16,16 @@ whose argmin cannot be resolved or evaluated (see ``_component_argmin``) is refu
 
 ``NetworkPotential`` compiles a network's potentials into one kernel per run of like
 terms in a block order of the nodes, so one call evaluates every node; its ``coupling``
-and ``negated_drift`` are the one evaluator of the coupled network.  The block order
+and ``drift_into`` are the one evaluator of the coupled network.  The block order
 sorts the nodes by the kinds of their non-quadratic terms, then by the kinds of all
 their terms.  A quadratic's gradient w x - w c is affine, so ``coupling`` folds every
 quadratic term into the linear map, A = K·L + diag(a) with a each node's summed weights,
-and ``negated_drift`` is A X - b (b each node's summed w c) plus the drift's table, one
-slot per run of the k-th non-quadratic terms of one kind: a quartic is one kernel call
-whether a node holds it alone or beside a quadratic.  Each kind's kernel, a static
-method of its class, is the only formula for its gradient and curvature (the quadratic's
-gives its coefficients w and w c instead of a curvature; ``Potential.gradient``
+and ``drift_into(out)`` builds, with its views of ``out`` bound once, the evaluator that
+writes A X - b (b each node's summed w c) into ``out`` and adds the drift's table in
+place, one slot per run of the k-th non-quadratic terms of one kind: a quartic is one
+kernel call whether a node holds it alone or beside a quadratic.  Each kind's kernel, a
+static method of its class, is the only formula for its gradient and curvature (the
+quadratic's gives its coefficients w and w c instead of a curvature; ``Potential.gradient``
 evaluates a one-node network; ``tests/util.py`` holds the per-kind oracle), but for the
 argmin search's scalar derivative (see ``_component_argmin``).
 
@@ -326,11 +327,11 @@ class NetworkPotential:
     of all their terms, each kind ranked by its first appearance (``inverse`` undoes it), so
     the k-th non-quadratic terms of one kind form runs of this block order, one slot each,
     and so do the k-th quadratics.  The drift's table holds only the non-quadratic slots:
-    ``coupling`` folds the quadratic ones into the linear map.  ``negated_drift`` and
-    ``hessian`` take states in block order; ``gradient`` gathers node states (..., N, m) in
-    once and out once and adds every term in term order, the bits of ``sum()``, from a
-    table of all the terms.  Each table is compiled on its first read, so ``integrate``
-    builds only what ``negated_drift`` and ``hessian`` read."""
+    ``coupling`` folds the quadratic ones into the linear map.  ``drift_into``,
+    ``negated_drift`` and ``hessian`` take states in block order; ``gradient`` gathers node
+    states (..., N, m) in once and out once and adds every term in term order, the bits of
+    ``sum()``, from a table of all the terms.  Each table is compiled on its first read, so
+    ``integrate`` builds only what ``drift_into`` and ``hessian`` read."""
 
     def __init__(self, potentials):
         potentials = list(potentials)
@@ -370,7 +371,7 @@ class NetworkPotential:
     @cached_property
     def _drift(self) -> list:
         """(run, gradient, curvature) per run of like k-th non-quadratic terms: the slots
-        ``negated_drift`` and ``hessian`` add, each node's in term order."""
+        ``drift_into`` and ``hessian`` add, each node's in term order."""
         return _slots([[t for t in r if type(t) is not Quadratic] for r in self._rows])
 
     @cached_property
@@ -388,7 +389,7 @@ class NetworkPotential:
         return a, b
 
     def coupling(self, lap, K: float) -> np.ndarray:
-        """A = K·L + diag(a) in block order for ``negated_drift``, from the N x N Laplacian
+        """A = K·L + diag(a) in block order for ``drift_into``, from the N x N Laplacian
         ``lap``, with a each node's summed quadratic weights: the one place a gain meets a
         Laplacian.  Raises InputError unless K >= 0, and NumericalError when K·L overflows or
         a node's quadratic pulls (A's diagonal, or their weights times centers) do."""
@@ -416,14 +417,26 @@ class NetworkPotential:
         return A
 
     def negated_drift(self, A: np.ndarray, Xb: np.ndarray) -> np.ndarray:
-        """grad F(X) + K L X, the negated network drift, as A Xb - b plus each non-quadratic
-        slot added in place, with A from ``coupling``, states Xb (..., N, m) and the result in
-        block order: on an undirected graph, the gradient of the aggregate potential
-        sum F_i + (K/2) x^T (L kron I) x."""
-        S = A @ Xb
-        S -= self._affine[1]
-        self._add(S, Xb, self._drift, 1)
-        return S
+        """grad F(X) + K L X, the negated network drift, in a new array: ``drift_into``'s
+        evaluator on states Xb (..., N, m) in block order."""
+        return self.drift_into(np.empty(np.shape(Xb)))(A, Xb)
+
+    def drift_into(self, out: np.ndarray):
+        """The one drift evaluator: f(A, Xb) writes grad F(X) + K L X, the negated drift, at
+        states Xb (..., N, m) into ``out`` and returns it: A Xb - b (``np.dot`` for a state,
+        which keeps 0·(-0) = -0 on 1 x 1; ``matmul`` for a stack) plus each non-quadratic slot
+        added in place, A from ``coupling``, all in block order, ``out``'s views bound once.
+        On an undirected graph it is the gradient of sum F_i + (K/2) x^T (L kron I) x."""
+        b, product = self._affine[1], np.dot if out.ndim == 2 else np.matmul
+        views = [(out[..., run, :], run, gradient) for run, gradient, _ in self._drift]
+
+        def f(A, Xb):
+            product(A, Xb, out)
+            np.subtract(out, b, out)
+            for o, run, gradient in views:
+                o += gradient(Xb[..., run, :])
+            return out
+        return f
 
     @staticmethod
     def _add(out: np.ndarray, Xb: np.ndarray, slots, k: int) -> None:

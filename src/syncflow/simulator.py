@@ -16,9 +16,10 @@ switch event the next one's, so no time is ever looked up.
 A run keeps its states in the compiled potentials' block order.  Once per graph,
 ``NetworkPotential.coupling`` permutes K·L into it and folds in every quadratic term,
 whose gradient w x - w c is affine: A = K·L + diag(a), with a each node's summed
-weights.  So each RK4 stage is one ``NetworkPotential.negated_drift``: one matmul
-A @ X, one subtraction of the summed w c, and one in-place kernel add per run of like
-non-quadratic terms (a quartic held alone and one beside a quadratic share a run).
+weights.  A run builds one ``NetworkPotential.drift_into`` evaluator per row of one stage
+stack (4, N·m), so each RK4 stage writes in place one ``np.dot`` A X, one subtraction of
+the summed w c and one kernel add per run of like non-quadratic terms (a quartic alone
+and one beside a quadratic share a run); one dot with (h/6)(1, 2, 2, 1) combines them.
 
 The exact flow stays in the box spanned by x0 and the zero sets (gradients
 nondecreasing per component, diffusive coupling), so a state past 1e8 times that
@@ -117,18 +118,15 @@ def fixed_signal(g: WeightedDigraph) -> SwitchingSignal:
     return SwitchingSignal({"g": g}, (("g", 1.0),), 1.0)
 
 
-def _rk4_step(net, A, X, h):
-    """One RK4 step of X' = -S(X) with S = ``net.negated_drift``, on states X in block order."""
-    S1 = net.negated_drift(A, X)
-    S2 = net.negated_drift(A, X - (0.5 * h) * S1)
-    S3 = net.negated_drift(A, X - (0.5 * h) * S2)
-    S4 = net.negated_drift(A, X - h * S3)
-    S2 += S3  # S1 + 2 (S2 + S3) + S4, in place
-    S2 *= 2.0
-    S2 += S1
-    S2 += S4
-    S2 *= h / 6.0
-    return X - S2
+def _rk4_step(drifts, stages, A, X, h, weights):
+    """One RK4 step of X' = -S(X), S the negated drift, on states X in block order: the four
+    ``drifts`` write S1..S4, each as an (N, m) view of one row of the (4, N·m) ``stages``,
+    and one dot with ``weights`` = (h/6)(1, 2, 2, 1) combines them."""
+    S = drifts[0](A, X)
+    S = drifts[1](A, X - (0.5 * h) * S)
+    S = drifts[2](A, X - (0.5 * h) * S)
+    drifts[3](A, X - h * S)
+    return X - np.dot(weights, stages).reshape(X.shape)
 
 
 def default_sample_every(dt: float) -> float:
@@ -240,6 +238,8 @@ def integrate(
     x0, guard, boxed = X, bound(X), False  # from x0 alone until a state passes it
     X = X.take(net.order, axis=0)  # the run keeps its states in block order
     states = [X]  # RK4 steps build new arrays, so recorded states need no copies
+    stages = np.empty((4, X.size))  # the stage drifts S1..S4, one flat row each
+    drifts = [net.drift_into(row.reshape(X.shape)) for row in stages]
     A = ops[events[0][2]]
     t_prev = 0.0
     # overflow on the way out is reported by the divergence guard, not as warnings
@@ -249,8 +249,9 @@ def integrate(
             if span > 0:
                 nsteps = max(1, math.ceil(span / dt - 1e-9))
                 h = span / nsteps
+                weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
                 for k in range(nsteps):
-                    X = _rk4_step(net, A, X, h)
+                    X = _rk4_step(drifts, stages, A, X, h, weights)
                     sup = float(np.abs(X).max())  # NaN if any entry is NaN
                     if not sup <= guard and not boxed:  # the zero sets join the box
                         zs = [p.zero_set() for p in potentials]

@@ -32,6 +32,7 @@ from syncflow.potentials import NetworkPotential
 from syncflow.simulator import diameter_series
 from util import (
     aggregate_value_oracle,
+    counted_drifts,
     equilibrium_oracle_quadratic,
     extreme_points_oracle,
     hull_projection_oracle,
@@ -467,27 +468,28 @@ def test_minimize_aggregate_names_a_stall(monkeypatch):
     pots = [Quadratic(center=[2.0]) if i % 2 == 0 else
             SumPotential((Quadratic(center=[0.1 * i]), QuarticWell(center=[-0.1 * i])))
             for i in range(n)]
-    calls = []
-    drift = NetworkPotential.negated_drift
-    monkeypatch.setattr(NetworkPotential, "negated_drift",
-                        lambda *a: calls.append(1) or drift(*a))
+    counts = counted_drifts(monkeypatch)
     with pytest.raises(NumericalError, match="stalled"):
         minimize_aggregate(pots, ring_graph(n), 8.0, [float(i % 5) - 2.0 for i in range(n)],
                            tol=1e-300)
-    assert len(calls) <= 500
+    assert 0 < counts["calls"] <= 500
 
 
 def test_minimize_aggregate_builds_the_coupling_once(monkeypatch):
-    # K·L is permuted into block order once per call, not once per gradient or Newton step
+    # K·L is permuted into block order, and the drift evaluator built, once per call, not
+    # once per gradient or Newton step
     pots = [Quadratic(center=[0.0]), QuarticWell(center=[1.0]), Quadratic(center=[-1.0]),
             SumPotential((Quadratic(center=[0.5]), QuarticWell(center=[0.0])))]
     calls = []
     coupling = NetworkPotential.coupling
     monkeypatch.setattr(NetworkPotential, "coupling", lambda *a: calls.append(1) or coupling(*a))
+    drifts = counted_drifts(monkeypatch)
     for x0 in ([0.0] * 4, [5.0, -3.0, 2.0, 1.0]):
         calls.clear()
+        drifts.clear()
         p = minimize_aggregate(pots, ring_graph(4), 1.3, x0, tol=1e-10)
         assert len(calls) == 1
+        assert drifts["built"] == 1 and drifts["calls"] > 2 and not drifts["negated"]
         assert np.linalg.norm(network_drift(pots, ring_graph(4).laplacian_matrix, 1.3, p)) <= 1e-10
 
 

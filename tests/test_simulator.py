@@ -26,6 +26,7 @@ from syncflow.cli import load_scenario
 from syncflow.potentials import NetworkPotential
 from syncflow.simulator import sample_times
 from util import (
+    counted_drifts,
     equilibrium_oracle_quadratic,
     graph_id_at,
     network_drift,
@@ -186,9 +187,12 @@ def test_negated_drift_equals_a_node_order_reference(case):
 @example(([SumPotential((QuarticWell([0.0, 1.0]), Quadratic([1.0, -1.0], 2.0),
                          QuarticWell([-1.0, 0.0]))), Quadratic([0.5, 0.5])],
           undirected(2, [(0, 1)]), 2.0, np.array([[[0.5, -0.0], [1.5, 2.0]]])))
+# one node at -0: np.dot keeps 0·(-0) = -0 on a 1 x 1 operator, where matmul gives +0
+@example(([QuarticWell([0.0])], WeightedDigraph(1), 0.0, np.array([[-0.0]])))
 def test_negated_drift_is_the_folded_operator_plus_the_other_terms_in_term_order(case):
-    # bit for bit: A Xb - b, with b each node's w c summed over its quadratics in term order,
-    # plus each node's other terms' gradients added in term order, in block order
+    # bit for bit: A Xb - b, with A Xb the evaluator's product (np.dot on a state, matmul on a
+    # stack) and b each node's w c summed over its quadratics in term order, plus each node's
+    # other terms' gradients added in term order, in block order
     pots, g, K, X = case
     net = NetworkPotential(pots)
     A, Xb = net.coupling(g.laplacian_matrix, K), X.take(net.order, axis=-2)
@@ -198,7 +202,7 @@ def test_negated_drift_is_the_folded_operator_plus_the_other_terms_in_term_order
         for t in terms:
             if isinstance(t, Quadratic):
                 b[j] += t.weight * t.center
-    want = A @ Xb - b
+    want = (np.dot if Xb.ndim == 2 else np.matmul)(A, Xb) - b
     for j, terms in enumerate(rows):
         for t in terms:
             if not isinstance(t, Quadratic):
@@ -251,6 +255,62 @@ def test_negated_drift_neither_writes_nor_aliases_its_input(case):
         assert X.tobytes() == before
         assert not np.shares_memory(first, X) and not np.shares_memory(second, X)
         assert not np.shares_memory(second, first)
+        # drift_into's evaluator writes the same drift into its ``out``, here the middle row
+        # of a buffer, and nothing else: not X, nor the rows beside ``out``
+        buffer = np.full((3, *X.shape), -7.0)
+        out = buffer[1]
+        assert net.drift_into(out)(KL, X) is out
+        assert X.tobytes() == before and same_bits(out, first)
+        assert np.all(buffer[[0, 2]] == -7.0)
+
+
+def rk4_step(net, A, X, h):
+    """``simulator._rk4_step`` from X, with the stage stack, its drifts and the weights built
+    as ``integrate`` builds them: the next state and the stage drifts (4, N, m)."""
+    stages = np.empty((4, X.size))
+    drifts = [net.drift_into(row.reshape(X.shape)) for row in stages]
+    weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+    return simulator._rk4_step(drifts, stages, A, X, h, weights), stages.reshape(4, *X.shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(folded_networks(), st.floats(1e-3, 0.1))
+def test_the_stage_drifts_are_negated_drift_and_the_step_its_rk4_combination(case, h):
+    # on a state (N, m), each stage row holds negated_drift's bits at that stage's input; one
+    # dot combines the rows, which rounds otherwise than the reference's in-place
+    # S1 + 2 (S2 + S3) + S4 times h/6: within eps (|X| + 6 M) + 8 * 2^-1074, with
+    # M = (h/6) (|S1| + 2 |S2| + 2 |S3| + |S4|) (CHANGES.md derives it)
+    pots, g, K, X = case
+    net = NetworkPotential(pots)
+    A, Xb = net.coupling(g.laplacian_matrix, K), X.reshape(-1, *X.shape[-2:])[0]
+    got, rows = rk4_step(net, A, Xb, h)
+    S1 = net.negated_drift(A, Xb)
+    S2 = net.negated_drift(A, Xb - (0.5 * h) * S1)
+    S3 = net.negated_drift(A, Xb - (0.5 * h) * S2)
+    S4 = net.negated_drift(A, Xb - h * S3)
+    assert all(same_bits(row, S) for row, S in zip(rows, (S1, S2, S3, S4)))
+    total = S2 + S3
+    total *= 2.0
+    total += S1
+    total += S4
+    total *= h / 6.0
+    M = (h / 6.0) * (np.abs(S1) + 2.0 * np.abs(S2) + 2.0 * np.abs(S3) + np.abs(S4))
+    bound = np.finfo(float).eps * (np.abs(Xb) + 6.0 * M) + 8 * math.ulp(0.0)
+    assert np.all(np.abs(got - (Xb - total)) <= bound)
+
+
+def test_integrate_builds_four_stage_drifts_whatever_its_step_count(monkeypatch):
+    # one stage stack and its four evaluators per run, on every graph it visits; the step loop
+    # calls them four times a step and never negated_drift
+    ga, gb = ring_graph(3), WeightedDigraph(3, ((0, 1, 1.0),))
+    sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 0.5), ("b", 0.5)), 0.5)
+    pots = [Quadratic(center=[0.0]), QuarticWell(center=[1.0]),
+            SumPotential((Quadratic(center=[0.5]), FlatBottom1D(-1.0, 0.0)))]
+    counts = counted_drifts(monkeypatch)
+    for dt, steps in ((0.125, 8), (0.01, 100)):
+        counts.clear()
+        integrate(pots, sig, 1.0, [1.0, -1.0, 0.5], dt=dt, t_end=1.0, sample_every=1.0)
+        assert counts == {"built": 4, "calls": 4 * steps}
 
 
 def test_scalar_quadratic_closed_form():
@@ -342,7 +402,7 @@ def test_guard_reports_a_nan_state_as_an_infinite_sup_norm():
     net = NetworkPotential(pots)
     KL = 1.0 * g.laplacian_matrix[np.ix_(net.order, net.order)]
     with np.errstate(over="ignore", invalid="ignore"):
-        X = simulator._rk4_step(net, KL, np.zeros((2, 1)), 0.01)
+        X, _ = rk4_step(net, KL, np.zeros((2, 1)), 0.01)
     assert np.isnan(X).any()
     with pytest.raises(FiniteEscapeError) as caught:
         integrate(pots, fixed_signal(g), 1.0, [0.0, 0.0], dt=0.01, t_end=1.0)
@@ -573,12 +633,13 @@ def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
     dwell = min(d for _, d in segments)
     sig = SwitchingSignal(library, tuple(segments), dwell)
     pots = [Quadratic(center=[0.0]), Quadratic(center=[1.0])]
+    net = NetworkPotential(pots)
     steps = []
-    rk4_step = simulator._rk4_step
+    step = simulator._rk4_step
 
-    def recorded(net, A, x, h):
-        steps.append((net, A, h))
-        return rk4_step(net, A, x, h)
+    def recorded(drifts, stages, A, x, h, weights):
+        steps.append((A, h))
+        return step(drifts, stages, A, x, h, weights)
 
     with mock.patch.object(simulator, "_rk4_step", recorded):
         traj = integrate(pots, sig, 1.0, [1.0, -1.0], dwell / steps_per_dwell, t_end, sample_every)
@@ -592,7 +653,7 @@ def test_no_rk4_step_straddles_a_switch_and_every_switch_is_sampled(run):
     # each switch takes effect at the sample that records it, the recorded time nearest it
     takes_effect = [(traj.times[np.argmin(np.abs(traj.times - s))], g) for s, g in switches]
     t0 = 0.0
-    for net, A, h in steps:
+    for A, h in steps:
         assert not any(t0 + 2 * tol < s < t0 + h - 2 * tol for s, _ in switches)
         # the step runs on the graph of the last switch to take effect before its midpoint,
         # as that graph's operator K·L + diag(weights) in the network's block order

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: standard topologies, catalogs and reference solvers."""
 
 import bisect
+import collections
 import itertools
 import math
 import struct
@@ -357,6 +358,26 @@ def network_drift(potentials, lap, K, X) -> np.ndarray:
     net = NetworkPotential(potentials)
     Xb = np.asarray(X, dtype=float).take(net.order, axis=-2)
     return -net.negated_drift(net.coupling(lap, K), Xb).take(net.inverse, axis=-2)
+
+
+def counted_drifts(monkeypatch) -> collections.Counter:
+    """From here on, counts of ``NetworkPotential.drift_into`` builds ("built"), of calls of
+    the evaluators they return ("calls") and of ``negated_drift`` calls ("negated")."""
+    counts = collections.Counter()
+    drift_into, negated_drift = NetworkPotential.drift_into, NetworkPotential.negated_drift
+
+    def counted(net, out):
+        counts["built"] += 1
+        f = drift_into(net, out)
+
+        def counted_f(A, Xb):
+            counts["calls"] += 1
+            return f(A, Xb)
+        return counted_f
+    monkeypatch.setattr(NetworkPotential, "drift_into", counted)
+    monkeypatch.setattr(NetworkPotential, "negated_drift",
+                        lambda *a: counts.update(["negated"]) or negated_drift(*a))
+    return counts
 
 
 # -- the integrator's reference: RK4 in node order, one oracle call per node and stage
