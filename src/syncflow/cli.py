@@ -29,8 +29,8 @@ import numpy as np
 from . import analysis, convex_geometry as cg, graphs
 from .errors import FiniteEscapeError, InputError, NumericalError
 from .graphs import SwitchingSignal, WeightedDigraph
-from .potentials import FlatBottom1D, Potential, Quadratic, QuarticWell, SumPotential
-from .potentials import common_zero_set
+from .potentials import FlatBottom1D, NetworkPotential, Potential, Quadratic, QuarticWell
+from .potentials import SumPotential, common_zero_set
 from .report import CheckReport, jsonable
 from .simulator import default_sample_every, integrate, sample_times, validate_grid
 
@@ -44,7 +44,7 @@ class Scenario:
     """Run description loaded from a JSON scenario file; see ``load_scenario``."""
 
     name: str
-    potentials: list
+    potentials: NetworkPotential  # the network, compiled once per load
     signal: SwitchingSignal
     x0: np.ndarray  # (N, m) node blocks
     dt: float
@@ -62,7 +62,7 @@ class Scenario:
 
     @property
     def dim(self) -> int:
-        return self.potentials[0].dimension
+        return self.potentials.dimension
 
     @property
     def primary_K(self) -> float:
@@ -181,12 +181,8 @@ def load_scenario(path) -> Scenario:
     nodes_raw = _require(raw, "nodes", "scenario")
     if not isinstance(nodes_raw, list) or not nodes_raw:
         _fail("field 'nodes' must be a nonempty list of potential objects")
-    potentials = [potential_from_dict(d) for d in nodes_raw]
-    dims = {pot.dimension for pot in potentials}
-    if len(dims) != 1:
-        _fail(f"all node potentials must share one dimension, got {sorted(dims)}")
-    n = len(potentials)
-    m = dims.pop()
+    potentials = NetworkPotential(potential_from_dict(d) for d in nodes_raw)
+    n, m = potentials.node_count, potentials.dimension
 
     a_lo, a_hi = _numbers(raw.get("weight_bounds", [1e-6, 1e6]), "weight_bounds", 2)
     if not (0 < a_lo <= a_hi):

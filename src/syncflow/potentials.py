@@ -14,16 +14,16 @@ hypotheses of the synchronization analysis stay machine-checkable:
 A zero set is computed where it is first read, never when a potential is built, so a sum
 whose argmin cannot be resolved or evaluated (see ``_component_argmin``) is refused there.
 
-``NetworkPotential`` compiles a network's potentials into one kernel per run of like
-terms in a block order of the nodes, so one call evaluates every node; its ``coupling``
-and ``drift_into`` are the one evaluator of the coupled network.  The block order
-sorts the nodes by the kinds of their non-quadratic terms, then by the kinds of all
-their terms.  A quadratic's gradient w x - w c is affine, so ``coupling`` folds every
-quadratic term into the linear map, A = K·L + diag(a) with a each node's summed weights,
-and ``drift_into(out)`` builds, with its views of ``out`` bound once, the evaluator that
-writes A X - b (b each node's summed w c) into ``out`` and adds the drift's table in
-place, one slot per run of the k-th non-quadratic terms of one kind: a quartic is one
-kernel call whether a node holds it alone or beside a quadratic.  Each kind's kernel, a
+``NetworkPotential``, the tuple of a network's potentials, compiles them once into one
+kernel per run of like terms in a block order of the nodes, so one call evaluates every
+node; its ``coupling`` and ``drift_into`` are the one evaluator of the coupled network.
+The block order sorts the nodes by the kinds of their non-quadratic terms, then by the
+kinds of all their terms.  A quadratic's gradient w x - w c is affine, so ``coupling``
+folds every quadratic term into the linear map, A = K·L + diag(a) with a each node's
+summed weights, and ``drift_into(out)`` builds, with its views of ``out`` bound once, the
+evaluator that writes A X - b (b each node's summed w c) into ``out`` and adds the drift's
+table in place, one slot per run of the k-th non-quadratic terms of one kind: a quartic is
+one kernel call whether a node holds it alone or beside a quadratic.  Each kind's kernel, a
 static method of its class, is the only formula for its gradient and curvature (the
 quadratic's gives its coefficients w and w c instead of a curvature; ``Potential.gradient``
 evaluates a one-node network; ``tests/util.py`` holds the per-kind oracle), but for the
@@ -320,29 +320,32 @@ def _slots(rows) -> list:
     return slots
 
 
-class NetworkPotential:
-    """The node potentials F_1..F_N of a network, compiled into slots of kernels.
+class NetworkPotential(tuple):
+    """The tuple of a network's node potentials F_1..F_N, compiled into slots of kernels.
 
-    ``order`` sorts the nodes by the kinds of their non-quadratic terms, then by the kinds
-    of all their terms, each kind ranked by its first appearance (``inverse`` undoes it), so
-    the k-th non-quadratic terms of one kind form runs of this block order, one slot each,
-    and so do the k-th quadratics.  The drift's table holds only the non-quadratic slots:
-    ``coupling`` folds the quadratic ones into the linear map.  ``drift_into``,
-    ``negated_drift`` and ``hessian`` take states in block order; ``gradient`` gathers node
+    ``NetworkPotential(net)`` is ``net``, as ``tuple(t) is t``, so a scenario's network and
+    its tables are built once.  ``order`` sorts the nodes by the kinds of their non-quadratic
+    terms, then by the kinds of all their terms, each kind ranked by its first appearance
+    (``inverse`` undoes it), so the k-th non-quadratic terms of one kind form runs of this
+    block order, one slot each, and so do the k-th quadratics.  The drift's table holds only
+    the non-quadratic slots: ``coupling`` folds the quadratic ones into the linear map.
+    ``drift_into`` and ``hessian`` take states in block order; ``gradient`` gathers node
     states (..., N, m) in once and out once and adds every term in term order, the bits of
     ``sum()``, from a table of all the terms.  Each table is compiled on its first read, so
     ``integrate`` builds only what ``drift_into`` and ``hessian`` read."""
 
-    def __init__(self, potentials):
-        potentials = list(potentials)
-        if not potentials:
+    def __new__(cls, potentials):  # no __init__: it would run again on a network returned as is
+        if type(potentials) is cls:
+            return potentials
+        self = super().__new__(cls, potentials)
+        if not self:
             raise InputError("a network needs at least one potential")
-        dims = {p.dimension for p in potentials}
+        dims = {p.dimension for p in self}
         if len(dims) != 1:
-            raise InputError(f"potentials must share one dimension, got {sorted(dims)}")
-        self.node_count = len(potentials)
+            raise InputError(f"all node potentials must share one dimension, got {sorted(dims)}")
+        self.node_count = len(self)
         self.dimension = dims.pop()
-        flat = [p.terms if isinstance(p, SumPotential) else (p,) for p in potentials]
+        flat = [p.terms if isinstance(p, SumPotential) else (p,) for p in self]
         kinds = list(dict.fromkeys(type(t) for terms in flat for t in terms))  # first seen first
         for kind in kinds:
             if "_kernel" not in vars(kind):  # a subclass may change the formula
@@ -358,8 +361,8 @@ class NetworkPotential:
                                      key=[place[s] for s in signature].__getitem__))
         self.inverse = np.empty_like(self.order)  # np.argsort would page in its sort code
         self.inverse[self.order] = np.arange(self.node_count)
-        self._potentials = potentials
         self._rows = [flat[i] for i in self.order]  # in block order, each in term order
+        return self
 
     def _check(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -416,11 +419,6 @@ class NetworkPotential:
                 "which must be finite floats")
         return A
 
-    def negated_drift(self, A: np.ndarray, Xb: np.ndarray) -> np.ndarray:
-        """grad F(X) + K L X, the negated network drift, in a new array: ``drift_into``'s
-        evaluator on states Xb (..., N, m) in block order."""
-        return self.drift_into(np.empty(np.shape(Xb)))(A, Xb)
-
     def drift_into(self, out: np.ndarray):
         """The one drift evaluator: f(A, Xb) writes grad F(X) + K L X, the negated drift, at
         states Xb (..., N, m) into ``out`` and returns it: A Xb - b (``np.dot`` for a state,
@@ -451,7 +449,7 @@ class NetworkPotential:
         """(start, slots) for ``gradient``: a sum starts from 0 as ``sum()`` does, which turns
         a first -0.0 into +0.0, and a single term keeps its sign (-0.0 + g is g); the slots
         run over every term, so a node adds its terms in term order."""
-        start = np.array([[0.0 if isinstance(self._potentials[i], SumPotential) else -0.0]
+        start = np.array([[0.0 if isinstance(self[i], SumPotential) else -0.0]
                           for i in self.order])
         return start, _slots(self._rows)
 

@@ -50,6 +50,7 @@ __all__ = ["DiagnosticsSeries", "diameter_series", "fixed_signal", "integrate"]
 MAX_EVENTS = 1_000_000
 # RK4 steps one integration may take
 MAX_STEPS = 10_000_000
+MERGE_TOL = 1e-9  # events closer than MERGE_TOL * max(1, t_end) merge into one
 
 
 class DiagnosticsSeries:
@@ -136,13 +137,16 @@ def default_sample_every(dt: float) -> float:
 
 def validate_grid(signal: SwitchingSignal, dt: float, t_end: float, sample_every: float):
     """Raises InputError, naming the field at fault, unless the run grid is usable: dt, t_end
-    and sample_every positive; dt <= dwell_floor/4 on a switching signal, so every dwell
-    segment gets at least four steps; at most MAX_EVENTS sample and switch instants and
-    MAX_STEPS RK4 steps, both counted from the arguments before any event is built.
+    and sample_every positive, and t_end past MERGE_TOL; dt <= dwell_floor/4 on a switching
+    signal, so every dwell segment gets at least four steps; at most MAX_EVENTS sample and
+    switch instants and MAX_STEPS RK4 steps, both counted from the arguments before any
+    event is built.
     """
     for name, value in (("dt", dt), ("t_end", t_end), ("sample_every", sample_every)):
         if not value > 0:
             raise InputError(f"{name} must be positive, got {value}")
+    if t_end <= MERGE_TOL:  # the end would merge into the event at 0
+        raise InputError(f"t_end={t_end} must exceed the event-merge tolerance {MERGE_TOL:g}")
     if signal.has_switches() and dt > signal.dwell_floor / 4.0 + 1e-12:
         raise InputError(
             f"dt={dt} exceeds dwell_floor/4 = {signal.dwell_floor / 4.0}; "
@@ -176,7 +180,7 @@ def _event_grid(signal: SwitchingSignal, t_end: float, sample_every: float):
     events += [(t, True, g) for t, g in signal.switch_times(t_end)]
     events.append((t_end, False, None))
     events.sort(key=lambda e: e[0])
-    tol = 1e-9 * max(1.0, t_end)
+    tol = MERGE_TOL * max(1.0, t_end)
     merged: list[list] = []
     for t, rec, g in events:
         if merged and t - merged[-1][0] <= tol:

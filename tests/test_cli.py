@@ -900,6 +900,51 @@ def test_a_switching_period_within_the_time_tolerance_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: switching period 8e-10 must exceed 1e-09\n"
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["verify"], ["sweep", "--k", "1,2"]],
+                         ids=["simulate", "verify", "sweep"])
+def test_a_horizon_within_the_event_merge_tolerance_exits_2_and_writes_no_files(tmp_path, command):
+    # the run's end would merge into its event at 0, leaving one recorded time for two states:
+    # no check that needs two samples refuses it first
+    obj = dict(smoke_scenario("ring_switch_1d"), signal={"type": "fixed", "graph": "even"},
+               dt=1e-11, t_end=5e-10, sample_every=1e-10, checks=[{"name": "sync", "tol": 1e-2}])
+    out = tmp_path / "out"
+    options = command[1:] + ([] if command[0] == "verify" else ["--out", str(out)])
+    code, err, caught = _main_quietly([command[0], str(write(tmp_path, obj)), *options])
+    assert (code, err) == (2, "input error: t_end=5e-10 must exceed the event-merge tolerance 1e-09\n")
+    assert not out.exists() and not caught
+
+
+@pytest.mark.parametrize("workload, command", [("ring_switch_1d", "simulate"), ("hull_2d", "verify"),
+                                               ("gain_sweep", "verify"), ("gain_sweep", "sweep")])
+def test_each_command_compiles_its_network_once(tmp_path, monkeypatch, workload, command):
+    # the loader compiles the scenario's network; the run, the sweep lanes, the minimizer, the
+    # spectral bound's drift norm and drift alignment each get that network back as it is
+    builds = []
+    new = potentials.NetworkPotential.__new__
+
+    def counted(cls, nodes):
+        net = new(cls, nodes)
+        if net is not nodes:
+            builds.append(net)
+        return net
+    monkeypatch.setattr(potentials.NetworkPotential, "__new__", counted)
+    options = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+    code, _, _ = _main_quietly([command, str(write(tmp_path, smoke_scenario(workload))), *options])
+    assert code == (1 if workload == "hull_2d" else 0)  # hull_2d's feasibility control fails
+    assert len(builds) == 1
+
+
+def test_a_scenario_s_network_is_immutable(tmp_path):
+    # a tuple: no caller can swap a node under the tables compiled from it
+    sc = load_scenario(write(tmp_path, BASE))
+    assert isinstance(sc.potentials, potentials.NetworkPotential)
+    assert isinstance(sc.potentials, tuple) and sc.node_count == len(sc.potentials) == 2
+    with pytest.raises(TypeError):
+        sc.potentials[0] = sc.potentials[1]
+    assert not hasattr(sc.potentials, "append")
+    assert potentials.NetworkPotential(sc.potentials) is sc.potentials
+
+
 def test_dt_above_quarter_dwell_fails_at_load(tmp_path, capsys):
     bad = dict(
         BASE,

@@ -719,6 +719,22 @@ def hessian_diagonal(net, X):
     return A.diagonal()[net.inverse], H.take(net.inverse, axis=-2)
 
 
+def test_a_network_is_the_tuple_of_its_potentials_and_compiles_once():
+    nodes = [SumPotential((Quadratic(center=[1.0]), QuarticWell(center=[0.0]))),
+             Quadratic(center=[0.0]), FlatBottom1D(-1.0, 1.0)]
+    net = NetworkPotential(nodes)
+    assert isinstance(net, tuple) and list(net) == nodes and net[1] is nodes[1]
+    assert net.node_count == len(net) == 3 and net.dimension == 1
+    X = np.array([[0.5], [-2.0], [3.0]])
+    grads = net.gradient(X)
+    # a network given to the constructor is returned as is, its compiled tables with it
+    assert NetworkPotential(net) is net and net._terms is NetworkPotential(net)._terms
+    # a list or any other iterable of potentials compiles a new network
+    for again in (NetworkPotential(nodes), NetworkPotential(iter(nodes))):
+        assert again is not net and again == net
+        assert np.array_equal(again.order, net.order) and same_bits(again.gradient(X), grads)
+
+
 def test_kind_without_a_kernel_of_its_own_is_rejected():
     class Shifted(Quadratic):
         pass

@@ -29,6 +29,7 @@ from util import (
     counted_drifts,
     equilibrium_oracle_quadratic,
     graph_id_at,
+    negated_drift,
     network_drift,
     node_order_rk4,
     oracle_gradient,
@@ -117,10 +118,10 @@ def test_negated_drift_on_a_lane_stack_equals_one_call_per_lane(case):
     pots, g, K, X = case
     net = NetworkPotential(pots)
     KL = net.coupling(g.laplacian_matrix, K)
-    stacked = net.negated_drift(KL, X)
+    stacked = negated_drift(net, KL, X)
     assert stacked.shape == X.shape
     for lane in range(X.shape[0]):
-        np.testing.assert_array_equal(stacked[lane], net.negated_drift(KL, X[lane]))
+        np.testing.assert_array_equal(stacked[lane], negated_drift(net, KL, X[lane]))
 
 
 @st.composite
@@ -158,7 +159,8 @@ def test_negated_drift_equals_a_node_order_reference(case):
     # A X - b plus the other kinds' slots, in block order and back
     pots, g, K, X = case
     lap, n, net = g.laplacian_matrix, len(pots), NetworkPotential(pots)
-    got = net.negated_drift(net.coupling(lap, K), X.take(net.order, axis=-2)).take(net.inverse, axis=-2)
+    A, Xb = net.coupling(lap, K), X.take(net.order, axis=-2)
+    got = negated_drift(net, A, Xb).take(net.inverse, axis=-2)
     want = K * (lap @ X) + np.stack([oracle_gradient(p, X[..., i, :]) for i, p in enumerate(pots)],
                                     axis=-2)
     # each side sums at most n + 9 products (n coupling terms, up to 9 leaf terms a node), each
@@ -207,7 +209,7 @@ def test_negated_drift_is_the_folded_operator_plus_the_other_terms_in_term_order
         for t in terms:
             if not isinstance(t, Quadratic):
                 want[..., j, :] += oracle_gradient(t, Xb[..., j, :])
-    assert same_bits(net.negated_drift(A, Xb), want)
+    assert same_bits(negated_drift(net, A, Xb), want)
 
 
 def test_negated_drift_calls_one_kernel_per_kind_of_non_quadratic_term(monkeypatch):
@@ -238,7 +240,7 @@ def test_negated_drift_calls_one_kernel_per_kind_of_non_quadratic_term(monkeypat
         net = NetworkPotential(catalog)
         A = net.coupling(lap, sc.K)
         calls.clear()
-        net.negated_drift(A, sc.x0.take(net.order, axis=0))
+        negated_drift(net, A, sc.x0.take(net.order, axis=0))
         assert calls == want
 
 
@@ -250,8 +252,8 @@ def test_negated_drift_neither_writes_nor_aliases_its_input(case):
     KL = net.coupling(g.laplacian_matrix, K)
     for X in (stack[0].copy(), stack):  # one state (N, m) and a lane stack (B, N, m)
         before = X.tobytes()
-        first = net.negated_drift(KL, X)
-        second = net.negated_drift(KL, X)
+        first = negated_drift(net, KL, X)
+        second = negated_drift(net, KL, X)
         assert X.tobytes() == before
         assert not np.shares_memory(first, X) and not np.shares_memory(second, X)
         assert not np.shares_memory(second, first)
@@ -284,10 +286,10 @@ def test_the_stage_drifts_are_negated_drift_and_the_step_its_rk4_combination(cas
     net = NetworkPotential(pots)
     A, Xb = net.coupling(g.laplacian_matrix, K), X.reshape(-1, *X.shape[-2:])[0]
     got, rows = rk4_step(net, A, Xb, h)
-    S1 = net.negated_drift(A, Xb)
-    S2 = net.negated_drift(A, Xb - (0.5 * h) * S1)
-    S3 = net.negated_drift(A, Xb - (0.5 * h) * S2)
-    S4 = net.negated_drift(A, Xb - h * S3)
+    S1 = negated_drift(net, A, Xb)
+    S2 = negated_drift(net, A, Xb - (0.5 * h) * S1)
+    S3 = negated_drift(net, A, Xb - (0.5 * h) * S2)
+    S4 = negated_drift(net, A, Xb - h * S3)
     assert all(same_bits(row, S) for row, S in zip(rows, (S1, S2, S3, S4)))
     total = S2 + S3
     total *= 2.0
@@ -301,7 +303,7 @@ def test_the_stage_drifts_are_negated_drift_and_the_step_its_rk4_combination(cas
 
 def test_integrate_builds_four_stage_drifts_whatever_its_step_count(monkeypatch):
     # one stage stack and its four evaluators per run, on every graph it visits; the step loop
-    # calls them four times a step and never negated_drift
+    # calls them four times a step
     ga, gb = ring_graph(3), WeightedDigraph(3, ((0, 1, 1.0),))
     sig = SwitchingSignal({"a": ga, "b": gb}, (("a", 0.5), ("b", 0.5)), 0.5)
     pots = [Quadratic(center=[0.0]), QuarticWell(center=[1.0]),
@@ -311,6 +313,19 @@ def test_integrate_builds_four_stage_drifts_whatever_its_step_count(monkeypatch)
         counts.clear()
         integrate(pots, sig, 1.0, [1.0, -1.0, 0.5], dt=dt, t_end=1.0, sample_every=1.0)
         assert counts == {"built": 4, "calls": 4 * steps}
+
+
+@pytest.mark.parametrize("t_end", [1e-10, 1e-9, 2e-9])
+def test_a_horizon_within_the_merge_tolerance_is_refused_and_one_past_it_runs(t_end):
+    # at t_end <= 1e-9 the end would merge into the event at 0: one recorded time, two states
+    pots, sig = [Quadratic([0.0]), Quadratic([1.0])], fixed_signal(two_node_graph())
+    run = lambda: integrate(pots, sig, 1.0, [0.5, 0.2], dt=1e-11, t_end=t_end, sample_every=1e-10)
+    if t_end <= simulator.MERGE_TOL:
+        with pytest.raises(InputError, match=f"t_end={t_end} must exceed the event-merge"):
+            run()
+    else:
+        traj = run()
+        assert traj.times.tolist() == [0.0, t_end] and traj.states.shape == (2, 2, 1)
 
 
 def test_scalar_quadratic_closed_form():

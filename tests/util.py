@@ -352,19 +352,25 @@ def joint_graph(signal, t1: float, t2: float) -> frozenset:
 # -- the network drift in node order
 
 
+def negated_drift(net, A, Xb) -> np.ndarray:
+    """grad F(X) + K L X, the negated network drift, in a new array: the evaluator of
+    ``net.drift_into`` on states Xb (..., N, m) in block order, with A from ``net.coupling``."""
+    return net.drift_into(np.empty(np.shape(Xb)))(A, Xb)
+
+
 def network_drift(potentials, lap, K, X) -> np.ndarray:
     """The network drift -grad F(X) - K L X on node states X (..., N, m), in node order:
-    ``NetworkPotential.negated_drift`` with the states permuted into block order and back."""
+    ``negated_drift`` with the states permuted into block order and back."""
     net = NetworkPotential(potentials)
     Xb = np.asarray(X, dtype=float).take(net.order, axis=-2)
-    return -net.negated_drift(net.coupling(lap, K), Xb).take(net.inverse, axis=-2)
+    return -negated_drift(net, net.coupling(lap, K), Xb).take(net.inverse, axis=-2)
 
 
 def counted_drifts(monkeypatch) -> collections.Counter:
-    """From here on, counts of ``NetworkPotential.drift_into`` builds ("built"), of calls of
-    the evaluators they return ("calls") and of ``negated_drift`` calls ("negated")."""
+    """From here on, counts of ``NetworkPotential.drift_into`` builds ("built") and of calls
+    of the evaluators they return ("calls")."""
     counts = collections.Counter()
-    drift_into, negated_drift = NetworkPotential.drift_into, NetworkPotential.negated_drift
+    drift_into = NetworkPotential.drift_into
 
     def counted(net, out):
         counts["built"] += 1
@@ -375,8 +381,6 @@ def counted_drifts(monkeypatch) -> collections.Counter:
             return f(A, Xb)
         return counted_f
     monkeypatch.setattr(NetworkPotential, "drift_into", counted)
-    monkeypatch.setattr(NetworkPotential, "negated_drift",
-                        lambda *a: counts.update(["negated"]) or negated_drift(*a))
     return counts
 
 
