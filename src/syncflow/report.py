@@ -44,6 +44,3 @@ class CheckReport:
             "location": jsonable(self.location),
             "params": jsonable(self.params),
         }
-
-    def __bool__(self) -> bool:
-        return self.passed

@@ -29,8 +29,9 @@ a state passes the bound from x0 alone, never larger, so a run within it reads n
 when a quadratic pull overflows the operator: a sum that no run can settle (see
 ``potentials``) is then refused, exit 2, before the overflow, exit 3.
 
-A run is recorded once, as the ``DiagnosticsSeries`` every check reads: the sample
-times, the (S, N, m) states and the potentials.  ``integrate`` only integrates; the
+A run is recorded once, as the ``DiagnosticsSeries`` every check reads: the (S, N, m)
+states at every event it integrates to (the multiples of ``sample_every``, the switch
+instants and t_end), their times and the potentials.  ``integrate`` only integrates; the
 diameter and the series that read the zero sets are each computed on their first read.
 """
 
@@ -137,22 +138,24 @@ def default_sample_every(dt: float) -> float:
 
 def validate_grid(signal: SwitchingSignal, dt: float, t_end: float, sample_every: float):
     """Raises InputError, naming the field at fault, unless the run grid is usable: dt, t_end
-    and sample_every positive, and t_end past MERGE_TOL; dt <= dwell_floor/4 on a switching
-    signal, so every dwell segment gets at least four steps; at most MAX_EVENTS sample and
-    switch instants and MAX_STEPS RK4 steps, both counted from the arguments before any
-    event is built.
+    and sample_every positive, and t_end past the merge tolerance MERGE_TOL * max(1, t_end);
+    dt <= dwell_floor/4 on a switching signal, so every dwell segment gets at least four
+    steps; at most MAX_EVENTS sample and switch instants and MAX_STEPS RK4 steps, both
+    counted from the arguments before any event is built; and sample_every past the merge
+    tolerance.  Every run then records at least two times, 0 and t_end.
     """
     for name, value in (("dt", dt), ("t_end", t_end), ("sample_every", sample_every)):
         if not value > 0:
             raise InputError(f"{name} must be positive, got {value}")
-    if t_end <= MERGE_TOL:  # the end would merge into the event at 0
-        raise InputError(f"t_end={t_end} must exceed the event-merge tolerance {MERGE_TOL:g}")
+    tol = MERGE_TOL * max(1.0, t_end)
+    if t_end <= tol:  # the end would merge into the event at 0
+        raise InputError(f"t_end={t_end} must exceed the event-merge tolerance {tol:g}")
     if signal.has_switches() and dt > signal.dwell_floor / 4.0 + 1e-12:
         raise InputError(
             f"dt={dt} exceeds dwell_floor/4 = {signal.dwell_floor / 4.0}; "
             "a switching run needs at least four steps per dwell segment"
         )
-    samples = t_end / sample_every + 1.0
+    samples = t_end / sample_every + 2.0  # the multiples of sample_every, and t_end
     # every segment lasts at least the dwell floor, which bounds the switches
     switches = t_end / signal.dwell_floor if signal.has_switches() else 0.0
     if samples + switches > MAX_EVENTS:
@@ -167,35 +170,37 @@ def validate_grid(signal: SwitchingSignal, dt: float, t_end: float, sample_every
             f"t_end={t_end} with dt={dt} and {samples + switches:.3g} events needs about "
             f"{steps:.3g} RK4 steps; at most {MAX_STEPS} are allowed"
         )
+    if sample_every <= tol:  # its samples would merge into one another
+        raise InputError(f"sample_every={sample_every} must exceed the event-merge tolerance {tol:g}")
 
 
 def _event_grid(signal: SwitchingSignal, t_end: float, sample_every: float):
-    """Merged, deduplicated events ``[time, record, graph_id]``: graph_id is the graph from
+    """Merged, deduplicated events ``[time, graph_id]``, each one a recorded sample: the
+    multiples of ``sample_every``, the switch instants and t_end.  graph_id is the graph from
     the event on, None if unchanged.  The event at 0 carries the first segment's graph; a
     switch merged into an event overrides it, so a switch up to the merge tolerance after a
     sample takes effect at that sample."""
     n_samples = int(math.floor(t_end / sample_every + 1e-9))
-    events = [(k * sample_every, True, None) for k in range(n_samples + 1)]
-    events[0] = (0.0, True, signal.segments[0][0])
-    events += [(t, True, g) for t, g in signal.switch_times(t_end)]
-    events.append((t_end, False, None))
+    events = [(k * sample_every, None) for k in range(n_samples + 1)]
+    events[0] = (0.0, signal.segments[0][0])
+    events += signal.switch_times(t_end)
+    events.append((t_end, None))
     events.sort(key=lambda e: e[0])
     tol = MERGE_TOL * max(1.0, t_end)
     merged: list[list] = []
-    for t, rec, g in events:
+    for t, g in events:
         if merged and t - merged[-1][0] <= tol:
-            merged[-1][1] = merged[-1][1] or rec
             if g is not None:
-                merged[-1][2] = g
+                merged[-1][1] = g
         else:
-            merged.append([t, rec, g])
+            merged.append([t, g])
     merged[-1][0] = t_end  # a sample within the tolerance before t_end does not end the run early
     return merged
 
 
 def sample_times(signal: SwitchingSignal, t_end: float, sample_every: float) -> np.ndarray:
-    """The times ``integrate`` records, switch instants included: the event grid's records."""
-    return np.array([t for t, record, _ in _event_grid(signal, t_end, sample_every) if record])
+    """The times ``integrate`` records: the event grid's, switch instants and t_end included."""
+    return np.array([t for t, _ in _event_grid(signal, t_end, sample_every)])
 
 
 def integrate(
@@ -212,8 +217,8 @@ def integrate(
     Fixed-step RK4 whose steps never straddle a switching instant: the step
     is shortened to land exactly on each switch time and each sample time,
     then resumes.  Samples are recorded at every multiple of ``sample_every``
-    and at every switch instant (by default every ten steps); events closer
-    than 1e-9 * max(1, t_end) merge, and the run ends at t_end exactly.  Each
+    (by default every ten steps), at every switch instant and at t_end; events
+    closer than 1e-9 * max(1, t_end) merge, and the run ends at t_end exactly.  Each
     span runs on the graph of the last event that carries one; the first event,
     at 0, carries the graph that holds from 0.  The samples come back as the
     run record the checks read, a ``DiagnosticsSeries``.
@@ -223,7 +228,7 @@ def integrate(
     net = NetworkPotential(potentials)
     events = _event_grid(signal, t_end, sample_every)
     # K·L + diag(a) in block order, built once for each graph the run visits
-    visited = {gid for *_, gid in events} - {None}
+    visited = {gid for _, gid in events} - {None}
     try:
         ops = {g: net.coupling(signal.library[g].laplacian_matrix, K) for g in visited}
     except NumericalError:
@@ -244,29 +249,27 @@ def integrate(
     states = [X]  # RK4 steps build new arrays, so recorded states need no copies
     stages = np.empty((4, X.size))  # the stage drifts S1..S4, one flat row each
     drifts = [net.drift_into(row.reshape(X.shape)) for row in stages]
-    A = ops[events[0][2]]
+    A = ops[events[0][1]]
     t_prev = 0.0
     # overflow on the way out is reported by the divergence guard, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for t_next, record, graph_id in events:
-            span = t_next - t_prev
-            if span > 0:
-                nsteps = max(1, math.ceil(span / dt - 1e-9))
-                h = span / nsteps
-                weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
-                for k in range(nsteps):
-                    X = _rk4_step(drifts, stages, A, X, h, weights)
-                    sup = float(np.abs(X).max())  # NaN if any entry is NaN
-                    if not sup <= guard and not boxed:  # the zero sets join the box
-                        zs = [p.zero_set() for p in potentials]
-                        guard, boxed = bound(x0, *(z.lo for z in zs), *(z.hi for z in zs)), True
-                    if not sup <= guard:
-                        sup = math.inf if math.isnan(sup) else sup
-                        raise FiniteEscapeError(t_prev + (k + 1) * h, sup, guard, h)
-                t_prev = t_next
-                if record:
-                    states.append(X)
+        # merged events lie more than the merge tolerance apart, so every span is positive
+        for t_next, graph_id in events[1:]:
+            nsteps = max(1, math.ceil((t_next - t_prev) / dt - 1e-9))
+            h = (t_next - t_prev) / nsteps
+            weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+            for k in range(nsteps):
+                X = _rk4_step(drifts, stages, A, X, h, weights)
+                sup = float(np.abs(X).max())  # NaN if any entry is NaN
+                if not sup <= guard and not boxed:  # the zero sets join the box
+                    zs = [p.zero_set() for p in potentials]
+                    guard, boxed = bound(x0, *(z.lo for z in zs), *(z.hi for z in zs)), True
+                if not sup <= guard:
+                    sup = math.inf if math.isnan(sup) else sup
+                    raise FiniteEscapeError(t_prev + (k + 1) * h, sup, guard, h)
+            t_prev = t_next
+            states.append(X)
             if graph_id is not None:
                 A = ops[graph_id]
-    return DiagnosticsSeries(np.array([t for t, record, _ in events if record]),
+    return DiagnosticsSeries(np.array([t for t, _ in events]),
                              np.array(states).take(net.inverse, axis=1), potentials)

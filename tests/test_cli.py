@@ -121,9 +121,6 @@ PLANAR = {
     "x0": [1.0, 0.0, -1.0, 0.0],
 }
 APART = {"nodes": [{"kind": "quadratic", "center": [0.0]}, {"kind": "quadratic", "center": [1.0]}]}
-ONE_SAMPLE = {"dt": 0.01, "t_end": 0.1, "sample_every": 0.3}
-ONE_SAMPLE_MESSAGE = ("checks 'monotone_V'/'monotone_theta' need >= 2 recorded samples; "
-                      "t_end 0.1 and sample_every 0.3 give 1")
 
 # one case per load-time check precondition or parameter range: (scenario overrides, check, message)
 PRECONDITIONS = {
@@ -154,9 +151,6 @@ PRECONDITIONS = {
                                    "rise_tol must be nonnegative, got -1e-09"),
     "spectral_grad_tol_negative": ({}, {"name": "spectral_bound", "grad_tol": -1},
                                    "grad_tol must be positive, got -1.0"),
-    # t_end 0.1 sampled every 0.3 records one sample, at 0, and a monotone check compares two
-    "monotone_V_one_sample": (ONE_SAMPLE, {"name": "monotone_V"}, ONE_SAMPLE_MESSAGE),
-    "monotone_theta_one_sample": (ONE_SAMPLE, {"name": "monotone_theta"}, ONE_SAMPLE_MESSAGE),
 }
 
 
@@ -171,6 +165,20 @@ def test_check_precondition_fails_at_load(tmp_path, capsys, case, monkeypatch):
     assert main(["simulate", str(p), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["monotone_V", "monotone_theta"])
+def test_a_horizon_short_of_one_sample_interval_records_0_and_t_end(tmp_path, capsys, check):
+    # t_end 0.1 sampled every 0.3: the run records its end too, so a monotone check has the
+    # two samples it compares and the CSV ends at t_end
+    obj = dict(BASE, dt=0.01, t_end=0.1, sample_every=0.3, checks=[{"name": check}])
+    out = tmp_path / "out"
+    assert main(["simulate", str(write(tmp_path, obj)), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"[PASS] {check}\n"
+    report = json.loads((out / "report.json").read_text())["checks"][0]
+    assert report["params"]["length"] == 2
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.1]
 
 
 UNUSED_PARAMETERS = {
@@ -903,14 +911,28 @@ def test_a_switching_period_within_the_time_tolerance_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["simulate"], ["verify"], ["sweep", "--k", "1,2"]],
                          ids=["simulate", "verify", "sweep"])
 def test_a_horizon_within_the_event_merge_tolerance_exits_2_and_writes_no_files(tmp_path, command):
-    # the run's end would merge into its event at 0, leaving one recorded time for two states:
-    # no check that needs two samples refuses it first
+    # the run's end would merge into its event at 0, and the run would take no step
     obj = dict(smoke_scenario("ring_switch_1d"), signal={"type": "fixed", "graph": "even"},
                dt=1e-11, t_end=5e-10, sample_every=1e-10, checks=[{"name": "sync", "tol": 1e-2}])
     out = tmp_path / "out"
     options = command[1:] + ([] if command[0] == "verify" else ["--out", str(out)])
     code, err, caught = _main_quietly([command[0], str(write(tmp_path, obj)), *options])
     assert (code, err) == (2, "input error: t_end=5e-10 must exceed the event-merge tolerance 1e-09\n")
+    assert not out.exists() and not caught
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify"], ["sweep", "--k", "1,2"]],
+                         ids=["simulate", "verify", "sweep"])
+def test_a_sample_interval_within_the_event_merge_tolerance_exits_2_and_writes_no_files(
+        tmp_path, command):
+    # 101 samples asked for 1e-10 apart would merge into about 10, 1e-9 apart
+    obj = dict(smoke_scenario("ring_switch_1d"), signal={"type": "fixed", "graph": "even"},
+               dt=1e-11, t_end=1e-8, sample_every=1e-10, checks=[{"name": "sync", "tol": 1e-2}])
+    out = tmp_path / "out"
+    options = command[1:] + ([] if command[0] == "verify" else ["--out", str(out)])
+    code, err, caught = _main_quietly([command[0], str(write(tmp_path, obj)), *options])
+    assert (code, err) == (
+        2, "input error: sample_every=1e-10 must exceed the event-merge tolerance 1e-09\n")
     assert not out.exists() and not caught
 
 

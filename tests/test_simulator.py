@@ -317,15 +317,22 @@ def test_integrate_builds_four_stage_drifts_whatever_its_step_count(monkeypatch)
 
 @pytest.mark.parametrize("t_end", [1e-10, 1e-9, 2e-9])
 def test_a_horizon_within_the_merge_tolerance_is_refused_and_one_past_it_runs(t_end):
-    # at t_end <= 1e-9 the end would merge into the event at 0: one recorded time, two states
+    # at t_end <= 1e-9 the end would merge into the event at 0, and the run would take no step
     pots, sig = [Quadratic([0.0]), Quadratic([1.0])], fixed_signal(two_node_graph())
-    run = lambda: integrate(pots, sig, 1.0, [0.5, 0.2], dt=1e-11, t_end=t_end, sample_every=1e-10)
+    run = lambda: integrate(pots, sig, 1.0, [0.5, 0.2], dt=1e-11, t_end=t_end, sample_every=2e-9)
     if t_end <= simulator.MERGE_TOL:
         with pytest.raises(InputError, match=f"t_end={t_end} must exceed the event-merge"):
             run()
     else:
         traj = run()
         assert traj.times.tolist() == [0.0, t_end] and traj.states.shape == (2, 2, 1)
+
+
+def test_a_run_records_its_end_off_the_sample_grid():
+    # 100 steps to t_end 1.0, sampled every 0.3: the state at t_end is recorded too
+    pots, sig = [Quadratic([0.0]), Quadratic([1.0])], fixed_signal(two_node_graph())
+    traj = integrate(pots, sig, 1.0, [0.5, 0.2], dt=0.01, t_end=1.0, sample_every=0.3)
+    assert traj.times.tolist() == [0.0, 0.3, 0.6, 3 * 0.3, 1.0] and traj.states.shape == (5, 2, 1)
 
 
 def test_scalar_quadratic_closed_form():
@@ -707,15 +714,22 @@ def test_every_span_of_the_event_grid_runs_on_the_graph_at_its_start(case):
     library = {g: WeightedDigraph(2, ((0, 1, w),)) for g, w in zip("abc", (1.0, 2.0, 3.0))}
     sig = SwitchingSignal(library, segments, min(d for _, d in segments))
     events = simulator._event_grid(sig, t_end, sample_every)
-    assert events[0][0] == 0.0 and events[0][2] is not None
-    # the recorded times, the run record's times, strictly increase even across merged events
-    recorded = np.array([t for t, record, _ in events if record])
-    assert np.all(np.diff(recorded) > 0)
+    assert events[0][0] == 0.0 and events[0][1] is not None
+    # every event is a recorded time; they lie more than the merge tolerance apart, so
+    # every span of the run is positive, and the last is t_end
+    tol = 1e-9 * max(1.0, t_end)
+    times = sample_times(sig, t_end, sample_every)
+    assert times.tolist() == [t for t, _ in events] and times[-1] == t_end
+    assert np.all(np.diff(times) > tol)
+    dt = sig.dwell_floor / 4.0
+    if t_end / dt <= 2000 and sample_every > tol:  # a grid cheap to run records these times
+        traj = integrate([Quadratic([0.0]), Quadratic([1.0])], sig, 1.0, [1.0, -1.0], dt, t_end,
+                         sample_every)
+        assert traj.times.tobytes() == times.tobytes()
     # a switch up to the merge tolerance after an event takes effect at that event; one
     # the tolerance away, up to rounding, may fall on either side of it
-    tol = 1e-9 * max(1.0, t_end)
     gid = None
-    for t, _, g in events[:-1]:
+    for t, g in events[:-1]:
         gid = gid if g is None else g
         early, late = (graph_id_at(sig, t, snap=tol * f) for f in (1 - 1e-6, 1 + 1e-6))
         assert gid in {early, late} and (early != late or gid == graph_id_at(sig, t, snap=tol))
